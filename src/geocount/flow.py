@@ -1,11 +1,15 @@
 """Unit-speed geodesics and matrix Jacobi fields along them.
 
-Everything is sampled on a uniform arc-length grid.  The two fundamental
-matrix solutions of Y'' + K(sigma) Y = 0 are propagated together with
-classical fixed-step RK4: one with (Id, 0) initial data and one with (0, Id),
-in a parallel orthonormal frame of the normal space.  Cubic Hermite dense
-output (exact to the integrator's order) supports evaluation between samples
-and the refinement of determinant zeros.
+Everything is sampled on a uniform arc-length grid.  On every model manifold
+the curvature operator along a geodesic is kappa(sigma) * Id in a parallel
+orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces to
+one scalar equation.  Its two fundamental solutions, xi with data (1, 0) and
+eta with data (0, 1), are propagated by one classical fixed-step RK4 kernel;
+the matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
+forms: great circles and their hyperbolic and flat analogues, straight lines
+on tori, radial rays in warped products.  Cubic Hermite dense output (exact
+to the integrator's order) supports evaluation between samples and the
+refinement of determinant zeros.
 """
 
 import csv
@@ -39,31 +43,32 @@ def _grid(T: float, step: float) -> np.ndarray:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _space_form_scalars(c: float, sigma, lib=np):
+    """(xi, xi', eta, eta') of y'' = -c y, elementwise in sigma.
+
+    Cosine/sine families for c > 0, linear for c = 0, hyperbolic for c < 0.
+    ``lib`` supplies cos/sin/cosh/sinh: numpy for grids, math for scalars.
+    """
+    if c > 0:
+        s = math.sqrt(c)
+        cos, sin = lib.cos(s * sigma), lib.sin(s * sigma)
+        return cos, -s * sin, sin / s, cos
+    if c < 0:
+        s = math.sqrt(-c)
+        cosh, sinh = lib.cosh(s * sigma), lib.sinh(s * sigma)
+        return cosh, s * sinh, sinh / s, cosh
+    one = 1.0 + 0.0 * sigma
+    return one, 0.0 * one, sigma, one
+
+
 def closed_form_jacobi(c: float, sigma: float, n: int):
     """Exact (Xi, Xi', H, H') for constant curvature c in dimension n.
 
-    The solutions of Y'' = -c Y with (Id, 0) and (0, Id) data: cosine/sine
-    families for c > 0, linear for c = 0, hyperbolic for c < 0.
+    The solutions of Y'' = -c Y with (Id, 0) and (0, Id) data: the scalar
+    space-form solutions times Id.
     """
-    k = n - 1
-    eye = np.eye(k)
-    if c > 0:
-        s = math.sqrt(c)
-        return (
-            math.cos(s * sigma) * eye,
-            -s * math.sin(s * sigma) * eye,
-            math.sin(s * sigma) / s * eye,
-            math.cos(s * sigma) * eye,
-        )
-    if c < 0:
-        s = math.sqrt(-c)
-        return (
-            math.cosh(s * sigma) * eye,
-            s * math.sinh(s * sigma) * eye,
-            math.sinh(s * sigma) / s * eye,
-            math.cosh(s * sigma) * eye,
-        )
-    return eye.copy(), 0.0 * eye, sigma * eye, eye.copy()
+    eye = np.eye(n - 1)
+    return tuple(v * eye for v in _space_form_scalars(c, sigma, math))
 
 
 @dataclass(frozen=True)
@@ -132,39 +137,46 @@ def _normal_frame_at(spec, x, theta):
 
 
 def _check_trajectory(spec, sigma, positions, velocities, frames):
-    for j in range(len(sigma)):
-        x, v = positions[j], velocities[j]
-        drift = abs(mf.metric_dot(spec, x, v, v) - 1.0)
-        if drift > SPEED_DRIFT_TOL:
-            raise IntegrationFailureError(
-                f"flow.integrate_geodesic: unit-speed drift {drift:.3e} at "
-                f"sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
+    # diagonal of the metric at every sample: the ambient signature, or
+    # (1, w^2, ..., w^2) for a warped product
+    if spec.kind == mf.WARPED_PRODUCT:
+        w = np.array([spec.warp.value(r) for r in positions[:, 0]])
+        g = np.ones_like(positions)
+        g[:, 1:] = (w * w)[:, None]
+    else:
+        g = np.broadcast_to(mf.ambient_signature(spec), positions.shape)
+    drift = np.abs(np.sum(g * velocities * velocities, axis=1) - 1.0)
+    bad = np.nonzero(drift > SPEED_DRIFT_TOL)[0]
+    if len(bad):
+        j = bad[0]
+        raise IntegrationFailureError(
+            f"flow.integrate_geodesic: unit-speed drift {drift[j]:.3e} at "
+            f"sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
     # frame orthonormality and normality to the velocity, spot-checked on a
     # subsample (parallel transport is exact for every closed-form branch)
     idx = np.unique(np.linspace(0, len(sigma) - 1, min(len(sigma), 64)).astype(int))
-    for j in idx:
-        x, v, E = positions[j], velocities[j], frames[j]
-        k = E.shape[0]
-        defect = 0.0
-        for a in range(k):
-            defect = max(defect, abs(mf.metric_dot(spec, x, E[a], v)))
-            for b in range(a, k):
-                g = mf.metric_dot(spec, x, E[a], E[b])
-                defect = max(defect, abs(g - (1.0 if a == b else 0.0)))
-        if defect > 1e-8:
-            raise IntegrationFailureError(
-                f"flow.integrate_geodesic: frame orthonormality defect "
-                f"{defect:.3e} at sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
+    gE = g[idx, None, :] * frames[idx]
+    gram = np.einsum("sad,sbd->sab", gE, frames[idx]) - np.eye(frames.shape[1])
+    normal = np.einsum("sad,sd->sa", gE, velocities[idx])
+    defect = np.maximum(np.max(np.abs(gram), axis=(1, 2)),
+                        np.max(np.abs(normal), axis=1))
+    bad = np.nonzero(defect > 1e-8)[0]
+    if len(bad):
+        j = idx[bad[0]]
+        raise IntegrationFailureError(
+            f"flow.integrate_geodesic: frame orthonormality defect "
+            f"{defect[bad[0]]:.3e} at sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
 
 
 def integrate_geodesic(spec, x, theta, T, step):
-    """Integrate the unit-speed geodesic with gamma(0)=x, gamma'(0)=theta.
+    """Sample the unit-speed geodesic with gamma(0)=x, gamma'(0)=theta.
 
-    Constant-curvature members run RK4 on the ambient quadric model (the
-    acceleration is -c * g(v,v) * x and parallel transport keeps tangent
-    vectors quadric-tangent); flat tori are straight lines in the universal
-    cover wrapped back to the fundamental domain; warped products support
-    radial rays, integrated exactly.
+    Every branch is a closed form with a parallel normal frame.  Space forms
+    follow gamma = xi(sigma) x + eta(sigma) theta on the ambient quadric, with
+    xi, eta the scalar solutions of y'' = -c y (cos/sin, cosh/sinh, or linear);
+    normal vectors orthogonal to span(x, theta) are parallel, so the frame is
+    constant.  Flat tori are straight lines in the universal cover wrapped
+    back to the fundamental domain; warped products support radial rays.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -195,39 +207,15 @@ def integrate_geodesic(spec, x, theta, T, step):
         positions = np.tile(x, (m + 1, 1))
         positions[:, 0] = r
         velocities = np.tile(theta, (m + 1, 1))
-        y = x[1:]
         fiber = _normal_frame_at(spec, x, theta)[:, 1:] * spec.warp.value(x[0])
+        w = np.array([spec.warp.value(ri) for ri in r])
         frames = np.zeros((m + 1, k, 1 + spec.n))
-        for j in range(m + 1):
-            w = spec.warp.value(r[j])
-            frames[j, :, 1:] = fiber / w
+        frames[:, :, 1:] = fiber[None] / w[:, None, None]
     elif spec.kind == mf.CONSTANT_CURVATURE:
-        sig = mf.ambient_signature(spec)
-        c = spec.c
-        E0 = _normal_frame_at(spec, x, theta)
-        d = len(x)
-        state = np.concatenate([x, theta, E0.ravel()])
-
-        def deriv(s):
-            xx = s[:d]
-            vv = s[d:2 * d]
-            EE = s[2 * d:].reshape(k, d)
-            acc = -c * float(np.sum(sig * vv * vv)) * xx
-            dE = -c * (EE @ (sig * vv)).reshape(k, 1) * xx[None, :]
-            return np.concatenate([vv, acc, dE.ravel()])
-
-        states = np.empty((m + 1, len(state)))
-        states[0] = state
-        for j in range(m):
-            k1 = deriv(state)
-            k2 = deriv(state + 0.5 * h * k1)
-            k3 = deriv(state + 0.5 * h * k2)
-            k4 = deriv(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            states[j + 1] = state
-        positions = states[:, :d]
-        velocities = states[:, d:2 * d]
-        frames = states[:, 2 * d:].reshape(m + 1, k, d)
+        xi, dxi, eta, deta = _space_form_scalars(spec.c, sigma)
+        positions = xi[:, None] * x + eta[:, None] * theta
+        velocities = dxi[:, None] * x + deta[:, None] * theta
+        frames = np.tile(_normal_frame_at(spec, x, theta), (m + 1, 1, 1))
     else:
         raise ConfigurationError(f"flow.integrate_geodesic: unknown kind {spec.kind}")
 
@@ -243,7 +231,8 @@ def integrate_geodesic(spec, x, theta, T, step):
 class JacobiSystem:
     """The two fundamental matrix Jacobi solutions on a trajectory's grid.
 
-    Xi has (Id, 0) initial data, H has (0, Id).  ``singular_set`` lists the
+    Xi has (Id, 0) initial data, H has (0, Id).  ``kappa`` holds the scalar
+    curvature profile at the grid points.  ``singular_set`` lists the
     detected zeros of det Xi and det H (the conjugate-point locations live in
     ``h_zeros``).
     """
@@ -252,6 +241,7 @@ class JacobiSystem:
     trajectory: GeodesicTrajectory
     kop: mf.CurvatureFrameOperator
     sigma: np.ndarray
+    kappa: np.ndarray  # (m+1,)
     xi: np.ndarray   # (m+1, k, k)
     dxi: np.ndarray
     h: np.ndarray
@@ -288,8 +278,7 @@ class JacobiSystem:
         h10 = t**3 - 2 * t**2 + t
         h01 = -2 * t**3 + 3 * t**2
         h11 = t**3 - t**2
-        kap0 = float(self.kop.profile(self.sigma[j]))
-        kap1 = float(self.kop.profile(self.sigma[j + 1]))
+        kap0, kap1 = self.kappa[j], self.kappa[j + 1]
         out = []
         for Y, DY in ((self.xi, self.dxi), (self.h, self.dh)):
             val = (h00 * Y[j] + h10 * hcell * DY[j]
@@ -305,39 +294,48 @@ class JacobiSystem:
         return float(np.min(np.abs(self.singular_set - sigma)))
 
 
-def _rk4_linear_second_order(kprofile, sigma, y0, dy0, nsub=1):
-    """RK4 for Y'' = -kappa(sigma) Y on a given grid, any batch shape.
+def _rk4_step(y, dy, h, ka, km, kb):
+    """One classical RK4 step of y'' = -kappa y, given kappa at the step's
+    start, midpoint and end."""
+    k1y, k1d = dy, -ka * y
+    y2, d2 = y + 0.5 * h * k1y, dy + 0.5 * h * k1d
+    k2y, k2d = d2, -km * y2
+    y3, d3 = y + 0.5 * h * k2y, dy + 0.5 * h * k2d
+    k3y, k3d = d3, -km * y3
+    y4, d4 = y + h * k3y, dy + h * k3d
+    k4y, k4d = d4, -kb * y4
+    return (y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y),
+            dy + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
-    ``kprofile`` maps an array of sigmas to the scalar curvature profile;
-    y0/dy0 may carry leading batch axes.  Returns values at the grid points.
+
+def _fundamental_solutions(kprofile, sigma, nsub=1):
+    """RK4 for the scalar Jacobi equation y'' = -kappa(sigma) y on a grid.
+
+    Each grid cell is split into ``nsub`` equal substeps.  ``kprofile`` maps
+    an array of sigmas to the curvature profile and is called once, on the
+    start, midpoint and end of every substep plus the last grid point.
+    Returns kappa at the grid points and an (m+1, 4) array of rows
+    (xi, xi', eta, eta'): the solutions with data (1, 0) and (0, 1).
     """
-    m = len(sigma) - 1
-    Y = np.array(y0, dtype=float)
-    DY = np.array(dy0, dtype=float)
-    out_y = np.empty((m + 1,) + Y.shape)
-    out_dy = np.empty_like(out_y)
-    out_y[0], out_dy[0] = Y, DY
-    for j in range(m):
-        h = (sigma[j + 1] - sigma[j]) / nsub
-        for q in range(nsub):
-            s0 = sigma[j] + q * h
-            ka = float(kprofile(s0))
-            km = float(kprofile(s0 + 0.5 * h))
-            kb = float(kprofile(s0 + h))
-            k1y, k1d = DY, -ka * Y
-            y2, d2 = Y + 0.5 * h * k1y, DY + 0.5 * h * k1d
-            k2y, k2d = d2, -km * y2
-            y3, d3 = Y + 0.5 * h * k2y, DY + 0.5 * h * k2d
-            k3y, k3d = d3, -km * y3
-            y4, d4 = Y + h * k3y, DY + h * k3d
-            k4y, k4d = d4, -kb * y4
-            Y = Y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            DY = DY + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-        out_y[j + 1], out_dy[j + 1] = Y, DY
-    return out_y, out_dy
+    hsub = np.diff(sigma) / nsub
+    starts = sigma[:-1, None] + np.arange(nsub) * hsub[:, None]
+    nodes = np.stack([starts, starts + 0.5 * hsub[:, None],
+                      starts + hsub[:, None]], axis=-1)
+    kap = np.asarray(kprofile(np.append(nodes.ravel(), sigma[-1])), dtype=float)
+    cells = kap[:-1].reshape(nodes.shape)
+    kappa = np.append(cells[:, 0, 0], kap[-1])
+    xi, dxi, eta, deta = 1.0, 0.0, 0.0, 1.0
+    rows = [(xi, dxi, eta, deta)]
+    for h, cell in zip(hsub.tolist(), cells.tolist()):
+        for ka, km, kb in cell:
+            xi, dxi = _rk4_step(xi, dxi, h, ka, km, kb)
+            eta, deta = _rk4_step(eta, deta, h, ka, km, kb)
+        rows.append((xi, dxi, eta, deta))
+    return kappa, np.array(rows)
 
 
-def _golden_min(f, a, b, tol=SIGMA_REFINE_TOL):
+def golden_min(f, a, b, tol=SIGMA_REFINE_TOL):
+    """Golden-section search for a minimizer of a unimodal f on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -383,8 +381,8 @@ def _detect_det_zeros(js_sigma, dets, norms, det_interp, k, h):
                 continue  # already handled as a sign change
             if absd[j] > 1e-4 * local[j]**k:
                 continue
-            s = _golden_min(lambda t: abs(det_interp(t)),
-                            js_sigma[j - 1], js_sigma[j + 1])
+            s = golden_min(lambda t: abs(det_interp(t)),
+                           js_sigma[j - 1], js_sigma[j + 1])
             if abs(det_interp(s)) <= thr[j]:
                 zeros.append(s)
     zeros = sorted(zeros)
@@ -411,17 +409,15 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
         raise InputError(f"flow.propagate_jacobi: parameter step={step} must be positive")
     nsub = max(1, int(round(hgrid / step)))
 
-    y0 = np.concatenate([np.eye(k), np.zeros((k, k))], axis=1)   # [Xi | H]
-    dy0 = np.concatenate([np.zeros((k, k)), np.eye(k)], axis=1)
-    Y, DY = _rk4_linear_second_order(kop.profile, traj.sigma, y0, dy0, nsub=nsub)
-    xi, h = Y[:, :, :k], Y[:, :, k:]
-    dxi, dh = DY[:, :, :k], DY[:, :, k:]
+    kappa, sols = _fundamental_solutions(kop.profile, traj.sigma, nsub=nsub)
+    eye = np.eye(k)
+    xi, dxi, h, dh = (sols[:, i, None, None] * eye for i in range(4))
 
     det_xi = np.linalg.det(xi)
     det_h = np.linalg.det(h)
 
     js = JacobiSystem(
-        spec=spec, trajectory=traj, kop=kop, sigma=traj.sigma,
+        spec=spec, trajectory=traj, kop=kop, sigma=traj.sigma, kappa=kappa,
         xi=xi, dxi=dxi, h=h, dh=dh, det_xi=det_xi, det_h=det_h,
         xi_zeros=np.array([]), h_zeros=np.array([]),
         singular_set=np.array([]), step=hgrid / nsub,
@@ -469,7 +465,7 @@ def jacobi_residual(js: JacobiSystem) -> float:
     if len(js.sigma) < 5:
         return 0.0
     hg = js.sigma[1] - js.sigma[0]
-    kap = js.kop.profile(js.sigma)
+    kap = js.kappa
     worst = 0.0
     for Y in (js.xi, js.h):
         d2 = (-Y[:-4] + 16 * Y[1:-3] - 30 * Y[2:-2] + 16 * Y[3:-1] - Y[4:]) / (12 * hg**2)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
                      InputError, NumericalError, PoleError)
+from .flow import golden_min
 
 POLE_MARGIN = 1e-8
 SAMPLING_POLE_MARGIN = 0.05
@@ -216,33 +217,40 @@ class HerglotzMatrix:
             real_axis_only=self.real_axis_only, curvature=self.curvature)
 
 
-def f_real_axis_numeric(js, sigma: float) -> np.ndarray:
-    """f(sigma) = Xi(sigma)^{-1} H(sigma) from propagated Jacobi data.
+def f_real_axis_numeric(source, sigma: float) -> np.ndarray:
+    """f(sigma) = Xi(sigma)^{-1} H(sigma) from Jacobi data on the real axis.
 
-    The poles of f sit where det Xi vanishes, so the proximity margin is
-    measured against those zeros (det H zeros are zeros of f, harmless here).
-    Symmetry of the result is a consequence of the frame being parallel and
-    orthonormal, so it is asserted as a free consistency check.
+    ``source`` is any Jacobi data provider: a propagated system or a closed
+    form.  For propagated data (which carries the detected ``xi_zeros``) the
+    poles of f sit where det Xi vanishes, so the proximity margin is measured
+    against those zeros (det H zeros are zeros of f, harmless here), and
+    symmetry of the result, a consequence of the frame being parallel and
+    orthonormal, is asserted as a free consistency check.
     """
-    zeros = np.asarray(js.xi_zeros, dtype=float)
-    dist = math.inf if len(zeros) == 0 else float(np.min(np.abs(zeros - sigma)))
-    if dist < 10 * 1e-10:
-        raise InputError(
-            f"herglotz.f_real_axis_numeric: sigma={sigma} within 10x detection "
-            "tolerance of a pole of f")
-    xi, _, h, _ = js.eval_at(sigma)
+    zeros = getattr(source, "xi_zeros", None)
+    dist = None
+    if zeros is not None:
+        zeros = np.asarray(zeros, dtype=float)
+        dist = math.inf if len(zeros) == 0 else float(np.min(np.abs(zeros - sigma)))
+        if dist < 10 * 1e-10:
+            raise InputError(
+                f"herglotz.f_real_axis_numeric: sigma={sigma} within 10x detection "
+                "tolerance of a pole of f")
+    xi, _, h, _ = source.eval_at(sigma)
     cond = np.linalg.cond(xi)
     if not np.isfinite(cond) or cond > COND_LIMIT:
+        where = ("" if dist is None
+                 else f", distance {dist:.3e} to the nearest singular point")
         raise ConditioningError(
-            f"herglotz.f_real_axis_numeric: Xi({sigma}) condition {cond:.2e}, "
-            f"distance {dist:.3e} to the nearest singular point",
+            f"herglotz.f_real_axis_numeric: Xi({sigma}) condition {cond:.2e}{where}",
             distance=dist)
     f = np.linalg.solve(xi, h)
-    defect = symmetry_defect(f)
-    if defect > 1e-8 * max(1.0, float(np.max(np.abs(f)))):
-        raise NumericalError(
-            f"herglotz.f_real_axis_numeric: symmetry defect {defect:.3e} at "
-            f"sigma={sigma} (frame inconsistency)")
+    if zeros is not None:
+        defect = symmetry_defect(f)
+        if defect > 1e-8 * max(1.0, float(np.max(np.abs(f)))):
+            raise NumericalError(
+                f"herglotz.f_real_axis_numeric: symmetry defect {defect:.3e} at "
+                f"sigma={sigma} (frame inconsistency)")
     return f
 
 
@@ -272,17 +280,6 @@ def neg_inverse(F: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # identity and positivity checks
 # ---------------------------------------------------------------------------
-
-def _f_from_source(source, sigma: float) -> np.ndarray:
-    if hasattr(source, "xi_zeros"):
-        return f_real_axis_numeric(source, sigma)
-    xi, _, h, _ = source.eval_at(sigma)
-    cond = np.linalg.cond(xi)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"herglotz: Xi({sigma}) condition {cond:.2e} too large to invert")
-    return np.linalg.solve(xi, h)
-
 
 def check_theorem_nice(Fh: HerglotzMatrix, sample_zeta) -> dict:
     """Report symmetry, normalization at 0, and imaginary-part positivity.
@@ -344,8 +341,8 @@ def check_key1(source, sigma: float) -> float:
     h = _fd_step(source, sigma)
     if sigma - h <= 0:
         raise InputError(f"herglotz.check_key1: sigma={sigma} too close to 0")
-    g_plus = -np.linalg.inv(_f_from_source(source, sigma + h))
-    g_minus = -np.linalg.inv(_f_from_source(source, sigma - h))
+    g_plus = -np.linalg.inv(f_real_axis_numeric(source, sigma + h))
+    g_minus = -np.linalg.inv(f_real_axis_numeric(source, sigma - h))
     gprime = (g_plus - g_minus) / (2 * h)
     _, _, H, _ = source.eval_at(sigma)
     val = float(np.linalg.det(H.T @ H) * np.linalg.det(gprime))
@@ -357,8 +354,8 @@ def check_xi_identity(source, sigma: float) -> float:
     h = _fd_step(source, sigma)
     if sigma - h <= 0:
         raise InputError(f"herglotz.check_xi_identity: sigma={sigma} too close to 0")
-    fprime = (_f_from_source(source, sigma + h)
-              - _f_from_source(source, sigma - h)) / (2 * h)
+    fprime = (f_real_axis_numeric(source, sigma + h)
+              - f_real_axis_numeric(source, sigma - h)) / (2 * h)
     xi, _, _, _ = source.eval_at(sigma)
     k = xi.shape[0]
     return float(np.max(np.abs(xi.T @ xi @ fprime - np.eye(k))))
@@ -496,23 +493,6 @@ class FatouData:
         }
 
 
-def _golden_max(f, a, b, tol=1e-8):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _window_mass(Fh, t, delta, tau):
     """Matrix integral of Im F(sigma + i tau) over (t-delta, t+delta)."""
     npts = int(max(61, min(40001, 2 * delta / (tau / 6.0) + 1)))
@@ -574,9 +554,9 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     locations = []
     for j in range(1, npts - 1):
         if trace[j] > threshold and trace[j] >= trace[j - 1] and trace[j] >= trace[j + 1]:
-            t = _golden_max(
-                lambda s: float(np.trace(np.imag(Fh(complex(s, tau_min))))),
-                grid[j - 1], grid[j + 1])
+            t = golden_min(
+                lambda s: -float(np.trace(np.imag(Fh(complex(s, tau_min))))),
+                grid[j - 1], grid[j + 1], tol=1e-8)
             if not locations or t - locations[-1] > 50 * h_scan:
                 locations.append(t)
 

@@ -21,6 +21,43 @@ def _torus_setup(n=2, order=64):
     return spec, x, quad
 
 
+def _batched_reference(spec, x, T, quad, step):
+    """The counting integral in its general matrix form, as a reference.
+
+    One RK4 per direction on (directions, k, k) and the square root of the
+    Gram determinant det(H^T H) at every step; deliberately slow and literal.
+    """
+    dirs = quad.nodes @ gc.tangent_frame(spec, x)
+    kappas = np.array([float(gc.curvature_along(spec, (x, th)).profile(0.0))
+                       for th in dirs])
+    grid = np.linspace(0.0, T, int(math.ceil(T / step - 1e-12)) + 1)
+    k = spec.normal_dim
+    B = quad.size
+    H = np.zeros((B, k, k))
+    DH = np.broadcast_to(np.eye(k), (B, k, k)).copy()
+    kap = kappas.reshape(B, 1, 1)
+    cum = np.zeros(B)
+    prev = np.zeros(B)
+    totals = np.zeros(len(grid))
+    for j in range(len(grid) - 1):
+        h = grid[j + 1] - grid[j]
+        k1y, k1d = DH, -kap * H
+        y2, d2 = H + 0.5 * h * k1y, DH + 0.5 * h * k1d
+        k2y, k2d = d2, -kap * y2
+        y3, d3 = H + 0.5 * h * k2y, DH + 0.5 * h * k2d
+        k3y, k3d = d3, -kap * y3
+        y4, d4 = H + h * k3y, DH + h * k3d
+        k4y, k4d = d4, -kap * y4
+        H = H + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        DH = DH + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+        dets = np.linalg.det(np.einsum("bji,bjk->bik", H, H))
+        intg = np.sqrt(np.maximum(dets, 0.0))
+        cum = cum + 0.5 * h * (prev + intg)
+        prev = intg
+        totals[j + 1] = np.sum(quad.weights * cum)
+    return grid, totals
+
+
 class TestIntegrand:
     def test_round_sphere_unit_value(self):
         spec, x, _ = _sphere_setup(2)
@@ -74,6 +111,26 @@ class TestTotals:
         curve = gc.berger_bott_curve(spec, x, [1.0, 2.0, 4.0], quad, 1e-3)
         single = gc.berger_bott_total(spec, x, 2.0, quad, 1e-3)
         assert abs(curve.values[1] - single) < 1e-9
+
+    @pytest.mark.parametrize("spec,scheme,order", [
+        (gc.constant_curvature(1.0, 2), "product_gauss", 16),
+        (gc.constant_curvature(-1.0, 3), "product_gauss", 4),
+        (gc.constant_curvature(2.0, 5), "monte_carlo", 64),
+        (gc.constant_curvature(-0.5, 5), "monte_carlo", 64),
+        (gc.flat_torus(np.eye(2)), "product_gauss", 16),
+        (gc.flat_torus(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])),
+         "product_gauss", 4),
+    ], ids=lambda v: v.label if isinstance(v, gc.ManifoldSpec) else str(v))
+    def test_matches_batched_reference(self, spec, scheme, order):
+        # k = 1, 2, 4 normal dimensions, both signs of c, and tori
+        x = gc.canonical_point(spec)
+        quad = gc.unit_sphere_quadrature(spec.n, scheme, order, seed=5)
+        grid, totals = gc.counting._counting_cumulative(spec, x, 3.0, quad, 1e-2)
+        ref_grid, ref = _batched_reference(spec, x, 3.0, quad, 1e-2)
+        assert np.array_equal(grid, ref_grid)
+        assert totals[0] == 0.0
+        rel = np.abs(totals[1:] - ref[1:]) / np.abs(ref[1:])
+        assert float(np.max(rel)) <= 1e-13
 
     def test_dimension_mismatch(self):
         spec, x, _ = _torus_setup(2)

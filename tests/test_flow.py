@@ -14,6 +14,40 @@ def _traj_and_system(spec, T=3.0, step=1e-3, direction=0):
     return traj, gc.propagate_jacobi(spec, traj)
 
 
+def _matrix_reference(spec, traj, nsub=1):
+    """(Xi, Xi', H, H') from RK4 on the k x 2k block [Xi | H], as a reference.
+
+    The general matrix form of Y'' = -kappa Y with three scalar profile calls
+    per substep; deliberately slow and literal.
+    """
+    k = spec.n - 1
+    kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
+    sigma = traj.sigma
+    Y = np.concatenate([np.eye(k), np.zeros((k, k))], axis=1)
+    DY = np.concatenate([np.zeros((k, k)), np.eye(k)], axis=1)
+    out_y = np.empty((len(sigma),) + Y.shape)
+    out_dy = np.empty_like(out_y)
+    out_y[0], out_dy[0] = Y, DY
+    for j in range(len(sigma) - 1):
+        h = (sigma[j + 1] - sigma[j]) / nsub
+        for q in range(nsub):
+            s0 = sigma[j] + q * h
+            ka = float(kprofile(s0))
+            km = float(kprofile(s0 + 0.5 * h))
+            kb = float(kprofile(s0 + h))
+            k1y, k1d = DY, -ka * Y
+            y2, d2 = Y + 0.5 * h * k1y, DY + 0.5 * h * k1d
+            k2y, k2d = d2, -km * y2
+            y3, d3 = Y + 0.5 * h * k2y, DY + 0.5 * h * k2d
+            k3y, k3d = d3, -km * y3
+            y4, d4 = Y + h * k3y, DY + h * k3d
+            k4y, k4d = d4, -kb * y4
+            Y = Y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+            DY = DY + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+        out_y[j + 1], out_dy[j + 1] = Y, DY
+    return out_y[:, :, :k], out_dy[:, :, :k], out_y[:, :, k:], out_dy[:, :, k:]
+
+
 class TestClosedForm:
     def test_initial_conditions_any_curvature(self):
         for c in (-2.0, -1.0, 0.0, 1.0, 3.5):
@@ -93,6 +127,21 @@ class TestIntegrateGeodesic:
                            traj.velocities[j])
             assert abs(g - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("c", [-4.0, -3.9])
+    def test_strongly_hyperbolic_closed_form(self, c):
+        # ambient RK4 drifted off unit speed here; the closed form does not
+        spec = gc.constant_curvature(c, 3)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 5.0, 1e-3)
+        s = math.sqrt(-c)
+        u = s * traj.sigma[:, None]
+        pos = np.cosh(u) * x + np.sinh(u) / s * theta
+        vel = s * np.sinh(u) * x + np.cosh(u) * theta
+        for got, want in ((traj.positions, pos), (traj.velocities, vel)):
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+        assert np.array_equal(traj.frames, np.broadcast_to(traj.frames[0], traj.frames.shape))
+
     def test_input_validation(self):
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
@@ -155,6 +204,25 @@ class TestPropagateJacobi:
         for s in (0.002, 0.005, 0.01):
             _, _, h, _ = js.eval_at(s)
             assert np.linalg.det(h) > 0
+
+    @pytest.mark.parametrize("nsub", [1, 3])
+    @pytest.mark.parametrize("spec", [
+        gc.constant_curvature(1.0, 3),
+        gc.constant_curvature(-2.0, 4),
+        gc.flat_torus(np.eye(3)),
+        gc.warped_product("one_plus_r2", 3),
+        gc.warped_product("cosh", 3),
+        gc.warped_product("two_plus_cos", 2),
+    ], ids=lambda s: s.label)
+    def test_scalar_kernel_equals_matrix_reference(self, spec, nsub):
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 3.0, 1e-2)
+        js = gc.propagate_jacobi(spec, traj, step=traj.step / nsub)
+        ref = _matrix_reference(spec, traj, nsub)
+        for got, want in zip((js.xi, js.dxi, js.h, js.dh), ref):
+            assert np.array_equal(got, want)
+        assert np.array_equal(js.kappa, js.kop.profile(js.sigma))
 
     def test_substep_integration(self):
         spec = gc.constant_curvature(1.0, 2)
