@@ -16,8 +16,8 @@ import numpy as np
 
 from . import flow
 from . import manifolds as mf
-from .errors import (CatalogError, ConfigurationError, GeocountError,
-                     InputError, IntegrationFailureError)
+from .errors import (CatalogError, ConfigurationError, InputError,
+                     IntegrationFailureError)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +95,12 @@ def berger_bott_integrand(js: flow.JacobiSystem, sigma: float) -> float:
 def _counting_cumulative(spec, x, T, quad, step):
     """Cumulative counting integral on the arc-length grid.
 
-    Both kinds with direction quadrature have arc-length-constant curvature
-    profiles, so one sample kappa per direction fully determines its Jacobi
-    equation, and H = eta * Id gives the integrand |det H| = |eta|^k.
-    Directions are grouped by kappa; each group propagates eta once with the
-    shared scalar kernel, accumulates the composite trapezoid of |eta|^k,
-    and enters the total with the sum of its quadrature weights.
+    Both kinds with direction quadrature are homogeneous: the curvature
+    profile is the constant kappa = spec.c along every geodesic, and
+    H = eta * Id gives the integrand |det H| = |eta|^k.  The directions are
+    checked to be unit vectors in one array expression; eta is propagated
+    once with the shared scalar kernel, and the composite trapezoid of
+    |eta|^k enters the total with the sum of the quadrature weights.
     """
     if quad.n != spec.n:
         raise ConfigurationError(
@@ -113,35 +113,27 @@ def _counting_cumulative(spec, x, T, quad, step):
     x = np.asarray(x, dtype=float)
     frame = mf.tangent_frame(spec, x)
     dirs = quad.nodes @ frame
-    kappas = np.empty(quad.size)
-    for i, th in enumerate(dirs):
-        try:
-            kop = mf.curvature_along(spec, (x, th))
-        except GeocountError as exc:
-            raise IntegrationFailureError(
-                f"counting.berger_bott_total: direction {i}: {exc}") from exc
-        kappas[i] = float(kop.profile(0.0))
+    # the metric norm of manifolds.require_unit_direction, for all rows at once
+    norm2 = np.sum(mf.ambient_signature(spec) * dirs * dirs, axis=1)
+    bad = np.flatnonzero(np.abs(norm2 - 1.0) > 1e-8)
+    if bad.size:
+        i = int(bad[0])
+        raise IntegrationFailureError(
+            f"counting.berger_bott_total: direction {i}: manifolds: direction "
+            f"has metric norm^2 = {float(norm2[i])!r}, expected 1")
 
     grid = flow._grid(T, step)
-    k = spec.normal_dim
-    groups, member = np.unique(kappas, return_inverse=True)
-    totals = np.zeros(len(grid))
-    for g, kap in enumerate(groups):
-        # np.sum adds pairwise in node order; a sequential sum of 4096 equal
-        # Monte Carlo weights would be off by ~1e-13 relative
-        weight = np.sum(quad.weights[member == g])
-        _, sols = flow._fundamental_solutions(
-            lambda s, kap=kap: np.full_like(s, kap), grid)
-        intg = np.abs(sols[:, 2]) ** k
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
-        if not np.all(np.isfinite(cum)):
-            i = int(np.nonzero(member == g)[0][0])
-            raise IntegrationFailureError(
-                f"counting.berger_bott_total: direction {i}: non-finite Jacobi "
-                "solution")
-        totals += weight * cum
-    return grid, totals
+    kap = float(spec.c)
+    _, sols = flow._fundamental_solutions(lambda s: np.full_like(s, kap), grid)
+    intg = np.abs(sols[:, 2]) ** spec.normal_dim
+    cum = np.concatenate(
+        ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
+    if not np.all(np.isfinite(cum)):
+        raise IntegrationFailureError(
+            "counting.berger_bott_total: non-finite Jacobi solution")
+    # np.sum adds pairwise in node order; a sequential sum of 4096 equal
+    # Monte Carlo weights would be off by ~1e-13 relative
+    return grid, np.sum(quad.weights) * cum
 
 
 def berger_bott_total(spec, x, T, quad, step) -> float:
@@ -206,6 +198,11 @@ def count_torus_lattice(basis, x, y, T: float) -> int:
     return int(np.count_nonzero(dist <= T))
 
 
+# target x lattice-vector pairs per oracle chunk: the chunk's (take, V, n)
+# float temporary stays near 50 MB whatever the lattice size
+_ORACLE_PAIR_BUDGET = 2_000_000
+
+
 def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) -> float:
     """Monte Carlo estimate of the torus counting integral over targets.
 
@@ -231,7 +228,7 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
 
     total = 0
-    chunk = max(1, int(2e7) // max(1, len(vecs)))
+    chunk = max(1, _ORACLE_PAIR_BUDGET // max(1, len(vecs)))
     done = 0
     while done < samples:
         take = min(chunk, samples - done)

@@ -10,7 +10,7 @@ constant curvature; for general metrics only real-axis identities are
 checked, since the complex extension is exactly the entire-tube hypothesis.
 """
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -28,50 +28,59 @@ COND_LIMIT = 1e12
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def symmetry_defect(F: np.ndarray) -> float:
-    """Max-entry deviation of a matrix from (complex) symmetry."""
-    return float(np.max(np.abs(F - F.T)))
+    """Max-entry deviation of a matrix, or a stack of them, from (complex)
+    symmetry."""
+    return float(np.max(np.abs(F - np.swapaxes(F, -1, -2)), initial=0.0))
 
 
 def min_im_eigenvalue(F: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrized imaginary part."""
+    """Smallest eigenvalue of the symmetrized imaginary part of a matrix, or
+    over a stack of them."""
     return float(np.min(np.linalg.eigvalsh(_sym(np.imag(F)))))
 
 
 # ---------------------------------------------------------------------------
-# closed-form scalars for constant curvature
+# closed-form profiles for constant curvature
 # ---------------------------------------------------------------------------
 
-def _f_scalar(c: float, zeta: complex) -> complex:
+def _saturating(u: np.ndarray, edge: np.ndarray, fn, limit) -> np.ndarray:
+    """fn(u) where |edge| <= 30, limit * sign(edge) beyond.
+
+    tan and cot saturate off the real axis, tanh and coth along it; past 30
+    their limits stand in, so fn never sees an argument whose sin/cos
+    (sinh/cosh) would overflow.
+    """
+    out = np.empty_like(u)
+    far = np.abs(edge) > 30.0
+    out[far] = limit * np.copysign(1.0, edge[far])
+    out[~far] = fn(u[~far])
+    return out
+
+
+def _f_profile(c: float, zeta: np.ndarray) -> np.ndarray:
+    """The scalar phi with f = phi * Id, at an array of zeta."""
     if c == 0:
-        return zeta
+        return zeta.copy()
     s = math.sqrt(abs(c))
     u = s * zeta
     if c > 0:
-        if abs(u.imag) > 30.0:  # tan saturates; avoids overflow in sin/cos
-            return 1j * math.copysign(1.0, u.imag) / s
-        return cmath.tan(u) / s
-    if abs(u.real) > 30.0:
-        return math.copysign(1.0, u.real) / s
-    return cmath.tanh(u) / s
+        return _saturating(u, u.imag, np.tan, 1j) / s
+    return _saturating(u, u.real, np.tanh, 1.0) / s
 
 
-def _g_scalar(c: float, zeta: complex) -> complex:
-    """-1/f in closed form, regular at the poles of f."""
+def _g_profile(c: float, zeta: np.ndarray) -> np.ndarray:
+    """The scalar phi with -1/f = phi * Id, regular at the poles of f."""
     if c == 0:
         return -1.0 / zeta
     s = math.sqrt(abs(c))
     u = s * zeta
     if c > 0:
-        if abs(u.imag) > 30.0:
-            return s * 1j * math.copysign(1.0, u.imag)
-        return -s * cmath.cos(u) / cmath.sin(u)
-    if abs(u.real) > 30.0:
-        return -s * math.copysign(1.0, u.real)
-    return -s * cmath.cosh(u) / cmath.sinh(u)
+        return _saturating(u, u.imag, lambda v: -s * np.cos(v) / np.sin(v), 1j * s)
+    return _saturating(u, u.real, lambda v: -s * np.cosh(v) / np.sinh(v), -s)
 
 
 def _g_prime_scalar(c: float, sigma: float) -> float:
@@ -91,33 +100,36 @@ def _pole_family(offset: float, period: float, window) -> np.ndarray:
     return offset + period * np.arange(k_lo, k_hi + 1)
 
 
-def f_pole_distance(c: float, zeta: complex) -> float:
-    """Distance from zeta to the nearest pole of the closed-form f."""
+def _lattice_distance(along, across, offset: float, period: float):
+    """Distance to the nearest point offset + k*period of a line of poles,
+    given the coordinates along and across that line."""
+    shifted = along - offset
+    return np.hypot(np.abs(shifted - np.round(shifted / period) * period), across)
+
+
+def f_pole_distance(c: float, zeta):
+    """Distance from zeta (a number or an array) to the nearest pole of the
+    closed-form f."""
+    zeta = np.asarray(zeta, dtype=complex)
     if c == 0:
-        return math.inf
-    s = math.sqrt(abs(c))
+        return np.full(zeta.shape, math.inf)
+    period = math.pi / math.sqrt(abs(c))
     if c > 0:  # poles at odd multiples of pi/(2s) on the real axis
-        period = math.pi / s
-        shifted = zeta.real - period / 2
-        d_re = abs(shifted - round(shifted / period) * period)
-        return math.hypot(d_re, zeta.imag)
-    period = math.pi / s  # poles at odd multiples of i*pi/(2s)
-    shifted = zeta.imag - period / 2
-    d_im = abs(shifted - round(shifted / period) * period)
-    return math.hypot(zeta.real, d_im)
+        return _lattice_distance(zeta.real, zeta.imag, period / 2, period)
+    # poles at odd multiples of i*pi/(2s)
+    return _lattice_distance(zeta.imag, zeta.real, period / 2, period)
 
 
-def g_pole_distance(c: float, zeta: complex) -> float:
-    """Distance from zeta to the nearest pole of the closed-form -1/f."""
+def g_pole_distance(c: float, zeta):
+    """Distance from zeta (a number or an array) to the nearest pole of the
+    closed-form -1/f."""
+    zeta = np.asarray(zeta, dtype=complex)
     if c == 0:
-        return abs(zeta)
-    s = math.sqrt(abs(c))
-    period = math.pi / s
+        return np.abs(zeta)
+    period = math.pi / math.sqrt(abs(c))
     if c > 0:  # poles at multiples of pi/s on the real axis
-        d_re = abs(zeta.real - round(zeta.real / period) * period)
-        return math.hypot(d_re, zeta.imag)
-    d_im = abs(zeta.imag - round(zeta.imag / period) * period)
-    return math.hypot(zeta.real, d_im)
+        return _lattice_distance(zeta.real, zeta.imag, 0.0, period)
+    return _lattice_distance(zeta.imag, zeta.real, 0.0, period)
 
 
 def f_constant_curvature(c: float, n: int, zeta: complex) -> np.ndarray:
@@ -126,12 +138,12 @@ def f_constant_curvature(c: float, n: int, zeta: complex) -> np.ndarray:
     zeta * Id for flat, tan-type for positive curvature, tanh-type (for
     contrast experiments; not Herglotz) for negative curvature.
     """
-    zeta = complex(zeta)
-    if f_pole_distance(c, zeta) < POLE_MARGIN:
+    zeta = np.array([complex(zeta)])
+    if f_pole_distance(c, zeta)[0] < POLE_MARGIN:
         raise PoleError(
-            f"herglotz.f_constant_curvature: zeta={zeta} within {POLE_MARGIN} "
-            "of a pole")
-    return _f_scalar(c, zeta) * np.eye(n - 1, dtype=complex)
+            f"herglotz.f_constant_curvature: zeta={complex(zeta[0])} within "
+            f"{POLE_MARGIN} of a pole")
+    return _f_profile(c, zeta)[0] * np.eye(n - 1, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +157,9 @@ class HerglotzMatrix:
     ``pole_set`` lists the real poles inside the working window;
     ``pole_distance`` is the proximity guard used before every evaluation.
     Sources backed by real-axis Jacobi data refuse complex arguments.
+    Closed forms also carry ``profile``, the scalar phi with F = phi * Id
+    over an array of zeta, and a ``pole_distance`` that takes arrays, so
+    ``many`` evaluates a whole scan line at once.
     """
 
     evaluator: Callable[[complex], np.ndarray]
@@ -155,17 +170,53 @@ class HerglotzMatrix:
     window: tuple = (-12.0, 12.0)
     real_axis_only: bool = False
     curvature: float | None = None
+    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, zeta) -> np.ndarray:
-        zeta = complex(zeta)
+    def _guard(self, zeta: complex, dist: float) -> None:
         if self.real_axis_only and zeta.imag != 0.0:
             raise InputError(
                 "herglotz.HerglotzMatrix: real-axis numeric source evaluated "
                 f"at zeta={zeta} off the real axis")
-        if self.pole_distance(zeta) < POLE_MARGIN:
+        if dist < POLE_MARGIN:
             raise PoleError(
                 f"herglotz.HerglotzMatrix: zeta={zeta} within {POLE_MARGIN} of a pole")
+
+    def __call__(self, zeta) -> np.ndarray:
+        zeta = complex(zeta)
+        self._guard(zeta, self.pole_distance(zeta))
         return self.evaluator(zeta)
+
+    def many(self, zetas) -> np.ndarray:
+        """F at every zeta of a 1-d array, stacked to shape (m, dim, dim).
+
+        A closed form checks the whole array against the guards of
+        ``__call__`` (the first offending zeta raises the same error) and
+        broadcasts its profile against Id; any other evaluator stacks
+        scalar calls.
+        """
+        zetas = np.asarray(zetas, dtype=complex).reshape(-1)
+        if self.profile is None:
+            out = np.empty((len(zetas), self.dim, self.dim), dtype=complex)
+            for i, z in enumerate(zetas):
+                out[i] = self(z)
+            return out
+        dist = self.pole_distance(zetas)
+        bad = dist < POLE_MARGIN
+        if self.real_axis_only:
+            bad |= zetas.imag != 0.0
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            self._guard(complex(zetas[i]), float(dist[i]))
+        return self.profile(zetas)[:, None, None] * np.eye(self.dim, dtype=complex)
+
+    @classmethod
+    def _closed_form(cls, profile, pole_distance, dim, poles, window, c):
+        eye = np.eye(dim, dtype=complex)
+        return cls(
+            evaluator=lambda z: profile(np.array([z]))[0] * eye,
+            dim=dim, source="closed_form", pole_set=poles,
+            pole_distance=pole_distance, window=tuple(window),
+            curvature=float(c), profile=profile)
 
     @classmethod
     def from_constant_curvature(cls, c: float, n: int, window=(-12.0, 12.0)):
@@ -174,11 +225,9 @@ class HerglotzMatrix:
             poles = _pole_family(math.pi / (2 * s), math.pi / s, window)
         else:
             poles = np.array([])
-        return cls(
-            evaluator=lambda z: _f_scalar(c, z) * np.eye(n - 1, dtype=complex),
-            dim=n - 1, source="closed_form", pole_set=poles,
-            pole_distance=lambda z: f_pole_distance(c, z),
-            window=tuple(window), curvature=float(c))
+        return cls._closed_form(functools.partial(_f_profile, c),
+                                functools.partial(f_pole_distance, c),
+                                n - 1, poles, window, c)
 
     @classmethod
     def from_jacobi(cls, js):
@@ -204,11 +253,9 @@ class HerglotzMatrix:
             else:
                 poles = np.array([0.0]) if self.window[0] <= 0 <= self.window[1] \
                     else np.array([])
-            return HerglotzMatrix(
-                evaluator=lambda z: _g_scalar(c, z) * np.eye(self.dim, dtype=complex),
-                dim=self.dim, source="closed_form", pole_set=poles,
-                pole_distance=lambda z: g_pole_distance(c, z),
-                window=self.window, curvature=c)
+            return HerglotzMatrix._closed_form(
+                functools.partial(_g_profile, c), functools.partial(g_pole_distance, c),
+                self.dim, poles, self.window, c)
         inner = self
         return HerglotzMatrix(
             evaluator=lambda z: neg_inverse(inner(z)),
@@ -288,19 +335,9 @@ def check_theorem_nice(Fh: HerglotzMatrix, sample_zeta) -> dict:
     Im f must be positive definite at every upper-half-plane sample.
     """
     eye = np.eye(Fh.dim)
-    samples = [complex(z) for z in sample_zeta]
-    sym = 0.0
-    min_eig = math.inf
-    max_real_im = 0.0
-    n_upper = 0
-    for z in samples:
-        F = Fh(z)
-        sym = max(sym, symmetry_defect(F))
-        if z.imag > 0:
-            n_upper += 1
-            min_eig = min(min_eig, min_im_eigenvalue(F))
-        else:
-            max_real_im = max(max_real_im, float(np.max(np.abs(np.imag(F)))))
+    samples = np.array([complex(z) for z in sample_zeta], dtype=complex)
+    F = Fh.many(samples)
+    upper = samples.imag > 0
     f0 = Fh(0.0)
     h = FD_STEP
     if Fh.real_axis_only:
@@ -308,11 +345,11 @@ def check_theorem_nice(Fh: HerglotzMatrix, sample_zeta) -> dict:
     else:
         fprime = (Fh(h) - Fh(-h)) / (2 * h)
     return {
-        "symmetry_defect": sym,
+        "symmetry_defect": symmetry_defect(F),
         "f_zero_norm": float(np.max(np.abs(f0))),
         "fprime_zero_defect": float(np.max(np.abs(fprime - eye))),
-        "min_im_eigenvalue": None if n_upper == 0 else min_eig,
-        "max_real_axis_im": max_real_im,
+        "min_im_eigenvalue": min_im_eigenvalue(F[upper]) if upper.any() else None,
+        "max_real_axis_im": float(np.max(np.abs(np.imag(F[~upper])), initial=0.0)),
         "samples": len(samples),
     }
 
@@ -493,12 +530,16 @@ class FatouData:
         }
 
 
+def _trace_im(Fh, sigmas, tau) -> np.ndarray:
+    """trace Im F(sigma + i tau) at every sigma."""
+    return np.trace(np.imag(Fh.many(sigmas + 1j * tau)), axis1=1, axis2=2)
+
+
 def _window_mass(Fh, t, delta, tau):
     """Matrix integral of Im F(sigma + i tau) over (t-delta, t+delta)."""
     npts = int(max(61, min(40001, 2 * delta / (tau / 6.0) + 1)))
     grid = np.linspace(t - delta, t + delta, npts)
-    vals = np.stack([np.imag(Fh(complex(s, tau))) for s in grid])
-    return np.trapezoid(vals, grid, axis=0)
+    return np.trapezoid(np.imag(Fh.many(grid + 1j * tau)), grid, axis=0)
 
 
 def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-3),
@@ -548,17 +589,17 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     h_scan = min(tau_min / 2.0, (b - a) / 2000.0)
     npts = int(math.ceil((b - a) / h_scan)) + 1
     grid = np.linspace(a, b, npts)
-    trace = np.array([float(np.trace(np.imag(Fh(complex(s, tau_min)))))
-                      for s in grid])
-    threshold = atom_threshold / tau_min
+    trace = _trace_im(Fh, grid, tau_min)
+    mid = trace[1:-1]
+    peaks = np.flatnonzero((mid > atom_threshold / tau_min)
+                           & (mid >= trace[:-2]) & (mid >= trace[2:])) + 1
     locations = []
-    for j in range(1, npts - 1):
-        if trace[j] > threshold and trace[j] >= trace[j - 1] and trace[j] >= trace[j + 1]:
-            t = golden_min(
-                lambda s: -float(np.trace(np.imag(Fh(complex(s, tau_min))))),
-                grid[j - 1], grid[j + 1], tol=1e-8)
-            if not locations or t - locations[-1] > 50 * h_scan:
-                locations.append(t)
+    for j in peaks:
+        t = golden_min(
+            lambda s: -float(np.trace(np.imag(Fh(complex(s, tau_min))))),
+            grid[j - 1], grid[j + 1], tol=1e-8)
+        if not locations or t - locations[-1] > 50 * h_scan:
+            locations.append(t)
 
     # masses by windowed Poisson integrals, extrapolated linearly in tau
     atoms = []
@@ -587,13 +628,14 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
         atoms.append((float(t), _sym(fine)))
 
     # residual boundary mass away from every atom window
-    cont = 0.0
     step = (b - a) / 4000.0
-    for j in range(4001):
-        s = a + j * step
-        if locations and min(abs(s - t) for t in locations) < 0.4:
-            continue
-        cont += step * float(np.trace(np.imag(Fh(complex(s, tau_min)))))
+    sweep = a + np.arange(4001) * step
+    if locations:
+        near = np.abs(sweep[:, None] - np.array(locations)[None, :])
+        sweep = sweep[~(np.min(near, axis=1) < 0.4)]
+    cont = 0.0
+    for v in (step * _trace_im(Fh, sweep, tau_min)).tolist():
+        cont += v  # sequential: the sum does not depend on numpy's pairwise order
     flagged = cont > 0.05 * (b - a)
 
     return FatouData(A=A_quad, atoms=tuple(atoms), tau_schedule=taus,

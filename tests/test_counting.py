@@ -138,6 +138,21 @@ class TestTotals:
         with pytest.raises(gc.ConfigurationError):
             gc.berger_bott_total(spec, x, 1.0, quad3, 1e-2)
 
+    @pytest.mark.parametrize("spec", [
+        gc.constant_curvature(1.0, 3),
+        gc.constant_curvature(-1.0, 3),
+        gc.flat_torus(np.eye(3)),
+    ], ids=lambda spec: spec.label)
+    def test_non_unit_direction_names_its_index(self, spec):
+        quad = gc.unit_sphere_quadrature(3, "product_gauss", 4)
+        nodes = quad.nodes.copy()
+        nodes[5] *= 1.1
+        bad = gc.SphereQuadrature(nodes, quad.weights, 3, quad.scheme)
+        with pytest.raises(gc.IntegrationFailureError,
+                           match=r"direction 5: manifolds: direction has metric "
+                                 r"norm\^2 = 1\.21\d*, expected 1"):
+            gc.berger_bott_total(spec, gc.canonical_point(spec), 1.0, bad, 1e-2)
+
     def test_warped_products_unsupported(self):
         spec = gc.warped_product("one_plus_r2", 3)
         quad = gc.unit_sphere_quadrature(3, "product_gauss", 8)
@@ -214,6 +229,15 @@ class TestTorusLatticeOracle:
         a = gc.torus_count_integral_oracle(np.eye(2), 2.0, 5000, seed=11)
         b = gc.torus_count_integral_oracle(np.eye(2), 2.0, 5000, seed=11)
         assert a == b
+
+    def test_chunk_budget_does_not_change_the_count(self, monkeypatch):
+        # chunks draw consecutive rows of one random stream, so any budget
+        # gives the same targets and the same integer count
+        basis = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        full = gc.torus_count_integral_oracle(basis, 2.0, 3000, seed=3)
+        for budget in (1, 1000):  # one target per chunk; a few per chunk
+            monkeypatch.setattr(gc.counting, "_ORACLE_PAIR_BUDGET", budget)
+            assert gc.torus_count_integral_oracle(basis, 2.0, 3000, seed=3) == full
 
     def test_zero_cutoff_limit(self):
         assert gc.torus_count_integral_oracle(np.eye(2), 0.0, 100, seed=0) == 0.0

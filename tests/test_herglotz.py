@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,91 @@ class TestHerglotzPositivity:
         assert np.allclose(Fh(0.5), gc.f_real_axis_numeric(js, 0.5))
         with pytest.raises(InputError):
             Fh(0.5 + 0.1j)
+
+
+def _f_cmath(c, zeta):
+    """The former scalar closed form of f, kept as the reference."""
+    if c == 0:
+        return zeta
+    s = math.sqrt(abs(c))
+    u = s * zeta
+    if c > 0:
+        if abs(u.imag) > 30.0:
+            return 1j * math.copysign(1.0, u.imag) / s
+        return cmath.tan(u) / s
+    if abs(u.real) > 30.0:
+        return math.copysign(1.0, u.real) / s
+    return cmath.tanh(u) / s
+
+
+def _g_cmath(c, zeta):
+    """The former scalar closed form of -1/f, kept as the reference."""
+    if c == 0:
+        return -1.0 / zeta
+    s = math.sqrt(abs(c))
+    u = s * zeta
+    if c > 0:
+        if abs(u.imag) > 30.0:
+            return s * 1j * math.copysign(1.0, u.imag)
+        return -s * cmath.cos(u) / cmath.sin(u)
+    if abs(u.real) > 30.0:
+        return -s * math.copysign(1.0, u.real)
+    return -s * cmath.cosh(u) / cmath.sinh(u)
+
+
+# real and imaginary parts on both sides of |Re u|, |Im u| = 30 for every
+# curvature below, none of them on a pole
+_RE = (-55.0, -31.3, -7.7, -1.1, 0.37, 2.9, 33.3, 60.0)
+_IM = (-80.0, -0.7, 1e-4, 0.3, 2.1, 35.0, 80.0)
+_ZETAS = np.array([complex(x, y) for x in _RE for y in _IM])
+_EPS = np.finfo(float).eps
+
+
+class TestArrayEvaluator:
+    @pytest.mark.parametrize("c", [4.0, 1.0, 0.5, 0.0, -1.0])
+    def test_matches_stacked_scalar_calls(self, c):
+        Fh = gc.HerglotzMatrix.from_constant_curvature(c, 3)
+        for H, ref in ((Fh, _f_cmath), (Fh.neg_inverse_function(), _g_cmath)):
+            with np.errstate(all="raise"):  # masked saturation: no overflow
+                many = H.many(_ZETAS)
+            stacked = np.stack([H(z) for z in _ZETAS])
+            assert many.shape == (len(_ZETAS), 2, 2)
+            scale = np.max(np.abs(stacked), axis=(1, 2))[:, None, None]
+            assert np.all(np.abs(many - stacked) <= 4 * _EPS * scale)
+            want = np.array([ref(c, complex(z)) for z in _ZETAS])
+            assert np.all(np.abs(many[:, 0, 0] - want) <= 8 * _EPS * np.abs(want))
+            assert np.all(many[:, 0, 1] == 0)
+
+    @pytest.mark.parametrize("c", [4.0, 1.0, 0.5, -1.0])
+    def test_samples_reach_both_branches(self, c):
+        u = math.sqrt(abs(c)) * _ZETAS
+        edge = np.abs(u.imag if c > 0 else u.real)
+        assert np.any(edge > 30.0) and np.any(edge <= 30.0)
+
+    def test_pole_error_names_first_offending_zeta(self):
+        Gh = gc.HerglotzMatrix.from_constant_curvature(1.0, 2).neg_inverse_function()
+        bad = complex(math.pi, 1e-9)
+        with pytest.raises(PoleError, match=re.escape(f"zeta={bad} within")):
+            Gh.many([0.5 + 0.1j, bad, 2 * math.pi + 1e-9j])
+        with pytest.raises(PoleError, match=re.escape(f"zeta={bad} within")):
+            Gh(bad)
+        Fh = gc.HerglotzMatrix.from_constant_curvature(0.0, 2).neg_inverse_function()
+        with pytest.raises(PoleError):
+            Fh.many(np.array([1.0 + 1j, 0.0]))
+
+    def test_real_axis_source_refuses_off_axis(self):
+        js = _warped_system(T=1.0)
+        Fh = gc.HerglotzMatrix.from_jacobi(js)
+        stacked = np.stack([Fh(s) for s in (0.3, 0.5)])
+        assert np.array_equal(Fh.many([0.3, 0.5]), stacked)
+        with pytest.raises(InputError, match="off the real axis"):
+            Fh.many([0.3, 0.5 + 0.1j])
+
+    def test_empty_array(self):
+        Fh = gc.HerglotzMatrix.from_constant_curvature(1.0, 4)
+        assert Fh.many([]).shape == (0, 3, 3)
+        assert gc.HerglotzMatrix.from_jacobi(_warped_system(T=1.0)).many(
+            np.array([])).shape == (0, 2, 2)
 
 
 class TestIdentityChain:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,36 @@ class TestMeasureRecovery:
                                 tau_schedule=(1e-1, 1e-1, 1e-3))
         with pytest.raises(InputError):
             gc.stieltjes_invert(Gh, (1.0, -1.0))
+
+
+class TestArrayFallback:
+    def test_user_evaluator_stacks_scalar_calls(self):
+        P = np.diag([1.0, 2.0])
+        Fh = _constant_function(P)
+        zs = [0.3 + 0.1j, -1.0 + 2.0j, 0.7]
+        assert np.array_equal(Fh.many(zs), np.stack([Fh(z) for z in zs]))
+        assert np.array_equal(Fh.many(zs), np.broadcast_to(1j * P, (3, 2, 2)))
+
+    def test_generic_neg_inverse_stacks_scalar_calls(self):
+        Gh = _constant_function(np.diag([1.0, 2.0])).neg_inverse_function()
+        assert Gh.profile is None
+        zs = [0.3 + 0.1j, -1.0 + 2.0j]
+        assert np.array_equal(Gh.many(zs), np.stack([Gh(z) for z in zs]))
+        assert np.allclose(Gh.many(zs)[0], np.diag([1j, 0.5j]))
+
+    def test_closed_form_and_fallback_recover_the_same_measure(self):
+        # the same closed form with its profile removed runs every scan
+        # through stacked scalar calls
+        Gh = HerglotzMatrix.from_constant_curvature(4.0, 2).neg_inverse_function()
+        interval = (-0.7, 0.7 + math.pi / 2)
+        fast = gc.stieltjes_invert(Gh, interval)
+        slow = gc.stieltjes_invert(dataclasses.replace(Gh, profile=None), interval)
+        assert [t for t, _ in fast.atoms] == [t for t, _ in slow.atoms]
+        for (_, m1), (_, m2) in zip(fast.atoms, slow.atoms):
+            assert np.max(np.abs(m1 - m2)) <= 1e-13 * np.max(np.abs(m2))
+        assert np.array_equal(fast.A, slow.A)
+        assert abs(fast.continuous_mass - slow.continuous_mass) \
+            <= 1e-13 * abs(slow.continuous_mass)
 
 
 class TestFatouData:
