@@ -178,6 +178,36 @@ def count_sphere_arcs(d: float, T: float) -> int:
     return forward + backward
 
 
+# lattice points in one coefficient box: its meshgrid temporaries take about
+# 2n int64 copies of the box, some 100 MB at the cap in three dimensions
+_LATTICE_BOX_CAP = 2_000_000
+
+
+def _lattice_box(basis, reach, caller):
+    """Lattice vectors of the coefficient box that covers the ball of radius
+    reach about the origin.
+
+    The box size prod(2 b_i + 1) is checked against _LATTICE_BOX_CAP before
+    any array is built.
+    """
+    n = basis.shape[0]
+    binv = np.linalg.inv(basis)
+    extents = [reach * np.linalg.norm(binv[:, i]) for i in range(n)]
+    if not all(math.isfinite(e) for e in extents):
+        raise InputError(
+            f"counting.{caller}: the coefficient box for reach {reach} is not finite")
+    bounds = [int(math.ceil(e)) + 1 for e in extents]
+    size = math.prod(2 * b + 1 for b in bounds)
+    if size > _LATTICE_BOX_CAP:
+        raise InputError(
+            f"counting.{caller}: the coefficient box for reach {reach:g} has "
+            f"{size} lattice points, more than the cap of {_LATTICE_BOX_CAP}; "
+            "lower T or use a less elongated basis")
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    return mesh @ basis
+
+
 def count_torus_lattice(basis, x, y, T: float) -> int:
     """Number of lattice translates v with ||y - x + v|| <= T.
 
@@ -187,27 +217,60 @@ def count_torus_lattice(basis, x, y, T: float) -> int:
     """
     basis = np.asarray(basis, dtype=float)
     diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    n = basis.shape[0]
-    binv = np.linalg.inv(basis)
-    reach = T + float(np.linalg.norm(diff))
-    bounds = [int(math.ceil(reach * np.linalg.norm(binv[:, i]))) + 1 for i in range(n)]
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    vecs = mesh @ basis
+    vecs = _lattice_box(basis, T + float(np.linalg.norm(diff)),
+                        "count_torus_lattice")
     dist = np.linalg.norm(diff[None, :] + vecs, axis=1)
     return int(np.count_nonzero(dist <= T))
 
 
-# target x lattice-vector pairs per oracle chunk: the chunk's (take, V, n)
-# float temporary stays near 50 MB whatever the lattice size
+# target x lattice-vector pairs per oracle chunk, at most: they bound the
+# chunk's arrays (about 100 bytes a pair in three dimensions) whatever the
+# lattice size
 _ORACLE_PAIR_BUDGET = 2_000_000
+
+
+def _oracle_cells_per_axis(n):
+    """Sub-cells per axis of the unit coefficient cube: about 2^9 in all."""
+    return max(1, int(2 ** (9 / n)))
+
+
+def _oracle_cells(basis, vecs, T, reach, m):
+    """Classify the lattice vectors against each of the m^n sub-cells.
+
+    A sub-cell of the coefficient cube is a parallelepiped whose points lie
+    within r (its largest centre-to-corner distance) of its centre c.  A
+    vector v with |c + v| <= T - r is within T of every target in the
+    sub-cell ("sure"), one with |c + v| > T + r of none; the rest form the
+    sub-cell's shell.  A slack of 1e-9 reach on both sides covers the
+    rounding of the targets and of the pairwise test.  Returns the sure
+    count of every sub-cell (in C order of its index tuple) and the shells
+    as indices into vecs: sub-cell i owns flat[starts[i]:starts[i] + lens[i]].
+    """
+    n = basis.shape[0]
+    corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
+    r = float(np.max(np.linalg.norm(corners @ basis, axis=1))) / m
+    inner, outer = T - r - 1e-9 * reach, T + r + 1e-9 * reach
+    centres = ((np.indices((m,) * n).reshape(n, -1).T + 0.5) / m) @ basis
+    sure, lens, flat = [], [], []
+    batch = max(1, _ORACLE_PAIR_BUDGET // len(vecs))
+    for lo in range(0, len(centres), batch):
+        dist = np.linalg.norm(centres[lo:lo + batch, None, :] + vecs[None], axis=2)
+        sure.append(np.count_nonzero(dist <= inner, axis=1))
+        rows, cols = np.nonzero((dist > inner) & (dist <= outer))
+        lens.append(np.bincount(rows, minlength=len(dist)))
+        flat.append(cols)
+    lens = np.concatenate(lens)
+    return np.concatenate(sure), np.cumsum(lens) - lens, lens, np.concatenate(flat)
 
 
 def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) -> float:
     """Monte Carlo estimate of the torus counting integral over targets.
 
     |det basis| times the mean arc count over uniform targets; deterministic
-    for a fixed seed.
+    for a fixed seed.  A target y = u @ basis falls in the sub-cell
+    floor(u m) of the coefficient cube; it counts the sub-cell's sure
+    vectors at once, and only its shell vectors pass the pairwise test
+    |y + v|^2 <= T^2, so the count is the one that testing every pair gives.
     """
     if samples < 1:
         raise InputError(
@@ -218,22 +281,29 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     if T <= 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    binv = np.linalg.inv(basis)
     diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     reach = T + diam
-    bounds = [int(math.ceil(reach * np.linalg.norm(binv[:, i]))) + 1 for i in range(n)]
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    vecs = mesh @ basis
+    vecs = _lattice_box(basis, reach, "torus_count_integral_oracle")
     vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
+    m = _oracle_cells_per_axis(n)
+    sure, starts, lens, flat = _oracle_cells(basis, vecs, T, reach, m)
 
     total = 0
-    chunk = max(1, _ORACLE_PAIR_BUDGET // max(1, len(vecs)))
+    chunk = max(1, _ORACLE_PAIR_BUDGET // len(vecs))
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
-        y = rng.random((take, n)) @ basis
-        d2 = np.sum((y[:, None, :] + vecs[None, :, :]) ** 2, axis=2)
+        u = rng.random((take, n))
+        y = u @ basis
+        # floor(u*m) <= m - 1: for an integer m, the largest double below 1
+        # times m still rounds below m
+        cell = np.ravel_multi_index((u * m).astype(np.intp).T, (m,) * n)
+        total += int(np.sum(sure[cell]))
+        # one row per (target, shell vector) pair, targets in order
+        cnt = lens[cell]
+        first = np.cumsum(cnt) - cnt
+        vec = flat[np.repeat(starts[cell] - first, cnt) + np.arange(int(cnt.sum()))]
+        d2 = np.sum((np.repeat(y, cnt, axis=0) + vecs[vec]) ** 2, axis=1)
         total += int(np.count_nonzero(d2 <= T * T))
         done += take
     vol = abs(float(np.linalg.det(basis)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geocount as gc
+from geocount import cli
 from geocount.errors import CatalogError, InputError
 
 
@@ -56,6 +57,57 @@ def _batched_reference(spec, x, T, quad, step):
         prev = intg
         totals[j + 1] = np.sum(quad.weights * cum)
     return grid, totals
+
+
+def _pairwise_oracle_reference(basis, T, samples, seed=0):
+    """The torus Monte Carlo oracle that tests every target x lattice pair,
+    as a reference for the sub-cell pruned oracle."""
+    budget = 2_000_000
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    if T <= 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    binv = np.linalg.inv(basis)
+    diam = float(np.sum(np.linalg.norm(basis, axis=1)))
+    reach = T + diam
+    bounds = [int(math.ceil(reach * np.linalg.norm(binv[:, i]))) + 1 for i in range(n)]
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    vecs = mesh @ basis
+    vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
+
+    total = 0
+    chunk = max(1, budget // max(1, len(vecs)))
+    done = 0
+    while done < samples:
+        take = min(chunk, samples - done)
+        y = rng.random((take, n)) @ basis
+        d2 = np.sum((y[:, None, :] + vecs[None, :, :]) ** 2, axis=2)
+        total += int(np.count_nonzero(d2 <= T * T))
+        done += take
+    vol = abs(float(np.linalg.det(basis)))
+    return vol * total / samples
+
+
+class _FixedStream:
+    """Stands in for a numpy Generator: random() hands out the given rows in
+    order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.pos = 0
+
+    def random(self, shape):
+        out = self.rows[self.pos:self.pos + shape[0]]
+        self.pos += shape[0]
+        return out
+
+
+_VERIFY_BASIS = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
+# passes flat_torus (det 1e-5), but its coefficient box at T = 5 has about
+# 5e8 points
+_THIN_BASIS = np.diag([1e-5, 1.0, 1.0])
 
 
 class TestIntegrand:
@@ -248,6 +300,112 @@ class TestTorusLatticeOracle:
             bb = gc.berger_bott_total(spec, x, T, quad, 1e-3)
             orc = gc.torus_count_integral_oracle(np.eye(2), T, 100000, seed=0)
             assert abs(bb - orc) / max(1.0, orc) <= 0.02
+
+
+class TestOraclePruning:
+    """The sub-cell pruned oracle counts exactly what the pairwise test
+    counts: == on the returned float."""
+
+    @pytest.mark.parametrize("basis,T,samples,seed", [
+        (_VERIFY_BASIS, 5.0, 4000, 0),
+        (_VERIFY_BASIS, 5.0, 4000, 1),
+        (_VERIFY_BASIS, 5.0, 4000, 7),
+        (_VERIFY_BASIS, 5.0, 4000, 42),
+        (np.eye(2), 0.3, 20000, 0),
+        (np.eye(2), 1.0, 20000, 0),
+        (np.eye(2), 2.0, 20000, 0),
+        (np.eye(2), 5.0, 20000, 0),
+        (np.eye(2), 10.0, 20000, 0),
+        (np.array([[1.0, 0.3], [-0.2, 0.8]]), 3.0, 20000, 5),
+        (np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
+                   [0.1, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 1.2]]), 1.5, 2000, 4),
+    ])
+    def test_equals_pairwise_reference(self, basis, T, samples, seed):
+        assert (gc.torus_count_integral_oracle(basis, T, samples, seed)
+                == _pairwise_oracle_reference(basis, T, samples, seed))
+
+    def test_sample_count_off_the_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(gc.counting, "_ORACLE_PAIR_BUDGET", 1000)
+        # about 50 lattice vectors within T + diam: chunks of about 20 targets
+        samples = 1013
+        val = gc.torus_count_integral_oracle(np.eye(2), 2.0, samples, seed=9)
+        assert val == _pairwise_oracle_reference(np.eye(2), 2.0, samples, seed=9)
+
+    def test_cutoff_below_the_sub_cell_size(self):
+        # sub-cells of the unit square are 1/22 wide, about 0.064 across:
+        # no lattice vector is within T of a whole sub-cell
+        basis, T = np.eye(2), 0.03
+        vecs = np.array([[i, j] for i in range(-3, 4) for j in range(-3, 4)], float)
+        m = gc.counting._oracle_cells_per_axis(2)
+        sure, _, lens, _ = gc.counting._oracle_cells(basis, vecs, T, T + 2.0, m)
+        assert m == 22 and not np.any(sure) and np.sum(lens) > 0
+        assert (gc.torus_count_integral_oracle(basis, T, 5000, seed=2)
+                == _pairwise_oracle_reference(basis, T, 5000, seed=2))
+
+    def test_largest_coefficients_fall_in_the_last_sub_cell(self, monkeypatch):
+        # the largest double below 1 times m rounds below m, for every m the
+        # oracle uses, so floor(u*m) never leaves the grid
+        top = np.nextafter(1.0, 0.0)
+        for n in range(1, 10):
+            m = gc.counting._oracle_cells_per_axis(n)
+            assert int(top * m) == m - 1
+        rows = np.array([[top, top], [top, 0.5], [0.0, top], [0.3, 0.7]])
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _FixedStream(rows))
+        basis = np.array([[1.0, 0.3], [-0.2, 0.8]])
+        for T in (0.5, 2.0):
+            assert (gc.torus_count_integral_oracle(basis, T, len(rows))
+                    == _pairwise_oracle_reference(basis, T, len(rows)))
+
+
+    def test_targets_on_the_sure_and_impossible_radii(self, monkeypatch):
+        # Sub-cell (0, 0) of the unit square has centre c = (1, 1)/44 and
+        # radius r = sqrt(2)/44, and its far corner lies on the ray through
+        # c.  For v = (1, 1) the corner target is at |c + v| + r, for
+        # v = (-1, -1) at |c + v| - r; cutoffs 1e-12 relative inside and
+        # outside of these put the sub-cell 1e-12 T from the sure and the
+        # impossible radius, where only the slack sends v to the pairwise test.
+        u = np.nextafter(1.0 / 22.0, 0.0)
+        rows = np.array([[u, u], [0.5, 0.5]])
+        assert np.all((rows[0] * 22).astype(int) == 0)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _FixedStream(rows))
+        for T in (math.sqrt(2.0) * (23.0 / 22.0) * (1.0 - 1e-12),
+                  math.sqrt(2.0) * (21.0 / 22.0) * (1.0 + 1e-12)):
+            assert (gc.torus_count_integral_oracle(np.eye(2), T, len(rows))
+                    == _pairwise_oracle_reference(np.eye(2), T, len(rows)))
+
+
+class TestLatticeBoxGuard:
+    """The coefficient box is sized before it is built; these tests never
+    build a large one."""
+
+    def _forbid_meshgrid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("meshgrid called on an oversized box")
+        monkeypatch.setattr(np, "meshgrid", refuse)
+
+    def test_oracle_refuses_before_allocating(self, monkeypatch):
+        self._forbid_meshgrid(monkeypatch)
+        with pytest.raises(InputError, match="505401805 lattice points"):
+            gc.torus_count_integral_oracle(_THIN_BASIS, 5.0, 20000, seed=0)
+
+    def test_lattice_count_refuses_before_allocating(self, monkeypatch):
+        self._forbid_meshgrid(monkeypatch)
+        with pytest.raises(InputError, match="lattice points, more than the cap"):
+            gc.count_torus_lattice(_THIN_BASIS, np.zeros(3), np.zeros(3), 5.0)
+
+    def test_infinite_cutoff_is_an_input_error(self, monkeypatch):
+        self._forbid_meshgrid(monkeypatch)
+        with pytest.raises(InputError, match="not finite"):
+            gc.count_torus_lattice(np.eye(2), np.zeros(2), np.zeros(2), math.inf)
+
+    def test_verify_exits_2(self, tmp_path, capsys):
+        code = cli.main(["verify", "--kind", "flat_torus", "--n", "3",
+                         "--basis", "1e-5 0 0; 0 1 0; 0 0 1",
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "505401805 lattice points" in capsys.readouterr().err
 
 
 class TestClassifyGrowth:
