@@ -8,8 +8,10 @@ eta with data (0, 1), are propagated by one classical fixed-step RK4 kernel;
 the matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
 forms: great circles and their hyperbolic and flat analogues, straight lines
 on tori, radial rays in warped products.  Cubic Hermite dense output (exact
-to the integrator's order) supports evaluation between samples and the
-refinement of determinant zeros.
+to the integrator's order) supports evaluation between samples.  Since
+det Xi = xi^k and det H = eta^k, the zeros of both determinants (for H, the
+conjugate points) are the zeros of the scalars xi and eta, found as sign
+changes on the grid and refined on the same Hermite interpolant.
 """
 
 import csv
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 from scipy.optimize import brentq
 
 from . import manifolds as mf
@@ -26,7 +27,7 @@ from .errors import (ConfigurationError, DomainError, InputError,
 
 WRONSKIAN_TOL = 1e-8
 SPEED_DRIFT_TOL = 1e-6
-DET_ZERO_REL = 1e-8      # |det| threshold relative to (local matrix norm)^k
+DET_ZERO_REL = 1e-8      # |y| at the last sample, relative to the local max |y|
 SIGMA_REFINE_TOL = 1e-10
 
 
@@ -136,15 +137,9 @@ def _normal_frame_at(spec, x, theta):
     return np.array(frame)
 
 
-def _check_trajectory(spec, sigma, positions, velocities, frames):
-    # diagonal of the metric at every sample: the ambient signature, or
-    # (1, w^2, ..., w^2) for a warped product
-    if spec.kind == mf.WARPED_PRODUCT:
-        w = np.array([spec.warp.value(r) for r in positions[:, 0]])
-        g = np.ones_like(positions)
-        g[:, 1:] = (w * w)[:, None]
-    else:
-        g = np.broadcast_to(mf.ambient_signature(spec), positions.shape)
+def _check_trajectory(sigma, g, velocities, frames):
+    """Unit speed and an orthonormal normal frame; ``g`` is the diagonal of
+    the metric at every sample."""
     drift = np.abs(np.sum(g * velocities * velocities, axis=1) - 1.0)
     bad = np.nonzero(drift > SPEED_DRIFT_TOL)[0]
     if len(bad):
@@ -187,10 +182,10 @@ def integrate_geodesic(spec, x, theta, T, step):
     k = spec.n - 1
 
     if spec.kind == mf.FLAT_TORUS:
-        raw = x[None, :] + sigma[:, None] * theta[None, :]
-        positions = np.array([mf.torus_wrap(spec.basis, p) for p in raw])
+        positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
         velocities = np.tile(theta, (m + 1, 1))
         frames = np.tile(_normal_frame_at(spec, x, theta), (m + 1, 1, 1))
+        g = np.ones_like(positions)
     elif spec.kind == mf.WARPED_PRODUCT:
         if abs(abs(theta[0]) - 1.0) > 1e-10 or np.linalg.norm(theta[1:]) > 1e-10:
             raise ConfigurationError(
@@ -211,15 +206,18 @@ def integrate_geodesic(spec, x, theta, T, step):
         w = np.array([spec.warp.value(ri) for ri in r])
         frames = np.zeros((m + 1, k, 1 + spec.n))
         frames[:, :, 1:] = fiber[None] / w[:, None, None]
+        g = np.ones_like(positions)  # metric diagonal (1, w^2, ..., w^2)
+        g[:, 1:] = (w * w)[:, None]
     elif spec.kind == mf.CONSTANT_CURVATURE:
         xi, dxi, eta, deta = _space_form_scalars(spec.c, sigma)
         positions = xi[:, None] * x + eta[:, None] * theta
         velocities = dxi[:, None] * x + deta[:, None] * theta
         frames = np.tile(_normal_frame_at(spec, x, theta), (m + 1, 1, 1))
+        g = np.broadcast_to(mf.ambient_signature(spec), positions.shape)
     else:
         raise ConfigurationError(f"flow.integrate_geodesic: unknown kind {spec.kind}")
 
-    _check_trajectory(spec, sigma, positions, velocities, frames)
+    _check_trajectory(sigma, g, velocities, frames)
     return GeodesicTrajectory(spec, x, theta, sigma, positions, velocities, frames, h)
 
 
@@ -232,9 +230,10 @@ class JacobiSystem:
     """The two fundamental matrix Jacobi solutions on a trajectory's grid.
 
     Xi has (Id, 0) initial data, H has (0, Id).  ``kappa`` holds the scalar
-    curvature profile at the grid points.  ``singular_set`` lists the
-    detected zeros of det Xi and det H (the conjugate-point locations live in
-    ``h_zeros``).
+    curvature profile at the grid points.  ``xi_zeros`` and ``h_zeros`` are
+    the zeros of the scalars xi and eta, hence of det Xi = xi^k and
+    det H = eta^k for every k; ``h_zeros`` are the conjugate points of
+    sigma = 0, and ``singular_set`` is the union of both lists.
     """
 
     spec: mf.ManifoldSpec
@@ -274,18 +273,12 @@ class JacobiSystem:
         j = self._bracket(sigma)
         hcell = self.sigma[j + 1] - self.sigma[j]
         t = (sigma - self.sigma[j]) / hcell
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
         kap0, kap1 = self.kappa[j], self.kappa[j + 1]
         out = []
         for Y, DY in ((self.xi, self.dxi), (self.h, self.dh)):
-            val = (h00 * Y[j] + h10 * hcell * DY[j]
-                   + h01 * Y[j + 1] + h11 * hcell * DY[j + 1])
-            dval = (h00 * DY[j] + h10 * hcell * (-kap0 * Y[j])
-                    + h01 * DY[j + 1] + h11 * hcell * (-kap1 * Y[j + 1]))
-            out.extend([val, dval])
+            out.append(_hermite(t, hcell, Y[j], DY[j], Y[j + 1], DY[j + 1]))
+            out.append(_hermite(t, hcell, DY[j], -kap0 * Y[j],
+                                DY[j + 1], -kap1 * Y[j + 1]))
         return out[0], out[1], out[2], out[3]
 
     def distance_to_singular(self, sigma: float) -> float:
@@ -334,63 +327,41 @@ def _fundamental_solutions(kprofile, sigma, nsub=1):
     return kappa, np.array(rows)
 
 
-def golden_min(f, a, b, tol=SIGMA_REFINE_TOL):
-    """Golden-section search for a minimizer of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _hermite(t, hcell, y0, dy0, y1, dy1):
+    """Cubic Hermite interpolant of a cell of width hcell at t in [0, 1]."""
+    h00 = 2 * t**3 - 3 * t**2 + 1
+    h10 = t**3 - 2 * t**2 + t
+    h01 = -2 * t**3 + 3 * t**2
+    h11 = t**3 - t**2
+    return h00 * y0 + h10 * hcell * dy0 + h01 * y1 + h11 * hcell * dy1
 
 
-def _detect_det_zeros(js_sigma, dets, norms, det_interp, k, h):
-    """Zeros of a determinant sample sequence, refined to SIGMA_REFINE_TOL.
+def _scalar_zeros(sigma, y, dy):
+    """Zeros of a sampled nontrivial solution of y'' = -kappa y.
 
-    Sign changes bracket simple zeros (Brent); near-zero local minima catch
-    even-order zeros.  The accept threshold scales with the k-th power of the
-    matrix norm over a half-unit window, per the detector contract.
+    Such a solution has simple zeros only (y = y' = 0 at one point forces
+    y = 0), so away from the ends a zero is either a grid point with y == 0
+    or a sign change y_j * y_{j+1} < 0, refined by Brent's method on the
+    cell's Hermite interpolant of (y, y').  A cell holding two zeros would
+    show no sign change, but by Sturm comparison that needs
+    step * sqrt(kappa_max) >= pi, and on such grids of five or more samples
+    the Wronskian and residual gates of ``propagate_jacobi`` have already
+    refused the system.
+    The last sample counts as a zero when |y| there is at most DET_ZERO_REL
+    times max(1e-3, max |y| over the trailing half unit of arc length) and
+    the last cell holds no sign change.
     """
-    window = 2 * max(1, int(round(0.5 / h))) + 1
-    local = maximum_filter1d(np.maximum(norms, 1e-3), size=window, mode="nearest")
-    thr = DET_ZERO_REL * local**k
-    zeros = []
-    absd = np.abs(dets)
-    m = len(dets) - 1
-    if absd[0] <= thr[0]:
-        zeros.append(js_sigma[0])
-    if absd[m] <= thr[m]:
-        zeros.append(js_sigma[m])
-    for j in range(m):
-        if dets[j] == 0.0 and js_sigma[j] not in zeros:
-            zeros.append(js_sigma[j])
-        elif dets[j] * dets[j + 1] < 0.0:
-            zeros.append(brentq(det_interp, js_sigma[j], js_sigma[j + 1],
-                                xtol=SIGMA_REFINE_TOL))
-    for j in range(1, m):
-        if absd[j] < absd[j - 1] and absd[j] <= absd[j + 1]:
-            if dets[j - 1] * dets[j] < 0 or dets[j] * dets[j + 1] < 0:
-                continue  # already handled as a sign change
-            if absd[j] > 1e-4 * local[j]**k:
-                continue
-            s = golden_min(lambda t: abs(det_interp(t)),
-                           js_sigma[j - 1], js_sigma[j + 1])
-            if abs(det_interp(s)) <= thr[j]:
-                zeros.append(s)
-    zeros = sorted(zeros)
-    merged = []
-    for z in zeros:
-        if not merged or z - merged[-1] > 10 * SIGMA_REFINE_TOL:
-            merged.append(z)
-    return np.array(merged)
+    zeros = list(sigma[:-1][y[:-1] == 0.0])
+    for j in np.flatnonzero(y[:-1] * y[1:] < 0.0).tolist():
+        s0, hcell = sigma[j], sigma[j + 1] - sigma[j]
+        cell = (y[j], dy[j], y[j + 1], dy[j + 1])
+        zeros.append(brentq(lambda s: _hermite((s - s0) / hcell, hcell, *cell),
+                            s0, sigma[j + 1], xtol=SIGMA_REFINE_TOL))
+    tail = np.abs(y[-1 - max(1, round(0.5 / (sigma[1] - sigma[0]))):])
+    if tail[-1] <= DET_ZERO_REL * max(1e-3, float(np.max(tail))) \
+            and y[-2] * y[-1] >= 0.0:
+        zeros.append(sigma[-1])
+    return np.sort(zeros)
 
 
 def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
@@ -434,12 +405,8 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
             f"flow.propagate_jacobi: Jacobi residual {resid:.3e} exceeds "
             f"{1e-4 * js.step:.3e}")
 
-    norm_xi = np.max(np.abs(xi), axis=(1, 2))
-    norm_h = np.max(np.abs(h), axis=(1, 2))
-    xz = _detect_det_zeros(traj.sigma, det_xi, norm_xi,
-                           lambda s: float(np.linalg.det(js.eval_at(s)[0])), k, hgrid)
-    hz = _detect_det_zeros(traj.sigma, det_h, norm_h,
-                           lambda s: float(np.linalg.det(js.eval_at(s)[2])), k, hgrid)
+    xz = _scalar_zeros(traj.sigma, sols[:, 0], sols[:, 1])
+    hz = _scalar_zeros(traj.sigma, sols[:, 2], sols[:, 3])
     sing = np.unique(np.concatenate([xz, hz]))
     return replace(js, xi_zeros=xz, h_zeros=hz, singular_set=sing)
 

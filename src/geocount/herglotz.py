@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
                      InputError, NumericalError, PoleError)
-from .flow import golden_min
 
 POLE_MARGIN = 1e-8
 SAMPLING_POLE_MARGIN = 0.05
@@ -530,6 +529,24 @@ class FatouData:
         }
 
 
+def _golden_min(f, a, b, tol):
+    """Golden-section search for a minimizer of a unimodal f on [a, b]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _trace_im(Fh, sigmas, tau) -> np.ndarray:
     """trace Im F(sigma + i tau) at every sigma."""
     return np.trace(np.imag(Fh.many(sigmas + 1j * tau)), axis1=1, axis2=2)
@@ -595,7 +612,7 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
                            & (mid >= trace[:-2]) & (mid >= trace[2:])) + 1
     locations = []
     for j in peaks:
-        t = golden_min(
+        t = _golden_min(
             lambda s: -float(np.trace(np.imag(Fh(complex(s, tau_min))))),
             grid[j - 1], grid[j + 1], tol=1e-8)
         if not locations or t - locations[-1] > 50 * h_scan:

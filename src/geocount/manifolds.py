@@ -299,9 +299,10 @@ def tangent_frame(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
 
 
 def torus_wrap(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Representative of x in the fundamental domain [0,1)^n . basis."""
-    coeff = np.linalg.solve(basis.T, x)
-    return basis.T @ (coeff - np.floor(coeff))
+    """Representatives of the rows of x, shape (..., n), in the fundamental
+    domain [0,1)^n . basis, with one solve for the whole stack."""
+    coeff = np.linalg.solve(basis.T, np.reshape(x, (-1, basis.shape[0])).T).T
+    return np.reshape((coeff - np.floor(coeff)) @ basis, np.shape(x))
 
 
 def require_unit_direction(spec: ManifoldSpec, x: np.ndarray, theta: np.ndarray) -> None:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +203,16 @@ class TestEmitReport:
         assert "PASS  alpha" in out
         assert "FAIL  beta" in out
         assert summary["failed"] == ["beta"]
+
+
+def test_cli_import_leaves_scipy_ndimage_out():
+    # scipy.ndimage takes about 0.4 s to import and no code path needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = "import sys, geocount.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

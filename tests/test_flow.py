@@ -1,10 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d
+from scipy.optimize import brentq
 
 import geocount as gc
-from geocount.errors import ConfigurationError, DomainError, InputError
+from geocount.errors import (ConfigurationError, DomainError, InputError,
+                             IntegrationFailureError)
+from geocount.flow import DET_ZERO_REL, SIGMA_REFINE_TOL
+from geocount.herglotz import _golden_min
 
 
 def _traj_and_system(spec, T=3.0, step=1e-3, direction=0):
@@ -46,6 +52,74 @@ def _matrix_reference(spec, traj, nsub=1):
             DY = DY + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
         out_y[j + 1], out_dy[j + 1] = Y, DY
     return out_y[:, :, :k], out_dy[:, :, :k], out_y[:, :, k:], out_dy[:, :, k:]
+
+
+golden_min = functools.partial(_golden_min, tol=SIGMA_REFINE_TOL)
+
+
+def _detect_det_zeros(js_sigma, dets, norms, det_interp, k, h):
+    """Zeros of a determinant sample sequence, refined to SIGMA_REFINE_TOL.
+
+    Sign changes bracket simple zeros (Brent); near-zero local minima catch
+    even-order zeros.  The accept threshold scales with the k-th power of the
+    matrix norm over a half-unit window, per the detector contract.
+    """
+    window = 2 * max(1, int(round(0.5 / h))) + 1
+    local = maximum_filter1d(np.maximum(norms, 1e-3), size=window, mode="nearest")
+    thr = DET_ZERO_REL * local**k
+    zeros = []
+    absd = np.abs(dets)
+    m = len(dets) - 1
+    if absd[0] <= thr[0]:
+        zeros.append(js_sigma[0])
+    if absd[m] <= thr[m]:
+        zeros.append(js_sigma[m])
+    for j in range(m):
+        if dets[j] == 0.0 and js_sigma[j] not in zeros:
+            zeros.append(js_sigma[j])
+        elif dets[j] * dets[j + 1] < 0.0:
+            zeros.append(brentq(det_interp, js_sigma[j], js_sigma[j + 1],
+                                xtol=SIGMA_REFINE_TOL))
+    for j in range(1, m):
+        if absd[j] < absd[j - 1] and absd[j] <= absd[j + 1]:
+            if dets[j - 1] * dets[j] < 0 or dets[j] * dets[j + 1] < 0:
+                continue  # already handled as a sign change
+            if absd[j] > 1e-4 * local[j]**k:
+                continue
+            s = golden_min(lambda t: abs(det_interp(t)),
+                           js_sigma[j - 1], js_sigma[j + 1])
+            if abs(det_interp(s)) <= thr[j]:
+                zeros.append(s)
+    zeros = sorted(zeros)
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 10 * SIGMA_REFINE_TOL:
+            merged.append(z)
+    return np.array(merged)
+
+
+def _reference_zeros(js):
+    """(xi zeros, eta zeros) by the general determinant-threshold detector."""
+    out = []
+    for Y, dets, i in ((js.xi, js.det_xi, 0), (js.h, js.det_h, 2)):
+        out.append(_detect_det_zeros(
+            js.sigma, dets, np.max(np.abs(Y), axis=(1, 2)),
+            lambda s, i=i: float(np.linalg.det(js.eval_at(s)[i])),
+            js.dim, js.trajectory.step))
+    return out
+
+
+# (family, T, id): one member per manifold family, built for any dimension n
+_ZERO_CATALOG = [
+    *[((lambda n, c=c: gc.constant_curvature(c, n)), 2 * math.pi, f"c={c}")
+      for c in (1.0, 4.0, -2.0, 0.0, 0.3)],
+    ((lambda n: gc.flat_torus(np.eye(n))), 3.0, "torus"),
+    ((lambda n: gc.flat_torus(np.diag(0.7 * np.arange(1.0, n + 1)))), 3.0, "torus-diag"),
+    ((lambda n: gc.warped_product("sin", n)), 2.0, "sin"),
+    ((lambda n: gc.warped_product("two_plus_cos", n)), 6.0, "two_plus_cos"),
+    ((lambda n: gc.warped_product("one_plus_r2", n)), 4.0, "one_plus_r2"),
+    ((lambda n: gc.warped_product("cosh", n)), 4.0, "cosh"),
+]
 
 
 class TestClosedForm:
@@ -261,7 +335,8 @@ class TestSingularSet:
         assert np.max(np.abs(js.xi_zeros - expected_xi)) < 1e-9
 
     def test_even_multiplicity_zeros(self):
-        # n=3: det H = sin^2 touches zero at pi without a sign change
+        # n=3: det H = sin^2 has a double zero at pi; it is found as the sign
+        # change of the scalar eta = sin
         spec = gc.constant_curvature(1.0, 3)
         _, js = _traj_and_system(spec, T=4.0)
         assert len(js.h_zeros) == 2
@@ -291,6 +366,57 @@ class TestSingularSet:
         _, js = _traj_and_system(spec, T=7.0)
         assert len(js.singular_set) == len(js.h_zeros) + len(js.xi_zeros)
         assert np.all(np.diff(js.singular_set) > 0)
+
+
+class TestScalarZeroFinder:
+    @pytest.mark.parametrize("step", [1e-3, 2e-3, 1e-2])
+    @pytest.mark.parametrize("family,T,label", _ZERO_CATALOG,
+                             ids=[e[2] for e in _ZERO_CATALOG])
+    def test_matches_reference_detector_k1(self, family, T, label, step):
+        _, js = _traj_and_system(family(2), T=T, step=step)
+        for got, want in zip((js.xi_zeros, js.h_zeros), _reference_zeros(js)):
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 2 * SIGMA_REFINE_TOL)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("family,T,label", _ZERO_CATALOG,
+                             ids=[e[2] for e in _ZERO_CATALOG])
+    def test_zeros_independent_of_dimension(self, family, T, label, step):
+        # det Xi = xi^k and det H = eta^k vanish where xi and eta do, for
+        # every k = n - 1
+        _, base = _traj_and_system(family(2), T=T, step=step)
+        for n in (3, 5):
+            _, js = _traj_and_system(family(n), T=T, step=step)
+            assert np.array_equal(js.xi_zeros, base.xi_zeros)
+            assert np.array_equal(js.h_zeros, base.h_zeros)
+
+    def test_round_three_sphere_coarse_grid(self):
+        # the threshold detector lost the conjugate point at pi on this grid
+        _, js = _traj_and_system(gc.constant_curvature(1.0, 3), T=2 * math.pi,
+                                 step=1e-2)
+        assert len(js.h_zeros) == 3
+        assert np.max(np.abs(js.h_zeros - [0.0, math.pi, 2 * math.pi])) < 1e-8
+
+    @pytest.mark.parametrize("nsub", [1, 1000])
+    @pytest.mark.parametrize("c", [1.0, 4.0])
+    def test_grid_holding_two_zeros_per_cell_is_refused(self, c, nsub):
+        # a cell of width pi / sqrt(c) can hold two zeros with no sign change
+        # between its ends; the Wronskian or residual gate refuses the grid
+        spec = gc.constant_curvature(c, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        h = math.pi / math.sqrt(c)
+        traj = gc.integrate_geodesic(spec, x, theta, 8 * h, h)
+        with pytest.raises(IntegrationFailureError):
+            gc.propagate_jacobi(spec, traj, step=h / nsub)
+
+    def test_coarse_grid_with_fine_substeps_is_refused(self):
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 8.0, 0.2)
+        with pytest.raises(IntegrationFailureError, match="residual"):
+            gc.propagate_jacobi(spec, traj, step=1e-3)
 
 
 class TestSerialization:

@@ -73,6 +73,25 @@ class TestManifoldSpec:
         assert spec.entire_tube
         assert abs(spec.volume - 6.0) < 1e-12
 
+    @pytest.mark.parametrize("basis", [
+        np.eye(3), np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 0, 2]]),
+        np.array([[1.3, 0.2], [0.7, 0.9]]),
+    ])
+    def test_torus_wrap_stack(self, basis):
+        from geocount.manifolds import torus_wrap
+        n = len(basis)
+        rng = np.random.default_rng(5)
+        points = rng.normal(scale=4.0, size=(7, 11, n))
+        wrapped = torus_wrap(basis, points)
+        assert wrapped.shape == points.shape
+        for p, w in zip(points.reshape(-1, n), wrapped.reshape(-1, n)):
+            # one point or a stack: the same up to round-off in the solve
+            assert np.max(np.abs(torus_wrap(basis, p) - w)) <= 1e-14
+            coeff = np.linalg.solve(basis.T, w)
+            assert np.all((coeff >= 0) & (coeff < 1))
+            shift = np.linalg.solve(basis.T, p - w)
+            assert np.max(np.abs(shift - np.round(shift))) < 1e-12
+
     def test_invalid_specs(self):
         with pytest.raises(InputError):
             gc.constant_curvature(1.0, 1)
