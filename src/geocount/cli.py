@@ -20,7 +20,6 @@ and override them)::
     step = 0.001
     seed = 0
     tau_schedule = 0.1,0.01,0.001
-    interval = -1,7                # measure-recovery window
     K = 50                         # growth-inequality depth
     c_grid = 0.5,1,2,5,10          # constants tried by the gromov task
     out = outdir
@@ -35,6 +34,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +60,9 @@ SUBCOMMAND_TASK = {
 # manifest parsing
 # ---------------------------------------------------------------------------
 
+MAX_T_VALUES = 10_000  # length of a T range; the cutoffs share one propagation
+
+
 def _parse_values(text: str) -> np.ndarray:
     text = text.strip()
     if ":" in text:
@@ -68,8 +71,15 @@ def _parse_values(text: str) -> np.ndarray:
             raise InputError(
                 f"cli.parse_manifest: parameter T='{text}' ranges need start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if not 1 <= count <= MAX_T_VALUES:
+            raise InputError(f"cli.parse_manifest: parameter T='{text}' needs a "
+                             f"count between 1 and {MAX_T_VALUES}")
         return np.linspace(start, stop, count)
     return np.array([float(v) for v in text.split(",") if v.strip()])
+
+
+def _parse_floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parse_basis(text: str) -> np.ndarray:
@@ -93,7 +103,6 @@ class ExperimentManifest:
     step: float = 0.0
     seed: int = 0
     tau_schedule: tuple = (1e-1, 1e-2, 1e-3)
-    interval: tuple | None = None
     K: int = 50
     c_grid: tuple = (0.5, 1.0, 2.0, 5.0, 10.0)
     out_dir: str = "out"
@@ -125,8 +134,6 @@ class ExperimentManifest:
             "parameters.seed": self.seed,
             "parameters.tau_schedule": ",".join(format(v, ".17g")
                                                 for v in self.tau_schedule),
-            "parameters.interval": (None if self.interval is None else
-                                    ",".join(format(v, ".17g") for v in self.interval)),
             "parameters.K": self.K,
             "parameters.c_grid": ",".join(format(v, ".17g") for v in self.c_grid),
         }
@@ -141,18 +148,22 @@ class ExperimentManifest:
                              f"not one of {TASKS}")
         if self.n < 2:
             raise InputError(f"cli.run_manifest: parameter n={self.n} must be >= 2")
-        if self.step <= 0:
+        if not (math.isfinite(self.step) and self.step > 0):
             raise InputError(f"cli.run_manifest: parameter step={self.step} "
-                             "must be positive")
+                             "must be positive and finite")
         if self.quad_order < 1:
             raise InputError(f"cli.run_manifest: parameter quad_order="
                              f"{self.quad_order} must be >= 1")
-        if len(self.T_values) and (np.any(np.diff(self.T_values) <= 0)
-                                   or np.any(self.T_values <= 0)):
-            raise InputError("cli.run_manifest: parameter T must be a strictly "
-                             "increasing list of positive reals")
-        if any(t <= 0 for t in self.tau_schedule):
-            raise InputError("cli.run_manifest: parameter tau_schedule must be positive")
+        if self.seed < 0:
+            raise InputError(f"cli.run_manifest: parameter seed={self.seed} must be >= 0")
+        T = self.T_values
+        if not (len(T) and np.all(np.isfinite(T)) and np.all(T > 0)
+                and np.all(np.diff(T) > 0)):
+            raise InputError("cli.run_manifest: parameter T must be a nonempty, "
+                             "strictly increasing list of positive finite reals")
+        if not all(0 < t < math.inf for t in self.tau_schedule):
+            raise InputError("cli.run_manifest: parameter tau_schedule must be "
+                             "positive and finite")
         if self.K < 1:
             raise InputError(f"cli.run_manifest: parameter K={self.K} must be >= 1")
         self.spec()
@@ -172,42 +183,49 @@ def parse_manifest(path) -> dict:
 
 
 def build_manifest(raw: dict, task: str | None = None) -> ExperimentManifest:
-    """Typed manifest from raw strings; ``task`` (the subcommand) wins."""
-    get = raw.get
-    kind = get("manifold.kind", "constant_curvature")
-    n = int(get("manifold.n", "2"))
+    """Typed manifest from raw strings; ``task`` (the subcommand) wins.
+
+    Text that does not parse raises InputError naming its key.
+    """
+
+    def get(key, default, parse=str):
+        text = raw.get(key, default)
+        try:
+            return parse(text)
+        except InputError:
+            raise
+        except ValueError as exc:
+            raise InputError(
+                f"cli.build_manifest: parameter {key}='{text}' is malformed: {exc}"
+            ) from None
+
+    n = get("manifold.n", "2", int)
     manifest = ExperimentManifest(
         task=task or get("task.name", "count"),
-        kind=kind,
+        kind=get("manifold.kind", "constant_curvature"),
         n=n,
-        c=float(get("manifold.c", "1.0")),
-        basis=_parse_basis(raw["manifold.basis"]) if "manifold.basis" in raw else None,
+        c=get("manifold.c", "1.0", float),
+        basis=get("manifold.basis", None, _parse_basis) if "manifold.basis" in raw else None,
         warp=get("manifold.warp", "one_plus_r2"),
-        seed=int(get("parameters.seed", "0")),
-        K=int(get("parameters.k", get("parameters.K", "50"))),
+        seed=get("parameters.seed", "0", int),
+        K=get("parameters.k", raw.get("parameters.K", "50"), int),
         out_dir=get("parameters.out", "out"),
     )
     if "parameters.t" in raw:
-        manifest.T_values = _parse_values(raw["parameters.t"])
+        manifest.T_values = get("parameters.t", None, _parse_values)
     manifest.quad_scheme = get(
         "parameters.quad_scheme",
         "product_gauss" if n <= 4 else "monte_carlo")
     default_order = "64" if n == 2 else ("16" if n == 3 else "8")
     if manifest.quad_scheme == "monte_carlo":
         default_order = "4096"
-    manifest.quad_order = int(get("parameters.quad_order", default_order))
+    manifest.quad_order = get("parameters.quad_order", default_order, int)
     default_step = "0.001" if manifest.task == "count" else "0.01"
-    manifest.step = float(get("parameters.step", default_step))
+    manifest.step = get("parameters.step", default_step, float)
     if "parameters.tau_schedule" in raw:
-        manifest.tau_schedule = tuple(
-            float(v) for v in raw["parameters.tau_schedule"].split(","))
-    if "parameters.interval" in raw:
-        vals = [float(v) for v in raw["parameters.interval"].split(",")]
-        if len(vals) != 2:
-            raise InputError("cli.build_manifest: parameter interval needs two values")
-        manifest.interval = tuple(vals)
+        manifest.tau_schedule = get("parameters.tau_schedule", None, _parse_floats)
     if "parameters.c_grid" in raw:
-        manifest.c_grid = tuple(float(v) for v in raw["parameters.c_grid"].split(","))
+        manifest.c_grid = get("parameters.c_grid", None, _parse_floats)
     manifest.validate()
     return manifest
 
@@ -359,7 +377,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--quad-order", type=int)
     p.add_argument("--step", type=float)
     p.add_argument("--tau-schedule", help="comma list, strictly decreasing")
-    p.add_argument("--interval", help="measure window 'a,b'")
     p.add_argument("--K", type=int, help="growth-inequality depth")
     p.add_argument("--c-grid", help="comma list of constants for gromov")
 
@@ -371,7 +388,7 @@ def _flags_to_raw(args: argparse.Namespace) -> dict:
         "T": "parameters.t", "quad_scheme": "parameters.quad_scheme",
         "quad_order": "parameters.quad_order", "step": "parameters.step",
         "seed": "parameters.seed", "tau_schedule": "parameters.tau_schedule",
-        "interval": "parameters.interval", "K": "parameters.k",
+        "K": "parameters.k",
         "c_grid": "parameters.c_grid", "out": "parameters.out",
     }
     raw = {}

@@ -16,26 +16,39 @@ changes on the grid and refined on the same Hermite interpolant.
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import manifolds as mf
-from .errors import (ConfigurationError, DomainError, InputError,
-                     IntegrationFailureError)
+from .errors import ConfigurationError, InputError, IntegrationFailureError
 
 WRONSKIAN_TOL = 1e-8
 SPEED_DRIFT_TOL = 1e-6
 DET_ZERO_REL = 1e-8      # |y| at the last sample, relative to the local max |y|
 SIGMA_REFINE_TOL = 1e-10
+# RK4 steps of one propagation, grid cells times substeps; the largest default
+# use, gromov's search to T = 500 at step 0.01, takes 5e4
+MAX_RK4_STEPS = 2_000_000
+
+
+def _require_step_budget(steps: float, caller: str) -> None:
+    """Refuse a propagation of more than MAX_RK4_STEPS steps before allocating."""
+    if not steps <= MAX_RK4_STEPS:
+        raise InputError(
+            f"flow.{caller}: {steps:.6g} RK4 steps, more than the cap of "
+            f"{MAX_RK4_STEPS}; use a shorter T or a larger step")
 
 
 def _grid(T: float, step: float) -> np.ndarray:
+    if not (math.isfinite(T) and math.isfinite(step)):
+        raise InputError(f"flow: parameters T={T}, step={step} must be finite")
     if T <= 0 or step <= 0:
         raise InputError(f"flow: parameters T={T}, step={step} must be positive")
     if step > T:
         raise InputError(f"flow: parameter step={step} exceeds T={T}")
+    _require_step_budget(T / step, "grid")
     m = max(1, int(math.ceil(T / step - 1e-12)))
     return np.linspace(0.0, T, m + 1)
 
@@ -187,23 +200,12 @@ def integrate_geodesic(spec, x, theta, T, step):
         frames = np.tile(_normal_frame_at(spec, x, theta), (m + 1, 1, 1))
         g = np.ones_like(positions)
     elif spec.kind == mf.WARPED_PRODUCT:
-        if abs(abs(theta[0]) - 1.0) > 1e-10 or np.linalg.norm(theta[1:]) > 1e-10:
-            raise ConfigurationError(
-                "flow.integrate_geodesic: warped products support radial "
-                "directions only")
-        sign = 1.0 if theta[0] > 0 else -1.0
-        r = x[0] + sign * sigma
-        lo, hi = spec.warp.domain
-        if np.any(r <= lo) or np.any(r >= hi):
-            bad = float(r[(r <= lo) | (r >= hi)][0])
-            raise DomainError(
-                f"flow.integrate_geodesic: warp '{spec.warp.name}' leaves its "
-                f"domain ({lo}, {hi}) at r={bad}")
+        r = mf.radial_ray(spec, x, theta)(sigma)
         positions = np.tile(x, (m + 1, 1))
         positions[:, 0] = r
         velocities = np.tile(theta, (m + 1, 1))
         fiber = _normal_frame_at(spec, x, theta)[:, 1:] * spec.warp.value(x[0])
-        w = np.array([spec.warp.value(ri) for ri in r])
+        w = spec.warp.value(r)
         frames = np.zeros((m + 1, k, 1 + spec.n))
         frames[:, :, 1:] = fiber[None] / w[:, None, None]
         g = np.ones_like(positions)  # metric diagonal (1, w^2, ..., w^2)
@@ -227,13 +229,17 @@ def integrate_geodesic(spec, x, theta, T, step):
 
 @dataclass(frozen=True)
 class JacobiSystem:
-    """The two fundamental matrix Jacobi solutions on a trajectory's grid.
+    """The two fundamental Jacobi solutions on a trajectory's grid.
 
-    Xi has (Id, 0) initial data, H has (0, Id).  ``kappa`` holds the scalar
-    curvature profile at the grid points.  ``xi_zeros`` and ``h_zeros`` are
-    the zeros of the scalars xi and eta, hence of det Xi = xi^k and
-    det H = eta^k for every k; ``h_zeros`` are the conjugate points of
-    sigma = 0, and ``singular_set`` is the union of both lists.
+    The curvature operator is kappa(sigma) * Id, so the matrix solution Xi
+    with (Id, 0) data is xi * Id and H with (0, Id) data is eta * Id: the
+    system stores ``cols``, one row (xi, xi', eta, eta') per grid point, and
+    ``kappa``, the curvature profile at the grid points.  ``xi``, ``dxi``,
+    ``h`` and ``dh`` expand the columns to read-only (m+1, k, k) arrays on
+    each access; ``det_xi`` and ``det_h`` are xi^k and eta^k.  ``xi_zeros``
+    and ``h_zeros`` are the zeros of xi and eta, hence of det Xi and det H
+    for every k; ``h_zeros`` are the conjugate points of sigma = 0, and
+    ``singular_set`` is the union of both lists.
     """
 
     spec: mf.ManifoldSpec
@@ -241,12 +247,7 @@ class JacobiSystem:
     kop: mf.CurvatureFrameOperator
     sigma: np.ndarray
     kappa: np.ndarray  # (m+1,)
-    xi: np.ndarray   # (m+1, k, k)
-    dxi: np.ndarray
-    h: np.ndarray
-    dh: np.ndarray
-    det_xi: np.ndarray
-    det_h: np.ndarray
+    cols: np.ndarray   # (m+1, 4): xi, xi', eta, eta'
     xi_zeros: np.ndarray
     h_zeros: np.ndarray
     singular_set: np.ndarray
@@ -254,7 +255,19 @@ class JacobiSystem:
 
     @property
     def dim(self) -> int:
-        return self.xi.shape[1]
+        return self.spec.n - 1
+
+    def _times_id(self, i: int) -> np.ndarray:
+        out = self.cols[:, i, None, None] * np.eye(self.dim)
+        out.setflags(write=False)
+        return out
+
+    xi = property(lambda self: self._times_id(0))
+    dxi = property(lambda self: self._times_id(1))
+    h = property(lambda self: self._times_id(2))
+    dh = property(lambda self: self._times_id(3))
+    det_xi = property(lambda self: self.cols[:, 0] ** self.dim)
+    det_h = property(lambda self: self.cols[:, 2] ** self.dim)
 
     @property
     def T(self) -> float:
@@ -269,17 +282,17 @@ class JacobiSystem:
         return min(max(j, 0), len(self.sigma) - 2)
 
     def eval_at(self, sigma: float):
-        """Dense output: cubic Hermite in each cell, O(step^4) accurate."""
+        """Dense output (Xi, Xi', H, H') at sigma: cubic Hermite in each
+        cell, O(step^4) accurate, with y'' = -kappa y for the derivatives."""
         j = self._bracket(sigma)
         hcell = self.sigma[j + 1] - self.sigma[j]
         t = (sigma - self.sigma[j]) / hcell
-        kap0, kap1 = self.kappa[j], self.kappa[j + 1]
-        out = []
-        for Y, DY in ((self.xi, self.dxi), (self.h, self.dh)):
-            out.append(_hermite(t, hcell, Y[j], DY[j], Y[j + 1], DY[j + 1]))
-            out.append(_hermite(t, hcell, DY[j], -kap0 * Y[j],
-                                DY[j + 1], -kap1 * Y[j + 1]))
-        return out[0], out[1], out[2], out[3]
+        y0, dy0 = self.cols[j, 0::2], self.cols[j, 1::2]  # (xi, eta), (xi', eta')
+        y1, dy1 = self.cols[j + 1, 0::2], self.cols[j + 1, 1::2]
+        y = _hermite(t, hcell, y0, dy0, y1, dy1)
+        dy = _hermite(t, hcell, dy0, -self.kappa[j] * y0, dy1, -self.kappa[j + 1] * y1)
+        eye = np.eye(self.dim)
+        return y[0] * eye, dy[0] * eye, y[1] * eye, dy[1] * eye
 
     def distance_to_singular(self, sigma: float) -> float:
         if len(self.singular_set) == 0:
@@ -344,9 +357,8 @@ def _scalar_zeros(sigma, y, dy):
     or a sign change y_j * y_{j+1} < 0, refined by Brent's method on the
     cell's Hermite interpolant of (y, y').  A cell holding two zeros would
     show no sign change, but by Sturm comparison that needs
-    step * sqrt(kappa_max) >= pi, and on such grids of five or more samples
-    the Wronskian and residual gates of ``propagate_jacobi`` have already
-    refused the system.
+    step * sqrt(kappa_max) >= pi, and ``propagate_jacobi`` refuses such a
+    grid before calling this.
     The last sample counts as a zero when |y| there is at most DET_ZERO_REL
     times max(1e-3, max |y| over the trailing half unit of arc length) and
     the last cell holds no sign change.
@@ -368,30 +380,34 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
     """Propagate both fundamental Jacobi solutions on the trajectory's grid.
 
     ``step`` (default: the trajectory step) may subdivide each grid cell.
-    Raises IntegrationFailureError when the Wronskian or the finite-difference
-    second-order residual exceeds its tolerance.
+    Raises InputError for a non-finite step or more than MAX_RK4_STEPS
+    steps, and IntegrationFailureError when a grid cell may hold two zeros
+    (grid step * sqrt(max kappa over the grid) >= pi) or when the Wronskian
+    or the finite-difference second-order residual exceeds its tolerance.
     """
-    k = spec.n - 1
     kop = mf.curvature_along(spec, (traj.x0, traj.theta0))
     hgrid = traj.step
     if step is None:
         step = hgrid
-    if step <= 0:
-        raise InputError(f"flow.propagate_jacobi: parameter step={step} must be positive")
-    nsub = max(1, int(round(hgrid / step)))
+    if not (math.isfinite(step) and step > 0):
+        raise InputError(
+            f"flow.propagate_jacobi: parameter step={step} must be positive and finite")
+    nsub = max(1.0, round(float(hgrid) / step, 0))  # a float: inf for tiny steps
+    _require_step_budget((len(traj.sigma) - 1) * nsub, "propagate_jacobi")
+    nsub = int(nsub)
 
-    kappa, sols = _fundamental_solutions(kop.profile, traj.sigma, nsub=nsub)
-    eye = np.eye(k)
-    xi, dxi, h, dh = (sols[:, i, None, None] * eye for i in range(4))
-
-    det_xi = np.linalg.det(xi)
-    det_h = np.linalg.det(h)
-
+    kappa, cols = _fundamental_solutions(kop.profile, traj.sigma, nsub=nsub)
+    reach = hgrid * math.sqrt(max(0.0, float(np.max(kappa))))
+    if reach >= math.pi:
+        raise IntegrationFailureError(
+            f"flow.propagate_jacobi: grid step times sqrt(max kappa) is "
+            f"{reach:.4g} >= pi, so a cell may hold two zeros (Sturm)")
+    xz = _scalar_zeros(traj.sigma, cols[:, 0], cols[:, 1])
+    hz = _scalar_zeros(traj.sigma, cols[:, 2], cols[:, 3])
     js = JacobiSystem(
         spec=spec, trajectory=traj, kop=kop, sigma=traj.sigma, kappa=kappa,
-        xi=xi, dxi=dxi, h=h, dh=dh, det_xi=det_xi, det_h=det_h,
-        xi_zeros=np.array([]), h_zeros=np.array([]),
-        singular_set=np.array([]), step=hgrid / nsub,
+        cols=cols, xi_zeros=xz, h_zeros=hz,
+        singular_set=np.unique(np.concatenate([xz, hz])), step=hgrid / nsub,
     )
 
     drift = wronskian_drift(js)
@@ -404,47 +420,39 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
         raise IntegrationFailureError(
             f"flow.propagate_jacobi: Jacobi residual {resid:.3e} exceeds "
             f"{1e-4 * js.step:.3e}")
-
-    xz = _scalar_zeros(traj.sigma, sols[:, 0], sols[:, 1])
-    hz = _scalar_zeros(traj.sigma, sols[:, 2], sols[:, 3])
-    sing = np.unique(np.concatenate([xz, hz]))
-    return replace(js, xi_zeros=xz, h_zeros=hz, singular_set=sing)
+    return js
 
 
 def wronskian_drift(js: JacobiSystem) -> float:
-    """Max deviation of Xi'^T H - Xi^T H' from -Id, relative to term size.
+    """Max deviation of Xi'^T H - Xi^T H' = (xi' eta - xi eta') Id from -Id,
+    relative to term size.
 
     The normalization guards against cancellation: for hyperbolic curvature
-    the two bilinear terms reach ~1e8 while their difference stays -Id, so an
-    absolute measure would only see round-off.
+    the two terms reach ~1e8 while their difference stays -1, so an absolute
+    measure would only see round-off.
     """
-    a = np.einsum("sji,sjk->sik", js.dxi, js.h)
-    b = np.einsum("sji,sjk->sik", js.xi, js.dh)
-    eye = np.eye(js.dim)
-    defect = np.max(np.abs(a - b + eye), axis=(1, 2))
-    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=(1, 2)),
-                                       np.max(np.abs(b), axis=(1, 2))))
-    return float(np.max(defect / scale))
+    xi, dxi, eta, deta = js.cols.T
+    a, b = dxi * eta, xi * deta
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b + 1.0) / scale))
 
 
 def jacobi_residual(js: JacobiSystem) -> float:
-    """Max normalized ||Y'' + kappa Y|| via a 4th-order second-difference stencil."""
+    """Max normalized |y'' + kappa y| over xi and eta via a 4th-order
+    second-difference stencil; 0 on grids of fewer than five samples."""
     if len(js.sigma) < 5:
         return 0.0
     hg = js.sigma[1] - js.sigma[0]
-    kap = js.kappa
-    worst = 0.0
-    for Y in (js.xi, js.h):
-        d2 = (-Y[:-4] + 16 * Y[1:-3] - 30 * Y[2:-2] + 16 * Y[3:-1] - Y[4:]) / (12 * hg**2)
-        resid = d2 + kap[2:-2, None, None] * Y[2:-2]
-        scale = np.maximum(1.0, np.max(np.abs(Y[2:-2]), axis=(1, 2)))
-        worst = max(worst, float(np.max(np.max(np.abs(resid), axis=(1, 2)) / scale)))
-    return worst
+    Y = js.cols[:, 0::2]  # xi, eta
+    d2 = (-Y[:-4] + 16 * Y[1:-3] - 30 * Y[2:-2] + 16 * Y[3:-1] - Y[4:]) / (12 * hg**2)
+    resid = d2 + js.kappa[2:-2, None] * Y[2:-2]
+    return float(np.max(np.abs(resid) / np.maximum(1.0, np.abs(Y[2:-2]))))
 
 
 def write_jacobi_csv(js: JacobiSystem, path, metadata: dict | None = None):
     """Columnar dump (sigma, position..., det Xi, det H) for inspection."""
     pos = js.trajectory.positions
+    det_xi, det_h = js.det_xi, js.det_h
     with open(path, "w", newline="") as fh:
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}={val}\n")
@@ -452,5 +460,5 @@ def write_jacobi_csv(js: JacobiSystem, path, metadata: dict | None = None):
         writer.writerow(
             ["sigma"] + [f"x{i}" for i in range(pos.shape[1])] + ["det_xi", "det_h"])
         for j in range(len(js.sigma)):
-            row = [js.sigma[j], *pos[j], js.det_xi[j], js.det_h[j]]
+            row = [js.sigma[j], *pos[j], det_xi[j], det_h[j]]
             writer.writerow([format(v, ".17g") for v in row])

@@ -397,24 +397,26 @@ def check_xi_identity(source, sigma: float) -> float:
     return float(np.max(np.abs(xi.T @ xi @ fprime - np.eye(k))))
 
 
-def minkowski_det_lower_bound(A1, A2) -> float:
+def minkowski_det_lower_bound(A1, A2):
     """det(A1+A2) - det A1 - det A2 for positive semidefinite inputs.
 
     Superadditivity of the determinant on the PSD cone makes the margin
-    nonnegative up to round-off.
+    nonnegative up to round-off.  A1 and A2 may be (..., k, k) stacks of
+    pairs; a stack gives an array of margins, a single pair a float.
     """
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
-    if A1.shape != A2.shape or A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
+    if A1.shape != A2.shape or A1.ndim < 2 or A1.shape[-1] != A1.shape[-2]:
         raise InputError("herglotz.minkowski_det_lower_bound: need two square "
-                         "matrices of equal shape")
+                         "matrices (or stacks of them) of equal shape")
     for name, A in (("A1", A1), ("A2", A2)):
-        scale = max(1.0, float(np.max(np.abs(A))))
-        if float(np.max(np.abs(A - A.T))) > 1e-8 * scale:
+        scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+        if np.any(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1)) > 1e-8 * scale):
             raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not symmetric")
-        if float(np.min(np.linalg.eigvalsh(_sym(A)))) < -1e-10 * scale:
+        if np.any(np.min(np.linalg.eigvalsh(_sym(A)), axis=-1) < -1e-10 * scale):
             raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not PSD")
-    return float(np.linalg.det(A1 + A2) - np.linalg.det(A1) - np.linalg.det(A2))
+    margin = np.linalg.det(A1 + A2) - np.linalg.det(A1) - np.linalg.det(A2)
+    return float(margin) if A1.ndim == 2 else margin
 
 
 class DetBound(NamedTuple):

@@ -33,54 +33,43 @@ def sphere_surface_area(m: int) -> float:
 class WarpFunction:
     """Scalar profile of a rotationally symmetric metric dr^2 + w(r)^2 g_sphere.
 
-    Exact first and second derivatives are part of the definition; the
-    curvature along a radial geodesic only needs -w''/w.
+    ``value`` (w) and ``d2`` (its exact second derivative) are numpy
+    functions of an array of radii; the curvature along a radial geodesic is
+    -w''/w, one array expression.  ``domain`` is the open interval of r.
     """
 
     name: str
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    value: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
     domain: tuple = (-math.inf, math.inf)
 
-    def __call__(self, r: float) -> float:
-        self.check_domain(r)
-        return self.value(r)
-
-    def check_domain(self, r: float) -> None:
+    def check_domain(self, r) -> None:
+        """Raise DomainError naming the first radius outside the domain."""
         lo, hi = self.domain
-        if not (lo < r < hi):
+        r = np.asarray(r, dtype=float)
+        bad = np.flatnonzero(~((lo < r) & (r < hi)))
+        if bad.size:
             raise DomainError(
-                f"manifolds.warp: parameter r={r} outside domain ({lo}, {hi}) "
-                f"of warp '{self.name}'"
+                f"manifolds.warp: parameter r={float(r.flat[bad[0]])} outside "
+                f"domain ({lo}, {hi}) of warp '{self.name}'"
             )
 
 
 WARP_CATALOG = {
     # w(r) = r on (0, inf): Euclidean space in polar form, curvature 0
-    "identity": WarpFunction(
-        "identity", lambda r: r, lambda r: 1.0, lambda r: 0.0, (0.0, math.inf)
-    ),
+    "identity": WarpFunction("identity", lambda r: r, np.zeros_like, (0.0, math.inf)),
     # w(r) = 1 + r^2: curvature profile -2/(1+r^2), smooth and nonconstant
     "one_plus_r2": WarpFunction(
-        "one_plus_r2", lambda r: 1.0 + r * r, lambda r: 2.0 * r, lambda r: 2.0
+        "one_plus_r2", lambda r: 1.0 + r * r, lambda r: np.full_like(r, 2.0)
     ),
     # w(r) = 2 + cos r: sign-changing curvature profile cos(r)/(2+cos r)
     "two_plus_cos": WarpFunction(
-        "two_plus_cos",
-        lambda r: 2.0 + math.cos(r),
-        lambda r: -math.sin(r),
-        lambda r: -math.cos(r),
+        "two_plus_cos", lambda r: 2.0 + np.cos(r), lambda r: -np.cos(r)
     ),
     # w(r) = cosh r: constant curvature -1 in disguise
-    "cosh": WarpFunction(
-        "cosh", lambda r: math.cosh(r), lambda r: math.sinh(r), lambda r: math.cosh(r)
-    ),
+    "cosh": WarpFunction("cosh", np.cosh, np.cosh),
     # w(r) = sin r on (0, pi): the round sphere in polar form
-    "sin": WarpFunction(
-        "sin", lambda r: math.sin(r), lambda r: math.cos(r),
-        lambda r: -math.sin(r), (0.0, math.pi)
-    ),
+    "sin": WarpFunction("sin", np.sin, lambda r: -np.sin(r), (0.0, math.pi)),
 }
 
 
@@ -134,9 +123,15 @@ def constant_curvature(c: float, n: int) -> ManifoldSpec:
     if n < 2:
         raise InputError(f"manifolds.constant_curvature: parameter n={n} must be >= 2")
     c = float(c)
+    if not math.isfinite(c):
+        raise InputError(f"manifolds.constant_curvature: parameter c={c} must be finite")
     if c > 0:
         radius = 1.0 / math.sqrt(c)
-        volume = radius**n * sphere_surface_area(n)
+        area = sphere_surface_area(n)
+        try:
+            volume = radius**n * area
+        except OverflowError:  # radius^n beyond the float range, c near 0
+            volume = math.inf
     else:
         volume = math.inf
     return ManifoldSpec(
@@ -155,6 +150,8 @@ def flat_torus(basis) -> ManifoldSpec:
     n = basis.shape[0]
     if n < 2:
         raise InputError(f"manifolds.flat_torus: parameter n={n} must be >= 2")
+    if not np.all(np.isfinite(basis)):
+        raise InputError("manifolds.flat_torus: parameter basis has non-finite entries")
     det = np.linalg.det(basis)
     if abs(det) < 1e-12:
         raise InputError("manifolds.flat_torus: parameter basis is singular")
@@ -189,7 +186,7 @@ def warped_product(
         u, gw = np.polynomial.legendre.leggauss(64)
         r = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
         volume = sphere_surface_area(n - 1) * 0.5 * (hi - lo) * float(
-            np.sum(gw * np.array([warp.value(ri) ** (n - 1) for ri in r]))
+            np.sum(gw * warp.value(r) ** (n - 1))
         )
     else:
         volume = math.inf
@@ -313,6 +310,28 @@ def require_unit_direction(spec: ManifoldSpec, x: np.ndarray, theta: np.ndarray)
         )
 
 
+def radial_ray(spec: ManifoldSpec, x: np.ndarray, theta: np.ndarray):
+    """The radius sigma -> r0 +- sigma along a warped product's radial geodesic.
+
+    Warped products support radial directions only: any other ``theta``
+    raises ConfigurationError.  The returned map takes an array of arc
+    lengths and raises DomainError where the ray leaves the warp's domain.
+    """
+    if abs(abs(theta[0]) - 1.0) > 1e-10 or np.linalg.norm(theta[1:]) > 1e-10:
+        raise ConfigurationError(
+            "manifolds.radial_ray: warped products support radial "
+            f"directions only, got theta={theta}"
+        )
+    r0, sign = float(x[0]), (1.0 if theta[0] > 0 else -1.0)
+
+    def radius(sigma):
+        r = r0 + sign * np.asarray(sigma, dtype=float)
+        spec.warp.check_domain(r)
+        return r
+
+    return radius
+
+
 # ---------------------------------------------------------------------------
 # curvature along a geodesic
 # ---------------------------------------------------------------------------
@@ -356,29 +375,12 @@ def curvature_along(spec: ManifoldSpec, geodesic_initial) -> CurvatureFrameOpera
     if spec.kind == FLAT_TORUS:
         return CurvatureFrameOperator(k, lambda s: np.zeros_like(np.asarray(s, float)))
 
-    # warped product, radial geodesics only
-    if abs(abs(theta[0]) - 1.0) > 1e-10 or np.linalg.norm(theta[1:]) > 1e-10:
-        raise ConfigurationError(
-            "manifolds.curvature_along: warped products support radial "
-            f"directions only, got theta={theta}"
-        )
-    sign = 1.0 if theta[0] > 0 else -1.0
-    r0 = float(x[0])
     warp = spec.warp
+    radius = radial_ray(spec, x, theta)
 
-    def profile(s, r0=r0, sign=sign, warp=warp):
-        s = np.asarray(s, dtype=float)
-        r = r0 + sign * s
-        lo, hi = warp.domain
-        if np.any(r <= lo) or np.any(r >= hi):
-            bad = r if r.ndim == 0 else r[(r <= lo) | (r >= hi)].flat[0]
-            raise DomainError(
-                f"manifolds.curvature_along: warp '{warp.name}' evaluated at "
-                f"r={float(bad)} outside ({lo}, {hi})"
-            )
-        if r.ndim == 0:
-            return -warp.d2(float(r)) / warp.value(float(r))
-        return np.array([-warp.d2(ri) / warp.value(ri) for ri in r.ravel()]).reshape(r.shape)
+    def profile(s):
+        r = radius(s)
+        return -warp.d2(r) / warp.value(r)
 
     return CurvatureFrameOperator(k, profile)
 
@@ -386,6 +388,10 @@ def curvature_along(spec: ManifoldSpec, geodesic_initial) -> CurvatureFrameOpera
 # ---------------------------------------------------------------------------
 # quadrature on the unit direction sphere
 # ---------------------------------------------------------------------------
+
+# nodes of one direction quadrature; the defaults use at most 4096
+MAX_QUAD_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SphereQuadrature:
@@ -422,6 +428,18 @@ def unit_sphere_quadrature(
         raise InputError(
             f"manifolds.unit_sphere_quadrature: parameter order_or_samples={m} must be >= 1"
         )
+    if scheme not in ("product_gauss", "monte_carlo"):
+        raise ConfigurationError(
+            f"manifolds.unit_sphere_quadrature: parameter scheme='{scheme}' "
+            "not one of {'product_gauss', 'monte_carlo'}"
+        )
+    # node count of each rule, checked before anything is allocated
+    size = {3: 2 * m * m, 4: 2 * m**3}.get(n, m) if scheme == "product_gauss" else m
+    if size > MAX_QUAD_NODES:
+        raise InputError(
+            f"manifolds.unit_sphere_quadrature: {scheme} of order {m} on S^{n - 1} "
+            f"has {size} nodes, more than the cap of {MAX_QUAD_NODES}"
+        )
     area = sphere_surface_area(n - 1)
 
     if scheme == "monte_carlo":
@@ -430,12 +448,6 @@ def unit_sphere_quadrature(
         nodes = g / np.linalg.norm(g, axis=1, keepdims=True)
         weights = np.full(m, area / m)
         return SphereQuadrature(nodes, weights, n, scheme)
-
-    if scheme != "product_gauss":
-        raise ConfigurationError(
-            f"manifolds.unit_sphere_quadrature: parameter scheme='{scheme}' "
-            "not one of {'product_gauss', 'monte_carlo'}"
-        )
 
     if n == 2:
         ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m

@@ -127,6 +127,46 @@ class TestRunner:
         code = cli.main(["gromov", "--kind", "flat_torus", "--n", "2",
                          "--out", str(tmp_path / "z"), "--quiet"])
         assert code == 2
+        # text that does not parse, empty or non-finite lists, bad numbers
+        for i, extra in enumerate([
+                ["--T", "abc"], ["--T", "1:5:0"], ["--T", ",,"], ["--T", "inf"],
+                ["--T", "nan"], ["--T", "1:5"], ["--T", "1:5:-2"], ["--T", "1:inf:3"],
+                ["--step", "nan"], ["--step", "inf"], ["--c", "nan"], ["--c", "inf"],
+                ["--seed", "-1"], ["--tau-schedule", "x"], ["--tau-schedule", "nan"],
+                ["--c-grid", ""], ["--kind", "flat_torus", "--basis", "a b; c d"],
+                ["--kind", "flat_torus", "--basis", "1 0; 0"],
+                ["--kind", "flat_torus", "--basis", "1 0; 0 nan"]]):
+            for task in ("count", "herglotz", "gromov"):
+                code = cli.main([task, "--n", "2", *extra,
+                                 "--out", str(tmp_path / f"t{i}{task}"), "--quiet"])
+                assert code == 2, (task, extra)
+
+    def test_interval_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["herglotz", "--interval", "-1,7", "--quiet"])
+        assert exc.value.code == 2
+        manifest = cli.build_manifest({"parameters.interval": "-1,7"},
+                                      task="herglotz_verify")
+        assert "interval" not in manifest.canonical_text()
+
+    def test_step_cap_refuses_before_allocating(self, tmp_path, monkeypatch):
+        linspace = np.linspace
+
+        def guarded(start, stop, num=50, **kwargs):
+            assert num <= 10**5, "allocated before the step cap was checked"
+            return linspace(start, stop, num, **kwargs)
+        monkeypatch.setattr(np, "linspace", guarded)
+        code = cli.main(["count", "--n", "3", "--T", "1e6",
+                         "--out", str(tmp_path / "s"), "--quiet"])
+        assert code == 2
+
+    def test_node_cap_refuses_before_leggauss(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the node cap was checked")
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        code = cli.main(["count", "--n", "3", "--quad-order", "100000000",
+                         "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
+        assert code == 2
 
     def test_missing_manifest_file(self, tmp_path):
         code = cli.main(["count", "--manifest", str(tmp_path / "nope.ini"),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -9,6 +10,7 @@ from scipy.optimize import brentq
 import geocount as gc
 from geocount.errors import (ConfigurationError, DomainError, InputError,
                              IntegrationFailureError)
+from geocount import flow
 from geocount.flow import DET_ZERO_REL, SIGMA_REFINE_TOL
 from geocount.herglotz import _golden_min
 
@@ -108,6 +110,82 @@ def _reference_zeros(js):
             js.dim, js.trajectory.step))
     return out
 
+
+# the warp catalog as it was written with math, one radius at a time: (w, w'')
+_MATH_WARPS = {
+    "identity": (lambda r: r, lambda r: 0.0),
+    "one_plus_r2": (lambda r: 1.0 + r * r, lambda r: 2.0),
+    "two_plus_cos": (lambda r: 2.0 + math.cos(r), lambda r: -math.cos(r)),
+    "cosh": (lambda r: math.cosh(r), lambda r: math.cosh(r)),
+    "sin": (lambda r: math.sin(r), lambda r: -math.sin(r)),
+}
+
+
+def _math_profile(name, r0):
+    """kappa(sigma) = -w''/w(r0 + sigma) from the math catalog, per element."""
+    w, d2 = _MATH_WARPS[name]
+
+    def profile(s):
+        s = np.asarray(s, dtype=float)
+        return np.array([-d2(r) / w(r) for r in (r0 + s).ravel()]).reshape(s.shape)
+    return profile
+
+
+def _matrix_wronskian(xi, dxi, h, dh):
+    """Max deviation of Xi'^T H - Xi^T H' from -Id, relative to term size,
+    on (m+1, k, k) arrays."""
+    a = np.einsum("sji,sjk->sik", dxi, h)
+    b = np.einsum("sji,sjk->sik", xi, dh)
+    eye = np.eye(xi.shape[1])
+    defect = np.max(np.abs(a - b + eye), axis=(1, 2))
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=(1, 2)),
+                                       np.max(np.abs(b), axis=(1, 2))))
+    return float(np.max(defect / scale))
+
+
+def _matrix_residual(sigma, kap, xi, h):
+    """Max normalized ||Y'' + kappa Y|| over Xi and H, on (m+1, k, k) arrays."""
+    if len(sigma) < 5:
+        return 0.0
+    hg = sigma[1] - sigma[0]
+    worst = 0.0
+    for Y in (xi, h):
+        d2 = (-Y[:-4] + 16 * Y[1:-3] - 30 * Y[2:-2] + 16 * Y[3:-1] - Y[4:]) / (12 * hg**2)
+        resid = d2 + kap[2:-2, None, None] * Y[2:-2]
+        scale = np.maximum(1.0, np.max(np.abs(Y[2:-2]), axis=(1, 2)))
+        worst = max(worst, float(np.max(np.max(np.abs(resid), axis=(1, 2)) / scale)))
+    return worst
+
+
+def _matrix_hermite(t, hcell, y0, dy0, y1, dy1):
+    h00 = 2 * t**3 - 3 * t**2 + 1
+    h10 = t**3 - 2 * t**2 + t
+    h01 = -2 * t**3 + 3 * t**2
+    h11 = t**3 - t**2
+    return h00 * y0 + h10 * hcell * dy0 + h01 * y1 + h11 * hcell * dy1
+
+
+def _matrix_eval_at(js, mats, sigma):
+    """Cubic Hermite dense output of the (m+1, k, k) arrays ``mats``."""
+    j = js._bracket(sigma)
+    hcell = js.sigma[j + 1] - js.sigma[j]
+    t = (sigma - js.sigma[j]) / hcell
+    kap0, kap1 = js.kappa[j], js.kappa[j + 1]
+    out = []
+    for Y, DY in ((mats[0], mats[1]), (mats[2], mats[3])):
+        out.append(_matrix_hermite(t, hcell, Y[j], DY[j], Y[j + 1], DY[j + 1]))
+        out.append(_matrix_hermite(t, hcell, DY[j], -kap0 * Y[j],
+                                   DY[j + 1], -kap1 * Y[j + 1]))
+    return out
+
+
+_SCALAR_COLUMN_SYSTEMS = [
+    gc.constant_curvature(1.0, 3),
+    gc.constant_curvature(-2.0, 3),
+    gc.warped_product("cosh", 3),
+    gc.warped_product("two_plus_cos", 3),
+    gc.flat_torus(np.eye(3)),
+]
 
 # (family, T, id): one member per manifold family, built for any dimension n
 _ZERO_CATALOG = [
@@ -322,6 +400,61 @@ class TestPropagateJacobi:
                    for a, e in zip(approx, exact)) < 1e-10
 
 
+class TestScalarColumns:
+    def test_system_stores_only_the_scalar_columns(self):
+        names = {f.name for f in dataclasses.fields(gc.JacobiSystem)}
+        assert "cols" in names
+        assert not names & {"xi", "dxi", "h", "dh", "det_xi", "det_h"}
+        _, js = _traj_and_system(gc.constant_curvature(1.0, 4), T=1.0, step=1e-2)
+        assert js.cols.shape == (len(js.sigma), 4)
+        for Y in (js.xi, js.dxi, js.h, js.dh):
+            assert Y.shape == (len(js.sigma), 3, 3)
+            with pytest.raises(ValueError):
+                Y[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("spec", _SCALAR_COLUMN_SYSTEMS, ids=lambda s: s.label)
+    def test_gates_and_dense_output_equal_matrix_formulas(self, spec):
+        _, js = _traj_and_system(spec, T=3.0)
+        mats = (js.xi, js.dxi, js.h, js.dh)
+        assert gc.wronskian_drift(js) == _matrix_wronskian(*mats)
+        assert gc.jacobi_residual(js) == _matrix_residual(js.sigma, js.kappa,
+                                                          js.xi, js.h)
+        rng = np.random.default_rng(5)
+        for s in np.concatenate([js.sigma[::250], rng.uniform(0.0, js.T, 40)]):
+            for got, want in zip(js.eval_at(float(s)), _matrix_eval_at(js, mats, float(s))):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("family", [
+        lambda n: gc.constant_curvature(1.0, n),
+        lambda n: gc.constant_curvature(-2.0, n),
+        lambda n: gc.warped_product("two_plus_cos", n),
+    ], ids=["c=1", "c=-2", "two_plus_cos"])
+    def test_determinants_are_powers_within_lu_roundoff(self, family, n):
+        _, js = _traj_and_system(family(n), T=3.0, step=1e-2)
+        eps = np.finfo(float).eps
+        for got, Y in ((js.det_xi, js.xi), (js.det_h, js.h)):
+            want = np.linalg.det(Y)
+            assert np.all(np.abs(got - want) <= 64 * eps * np.abs(want))
+
+    @pytest.mark.parametrize("name", sorted(_MATH_WARPS))
+    def test_warped_data_match_math_catalog(self, name):
+        T = 2.0 if name == "sin" else 4.0
+        spec = gc.warped_product(name, 3)
+        x = gc.canonical_point(spec)
+        traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), T, 1e-3)
+        js = gc.propagate_jacobi(spec, traj)
+        eps = np.finfo(float).eps
+        ref_profile = _math_profile(name, x[0])
+        kap = ref_profile(js.sigma)
+        assert np.all(np.abs(js.kappa - kap) <= 4 * eps * np.abs(kap))
+        _, ref = flow._fundamental_solutions(ref_profile, traj.sigma)
+        assert np.all(np.abs(js.cols - ref) <= 4e-16 * np.maximum(1.0, np.abs(ref)))
+        w = np.array([_MATH_WARPS[name][0](r) for r in traj.positions[:, 0]])
+        g = np.sum(traj.frames[:, 0, 1:] ** 2, axis=1) * w * w
+        assert np.all(np.abs(g - 1.0) <= 1e-14)
+
+
 class TestSingularSet:
     def test_sign_change_zeros_round_sphere(self):
         # n=2: det H = sin(sigma) changes sign at pi, 2pi
@@ -410,6 +543,29 @@ class TestScalarZeroFinder:
         with pytest.raises(IntegrationFailureError):
             gc.propagate_jacobi(spec, traj, step=h / nsub)
 
+    @pytest.mark.parametrize("grid,c", [(3.5, 1.0), (2.0, 4.0), (math.pi, 1.0)])
+    def test_short_grid_holding_two_zeros_per_cell_is_refused(self, grid, c):
+        # two or three cells are too few for the residual stencil, so only the
+        # Sturm guard (grid step * sqrt(max kappa) >= pi) sees the lost zeros
+        spec = gc.constant_curvature(c, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 2 * grid, grid)
+        with pytest.raises(IntegrationFailureError, match="Sturm"):
+            gc.propagate_jacobi(spec, traj, step=1e-3)
+
+    def test_short_grid_below_the_sturm_bound_keeps_every_zero(self):
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        grid = 0.99 * math.pi
+        traj = gc.integrate_geodesic(spec, x, theta, 2 * grid, grid)
+        js = gc.propagate_jacobi(spec, traj, step=1e-3)
+        # no zero is lost; the cubic Hermite interpolant of a cell this wide
+        # places each one only to about 1e-2 (measured: 3e-4 to 8e-3)
+        assert np.max(np.abs(js.h_zeros - [0.0, math.pi])) < 1e-2
+        assert np.max(np.abs(js.xi_zeros - [math.pi / 2, 1.5 * math.pi])) < 1e-2
+
     def test_coarse_grid_with_fine_substeps_is_refused(self):
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
@@ -417,6 +573,44 @@ class TestScalarZeroFinder:
         traj = gc.integrate_geodesic(spec, x, theta, 8.0, 0.2)
         with pytest.raises(IntegrationFailureError, match="residual"):
             gc.propagate_jacobi(spec, traj, step=1e-3)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the step cap was checked")
+
+
+class TestStepBudget:
+    def test_grid_refuses_non_finite_values(self):
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        for T, step in ((math.inf, 1e-2), (math.nan, 1e-2), (1.0, math.nan),
+                        (1.0, math.inf)):
+            with pytest.raises(InputError):
+                gc.integrate_geodesic(spec, x, theta, T, step)
+
+    @pytest.mark.parametrize("T,step", [(1e6, 1e-3), (1.0, 1e-300), (1e300, 1e-300)])
+    def test_grid_refuses_too_many_steps_before_allocating(self, monkeypatch, T, step):
+        monkeypatch.setattr(np, "linspace", _refuse)
+        with pytest.raises(InputError, match="cap"):
+            flow._grid(T, step)
+
+    def test_grid_at_the_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda a, b, num: num)
+        assert flow._grid(float(flow.MAX_RK4_STEPS), 1.0) == flow.MAX_RK4_STEPS + 1
+
+    def test_substeps_count_against_the_cap(self, monkeypatch):
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 1.0, 1e-2)
+        for step in (math.nan, math.inf, -1e-3):
+            with pytest.raises(InputError):
+                gc.propagate_jacobi(spec, traj, step=step)
+        monkeypatch.setattr(flow, "_fundamental_solutions", _refuse)
+        for step in (1e-9, 1e-320):
+            with pytest.raises(InputError, match="cap"):
+                gc.propagate_jacobi(spec, traj, step=step)
 
 
 class TestSerialization:

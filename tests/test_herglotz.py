@@ -330,6 +330,31 @@ class TestMinkowski:
                                          np.eye(2))
 
 
+    def test_stacks_equal_single_pairs(self):
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 3, 6):
+            m = rng.standard_normal((2, 40, k, k))
+            a1, a2 = m @ np.swapaxes(m, -1, -2)
+            margins = gc.minkowski_det_lower_bound(a1, a2)
+            assert margins.shape == (40,)
+            single = [gc.minkowski_det_lower_bound(p, q) for p, q in zip(a1, a2)]
+            assert all(isinstance(v, float) for v in single)
+            assert np.array_equal(margins, single)
+
+    def test_stack_validation_names_the_failing_side(self):
+        good = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        non_psd = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        asym = np.stack([np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)])
+        with pytest.raises(InputError, match="A2 not PSD"):
+            gc.minkowski_det_lower_bound(good, non_psd)
+        with pytest.raises(InputError, match="A1 not symmetric"):
+            gc.minkowski_det_lower_bound(asym, good)
+        with pytest.raises(InputError):
+            gc.minkowski_det_lower_bound(good, good[:1])
+        with pytest.raises(InputError):
+            gc.minkowski_det_lower_bound(np.ones((2, 3)), np.ones((2, 3)))
+
+
 class TestDetGrowthBound:
     def test_round_sphere_example(self):
         lhs, rhs, ok = gc.det_growth_bound(1.0, 2, 2.0)

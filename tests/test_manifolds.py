@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import geocount as gc
+from geocount import manifolds as mf
 from geocount.errors import (CatalogError, ConfigurationError, DomainError,
                              InputError)
 
@@ -101,13 +103,70 @@ class TestManifoldSpec:
             gc.flat_torus(np.eye(3)[:2])
         with pytest.raises(CatalogError):
             gc.warped_product("no_such_warp", 3)
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError):
+                gc.constant_curvature(c, 3)
+        with pytest.raises(InputError):
+            gc.flat_torus(np.array([[1.0, 0.0], [0.0, math.nan]]))
+
+    def test_sphere_of_huge_radius_has_infinite_volume(self):
+        # radius 1/sqrt(c) = 1e147: radius^3 is beyond the float range
+        assert gc.constant_curvature(1e-294, 3).volume == math.inf
+        assert gc.constant_curvature(1e-294, 2).volume < math.inf
+
+    def test_warp_catalog_is_numpy(self):
+        names = [f.name for f in dataclasses.fields(gc.WarpFunction)]
+        assert names == ["name", "value", "d2", "domain"]
+        r = np.linspace(0.1, 3.0, 7).reshape(7, 1)
+        for warp in mf.WARP_CATALOG.values():
+            assert np.shape(warp.value(r)) == r.shape
+            assert np.shape(-warp.d2(r) / warp.value(r)) == r.shape
+
+    def test_check_domain_names_the_first_bad_radius(self):
+        warp = gc.warp_by_name("sin")
+        warp.check_domain(np.array([0.5, 1.0, 3.0]))
+        with pytest.raises(DomainError, match="r=3.5 "):
+            warp.check_domain(np.array([0.5, 3.5, -1.0]))
+        with pytest.raises(DomainError, match="r=nan"):
+            warp.check_domain(math.nan)
 
     def test_warp_domain_enforced(self):
         warp = gc.warp_by_name("identity")
         with pytest.raises(DomainError):
-            warp(-1.0)
+            warp.check_domain(-1.0)
         with pytest.raises(DomainError):
             gc.warped_product("sin", 3, base_radius=4.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the node cap was checked")
+
+
+class TestQuadratureCap:
+    @pytest.mark.parametrize("n,order", [(3, 10**8), (3, 708), (4, 80)])
+    def test_product_gauss_refused_before_leggauss(self, monkeypatch, n, order):
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", _refuse)
+        with pytest.raises(InputError, match="cap"):
+            gc.unit_sphere_quadrature(n, "product_gauss", order)
+
+    def test_circle_and_monte_carlo_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "arange", _refuse)
+        monkeypatch.setattr(np.random, "default_rng", _refuse)
+        for scheme in ("product_gauss", "monte_carlo"):
+            with pytest.raises(InputError, match="cap"):
+                gc.unit_sphere_quadrature(2, scheme, mf.MAX_QUAD_NODES + 1)
+
+    def test_orders_just_under_the_cap_reach_leggauss(self, monkeypatch):
+        # 2 * 707^2 = 999698 and 2 * 79^3 = 986078 nodes
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", reached)
+        for n, order in ((3, 707), (4, 79)):
+            with pytest.raises(Reached):
+                gc.unit_sphere_quadrature(n, "product_gauss", order)
 
 
 class TestTangentFrames:
@@ -190,6 +249,16 @@ class TestCurvatureAlong:
         fiber_dir = gc.tangent_frame(spec, x)[1]
         with pytest.raises(ConfigurationError):
             gc.curvature_along(spec, (x, fiber_dir))
+
+    def test_radial_ray_checks_direction_and_domain(self):
+        spec = gc.warped_product("identity", 2)
+        x = gc.canonical_point(spec)  # base radius 1
+        with pytest.raises(ConfigurationError):
+            mf.radial_ray(spec, x, np.array([0.0, 0.0, 1.0]))
+        inward = mf.radial_ray(spec, x, np.array([-1.0, 0.0, 0.0]))
+        assert np.array_equal(inward(np.array([0.0, 0.5])), [1.0, 0.5])
+        with pytest.raises(DomainError, match="r=-0.5 "):
+            inward(np.array([0.5, 1.5, 2.5]))
 
     def test_warped_domain_error_in_profile(self):
         spec = gc.warped_product("identity", 2)
