@@ -35,6 +35,7 @@ import configparser
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -399,6 +400,28 @@ def _flags_to_raw(args: argparse.Namespace) -> dict:
     return raw
 
 
+# a dash-led number in plain or exponent notation: -1, -0.5, -1e-06, -2.5E+3
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Join a long flag and a negative number after it: '--c', '-1e-06'
+    becomes '--c=-1e-06'.
+
+    argparse reads a dash-led item as an option unless it looks like a
+    negative number without an exponent, so '--c -1e-06' would leave --c
+    without its value.
+    """
+    out = []
+    for item in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_NUMBER.fullmatch(item)):
+            out[-1] += "=" + item
+        else:
+            out.append(item)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="geocount",
@@ -414,7 +437,8 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
 
     try:
         raw = parse_manifest(args.manifest) if args.manifest else {}

@@ -229,35 +229,73 @@ def count_torus_lattice(basis, x, y, T: float) -> int:
 _ORACLE_PAIR_BUDGET = 2_000_000
 
 
-def _oracle_cells_per_axis(n):
-    """Sub-cells per axis of the unit coefficient cube: about 2^9 in all."""
-    return max(1, int(2 ** (9 / n)))
+def _oracle_cells_per_axis(basis):
+    """Sub-cells along each axis of the unit coefficient cube, about 2^9 in all.
+
+    Axis i gets m_i proportional to the row norm |b_i|, so that a sub-cell is
+    about as long along every edge: m_i = 2^((9 + sum_j log2(|b_i| / |b_j|)) / k)
+    over the k axes still free, rounded down.  An axis whose share falls
+    below one sub-cell gets one, and the other axes share 2^9 again.  Equal
+    row norms give the differences exactly 0, hence int(2^(9/n)) on every
+    axis: 22, 8 and 4 in 2, 3 and 4 dimensions.
+    """
+    logs = np.log2(np.linalg.norm(basis, axis=1))
+    free = np.ones(len(logs), dtype=bool)
+    while True:
+        spread = np.sum(logs[:, None] - logs[None, free], axis=1)
+        expo = (9.0 + spread) / np.count_nonzero(free)
+        low = free & (expo < 0.0)
+        if not low.any():
+            break
+        free &= ~low
+    return tuple(int(2.0 ** e) if f else 1 for e, f in zip(expo, free))
 
 
 def _oracle_cells(basis, vecs, T, reach, m):
-    """Classify the lattice vectors against each of the m^n sub-cells.
+    """Classify the lattice vectors against each of the prod(m) sub-cells.
 
-    A sub-cell of the coefficient cube is a parallelepiped whose points lie
-    within r (its largest centre-to-corner distance) of its centre c.  A
-    vector v with |c + v| <= T - r is within T of every target in the
-    sub-cell ("sure"), one with |c + v| > T + r of none; the rest form the
-    sub-cell's shell.  A slack of 1e-9 reach on both sides covers the
-    rounding of the targets and of the pairwise test.  Returns the sure
-    count of every sub-cell (in C order of its index tuple) and the shells
-    as indices into vecs: sub-cell i owns flat[starts[i]:starts[i] + lens[i]].
+    Sub-cell (i_1, ..., i_n) holds the targets with floor(u_k m_k) = i_k.  It
+    is a parallelepiped whose points lie within r (its largest
+    centre-to-corner distance) of its centre c.  A vector v with
+    |c + v| <= T - r is within T of every target in the sub-cell ("sure"),
+    one with |c + v| > T + r of none; the rest form the sub-cell's shell.  A
+    slack of 1e-9 reach on both radii covers the rounding of the targets and
+    of the pairwise test.
+
+    Each batch of sub-cells takes one matrix product: |c + v|^2 is computed
+    as |c|^2 + 2 c.v + |v|^2.  Each of |c|^2, c.v and |v|^2 is a sum of n
+    products and is off by at most about n u times the sum of their
+    magnitudes (u = 2^-53, the unit roundoff), n u (|c| + |v|)^2 for the
+    three together; the two additions add 2 u (|c| + |v|)^2 more.  Since
+    |c| <= diam <= reach and |v| <= reach, (|c| + |v|)^2 <= 4 reach^2, so
+    tol = 4 (n + 3) eps reach^2 (eps = 2 u) bounds the error twice over.  It
+    is taken off the sure radius^2 and added to the impossible radius^2.
+
+    Returns the sure count of every sub-cell (in C order of its index tuple)
+    and the shells as indices into vecs: sub-cell i owns
+    flat[starts[i]:starts[i] + lens[i]].
     """
     n = basis.shape[0]
-    corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
-    r = float(np.max(np.linalg.norm(corners @ basis, axis=1))) / m
-    inner, outer = T - r - 1e-9 * reach, T + r + 1e-9 * reach
-    centres = ((np.indices((m,) * n).reshape(n, -1).T + 0.5) / m) @ basis
+    m = np.asarray(m)
+    corners = (np.indices((2,) * n).reshape(n, -1).T - 0.5) / m
+    r = float(np.max(np.linalg.norm(corners @ basis, axis=1)))
+    centres = ((np.indices(tuple(m)).reshape(n, -1).T + 0.5) / m) @ basis
+    tol = 4.0 * (n + 3) * np.finfo(float).eps * reach * reach
+    inner = T - r - 1e-9 * reach
+    inner2 = inner * inner - tol if inner > 0.0 else -math.inf
+    outer2 = (T + r + 1e-9 * reach) ** 2 + tol
+    cc = np.sum(centres * centres, axis=1)
+    vv = np.sum(vecs * vecs, axis=1)
+    twice = 2.0 * vecs.T
     sure, lens, flat = [], [], []
     batch = max(1, _ORACLE_PAIR_BUDGET // len(vecs))
     for lo in range(0, len(centres), batch):
-        dist = np.linalg.norm(centres[lo:lo + batch, None, :] + vecs[None], axis=2)
-        sure.append(np.count_nonzero(dist <= inner, axis=1))
-        rows, cols = np.nonzero((dist > inner) & (dist <= outer))
-        lens.append(np.bincount(rows, minlength=len(dist)))
+        d2 = centres[lo:lo + batch] @ twice
+        d2 += cc[lo:lo + batch, None]
+        d2 += vv
+        sure.append(np.count_nonzero(d2 <= inner2, axis=1))
+        rows, cols = np.nonzero((d2 > inner2) & (d2 <= outer2))
+        lens.append(np.bincount(rows, minlength=len(d2)))
         flat.append(cols)
     lens = np.concatenate(lens)
     return np.concatenate(sure), np.cumsum(lens) - lens, lens, np.concatenate(flat)
@@ -285,9 +323,10 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     reach = T + diam
     vecs = _lattice_box(basis, reach, "torus_count_integral_oracle")
     vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
-    m = _oracle_cells_per_axis(n)
+    m = _oracle_cells_per_axis(basis)
     sure, starts, lens, flat = _oracle_cells(basis, vecs, T, reach, m)
 
+    cols = np.ascontiguousarray(vecs.T)
     total = 0
     chunk = max(1, _ORACLE_PAIR_BUDGET // len(vecs))
     done = 0
@@ -295,15 +334,21 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
         take = min(chunk, samples - done)
         u = rng.random((take, n))
         y = u @ basis
-        # floor(u*m) <= m - 1: for an integer m, the largest double below 1
-        # times m still rounds below m
-        cell = np.ravel_multi_index((u * m).astype(np.intp).T, (m,) * n)
+        # floor(u_k m_k) <= m_k - 1: for an integer m, the largest double
+        # below 1 times m still rounds below m
+        cell = np.ravel_multi_index((u * m).astype(np.intp).T, m)
         total += int(np.sum(sure[cell]))
-        # one row per (target, shell vector) pair, targets in order
+        # one entry per (target, shell vector) pair, targets in order
         cnt = lens[cell]
+        tgt = np.repeat(np.arange(take), cnt)
         first = np.cumsum(cnt) - cnt
-        vec = flat[np.repeat(starts[cell] - first, cnt) + np.arange(int(cnt.sum()))]
-        d2 = np.sum((np.repeat(y, cnt, axis=0) + vecs[vec]) ** 2, axis=1)
+        vec = flat[(starts[cell] - first)[tgt] + np.arange(len(tgt))]
+        # sum_k (y_k + v_k)^2 in coordinate order, the order np.sum(..., axis=1)
+        # adds a row of fewer than 8 entries; the box cap refuses n >= 8
+        # (every axis of the box then has at least 7 points)
+        d2 = (y.T[0][tgt] + cols[0][vec]) ** 2
+        for k in range(1, n):
+            d2 += (y.T[k][tgt] + cols[k][vec]) ** 2
         total += int(np.count_nonzero(d2 <= T * T))
         done += take
     vol = abs(float(np.linalg.det(basis)))

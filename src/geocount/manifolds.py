@@ -21,8 +21,16 @@ WARPED_PRODUCT = "warped_product"
 
 
 def sphere_surface_area(m: int) -> float:
-    """Surface measure of the unit m-sphere embedded in R^(m+1)."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
+    """Surface measure of the unit m-sphere embedded in R^(m+1).
+
+    Gamma((m+1)/2) overflows from m = 343 on; there the area (below 1e-200
+    by then) is taken through log Gamma instead.
+    """
+    h = (m + 1) / 2.0
+    try:
+        return 2.0 * math.pi**h / math.gamma(h)
+    except OverflowError:
+        return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +399,9 @@ def curvature_along(spec: ManifoldSpec, geodesic_initial) -> CurvatureFrameOpera
 
 # nodes of one direction quadrature; the defaults use at most 4096
 MAX_QUAD_NODES = 1_000_000
+# coordinates of one rule's nodes (80 MB); binds only for monte_carlo above
+# n = 10, where the node cap alone allows more
+MAX_QUAD_ENTRIES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -439,6 +450,11 @@ def unit_sphere_quadrature(
         raise InputError(
             f"manifolds.unit_sphere_quadrature: {scheme} of order {m} on S^{n - 1} "
             f"has {size} nodes, more than the cap of {MAX_QUAD_NODES}"
+        )
+    if size * n > MAX_QUAD_ENTRIES:
+        raise InputError(
+            f"manifolds.unit_sphere_quadrature: {scheme} of order {m} on S^{n - 1} "
+            f"has {size * n} node coordinates, more than the cap of {MAX_QUAD_ENTRIES}"
         )
     area = sphere_surface_area(n - 1)
 

@@ -168,6 +168,42 @@ class TestRunner:
                          "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", [343, 400])
+    def test_high_dimensional_sphere_counts(self, tmp_path, n):
+        # the area of S^n overflowed math.gamma from n = 343 on (exit 1)
+        code = cli.main(["count", "--n", str(n), "--out", str(tmp_path / "h"),
+                         "--quiet"])
+        assert code in (0, 2, 3)
+
+    def test_direction_coordinates_capped_before_drawing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the coordinate cap was checked")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        code = cli.main(["count", "--n", "400", "--quad-order", "100000",
+                         "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
+        assert code == 2
+
+    def test_negative_values_in_exponent_notation(self, tmp_path, capsys):
+        # a dash-led value in exponent notation used to read as an option
+        # ("expected one argument")
+        attached = ["count", "--n", "2", "--T", "1,2", "--quiet"]
+        assert cli.main(attached + ["--c=-1e-06", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(attached + ["--c", "-1e-06", "--out", str(tmp_path / "b")]) == 0
+        for name in ("curve.csv", "run.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+        assert cli.main(["count", "--n", "2", "--c", "-2.5E+3", "--T", "0.01,0.02",
+                         "--out", str(tmp_path / "c"), "--quiet"]) == 0
+        assert "c=-2500" in (tmp_path / "c" / "run.json").read_text()
+        capsys.readouterr()
+        for flag in ("--T", "--step"):
+            for value in ("-1e-06", "-2.5E+3"):
+                code = cli.main(["count", "--n", "2", flag, value,
+                                 "--out", str(tmp_path / "d"), "--quiet"])
+                err = capsys.readouterr().err
+                assert code == 2 and "validation error" in err, (flag, value)
+                assert "must be" in err and "expected one argument" not in err
+
     def test_missing_manifest_file(self, tmp_path):
         code = cli.main(["count", "--manifest", str(tmp_path / "nope.ini"),
                          "--quiet"])

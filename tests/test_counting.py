@@ -184,6 +184,16 @@ class TestTotals:
         rel = np.abs(totals[1:] - ref[1:]) / np.abs(ref[1:])
         assert float(np.max(rel)) <= 1e-13
 
+    def test_curve_equals_separate_totals_on_the_verify_basis(self):
+        # the torus battery reads T = 1, 2, 5 off one curve: its grids to
+        # T = 1 and 2 are prefixes of the grid to T = 5
+        spec = gc.flat_torus(_VERIFY_BASIS)
+        x = gc.canonical_point(spec)
+        quad = gc.unit_sphere_quadrature(3, "product_gauss", 16)
+        curve = gc.berger_bott_curve(spec, x, [1.0, 2.0, 5.0], quad, step=1e-3)
+        assert list(curve.values) == [gc.berger_bott_total(spec, x, T, quad, step=1e-3)
+                                      for T in (1.0, 2.0, 5.0)]
+
     def test_dimension_mismatch(self):
         spec, x, _ = _torus_setup(2)
         quad3 = gc.unit_sphere_quadrature(3, "product_gauss", 8)
@@ -336,19 +346,21 @@ class TestOraclePruning:
         # no lattice vector is within T of a whole sub-cell
         basis, T = np.eye(2), 0.03
         vecs = np.array([[i, j] for i in range(-3, 4) for j in range(-3, 4)], float)
-        m = gc.counting._oracle_cells_per_axis(2)
+        m = gc.counting._oracle_cells_per_axis(basis)
         sure, _, lens, _ = gc.counting._oracle_cells(basis, vecs, T, T + 2.0, m)
-        assert m == 22 and not np.any(sure) and np.sum(lens) > 0
+        assert m == (22, 22) and not np.any(sure) and np.sum(lens) > 0
         assert (gc.torus_count_integral_oracle(basis, T, 5000, seed=2)
                 == _pairwise_oracle_reference(basis, T, 5000, seed=2))
 
     def test_largest_coefficients_fall_in_the_last_sub_cell(self, monkeypatch):
         # the largest double below 1 times m rounds below m, for every m the
-        # oracle uses, so floor(u*m) never leaves the grid
+        # oracle can use (at most 2^9 sub-cells along one axis), so
+        # floor(u*m) never leaves the grid
         top = np.nextafter(1.0, 0.0)
-        for n in range(1, 10):
-            m = gc.counting._oracle_cells_per_axis(n)
+        for m in range(1, 2**9 + 1):
             assert int(top * m) == m - 1
+        for basis in (np.eye(3), _VERIFY_BASIS, np.diag([0.01, 0.01, 1.0])):
+            assert max(gc.counting._oracle_cells_per_axis(basis)) <= 2**9
         rows = np.array([[top, top], [top, 0.5], [0.0, top], [0.3, 0.7]])
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: _FixedStream(rows))
@@ -357,6 +369,51 @@ class TestOraclePruning:
             assert (gc.torus_count_integral_oracle(basis, T, len(rows))
                     == _pairwise_oracle_reference(basis, T, len(rows)))
 
+
+    def test_thin_basis_equals_pairwise_reference(self):
+        # 326 773 lattice vectors within reach, 172 sub-cells of 0.01 x 0.01
+        # x 1/172: the shell is thin although the box is large
+        basis = np.diag([0.01, 0.01, 1.0])
+        assert (gc.torus_count_integral_oracle(basis, 1.0, 50, seed=0)
+                == _pairwise_oracle_reference(basis, 1.0, 50, seed=0))
+
+    @pytest.mark.parametrize("basis,expected", [
+        (np.eye(2), (22, 22)),
+        (np.eye(3), (8, 8, 8)),
+        (np.eye(4), (4, 4, 4, 4)),
+        (1.1 * np.eye(3), (8, 8, 8)),
+        (_VERIFY_BASIS, (6, 6, 12)),
+        (np.diag([0.01, 0.01, 1.0]), (1, 1, 172)),
+        (np.diag([1e-3, 1.0, 1.0]), (1, 22, 22)),
+    ])
+    def test_sub_cells_per_axis(self, basis, expected):
+        assert gc.counting._oracle_cells_per_axis(basis) == expected
+
+    def test_sub_cells_per_axis_follow_the_row_norms(self):
+        # sub-cells are about round: every edge |b_i| / m_i is shorter than
+        # twice the shortest edge of an axis split more than once
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4):
+            for _ in range(50):
+                basis = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 1, (n, 1))
+                m = np.array(gc.counting._oracle_cells_per_axis(basis))
+                edges = np.linalg.norm(basis, axis=1) / m
+                split = m > 1
+                assert np.prod(m) <= 2**9 and np.any(split)
+                assert np.max(edges) < 2.0 * np.min(edges[split])
+
+    def test_round_sub_cells_shrink_the_shell(self):
+        # work counter in place of a time bound: the verify basis at T = 5
+        # builds fewer shell indices than the cubic 8 x 8 x 8 split did
+        basis, T = _VERIFY_BASIS, 5.0
+        reach = T + float(np.sum(np.linalg.norm(basis, axis=1)))
+        vecs = gc.counting._lattice_box(basis, reach, "test")
+        vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
+        _, _, cube_lens, _ = gc.counting._oracle_cells(basis, vecs, T, reach, (8, 8, 8))
+        m = gc.counting._oracle_cells_per_axis(basis)
+        _, _, lens, flat = gc.counting._oracle_cells(basis, vecs, T, reach, m)
+        assert np.sum(cube_lens) == 27_112
+        assert len(flat) == np.sum(lens) <= 27_112
 
     def test_targets_on_the_sure_and_impossible_radii(self, monkeypatch):
         # Sub-cell (0, 0) of the unit square has centre c = (1, 1)/44 and
@@ -399,6 +456,13 @@ class TestLatticeBoxGuard:
         self._forbid_meshgrid(monkeypatch)
         with pytest.raises(InputError, match="not finite"):
             gc.count_torus_lattice(np.eye(2), np.zeros(2), np.zeros(2), math.inf)
+
+    def test_eight_dimensions_are_refused(self, monkeypatch):
+        # every axis of the box has at least 7 points from n = 2 on, and
+        # 7^8 is above the cap: the oracle's shell sum runs for n <= 7 only
+        self._forbid_meshgrid(monkeypatch)
+        with pytest.raises(InputError, match="more than the cap"):
+            gc.torus_count_integral_oracle(np.eye(8), 1e-3, 10)
 
     def test_verify_exits_2(self, tmp_path, capsys):
         code = cli.main(["verify", "--kind", "flat_torus", "--n", "3",

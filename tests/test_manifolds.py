@@ -142,6 +142,22 @@ def _refuse(*args, **kwargs):
     raise AssertionError("allocated before the node cap was checked")
 
 
+class TestSphereSurfaceArea:
+    def test_below_the_gamma_overflow_unchanged(self):
+        for m in (1, 2, 3, 10, 100, 342):
+            h = (m + 1) / 2.0
+            assert gc.sphere_surface_area(m) == 2.0 * math.pi**h / math.gamma(h)
+
+    def test_large_spheres_through_log_gamma(self):
+        # math.gamma((m + 1) / 2) overflows from m = 343; the areas keep
+        # falling, by the factor 2 pi / (m - 1) of the recurrence
+        # |S^m| = 2 pi |S^(m-2)| / (m - 1)
+        for m in (343, 344, 400):
+            ratio = gc.sphere_surface_area(m) / gc.sphere_surface_area(m - 2)
+            assert abs(ratio - 2.0 * math.pi / (m - 1)) <= 1e-11 * ratio
+        assert gc.sphere_surface_area(2000) == 0.0
+
+
 class TestQuadratureCap:
     @pytest.mark.parametrize("n,order", [(3, 10**8), (3, 708), (4, 80)])
     def test_product_gauss_refused_before_leggauss(self, monkeypatch, n, order):
@@ -155,6 +171,13 @@ class TestQuadratureCap:
         for scheme in ("product_gauss", "monte_carlo"):
             with pytest.raises(InputError, match="cap"):
                 gc.unit_sphere_quadrature(2, scheme, mf.MAX_QUAD_NODES + 1)
+
+    def test_monte_carlo_coordinates_refused_before_drawing(self, monkeypatch):
+        # 10^5 directions in R^400 are under the node cap but hold 4e7
+        # coordinates
+        monkeypatch.setattr(np.random, "default_rng", _refuse)
+        with pytest.raises(InputError, match="node coordinates, more than the cap"):
+            gc.unit_sphere_quadrature(400, "monte_carlo", 10**5)
 
     def test_orders_just_under_the_cap_reach_leggauss(self, monkeypatch):
         # 2 * 707^2 = 999698 and 2 * 79^3 = 986078 nodes
