@@ -428,6 +428,9 @@ def main(argv=None) -> int:
         description="Geodesic counting, Jacobi propagation and Herglotz "
                     "verification pipelines on model manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags are built once and shared by every subparser
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(common)
     for name, help_text in (
             ("count", "counting curve over a list of cutoffs"),
             ("growth", "counting curve plus growth classification"),
@@ -435,8 +438,7 @@ def main(argv=None) -> int:
             ("verify", "identity and inequality suite for one manifold"),
             ("gromov", "Betti partial sums vs the counting integral"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
+        sub.add_parser(name, help=help_text, parents=[common])
     args = parser.parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
 

@@ -98,9 +98,10 @@ def _counting_cumulative(spec, x, T, quad, step):
     Both kinds with direction quadrature are homogeneous: the curvature
     profile is the constant kappa = spec.c along every geodesic, and
     H = eta * Id gives the integrand |det H| = |eta|^k.  The directions are
-    checked to be unit vectors in one array expression; eta is propagated
-    once with the shared scalar kernel, and the composite trapezoid of
-    |eta|^k enters the total with the sum of the quadrature weights.
+    checked to be unit vectors in one array expression; eta alone (xi is
+    not needed) is propagated once with flow's scalar RK4 kernel, and the
+    composite trapezoid of |eta|^k enters the total with the sum of the
+    quadrature weights.
     """
     if quad.n != spec.n:
         raise ConfigurationError(
@@ -124,8 +125,9 @@ def _counting_cumulative(spec, x, T, quad, step):
 
     grid = flow._grid(T, step)
     kap = float(spec.c)
-    _, sols = flow._fundamental_solutions(lambda s: np.full_like(s, kap), grid)
-    intg = np.abs(sols[:, 2]) ** spec.normal_dim
+    _, inputs = flow._rk4_inputs(lambda s: np.full_like(s, kap), grid, 1)
+    eta, _ = flow._rk4(inputs, 1, 0.0, 1.0)
+    intg = np.abs(np.array(eta)) ** spec.normal_dim
     cum = np.concatenate(
         ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
     if not np.all(np.isfinite(cum)):

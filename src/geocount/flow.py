@@ -4,8 +4,10 @@ Everything is sampled on a uniform arc-length grid.  On every model manifold
 the curvature operator along a geodesic is kappa(sigma) * Id in a parallel
 orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces to
 one scalar equation.  Its two fundamental solutions, xi with data (1, 0) and
-eta with data (0, 1), are propagated by one classical fixed-step RK4 kernel;
-the matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
+eta with data (0, 1), are propagated one at a time by one classical
+fixed-step RK4 loop over plain float lists (kappa sampled once for both, in
+one profile call); the counting integral runs the same loop for eta alone.
+The matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
 forms: great circles and their hyperbolic and flat analogues, straight lines
 on tori, radial rays in warped products.  Cubic Hermite dense output (exact
 to the integrator's order) supports evaluation between samples.  Since
@@ -193,6 +195,7 @@ def integrate_geodesic(spec, x, theta, T, step):
     m = len(sigma) - 1
     h = sigma[1] - sigma[0]
     k = spec.n - 1
+    mf.require_stack_size((m + 1, k, len(x)), "flow.integrate_geodesic")
 
     if spec.kind == mf.FLAT_TORUS:
         positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
@@ -258,6 +261,8 @@ class JacobiSystem:
         return self.spec.n - 1
 
     def _times_id(self, i: int) -> np.ndarray:
+        mf.require_stack_size((len(self.cols), self.dim, self.dim),
+                              "flow.JacobiSystem")
         out = self.cols[:, i, None, None] * np.eye(self.dim)
         out.setflags(write=False)
         return out
@@ -300,44 +305,64 @@ class JacobiSystem:
         return float(np.min(np.abs(self.singular_set - sigma)))
 
 
-def _rk4_step(y, dy, h, ka, km, kb):
-    """One classical RK4 step of y'' = -kappa y, given kappa at the step's
-    start, midpoint and end."""
-    k1y, k1d = dy, -ka * y
-    y2, d2 = y + 0.5 * h * k1y, dy + 0.5 * h * k1d
-    k2y, k2d = d2, -km * y2
-    y3, d3 = y + 0.5 * h * k2y, dy + 0.5 * h * k2d
-    k3y, k3d = d3, -km * y3
-    y4, d4 = y + h * k3y, dy + h * k3d
-    k4y, k4d = d4, -kb * y4
-    return (y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y),
-            dy + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
-
-
-def _fundamental_solutions(kprofile, sigma, nsub=1):
-    """RK4 for the scalar Jacobi equation y'' = -kappa(sigma) y on a grid.
-
-    Each grid cell is split into ``nsub`` equal substeps.  ``kprofile`` maps
-    an array of sigmas to the curvature profile and is called once, on the
-    start, midpoint and end of every substep plus the last grid point.
-    Returns kappa at the grid points and an (m+1, 4) array of rows
-    (xi, xi', eta, eta'): the solutions with data (1, 0) and (0, 1).
-    """
+def _rk4_inputs(kprofile, sigma, nsub):
+    """kappa at the grid points and the inputs of ``_rk4``: plain float lists
+    of the substep widths and of -kappa at every substep's start, midpoint
+    and end, from one ``kprofile`` call on those points and the last grid
+    point."""
     hsub = np.diff(sigma) / nsub
     starts = sigma[:-1, None] + np.arange(nsub) * hsub[:, None]
     nodes = np.stack([starts, starts + 0.5 * hsub[:, None],
                       starts + hsub[:, None]], axis=-1)
     kap = np.asarray(kprofile(np.append(nodes.ravel(), sigma[-1])), dtype=float)
-    cells = kap[:-1].reshape(nodes.shape)
-    kappa = np.append(cells[:, 0, 0], kap[-1])
-    xi, dxi, eta, deta = 1.0, 0.0, 0.0, 1.0
-    rows = [(xi, dxi, eta, deta)]
-    for h, cell in zip(hsub.tolist(), cells.tolist()):
-        for ka, km, kb in cell:
-            xi, dxi = _rk4_step(xi, dxi, h, ka, km, kb)
-            eta, deta = _rk4_step(eta, deta, h, ka, km, kb)
-        rows.append((xi, dxi, eta, deta))
-    return kappa, np.array(rows)
+    kappa = np.append(kap[:-1:3 * nsub], kap[-1])
+    hs = hsub.tolist()
+    steps = hs if nsub == 1 else [h for h in hs for _ in range(nsub)]
+    negk = -kap[:-1]
+    return kappa, (steps, negk[0::3].tolist(), negk[1::3].tolist(),
+                   negk[2::3].tolist())
+
+
+def _rk4(inputs, nsub, y, dy):
+    """Classical RK4 for one solution of y'' = -kappa y with data (y, dy);
+    returns lists of y and y' at the grid points (after every nsub-th step).
+    The stages are inlined; hoisting 0.5*h and h/6 and writing 2.0 for 2
+    keep every rounding of the textbook expressions."""
+    ys, dys = [y], [dy]
+    left = nsub
+    for h, na, nm, nb in zip(*inputs):
+        hh = 0.5 * h
+        k1 = na * y
+        y2 = y + hh * dy
+        d2 = dy + hh * k1
+        k2 = nm * y2
+        y3 = y + hh * d2
+        d3 = dy + hh * k2
+        k3 = nm * y3
+        y4 = y + h * d3
+        d4 = dy + h * k3
+        h6 = h / 6.0
+        y, dy = (y + h6 * (dy + 2.0 * d2 + 2.0 * d3 + d4),
+                 dy + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + nb * y4))
+        left -= 1
+        if not left:
+            ys.append(y)
+            dys.append(dy)
+            left = nsub
+    return ys, dys
+
+
+def _fundamental_solutions(kprofile, sigma, nsub=1):
+    """RK4 for the scalar Jacobi equation y'' = -kappa(sigma) y on a grid.
+
+    Each grid cell is split into ``nsub`` equal substeps; kappa is sampled
+    once for all of them by ``_rk4_inputs``, and ``_rk4`` propagates xi
+    (data (1, 0)) and then eta (data (0, 1)).  Returns kappa at the grid
+    points and an (m+1, 4) array of rows (xi, xi', eta, eta').
+    """
+    kappa, inputs = _rk4_inputs(kprofile, sigma, nsub)
+    return kappa, np.column_stack(_rk4(inputs, nsub, 1.0, 0.0)
+                                  + _rk4(inputs, nsub, 0.0, 1.0))
 
 
 def _hermite(t, hcell, y0, dy0, y1, dy1):

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import manifolds as mf
 from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
                      InputError, NumericalError, PoleError)
 
@@ -194,6 +195,8 @@ class HerglotzMatrix:
         scalar calls.
         """
         zetas = np.asarray(zetas, dtype=complex).reshape(-1)
+        mf.require_stack_size((len(zetas), self.dim, self.dim),
+                              "herglotz.HerglotzMatrix.many")
         if self.profile is None:
             out = np.empty((len(zetas), self.dim, self.dim), dtype=complex)
             for i, z in enumerate(zetas):

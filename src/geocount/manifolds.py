@@ -402,6 +402,20 @@ MAX_QUAD_NODES = 1_000_000
 # coordinates of one rule's nodes (80 MB); binds only for monte_carlo above
 # n = 10, where the node cap alone allows more
 MAX_QUAD_ENTRIES = 10_000_000
+# entries of one stack of matrices or frames, (samples, k, k) or (samples, k,
+# d): 80 MB of floats, 160 MB of complex values.  With the default grids it
+# binds from n = 26 for the herglotz scan (16 568 points) and from n = 45 for
+# verify (5 001 grid points)
+MAX_STACK_ENTRIES = 10_000_000
+
+
+def require_stack_size(shape: tuple, caller: str) -> None:
+    """Refuse a stack of more than MAX_STACK_ENTRIES entries before it is built."""
+    entries = math.prod(shape)
+    if entries > MAX_STACK_ENTRIES:
+        raise InputError(
+            f"{caller}: a stack of shape {shape} has {entries} entries, "
+            f"more than the cap of {MAX_STACK_ENTRIES}; use a smaller n")
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,27 @@ class TestRunner:
                          "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("task,shape", [
+        ("herglotz", "(100, 399, 399)"), ("verify", "(5001, 399, 401)")])
+    def test_matrix_stacks_capped_before_allocating(self, tmp_path, task, shape):
+        # herglotz --n 400 asked for 39 GiB (exit 1) and verify --n 400 grew
+        # until it was killed; under a 1 GiB address-space limit a regression
+        # fails with MemoryError instead of taking the machine's memory
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from geocount import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, task, "--n", "400", "--quiet",
+             "--out", str(tmp_path / task)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert f"a stack of shape {shape}" in proc.stderr
+
     def test_negative_values_in_exponent_notation(self, tmp_path, capsys):
         # a dash-led value in exponent notation used to read as an option
         # ("expected one argument")

@@ -184,6 +184,21 @@ class TestTotals:
         rel = np.abs(totals[1:] - ref[1:]) / np.abs(ref[1:])
         assert float(np.max(rel)) <= 1e-13
 
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("c", [1.0, -1.0, 0.0, 4.0])
+    def test_eta_alone_equals_both_solution_kernel(self, c, step):
+        # the counting loop propagates eta only; T = 2.345 is no multiple of step
+        spec = gc.constant_curvature(c, 3)
+        x = gc.canonical_point(spec)
+        quad = gc.unit_sphere_quadrature(3, "product_gauss", 4)
+        grid, totals = gc.counting._counting_cumulative(spec, x, 2.345, quad, step)
+        _, cols = gc.flow._fundamental_solutions(lambda s: np.full_like(s, c), grid)
+        intg = np.abs(cols[:, 2]) ** 2
+        cum = np.concatenate(
+            ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
+        assert np.array_equal(grid, gc.flow._grid(2.345, step))
+        assert np.array_equal(totals, np.sum(quad.weights) * cum)
+
     def test_curve_equals_separate_totals_on_the_verify_basis(self):
         # the torus battery reads T = 1, 2, 5 off one curve: its grids to
         # T = 1 and 2 are prefixes of the grid to T = 5

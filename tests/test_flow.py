@@ -376,6 +376,41 @@ class TestPropagateJacobi:
             assert np.array_equal(got, want)
         assert np.array_equal(js.kappa, js.kop.profile(js.sigma))
 
+    @pytest.mark.parametrize("nsub", [2, 7])
+    @pytest.mark.parametrize("spec", [
+        gc.constant_curvature(1.0, 3),
+        gc.constant_curvature(-2.0, 4),
+        gc.warped_product("two_plus_cos", 2),
+    ], ids=lambda s: s.label)
+    def test_substeps_equal_matrix_reference_on_a_short_grid(self, spec, nsub):
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 0.5, 1e-2)
+        js = gc.propagate_jacobi(spec, traj, step=traj.step / nsub)
+        ref = _matrix_reference(spec, traj, nsub)
+        for got, want in zip((js.xi, js.dxi, js.h, js.dh), ref):
+            assert np.array_equal(got, want)
+
+    def test_many_substeps_keep_one_row_per_grid_cell(self):
+        # two grid cells of 200 substeps each, on a varying profile
+        spec = gc.warped_product("two_plus_cos", 3)
+        x = gc.canonical_point(spec)
+        traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), 0.2, 0.1)
+        kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
+        kappa, cols = flow._fundamental_solutions(kprofile, traj.sigma, nsub=200)
+        assert cols.shape == (3, 4) and cols.flags.c_contiguous
+        assert np.array_equal(kappa, kprofile(traj.sigma))
+        ref = np.stack([Y[:, 0, 0] for Y in _matrix_reference(spec, traj, 200)], axis=1)
+        assert cols.tobytes() == ref.tobytes()
+
+    def test_matrix_expansions_capped_before_allocating(self, monkeypatch):
+        _, js = _traj_and_system(gc.constant_curvature(1.0, 3), T=1.0, step=1e-2)
+        monkeypatch.setattr(gc.manifolds, "MAX_STACK_ENTRIES", 4 * len(js.sigma) - 1)
+        for name in ("xi", "dxi", "h", "dh"):
+            with pytest.raises(InputError, match=r"\(101, 2, 2\)"):
+                getattr(js, name)
+        assert js.det_h.shape == (101,)
+
     def test_substep_integration(self):
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)

@@ -261,6 +261,22 @@ class TestArrayEvaluator:
         with pytest.raises(InputError, match="off the real axis"):
             Fh.many([0.3, 0.5 + 0.1j])
 
+    def test_stack_capped_before_allocating(self, monkeypatch):
+        # herglotz --n 400 asked numpy for a (16568, 399, 399) complex stack
+        Fh = gc.HerglotzMatrix.from_constant_curvature(1.0, 72)
+        Js = gc.HerglotzMatrix.from_jacobi(_warped_system(T=1.0))
+        zetas = np.full(2_000, 0.5 + 0.5j)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the stack cap was checked")
+        monkeypatch.setattr(np, "eye", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(InputError, match=re.escape("(2000, 71, 71)")):
+            Fh.many(zetas)
+        monkeypatch.setattr(gc.manifolds, "MAX_STACK_ENTRIES", 39)
+        with pytest.raises(InputError, match=re.escape("(10, 2, 2)")):
+            Js.many(zetas.real[:10])
+
     def test_empty_array(self):
         Fh = gc.HerglotzMatrix.from_constant_curvature(1.0, 4)
         assert Fh.many([]).shape == (0, 3, 3)
