@@ -34,6 +34,21 @@ def _write(tmp_path, text, name="manifest.ini"):
     return path
 
 
+def _main_under_1gib(argv):
+    """Run the CLI in a child process under a 1 GiB address-space limit, so a
+    regression fails with MemoryError instead of taking the machine's memory."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from geocount import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 class TestManifestParsing:
     def test_range_and_list_values(self):
         assert np.allclose(cli._parse_values("1:30:30"), np.linspace(1, 30, 30))
@@ -187,22 +202,21 @@ class TestRunner:
         ("herglotz", "(100, 399, 399)"), ("verify", "(5001, 399, 401)")])
     def test_matrix_stacks_capped_before_allocating(self, tmp_path, task, shape):
         # herglotz --n 400 asked for 39 GiB (exit 1) and verify --n 400 grew
-        # until it was killed; under a 1 GiB address-space limit a regression
-        # fails with MemoryError instead of taking the machine's memory
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                "from geocount import cli\n"
-                "sys.exit(cli.main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, task, "--n", "400", "--quiet",
-             "--out", str(tmp_path / task)],
-            env=env, capture_output=True, text=True, timeout=300)
+        # until it was killed
+        proc = _main_under_1gib([task, "--n", "400", "--quiet",
+                                 "--out", str(tmp_path / task)])
         assert proc.returncode == 2, proc.stderr
         assert f"a stack of shape {shape}" in proc.stderr
+
+    def test_stieltjes_scan_capped_before_its_grid(self, tmp_path):
+        # the scan evaluates no (m, k, k) stack, so stieltjes_invert checks
+        # the size that stack would have before it builds the scan grid
+        proc = _main_under_1gib(["herglotz", "--c", "1", "--n", "3",
+                                 "--tau-schedule", "0.1,0.01,1e-6", "--quiet",
+                                 "--out", str(tmp_path / "h")])
+        assert proc.returncode == 2, proc.stderr
+        assert ("herglotz.stieltjes_invert: a stack of shape (16566372, 2, 2)"
+                in proc.stderr)
 
     def test_negative_values_in_exponent_notation(self, tmp_path, capsys):
         # a dash-led value in exponent notation used to read as an option

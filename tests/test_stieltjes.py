@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geocount as gc
+from geocount import herglotz
 from geocount.errors import InputError, NumericalError
 from geocount.herglotz import HerglotzMatrix
 
@@ -96,6 +97,59 @@ class TestArrayFallback:
         assert np.array_equal(fast.A, slow.A)
         assert abs(fast.continuous_mass - slow.continuous_mass) \
             <= 1e-13 * abs(slow.continuous_mass)
+
+
+def _bitwise_equal(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestScalarClosedFormPath:
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_trace_and_window_mass_equal_the_stacked_path(self, k):
+        # Im phi broadcast over k columns must give the stacked (m, k, k)
+        # path's trace and window mass bit for bit, signs of zeros included
+        for c in (1.0, 0.0):
+            Gh = HerglotzMatrix.from_constant_curvature(c, k + 1).neg_inverse_function()
+            stacked = dataclasses.replace(Gh, profile=None)
+            sigmas = np.linspace(-1.0, 7.0, 41)
+            for tau in (1e-4, 1e-3, 1e-2):
+                assert _bitwise_equal(herglotz._trace_im(Gh, sigmas, tau),
+                                      herglotz._trace_im(stacked, sigmas, tau))
+                for t in (0.0, 0.7):
+                    # 20 tau keeps the window at 241 points
+                    assert _bitwise_equal(
+                        herglotz._window_mass(Gh, t, 20 * tau, tau),
+                        herglotz._window_mass(stacked, t, 20 * tau, tau))
+
+    def test_scan_skips_most_of_the_sphere_grid(self, monkeypatch):
+        # work counter in place of a wall-time bound: the certified coarse
+        # pass leaves the tau = 1e-4 scan of the sphere (165 665 grid points)
+        # at most a twentieth of them to evaluate, coarse pass included
+        Gh = HerglotzMatrix.from_constant_curvature(1.0, 3).neg_inverse_function()
+        scan = {"on": False, "grid": 0, "evals": 0}
+
+        def counting(zetas, inner=Gh.profile):
+            if scan["on"]:
+                scan["evals"] += len(zetas)
+            return inner(zetas)
+
+        def counted_scan(Fh, grid, tau, threshold, inner=herglotz._scan_peaks):
+            scan.update(on=True, grid=len(grid))
+            try:
+                return inner(Fh, grid, tau, threshold)
+            finally:
+                scan["on"] = False
+
+        monkeypatch.setattr(herglotz, "_scan_peaks", counted_scan)
+        fd = gc.stieltjes_invert(dataclasses.replace(Gh, profile=counting),
+                                 (-1.0, 2 * math.pi + 1.0),
+                                 (1e-1, 1e-2, 1e-3, 1e-4))
+        assert scan["grid"] == 165_665
+        assert 0 < scan["evals"] <= scan["grid"] / 20
+        ref = gc.stieltjes_invert(Gh, (-1.0, 2 * math.pi + 1.0),
+                                  (1e-1, 1e-2, 1e-3, 1e-4))
+        assert fd.to_dict() == ref.to_dict()
+        assert [round(t, 4) for t in fd.locations] == [0.0, 3.1416, 6.2832]
 
 
 class TestFatouData:
