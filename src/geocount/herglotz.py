@@ -600,7 +600,7 @@ def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
     points stand at -inf, below every point above the threshold, as their
     values are, so the local-maximum test is that of the full grid.  Below
     POLE_MARGIN no block is skipped, so every grid point meets the pole
-    guard.
+    guard, even beside an atom too light to keep its block.
     """
     npts = len(grid)
     h = (grid[-1] - grid[0]) / (npts - 1)
@@ -608,7 +608,8 @@ def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
     tau_c = max(w, tau)
     nblocks = -(-npts // SCAN_BLOCK)
     centres = grid[0] + (SCAN_BLOCK * np.arange(nblocks) + 0.5 * (SCAN_BLOCK - 1)) * h
-    skip = (6.0 * tau_c * _trace_im(Fh, centres, tau_c) < threshold) & (tau >= POLE_MARGIN)
+    skip = ((6.0 * tau_c * _trace_im(Fh, centres, tau_c) < threshold)
+            & (tau >= POLE_MARGIN))
     kept = ~np.repeat(skip, SCAN_BLOCK)[:npts]
     trace = np.full(npts, -np.inf)
     trace[kept] = _trace_im(Fh, grid[kept], tau)

@@ -7,7 +7,7 @@ import pytest
 
 import geocount as gc
 from geocount import herglotz
-from geocount.errors import InputError, NumericalError
+from geocount.errors import InputError, NumericalError, PoleError
 from geocount.herglotz import HerglotzMatrix
 
 
@@ -103,7 +103,7 @@ def _bitwise_equal(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
-class TestScalarClosedFormPath:
+class TestScalarPathAndCoarsePass:
     @pytest.mark.parametrize("k", range(1, 15))
     def test_trace_and_window_mass_equal_the_stacked_path(self, k):
         # Im phi broadcast over k columns must give the stacked (m, k, k)
@@ -150,6 +150,19 @@ class TestScalarClosedFormPath:
                                   (1e-1, 1e-2, 1e-3, 1e-4))
         assert fd.to_dict() == ref.to_dict()
         assert [round(t, 4) for t in fd.locations] == [0.0, 3.1416, 6.2832]
+
+    def test_scan_below_pole_margin_meets_every_pole_guard(self):
+        # -eps/z is Herglotz with an atom of mass pi*eps at 0, too light for
+        # its block to be kept; below POLE_MARGIN the scan still evaluates
+        # every grid point, so the guard raises where the full scan did
+        eps = 1e-3
+        Fh = HerglotzMatrix(evaluator=lambda z: np.array([[-eps / z]]), dim=1,
+                            source="closed_form", pole_set=np.array([0.0]),
+                            pole_distance=abs)
+        grid = np.linspace(-1e-6, 1e-6, 801)
+        with pytest.raises(PoleError):
+            herglotz._scan_peaks(Fh, grid, 5e-9, 0.1)
+        assert len(herglotz._scan_peaks(Fh, grid, 1e-7, 0.1)) == 0
 
 
 class TestFatouData:
