@@ -75,6 +75,9 @@ def _parse_values(text: str) -> np.ndarray:
         if not 1 <= count <= MAX_T_VALUES:
             raise InputError(f"cli.parse_manifest: parameter T='{text}' needs a "
                              f"count between 1 and {MAX_T_VALUES}")
+        if not math.isfinite(stop - start):  # before linspace computes that span
+            raise InputError(f"cli.parse_manifest: parameter T='{text}' needs a "
+                             "finite start and stop")
         return np.linspace(start, stop, count)
     return np.array([float(v) for v in text.split(",") if v.strip()])
 

@@ -373,7 +373,7 @@ def classify_growth(curve: CountingCurve, holdout_fraction: float = 0.25) -> Gro
         raise InputError(
             f"counting.classify_growth: need >= 8 samples, got {len(T)}")
     pos = T > 0
-    if not np.any(pos) or np.max(T[pos]) / np.min(T[pos]) < 10.0:
+    if not np.any(pos) or np.max(T[pos]) / 10.0 < np.min(T[pos]):  # no overflow
         raise InputError(
             "counting.classify_growth: samples must span at least one decade in T")
     start = min(len(T) // 2, max(0, len(T) - 6))  # upper half, >= 6 points

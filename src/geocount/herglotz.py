@@ -10,6 +10,7 @@ constant curvature; for general metrics only real-axis identities are
 checked, since the complex extension is exactly the entire-tube hypothesis.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -83,6 +84,20 @@ def _g_profile(c: float, zeta: np.ndarray) -> np.ndarray:
     if c > 0:
         return _saturating(u, u.imag, lambda v: -s * np.cos(v) / np.sin(v), 1j * s)
     return _saturating(u, u.real, lambda v: -s * np.cosh(v) / np.sinh(v), -s)
+
+
+def _g_primitive(c: float, zeta: complex) -> complex:
+    """A primitive Phi of the scalar -1/f (Phi' = phi), continuous along
+    every line Im zeta = tau > 0; c >= 0 only.
+
+    For c > 0 it is -log sin(s zeta) up to a constant, written as
+    i s zeta - log(1 - e^{2 i s zeta}): |e^{2 i s zeta}| < 1 above the real
+    axis, so the principal log never meets its cut.  For c = 0 it is -log zeta.
+    """
+    if c == 0:
+        return -cmath.log(zeta)
+    s = math.sqrt(c)
+    return 1j * s * zeta - cmath.log(1.0 - cmath.exp(2j * s * zeta))
 
 
 def _g_prime_scalar(c: float, sigma: float) -> float:
@@ -161,7 +176,10 @@ class HerglotzMatrix:
     Sources backed by real-axis Jacobi data refuse complex arguments.
     Closed forms also carry ``profile``, the scalar phi with F = phi * Id
     over an array of zeta, and a ``pole_distance`` that takes arrays, so
-    ``many`` and the Stieltjes scan evaluate a whole array at once.
+    ``many`` and the Stieltjes scan evaluate a whole array at once.  A
+    closed form whose poles all lie on the real axis may also carry
+    ``primitive``, a scalar Phi with Phi' = phi, continuous along every line
+    Im zeta = tau > 0; window masses then take two evaluations of it.
     """
 
     evaluator: Callable[[complex], np.ndarray]
@@ -173,6 +191,7 @@ class HerglotzMatrix:
     real_axis_only: bool = False
     curvature: float | None = None
     profile: Callable[[np.ndarray], np.ndarray] | None = None
+    primitive: Callable[[complex], complex] | None = None
 
     def _guard(self, zeta: complex, dist: float) -> None:
         if self.real_axis_only and zeta.imag != 0.0:
@@ -219,13 +238,14 @@ class HerglotzMatrix:
         return self.profile(zetas)
 
     @classmethod
-    def _closed_form(cls, profile, pole_distance, dim, poles, window, c):
+    def _closed_form(cls, profile, pole_distance, dim, poles, window, c,
+                     primitive=None):
         eye = np.eye(dim, dtype=complex)
         return cls(
             evaluator=lambda z: profile(np.array([z]))[0] * eye,
             dim=dim, source="closed_form", pole_set=poles,
             pole_distance=pole_distance, window=tuple(window),
-            curvature=float(c), profile=profile)
+            curvature=float(c), profile=profile, primitive=primitive)
 
     @classmethod
     def from_constant_curvature(cls, c: float, n: int, window=(-12.0, 12.0)):
@@ -253,7 +273,12 @@ class HerglotzMatrix:
             pole_distance=dist, window=(0.0, js.T), real_axis_only=True)
 
     def neg_inverse_function(self) -> "HerglotzMatrix":
-        """The G = -f^{-1} evaluator, with its own pole bookkeeping."""
+        """The G = -f^{-1} evaluator, with its own pole bookkeeping.
+
+        For c >= 0 the closed form also carries its primitive; c < 0, not
+        Herglotz and never inverted, has poles off the real axis and no
+        primitive.
+        """
         if self.source == "closed_form" and self.curvature is not None:
             c = self.curvature
             if c > 0:
@@ -262,9 +287,10 @@ class HerglotzMatrix:
             else:
                 poles = np.array([0.0]) if self.window[0] <= 0 <= self.window[1] \
                     else np.array([])
+            primitive = functools.partial(_g_primitive, c) if c >= 0 else None
             return HerglotzMatrix._closed_form(
                 functools.partial(_g_profile, c), functools.partial(g_pole_distance, c),
-                self.dim, poles, self.window, c)
+                self.dim, poles, self.window, c, primitive)
         inner = self
         return HerglotzMatrix(
             evaluator=lambda z: neg_inverse(inner(z)),
@@ -576,16 +602,24 @@ def _trace_im(Fh, sigmas, tau) -> np.ndarray:
 def _window_mass(Fh, t, delta, tau):
     """Matrix integral of Im F(sigma + i tau) over (t-delta, t+delta).
 
-    A closed form integrates k broadcast copies of Im phi, so numpy reduces
-    along the outer axis in the stacked path's sequential order.
+    With a primitive Phi the integral is exact, Im[Phi(t+delta+i tau) -
+    Phi(t-delta+i tau)] * Id, once the segment is found to pass no closer
+    than POLE_MARGIN to a pole (those of an evaluator with a primitive lie
+    on the real axis).  Other evaluators integrate their stacked values by
+    the trapezoid rule, spacing tau/6, 61 to 40 001 points.
     """
-    npts = int(max(61, min(40001, 2 * delta / (tau / 6.0) + 1)))
-    grid = np.linspace(t - delta, t + delta, npts)
-    zetas = grid + 1j * tau
-    if Fh.profile is None:
-        return np.trapezoid(np.imag(Fh.many(zetas)), grid, axis=0)
-    im = np.broadcast_to(np.imag(Fh._phi(zetas))[:, None], (npts, Fh.dim))
-    return np.diag(np.trapezoid(im, grid, axis=0))
+    if Fh.primitive is None:
+        npts = int(max(61, min(40001, 2 * delta / (tau / 6.0) + 1)))
+        grid = np.linspace(t - delta, t + delta, npts)
+        return np.trapezoid(np.imag(Fh.many(grid + 1j * tau)), grid, axis=0)
+    gap = max(0.0, float(Fh.pole_distance(complex(t))) - delta)
+    if math.hypot(gap, tau) < POLE_MARGIN:
+        raise PoleError(
+            f"herglotz._window_mass: the segment ({t - delta}, {t + delta}) + "
+            f"{tau}i passes within {POLE_MARGIN} of a pole")
+    primitive = Fh.primitive
+    return (primitive(complex(t + delta, tau))
+            - primitive(complex(t - delta, tau))).imag * np.eye(Fh.dim)
 
 
 SCAN_BLOCK = 48
@@ -625,10 +659,14 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     The constant part A comes from the large-argument limit of
     Im F(i tau)/tau, extrapolated quadratically in 1/tau.  Atoms are the
     local maxima of trace Im F(sigma + i tau) above atom_threshold/tau at the
-    smallest tau, refined by golden-section search; each mass is the window
-    integral of Im F extrapolated linearly in tau (the Poisson smoothing
-    error at an isolated atom is O(tau)).  Disagreement above 5% between
-    successive extrapolants raises ConvergenceError.
+    smallest tau, refined by golden-section search.  Each mass is the
+    window integral of Im F at every usable tau, extrapolated linearly in
+    tau: the window holds the Poisson-smoothed measure, whose deficit at an
+    isolated atom (the mass smoothed past the window's edges) is O(tau), and
+    the extrapolation removes it.  A closed form with a primitive gives each
+    window integral exactly, from two evaluations (``_window_mass``); other
+    evaluators integrate by the trapezoid rule.  Disagreement above 5%
+    between successive extrapolants raises ConvergenceError.
 
     F must be Herglotz: the atom scan skips most of its grid on that
     ground.  Then u(sigma, tau) = trace Im F(sigma + i tau) is a tau plus
@@ -643,17 +681,17 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     coarse evaluations against the fine ones in the kept blocks, which grow
     with it, and the scans of the CLI's ``herglotz`` task cost the same from
     24 to 64 points, so it is a constant, not an option.  Closed
-    forms are evaluated through their scalar profile, bit for bit as the
+    forms are scanned through their scalar profile, bit for bit as the
     stacked (m, k, k) path that other evaluators take.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise InputError(f"herglotz.stieltjes_invert: empty interval ({a}, {b})")
     taus = tuple(float(t) for t in tau_schedule)
-    if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])) or taus[-1] > 1e-3:
+    if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])) or not 0 < taus[-1] <= 1e-3:
         raise InputError(
             "herglotz.stieltjes_invert: tau_schedule must decrease strictly "
-            "to <= 1e-3")
+            "to a tau in (0, 1e-3]")
     if len(taus) < 3:
         raise InputError("herglotz.stieltjes_invert: need >= 3 tau values")
     for endpoint in (a, b):
@@ -680,7 +718,9 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     tau_min = taus[-1]
     h_scan = min(tau_min / 2.0, (b - a) / 2000.0)
     npts = int(math.ceil((b - a) / h_scan)) + 1
-    mf.require_stack_size((npts, k, k), "herglotz.stieltjes_invert")
+    mf.require_stack_size((npts, k, k), "herglotz.stieltjes_invert",
+                          f"use a smallest tau above {tau_min:g}"
+                          if npts > mf.MAX_STACK_ENTRIES else "use a smaller n")
     grid = np.linspace(a, b, npts)
     locations = []
     for j in _scan_peaks(Fh, grid, tau_min, atom_threshold):

@@ -409,13 +409,15 @@ MAX_QUAD_ENTRIES = 10_000_000
 MAX_STACK_ENTRIES = 10_000_000
 
 
-def require_stack_size(shape: tuple, caller: str) -> None:
-    """Refuse a stack of more than MAX_STACK_ENTRIES entries before it is built."""
+def require_stack_size(shape: tuple, caller: str,
+                       remedy: str = "use a smaller n") -> None:
+    """Refuse a stack of more than MAX_STACK_ENTRIES entries before it is
+    built; ``remedy`` ends the message."""
     entries = math.prod(shape)
     if entries > MAX_STACK_ENTRIES:
         raise InputError(
             f"{caller}: a stack of shape {shape} has {entries} entries, "
-            f"more than the cap of {MAX_STACK_ENTRIES}; use a smaller n")
+            f"more than the cap of {MAX_STACK_ENTRIES}; {remedy}")
 
 
 @dataclass(frozen=True)

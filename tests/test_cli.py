@@ -156,6 +156,13 @@ class TestRunner:
                                  "--out", str(tmp_path / f"t{i}{task}"), "--quiet"])
                 assert code == 2, (task, extra)
 
+    def test_range_with_infinite_end_refused_before_linspace(self, tmp_path, capsys):
+        for text in ("1:inf:3", "-1e308:1e308:3", "nan:1:3"):
+            code = cli.main(["count", "--n", "2", f"--T={text}",
+                             "--out", str(tmp_path / "r"), "--quiet"])
+            assert code == 2
+            assert "needs a finite start and stop" in capsys.readouterr().err
+
     def test_interval_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["herglotz", "--interval", "-1,7", "--quiet"])
@@ -217,6 +224,9 @@ class TestRunner:
         assert proc.returncode == 2, proc.stderr
         assert ("herglotz.stieltjes_invert: a stack of shape (16566372, 2, 2)"
                 in proc.stderr)
+        # no n fits 16 566 372 scan points under the cap: the remedy is tau
+        assert "use a smallest tau above 1e-06" in proc.stderr
+        assert "smaller n" not in proc.stderr
 
     def test_negative_values_in_exponent_notation(self, tmp_path, capsys):
         # a dash-led value in exponent notation used to read as an option

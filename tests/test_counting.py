@@ -520,6 +520,16 @@ class TestClassifyGrowth:
             gc.CountingCurve(T, scale * T**3, "m", "oracle"))
         assert (base.kind, base.degree) == (scaled.kind, scaled.degree)
 
+    def test_subnormal_cutoff_spans_its_decades_without_overflow(self):
+        # max T / min T overflows for a subnormal min T; RuntimeWarnings are
+        # errors under the test configuration
+        T = np.concatenate([[5e-324], np.arange(1.0, 12.0)])
+        report = gc.classify_growth(gc.CountingCurve(T, T**2, "m", "oracle"))
+        assert report.kind == "polynomial" and report.degree == 2
+        with pytest.raises(InputError):
+            gc.classify_growth(gc.CountingCurve(
+                np.linspace(1.0, 9.0, 12) * 1e307, np.arange(1.0, 13.0), "m", "oracle"))
+
     def test_preconditions(self):
         with pytest.raises(InputError):
             gc.classify_growth(gc.CountingCurve(

@@ -67,6 +67,9 @@ class TestMeasureRecovery:
                                 tau_schedule=(1e-1, 1e-1, 1e-3))
         with pytest.raises(InputError):
             gc.stieltjes_invert(Gh, (1.0, -1.0))
+        for last in (0.0, -1e-3, math.nan):  # the primitive needs tau > 0
+            with pytest.raises(InputError):
+                gc.stieltjes_invert(Gh, (-1.0, 1.0), tau_schedule=(1e-1, 1e-2, last))
 
 
 class TestArrayFallback:
@@ -105,9 +108,9 @@ def _bitwise_equal(x, y):
 
 class TestScalarPathAndCoarsePass:
     @pytest.mark.parametrize("k", range(1, 15))
-    def test_trace_and_window_mass_equal_the_stacked_path(self, k):
+    def test_trace_equals_the_stacked_path(self, k):
         # Im phi broadcast over k columns must give the stacked (m, k, k)
-        # path's trace and window mass bit for bit, signs of zeros included
+        # path's trace bit for bit, signs of zeros included
         for c in (1.0, 0.0):
             Gh = HerglotzMatrix.from_constant_curvature(c, k + 1).neg_inverse_function()
             stacked = dataclasses.replace(Gh, profile=None)
@@ -115,11 +118,6 @@ class TestScalarPathAndCoarsePass:
             for tau in (1e-4, 1e-3, 1e-2):
                 assert _bitwise_equal(herglotz._trace_im(Gh, sigmas, tau),
                                       herglotz._trace_im(stacked, sigmas, tau))
-                for t in (0.0, 0.7):
-                    # 20 tau keeps the window at 241 points
-                    assert _bitwise_equal(
-                        herglotz._window_mass(Gh, t, 20 * tau, tau),
-                        herglotz._window_mass(stacked, t, 20 * tau, tau))
 
     def test_scan_skips_most_of_the_sphere_grid(self, monkeypatch):
         # work counter in place of a wall-time bound: the certified coarse
@@ -163,6 +161,104 @@ class TestScalarPathAndCoarsePass:
         with pytest.raises(PoleError):
             herglotz._scan_peaks(Fh, grid, 5e-9, 0.1)
         assert len(herglotz._scan_peaks(Fh, grid, 1e-7, 0.1)) == 0
+
+
+def _window_oracle(c, t, delta, tau):
+    """Integral of Im G(sigma + i tau), G = -1/f, over (t-delta, t+delta) in
+    real arithmetic: the integrand is tau / (sigma^2 + tau^2) for c = 0 and
+    s sinh(2 s tau) / (cosh(2 s tau) - cos(2 s sigma)) for c = s^2 > 0, whose
+    primitive atan(coth(s tau) tan(s sigma)) gains pi at each pole of tan."""
+    if c == 0:
+        return math.atan((t + delta) / tau) - math.atan((t - delta) / tau)
+    s = math.sqrt(c)
+
+    def primitive(x):
+        branch = math.floor(s * x / math.pi + 0.5)
+        return math.atan(math.tan(s * x) / math.tanh(s * tau)) + branch * math.pi
+
+    return primitive(t + delta) - primitive(t - delta)
+
+
+TAUS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+class TestExactWindowMass:
+    @pytest.mark.parametrize("c", [1.0, 4.0, 0.5, 0.0])
+    def test_matches_the_real_arithmetic_oracle(self, c):
+        Gh = HerglotzMatrix.from_constant_curvature(c, 3).neg_inverse_function()
+        period = math.pi / math.sqrt(c) if c > 0 else 1.0
+        # windows on the atoms at 0, one and two periods, and one between
+        for t in (0.0, period, 2 * period, 0.5 * period):
+            for delta in (0.5, 0.3, 0.05):
+                for tau in TAUS:
+                    mass = herglotz._window_mass(Gh, t, delta, tau)
+                    want = _window_oracle(c, t, delta, tau)
+                    assert np.max(np.abs(mass - want * np.eye(2))) <= 1e-12
+
+    def test_pole_guard_below_pole_margin(self):
+        # the guard reads the segment, not the profile: without one it still
+        # raises where the segment passes within POLE_MARGIN of a pole
+        Gh = HerglotzMatrix.from_constant_curvature(1.0, 3).neg_inverse_function()
+        bare = dataclasses.replace(Gh, profile=None)
+        margin = herglotz.POLE_MARGIN
+        for Fh in (Gh, bare):
+            with pytest.raises(PoleError):
+                herglotz._window_mass(Fh, math.pi, 0.5, 0.1 * margin)
+            # the pole at 0 sits 0.5 margin beyond the window's left end
+            with pytest.raises(PoleError):
+                herglotz._window_mass(Fh, 1.0, 1.0 - 0.5 * margin, 0.1 * margin)
+            for t, delta, tau in ((1.0, 1.0 - 2 * margin, 0.1 * margin),
+                                  (math.pi, 0.5, 2 * margin)):
+                assert herglotz._window_mass(Fh, t, delta, tau)[0, 0] \
+                    == pytest.approx(_window_oracle(1.0, t, delta, tau), abs=1e-6)
+
+    def test_two_primitive_evaluations_per_window(self, monkeypatch):
+        # work counter in place of a wall-time bound: each window mass of the
+        # sphere's inversion evaluates the primitive twice and the profile
+        # never
+        Gh = HerglotzMatrix.from_constant_curvature(1.0, 3).neg_inverse_function()
+        work = {"on": False, "windows": 0, "primitive": 0, "profile": 0}
+
+        def counting(name, inner):
+            def wrapped(z):
+                work[name] += work["on"] * (np.size(z) if name == "profile" else 1)
+                return inner(z)
+            return wrapped
+
+        def counted_window(Fh, t, delta, tau, inner=herglotz._window_mass):
+            work.update(on=True, windows=work["windows"] + 1)
+            try:
+                return inner(Fh, t, delta, tau)
+            finally:
+                work["on"] = False
+
+        monkeypatch.setattr(herglotz, "_window_mass", counted_window)
+        counted = dataclasses.replace(Gh, profile=counting("profile", Gh.profile),
+                                      primitive=counting("primitive", Gh.primitive))
+        fd = gc.stieltjes_invert(counted, (-1.0, 2 * math.pi + 1.0), TAUS)
+        assert len(fd.atoms) == 3
+        assert work["windows"] == 3 * 4
+        assert work["primitive"] == 2 * work["windows"]
+        assert work["profile"] == 0
+
+    @pytest.mark.parametrize("c", [1.0, 4.0, 0.0])
+    def test_trapezoid_fallback_within_its_measured_error(self, c):
+        # with the primitive removed the stacked trapezoid (spacing tau/6, at
+        # most 40 001 points) integrates the window; its error against the
+        # exact mass on a half-width 0.5 window at an atom
+        Gh = HerglotzMatrix.from_constant_curvature(c, 3).neg_inverse_function()
+        trapezoid = dataclasses.replace(Gh, primitive=None)
+        t = math.pi / math.sqrt(c) if c > 0 else 0.0
+        bounds = {1e-1: 6.9e-5, 1e-2: 7.5e-8, 1e-3: 7.5e-11, 1e-4: 1.3e-8}
+        for tau, bound in bounds.items():
+            exact = herglotz._window_mass(Gh, t, 0.5, tau)
+            approx = herglotz._window_mass(trapezoid, t, 0.5, tau)
+            assert np.max(np.abs(approx - exact)) <= bound
+        assert np.max(np.abs(approx - exact)) > 0.0  # the fallback really ran
+
+    def test_negative_curvature_keeps_the_trapezoid(self):
+        Gh = HerglotzMatrix.from_constant_curvature(-1.0, 3).neg_inverse_function()
+        assert Gh.primitive is None
 
 
 class TestFatouData:
