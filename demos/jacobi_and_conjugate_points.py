@@ -1,10 +1,12 @@
-"""Propagating matrix Jacobi fields and locating conjugate points.
+"""Propagating Jacobi fields and locating conjugate points.
 
 Two fundamental matrix solutions of Y'' + K(sigma) Y = 0 travel along every
-geodesic: Xi with (Id, 0) initial data and H with (0, Id).  Their
-determinant zeros are the singular set (conjugate points for H); the
-Wronskian Xi'^T H - Xi^T H' is a conserved -Id and serves as an integration
-check.
+geodesic: Xi with (Id, 0) initial data and H with (0, Id).  On every model
+manifold K = kappa * Id, so Xi = xi * Id and H = eta * Id for two scalar
+solutions, and the system stores only (xi, xi', eta, eta').  The zeros of
+det Xi = xi^k and det H = eta^k are the singular set (conjugate points for
+H); the Wronskian Xi'^T H - Xi^T H' is a conserved -Id and serves as an
+integration check.
 """
 
 import math
@@ -23,19 +25,18 @@ for c in (-1.0, 0.0, 1.0):
     theta = gc.tangent_frame(spec, x)[0]
     traj = gc.integrate_geodesic(spec, x, theta, T=10.0, step=1e-3)
     js = gc.propagate_jacobi(spec, traj)
+    cf = gc.ClosedFormJacobi(c, 3)
     worst = 0.0
     for j in range(0, len(js.sigma), 100):
-        exact = gc.closed_form_jacobi(c, js.sigma[j], 3)
-        approx = (js.xi[j], js.dxi[j], js.h[j], js.dh[j])
-        worst = max(worst, max(float(np.max(np.abs(a - e)))
-                               for a, e in zip(approx, exact)))
+        exact = cf.eval_at(js.sigma[j])  # (xi, xi', eta, eta')
+        worst = max(worst, float(np.max(np.abs(js.cols[j] - exact))))
     print(f"  c = {c:4.1f}: max entry error {worst:.2e}, "
           f"Wronskian drift {gc.wronskian_drift(js):.2e}")
 
 # ---------------------------------------------------------------------------
 # 2. Conjugate points on the round sphere.  For n=2 the determinant of H is
 #    sin(sigma) and changes sign at pi, 2pi; for n=3 it is sin^2 and only
-#    touches zero, which exercises the even-multiplicity detector.
+#    touches zero, found as the sign change of the scalar eta = sin.
 # ---------------------------------------------------------------------------
 for n in (2, 3):
     spec = gc.constant_curvature(1.0, n)
@@ -73,7 +74,7 @@ x = gc.canonical_point(spec)
 traj = gc.integrate_geodesic(spec, x, gc.tangent_frame(spec, x)[0], 2.0, 1e-3)
 js = gc.propagate_jacobi(spec, traj)
 s = 1.23456789
-_, _, h, _ = js.eval_at(s)
+_, _, eta, _ = js.eval_at(s)
 print(f"\ndense output at sigma = {s}:")
-print(f"  H = {h[0, 0]:.12f}, sin = {math.sin(s):.12f}, "
-      f"difference {abs(h[0, 0] - math.sin(s)):.2e}")
+print(f"  eta = {eta:.12f}, sin = {math.sin(s):.12f}, "
+      f"difference {abs(eta - math.sin(s)):.2e}")

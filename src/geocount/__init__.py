@@ -1,11 +1,11 @@
-"""Geodesic counting integrals, matrix Jacobi fields, and matrix Herglotz
-boundary measures on model Riemannian manifolds.
+"""Geodesic counting integrals, Jacobi fields, and Herglotz boundary
+measures on model Riemannian manifolds.
 
-The package propagates matrix Jacobi equations along unit-speed geodesics,
+The package propagates the Jacobi equation along unit-speed geodesics,
 evaluates the resulting counting integrals against independent combinatorial
-oracles, analyzes the associated matrix Herglotz functions (boundary measure
-recovery, positivity, determinant inequalities), and classifies the growth of
-counting curves as polynomial or exponential.
+oracles, analyzes the associated Herglotz functions F = phi * Id (boundary
+measure recovery, positivity, determinant inequalities), and classifies the
+growth of counting curves as polynomial or exponential.
 """
 
 __version__ = "0.1.0"
@@ -21,15 +21,14 @@ from .errors import (CatalogError, ConditioningError, ConfigurationError,
                      GeocountError, InputError, IntegrationFailureError,
                      NumericalError, PoleError)
 from .flow import (ClosedFormJacobi, GeodesicTrajectory, JacobiSystem,
-                   closed_form_jacobi, integrate_geodesic, jacobi_residual,
-                   propagate_jacobi, write_jacobi_csv, wronskian_drift)
+                   integrate_geodesic, jacobi_residual, propagate_jacobi,
+                   write_jacobi_csv, wronskian_drift)
 from .herglotz import (DetBound, FatouData, HerglotzMatrix,
                        adapted_complex_structure_at, check_b_decomposition,
                        check_key1, check_theorem_nice, check_xi_identity,
-                       det_growth_bound, f_constant_curvature,
-                       f_real_axis_numeric, fatou_reconstruct,
-                       minkowski_det_lower_bound, neg_inverse,
-                       stieltjes_invert, symmetry_defect)
+                       det_growth_bound, f_real_axis_numeric,
+                       fatou_reconstruct, minkowski_det_lower_bound,
+                       stieltjes_invert)
 from .manifolds import (CurvatureFrameOperator, ManifoldSpec, SphereQuadrature,
                         WarpFunction, canonical_point, constant_curvature,
                         curvature_along, flat_torus, sphere_surface_area,

@@ -1,4 +1,4 @@
-"""Unit-speed geodesics and matrix Jacobi fields along them.
+"""Unit-speed geodesics and Jacobi fields along them.
 
 Everything is sampled on a uniform arc-length grid.  On every model manifold
 the curvature operator along a geodesic is kappa(sigma) * Id in a parallel
@@ -77,19 +77,11 @@ def _space_form_scalars(c: float, sigma, lib=np):
     return one, 0.0 * one, sigma, one
 
 
-def closed_form_jacobi(c: float, sigma: float, n: int):
-    """Exact (Xi, Xi', H, H') for constant curvature c in dimension n.
-
-    The solutions of Y'' = -c Y with (Id, 0) and (0, Id) data: the scalar
-    space-form solutions times Id.
-    """
-    eye = np.eye(n - 1)
-    return tuple(v * eye for v in _space_form_scalars(c, sigma, math))
-
-
 @dataclass(frozen=True)
 class ClosedFormJacobi:
-    """Closed-form Jacobi data for constant curvature, same shape as a system."""
+    """Closed-form Jacobi data for constant curvature, read like a system:
+    ``eval_at`` gives the scalars (xi, xi', eta, eta') of Xi = xi * Id and
+    H = eta * Id."""
 
     c: float
     n: int
@@ -99,7 +91,7 @@ class ClosedFormJacobi:
         return self.n - 1
 
     def eval_at(self, sigma: float):
-        return closed_form_jacobi(self.c, sigma, self.n)
+        return _space_form_scalars(self.c, sigma, math)
 
     def distance_to_singular(self, sigma: float) -> float:
         if self.c > 0:
@@ -118,7 +110,12 @@ class ClosedFormJacobi:
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
-    """Sampled unit-speed geodesic with a parallel orthonormal normal frame."""
+    """Sampled unit-speed geodesic with a parallel orthonormal normal frame.
+
+    The frame at sigma[j] is scale[j] * frame: every branch transports one
+    constant (n-1, d) frame, scaled by 1 on space forms and tori and by
+    w(r0)/w(r) on a warped product's radial ray.
+    """
 
     spec: mf.ManifoldSpec
     x0: np.ndarray
@@ -126,7 +123,8 @@ class GeodesicTrajectory:
     sigma: np.ndarray      # (m+1,)
     positions: np.ndarray  # (m+1, d); torus positions are wrapped
     velocities: np.ndarray
-    frames: np.ndarray     # (m+1, n-1, d)
+    frame: np.ndarray      # (n-1, d)
+    scale: np.ndarray      # (m+1,)
     step: float
 
     @property
@@ -152,9 +150,9 @@ def _normal_frame_at(spec, x, theta):
     return np.array(frame)
 
 
-def _check_trajectory(sigma, g, velocities, frames):
-    """Unit speed and an orthonormal normal frame; ``g`` is the diagonal of
-    the metric at every sample."""
+def _check_trajectory(sigma, g, velocities, frame, scale):
+    """Unit speed and an orthonormal normal frame scale * frame; ``g`` is
+    the diagonal of the metric at every sample."""
     drift = np.abs(np.sum(g * velocities * velocities, axis=1) - 1.0)
     bad = np.nonzero(drift > SPEED_DRIFT_TOL)[0]
     if len(bad):
@@ -163,13 +161,16 @@ def _check_trajectory(sigma, g, velocities, frames):
             f"flow.integrate_geodesic: unit-speed drift {drift[j]:.3e} at "
             f"sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
     # frame orthonormality and normality to the velocity, spot-checked on a
-    # subsample (parallel transport is exact for every closed-form branch)
+    # subsample (parallel transport is exact for every closed-form branch);
+    # one Gram matrix per distinct metric diagonal scale^2 * g, so space
+    # forms and tori build one
     idx = np.unique(np.linspace(0, len(sigma) - 1, min(len(sigma), 64)).astype(int))
-    gE = g[idx, None, :] * frames[idx]
-    gram = np.einsum("sad,sbd->sab", gE, frames[idx]) - np.eye(frames.shape[1])
-    normal = np.einsum("sad,sd->sa", gE, velocities[idx])
-    defect = np.maximum(np.max(np.abs(gram), axis=(1, 2)),
-                        np.max(np.abs(normal), axis=1))
+    rows, which = np.unique(g[idx] * (scale[idx, None] ** 2), axis=0,
+                            return_inverse=True)
+    eye = np.eye(len(frame))
+    gram = np.array([np.max(np.abs((frame * q) @ frame.T - eye)) for q in rows])
+    normal = scale[idx, None] * ((g[idx] * velocities[idx]) @ frame.T)
+    defect = np.maximum(gram[which.reshape(-1)], np.max(np.abs(normal), axis=1))
     bad = np.nonzero(defect > 1e-8)[0]
     if len(bad):
         j = idx[bad[0]]
@@ -194,36 +195,36 @@ def integrate_geodesic(spec, x, theta, T, step):
     sigma = _grid(T, step)
     m = len(sigma) - 1
     h = sigma[1] - sigma[0]
-    k = spec.n - 1
-    mf.require_stack_size((m + 1, k, len(x)), "flow.integrate_geodesic")
+    scale = np.ones(m + 1)
 
     if spec.kind == mf.FLAT_TORUS:
         positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
         velocities = np.tile(theta, (m + 1, 1))
-        frames = np.tile(_normal_frame_at(spec, x, theta), (m + 1, 1, 1))
+        frame = _normal_frame_at(spec, x, theta)
         g = np.ones_like(positions)
     elif spec.kind == mf.WARPED_PRODUCT:
         r = mf.radial_ray(spec, x, theta)(sigma)
         positions = np.tile(x, (m + 1, 1))
         positions[:, 0] = r
         velocities = np.tile(theta, (m + 1, 1))
-        fiber = _normal_frame_at(spec, x, theta)[:, 1:] * spec.warp.value(x[0])
+        frame = _normal_frame_at(spec, x, theta)
+        frame[:, 0] = 0.0  # the fibre directions
         w = spec.warp.value(r)
-        frames = np.zeros((m + 1, k, 1 + spec.n))
-        frames[:, :, 1:] = fiber[None] / w[:, None, None]
+        scale = spec.warp.value(x[0]) / w
         g = np.ones_like(positions)  # metric diagonal (1, w^2, ..., w^2)
         g[:, 1:] = (w * w)[:, None]
     elif spec.kind == mf.CONSTANT_CURVATURE:
         xi, dxi, eta, deta = _space_form_scalars(spec.c, sigma)
         positions = xi[:, None] * x + eta[:, None] * theta
         velocities = dxi[:, None] * x + deta[:, None] * theta
-        frames = np.tile(_normal_frame_at(spec, x, theta), (m + 1, 1, 1))
+        frame = _normal_frame_at(spec, x, theta)
         g = np.broadcast_to(mf.ambient_signature(spec), positions.shape)
     else:
         raise ConfigurationError(f"flow.integrate_geodesic: unknown kind {spec.kind}")
 
-    _check_trajectory(sigma, g, velocities, frames)
-    return GeodesicTrajectory(spec, x, theta, sigma, positions, velocities, frames, h)
+    _check_trajectory(sigma, g, velocities, frame, scale)
+    return GeodesicTrajectory(spec, x, theta, sigma, positions, velocities,
+                              frame, scale, h)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +238,12 @@ class JacobiSystem:
     The curvature operator is kappa(sigma) * Id, so the matrix solution Xi
     with (Id, 0) data is xi * Id and H with (0, Id) data is eta * Id: the
     system stores ``cols``, one row (xi, xi', eta, eta') per grid point, and
-    ``kappa``, the curvature profile at the grid points.  ``xi``, ``dxi``,
-    ``h`` and ``dh`` expand the columns to read-only (m+1, k, k) arrays on
-    each access; ``det_xi`` and ``det_h`` are xi^k and eta^k.  ``xi_zeros``
-    and ``h_zeros`` are the zeros of xi and eta, hence of det Xi and det H
-    for every k; ``h_zeros`` are the conjugate points of sigma = 0, and
-    ``singular_set`` is the union of both lists.
+    ``kappa``, the curvature profile at the grid points; ``eval_at`` reads
+    the four scalars between grid points.  ``det_xi`` and ``det_h`` are
+    xi^k and eta^k.  ``xi_zeros`` and ``h_zeros`` are the zeros of xi and
+    eta, hence of det Xi and det H for every k; ``h_zeros`` are the
+    conjugate points of sigma = 0, and ``singular_set`` is the union of both
+    lists.
     """
 
     spec: mf.ManifoldSpec
@@ -260,17 +261,6 @@ class JacobiSystem:
     def dim(self) -> int:
         return self.spec.n - 1
 
-    def _times_id(self, i: int) -> np.ndarray:
-        mf.require_stack_size((len(self.cols), self.dim, self.dim),
-                              "flow.JacobiSystem")
-        out = self.cols[:, i, None, None] * np.eye(self.dim)
-        out.setflags(write=False)
-        return out
-
-    xi = property(lambda self: self._times_id(0))
-    dxi = property(lambda self: self._times_id(1))
-    h = property(lambda self: self._times_id(2))
-    dh = property(lambda self: self._times_id(3))
     det_xi = property(lambda self: self.cols[:, 0] ** self.dim)
     det_h = property(lambda self: self.cols[:, 2] ** self.dim)
 
@@ -287,8 +277,9 @@ class JacobiSystem:
         return min(max(j, 0), len(self.sigma) - 2)
 
     def eval_at(self, sigma: float):
-        """Dense output (Xi, Xi', H, H') at sigma: cubic Hermite in each
-        cell, O(step^4) accurate, with y'' = -kappa y for the derivatives."""
+        """Dense output (xi, xi', eta, eta') at sigma, as floats: cubic
+        Hermite in each cell, O(step^4) accurate, with y'' = -kappa y for the
+        derivatives."""
         j = self._bracket(sigma)
         hcell = self.sigma[j + 1] - self.sigma[j]
         t = (sigma - self.sigma[j]) / hcell
@@ -296,8 +287,8 @@ class JacobiSystem:
         y1, dy1 = self.cols[j + 1, 0::2], self.cols[j + 1, 1::2]
         y = _hermite(t, hcell, y0, dy0, y1, dy1)
         dy = _hermite(t, hcell, dy0, -self.kappa[j] * y0, dy1, -self.kappa[j + 1] * y1)
-        eye = np.eye(self.dim)
-        return y[0] * eye, dy[0] * eye, y[1] * eye, dy[1] * eye
+        (xi, eta), (dxi, deta) = y.tolist(), dy.tolist()
+        return xi, dxi, eta, deta
 
     def distance_to_singular(self, sigma: float) -> float:
         if len(self.singular_set) == 0:

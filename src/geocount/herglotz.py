@@ -1,13 +1,17 @@
-"""Matrix-valued Herglotz functions attached to Jacobi data, and their
+"""Herglotz functions F = phi * Id attached to Jacobi data, and their
 boundary measures.
 
-The function f carries the ratio of the two fundamental Jacobi solutions
-(H = Xi f on the real axis); G = -f^{-1} has positive-definite imaginary part
-on the upper half plane, and its boundary behaviour encodes a purely atomic
-matrix measure that is recovered here by Poisson-kernel integration with
-extrapolation in the regularization parameter.  Closed forms exist for
-constant curvature; for general metrics only real-axis identities are
-checked, since the complex extension is exactly the entire-tube hypothesis.
+On every model manifold the curvature operator is kappa * Id, so the Jacobi
+solutions are Xi = xi * Id and H = eta * Id, and f = Xi^{-1} H is the scalar
+phi = eta / xi times Id; every determinant below is a k-th power of a scalar.
+G = -f^{-1} has positive imaginary part on the upper half plane, and its
+boundary behaviour encodes a purely atomic measure that is recovered here by
+Poisson-kernel integration with extrapolation in the regularization
+parameter.  Closed forms exist for constant curvature; for general metrics
+only real-axis identities are checked, since the complex extension is
+exactly the entire-tube hypothesis.  Matrices are built only where a result
+is one: F(zeta), the constant part A, the atom masses and the complex
+structure J.
 """
 
 import cmath
@@ -25,23 +29,10 @@ from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
 POLE_MARGIN = 1e-8
 SAMPLING_POLE_MARGIN = 0.05
 FD_STEP = 1e-5
-COND_LIMIT = 1e12
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
-def symmetry_defect(F: np.ndarray) -> float:
-    """Max-entry deviation of a matrix, or a stack of them, from (complex)
-    symmetry."""
-    return float(np.max(np.abs(F - np.swapaxes(F, -1, -2)), initial=0.0))
-
-
-def min_im_eigenvalue(F: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrized imaginary part of a matrix, or
-    over a stack of them."""
-    return float(np.min(np.linalg.eigvalsh(_sym(np.imag(F)))))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +56,9 @@ def _saturating(u: np.ndarray, edge: np.ndarray, fn, limit) -> np.ndarray:
 
 
 def _f_profile(c: float, zeta: np.ndarray) -> np.ndarray:
-    """The scalar phi with f = phi * Id, at an array of zeta."""
+    """The scalar phi with f = phi * Id, at an array of zeta: zeta for flat,
+    tan-type for positive curvature, tanh-type (for contrast experiments;
+    not Herglotz) for negative curvature."""
     if c == 0:
         return zeta.copy()
     s = math.sqrt(abs(c))
@@ -149,103 +142,46 @@ def g_pole_distance(c: float, zeta):
     return _lattice_distance(zeta.imag, zeta.real, 0.0, period)
 
 
-def f_constant_curvature(c: float, n: int, zeta: complex) -> np.ndarray:
-    """Closed-form matrix f for constant curvature c: scalar profile times Id.
-
-    zeta * Id for flat, tan-type for positive curvature, tanh-type (for
-    contrast experiments; not Herglotz) for negative curvature.
-    """
-    zeta = np.array([complex(zeta)])
-    if f_pole_distance(c, zeta)[0] < POLE_MARGIN:
-        raise PoleError(
-            f"herglotz.f_constant_curvature: zeta={complex(zeta[0])} within "
-            f"{POLE_MARGIN} of a pole")
-    return _f_profile(c, zeta)[0] * np.eye(n - 1, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # evaluator objects
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HerglotzMatrix:
-    """Evaluator for a matrix function on the closed upper half plane.
+    """F = phi * Id, k = ``dim``, on the closed upper half plane.
 
-    ``pole_set`` lists the real poles inside the working window;
-    ``pole_distance`` is the proximity guard used before every evaluation.
-    Sources backed by real-axis Jacobi data refuse complex arguments.
-    Closed forms also carry ``profile``, the scalar phi with F = phi * Id
-    over an array of zeta, and a ``pole_distance`` that takes arrays, so
-    ``many`` and the Stieltjes scan evaluate a whole array at once.  A
-    closed form whose poles all lie on the real axis may also carry
-    ``primitive``, a scalar Phi with Phi' = phi, continuous along every line
-    Im zeta = tau > 0; window masses then take two evaluations of it.
+    ``profile`` maps a 1-d complex array of zeta to phi there, and
+    ``pole_distance`` maps it to the distance to the nearest pole, the guard
+    met before every evaluation; ``pole_set`` lists the real poles inside
+    ``window``.  ``curvature`` is set on the closed forms of constant
+    curvature.  A closed form whose poles all lie on the real axis may also
+    carry ``primitive``, a scalar Phi with Phi' = phi, continuous along
+    every line Im zeta = tau > 0; window masses then take two evaluations
+    of it.
     """
 
-    evaluator: Callable[[complex], np.ndarray]
+    profile: Callable[[np.ndarray], np.ndarray]
     dim: int
-    source: str  # "closed_form" | "real_axis_numeric"
     pole_set: np.ndarray
-    pole_distance: Callable[[complex], float]
+    pole_distance: Callable[[np.ndarray], np.ndarray]
     window: tuple = (-12.0, 12.0)
-    real_axis_only: bool = False
     curvature: float | None = None
-    profile: Callable[[np.ndarray], np.ndarray] | None = None
     primitive: Callable[[complex], complex] | None = None
 
-    def _guard(self, zeta: complex, dist: float) -> None:
-        if self.real_axis_only and zeta.imag != 0.0:
-            raise InputError(
-                "herglotz.HerglotzMatrix: real-axis numeric source evaluated "
-                f"at zeta={zeta} off the real axis")
-        if dist < POLE_MARGIN:
-            raise PoleError(
-                f"herglotz.HerglotzMatrix: zeta={zeta} within {POLE_MARGIN} of a pole")
-
     def __call__(self, zeta) -> np.ndarray:
-        zeta = complex(zeta)
-        self._guard(zeta, self.pole_distance(zeta))
-        return self.evaluator(zeta)
+        """The matrix F(zeta) = phi(zeta) * Id."""
+        return self.phi(np.array([complex(zeta)]))[0] * np.eye(self.dim, dtype=complex)
 
-    def many(self, zetas) -> np.ndarray:
-        """F at every zeta of a 1-d array, stacked to shape (m, dim, dim).
-
-        A closed form checks the whole array against the guards of
-        ``__call__`` (the first offending zeta raises the same error) and
-        broadcasts its profile against Id; any other evaluator stacks
-        scalar calls.
-        """
+    def phi(self, zetas) -> np.ndarray:
+        """phi at every zeta of a 1-d array; the first zeta within
+        POLE_MARGIN of a pole raises PoleError."""
         zetas = np.asarray(zetas, dtype=complex).reshape(-1)
-        mf.require_stack_size((len(zetas), self.dim, self.dim),
-                              "herglotz.HerglotzMatrix.many")
-        if self.profile is None:
-            out = np.empty((len(zetas), self.dim, self.dim), dtype=complex)
-            for i, z in enumerate(zetas):
-                out[i] = self(z)
-            return out
-        return self._phi(zetas)[:, None, None] * np.eye(self.dim, dtype=complex)
-
-    def _phi(self, zetas: np.ndarray) -> np.ndarray:
-        """The closed form's scalar profile at a 1-d complex array, behind
-        the guards of ``__call__``."""
-        dist = self.pole_distance(zetas)
-        bad = dist < POLE_MARGIN
-        if self.real_axis_only:
-            bad |= zetas.imag != 0.0
+        bad = self.pole_distance(zetas) < POLE_MARGIN
         if np.any(bad):
-            i = int(np.argmax(bad))
-            self._guard(complex(zetas[i]), float(dist[i]))
+            raise PoleError(
+                f"herglotz.HerglotzMatrix: zeta={complex(zetas[np.argmax(bad)])} "
+                f"within {POLE_MARGIN} of a pole")
         return self.profile(zetas)
-
-    @classmethod
-    def _closed_form(cls, profile, pole_distance, dim, poles, window, c,
-                     primitive=None):
-        eye = np.eye(dim, dtype=complex)
-        return cls(
-            evaluator=lambda z: profile(np.array([z]))[0] * eye,
-            dim=dim, source="closed_form", pole_set=poles,
-            pole_distance=pole_distance, window=tuple(window),
-            curvature=float(c), profile=profile, primitive=primitive)
 
     @classmethod
     def from_constant_curvature(cls, c: float, n: int, window=(-12.0, 12.0)):
@@ -254,60 +190,40 @@ class HerglotzMatrix:
             poles = _pole_family(math.pi / (2 * s), math.pi / s, window)
         else:
             poles = np.array([])
-        return cls._closed_form(functools.partial(_f_profile, c),
-                                functools.partial(f_pole_distance, c),
-                                n - 1, poles, window, c)
-
-    @classmethod
-    def from_jacobi(cls, js):
-        xi_zeros = np.asarray(js.xi_zeros, dtype=float)
-
-        def dist(z, zeros=xi_zeros):
-            if len(zeros) == 0:
-                return math.inf
-            return float(np.min(np.abs(zeros - z.real))) if z.imag == 0 else math.inf
-
-        return cls(
-            evaluator=lambda z: f_real_axis_numeric(js, z.real).astype(complex),
-            dim=js.dim, source="real_axis_numeric", pole_set=xi_zeros,
-            pole_distance=dist, window=(0.0, js.T), real_axis_only=True)
+        return cls(functools.partial(_f_profile, c), n - 1, poles,
+                   functools.partial(f_pole_distance, c), tuple(window), float(c))
 
     def neg_inverse_function(self) -> "HerglotzMatrix":
-        """The G = -f^{-1} evaluator, with its own pole bookkeeping.
+        """The closed form of G = -f^{-1}, with its own pole bookkeeping.
 
-        For c >= 0 the closed form also carries its primitive; c < 0, not
-        Herglotz and never inverted, has poles off the real axis and no
-        primitive.
+        For c >= 0 it also carries its primitive; c < 0, not Herglotz and
+        never inverted, has poles off the real axis and no primitive.  Only
+        the closed forms of constant curvature have one (InputError else).
         """
-        if self.source == "closed_form" and self.curvature is not None:
-            c = self.curvature
-            if c > 0:
-                s = math.sqrt(c)
-                poles = _pole_family(0.0, math.pi / s, self.window)
-            else:
-                poles = np.array([0.0]) if self.window[0] <= 0 <= self.window[1] \
-                    else np.array([])
-            primitive = functools.partial(_g_primitive, c) if c >= 0 else None
-            return HerglotzMatrix._closed_form(
-                functools.partial(_g_profile, c), functools.partial(g_pole_distance, c),
-                self.dim, poles, self.window, c, primitive)
-        inner = self
+        c = self.curvature
+        if c is None:
+            raise InputError("herglotz.HerglotzMatrix.neg_inverse_function: "
+                             "only the constant-curvature closed forms invert")
+        if c > 0:
+            poles = _pole_family(0.0, math.pi / math.sqrt(c), self.window)
+        else:
+            poles = np.array([0.0]) if self.window[0] <= 0 <= self.window[1] \
+                else np.array([])
         return HerglotzMatrix(
-            evaluator=lambda z: neg_inverse(inner(z)),
-            dim=self.dim, source=self.source, pole_set=np.array([]),
-            pole_distance=lambda z: math.inf, window=self.window,
-            real_axis_only=self.real_axis_only, curvature=self.curvature)
+            functools.partial(_g_profile, c), self.dim, poles,
+            functools.partial(g_pole_distance, c), self.window, c,
+            functools.partial(_g_primitive, c) if c >= 0 else None)
 
 
-def f_real_axis_numeric(source, sigma: float) -> np.ndarray:
-    """f(sigma) = Xi(sigma)^{-1} H(sigma) from Jacobi data on the real axis.
+def f_real_axis_numeric(source, sigma: float) -> float:
+    """f(sigma) = eta(sigma) / xi(sigma), the scalar with F = f * Id, from
+    Jacobi data on the real axis.
 
     ``source`` is any Jacobi data provider: a propagated system or a closed
     form.  For propagated data (which carries the detected ``xi_zeros``) the
-    poles of f sit where det Xi vanishes, so the proximity margin is measured
-    against those zeros (det H zeros are zeros of f, harmless here), and
-    symmetry of the result, a consequence of the frame being parallel and
-    orthonormal, is asserted as a free consistency check.
+    poles of f sit where xi vanishes, so the proximity margin is measured
+    against those zeros (zeros of eta are zeros of f, harmless here).  A xi
+    that is 0 or not finite raises ConditioningError.
     """
     zeros = getattr(source, "xi_zeros", None)
     dist = None
@@ -318,45 +234,14 @@ def f_real_axis_numeric(source, sigma: float) -> np.ndarray:
             raise InputError(
                 f"herglotz.f_real_axis_numeric: sigma={sigma} within 10x detection "
                 "tolerance of a pole of f")
-    xi, _, h, _ = source.eval_at(sigma)
-    cond = np.linalg.cond(xi)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    xi, _, eta, _ = source.eval_at(sigma)
+    if xi == 0.0 or not math.isfinite(xi):
         where = ("" if dist is None
                  else f", distance {dist:.3e} to the nearest singular point")
         raise ConditioningError(
-            f"herglotz.f_real_axis_numeric: Xi({sigma}) condition {cond:.2e}{where}",
-            distance=dist)
-    f = np.linalg.solve(xi, h)
-    if zeros is not None:
-        defect = symmetry_defect(f)
-        if defect > 1e-8 * max(1.0, float(np.max(np.abs(f)))):
-            raise NumericalError(
-                f"herglotz.f_real_axis_numeric: symmetry defect {defect:.3e} at "
-                f"sigma={sigma} (frame inconsistency)")
-    return f
-
-
-def neg_inverse(F: np.ndarray) -> np.ndarray:
-    """-F^{-1} for a complex symmetric matrix with well-conditioned F.
-
-    When Im F is positive definite the imaginary part of the result must be
-    positive definite as well; that propagation is asserted post hoc.
-    """
-    F = np.asarray(F, dtype=complex)
-    cond = np.linalg.cond(F)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegeneracyError(f"herglotz.neg_inverse: condition number {cond:.2e}")
-    G = -np.linalg.inv(F)
-    scale = max(1.0, float(np.max(np.abs(F))))
-    if symmetry_defect(F) <= 1e-8 * scale:
-        im_in = min_im_eigenvalue(F)
-        if im_in > 0:
-            im_out = min_im_eigenvalue(G)
-            if im_out < -1e-10 * max(1.0, float(np.max(np.abs(G)))):
-                raise NumericalError(
-                    "herglotz.neg_inverse: positive-definite imaginary part "
-                    f"not propagated (min eig {im_out:.3e})")
-    return G
+            f"herglotz.f_real_axis_numeric: Xi({sigma}) = {xi:.3e} * Id is "
+            f"singular{where}", distance=dist)
+    return eta / xi
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +249,22 @@ def neg_inverse(F: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_theorem_nice(Fh: HerglotzMatrix, sample_zeta) -> dict:
-    """Report symmetry, normalization at 0, and imaginary-part positivity.
+    """Report normalization at 0 and imaginary-part positivity.
 
-    f(0) must vanish, f'(0) must be the identity (finite differences), and
-    Im f must be positive definite at every upper-half-plane sample.
+    f(0) must vanish, f'(0) must be the identity (centered differences), and
+    Im f must be positive definite at every upper-half-plane sample; for
+    F = phi * Id that is Im phi > 0.
     """
-    eye = np.eye(Fh.dim)
     samples = np.array([complex(z) for z in sample_zeta], dtype=complex)
-    F = Fh.many(samples)
+    phi = Fh.phi(samples)
     upper = samples.imag > 0
-    f0 = Fh(0.0)
     h = FD_STEP
-    if Fh.real_axis_only:
-        fprime = (4.0 * Fh(h) - Fh(2 * h) - 3.0 * f0) / (2 * h)
-    else:
-        fprime = (Fh(h) - Fh(-h)) / (2 * h)
+    f0, f_plus, f_minus = Fh.phi(np.array([0.0, h, -h]))
     return {
-        "symmetry_defect": symmetry_defect(F),
-        "f_zero_norm": float(np.max(np.abs(f0))),
-        "fprime_zero_defect": float(np.max(np.abs(fprime - eye))),
-        "min_im_eigenvalue": min_im_eigenvalue(F[upper]) if upper.any() else None,
-        "max_real_axis_im": float(np.max(np.abs(np.imag(F[~upper])), initial=0.0)),
+        "f_zero_norm": float(abs(f0)),
+        "fprime_zero_defect": float(abs((f_plus - f_minus) / (2 * h) - 1.0)),
+        "min_im_eigenvalue": float(np.min(phi[upper].imag)) if upper.any() else None,
+        "max_real_axis_im": float(np.max(np.abs(phi[~upper].imag), initial=0.0)),
         "samples": len(samples),
     }
 
@@ -406,31 +286,31 @@ def _fd_step(source, sigma: float) -> float:
 def check_key1(source, sigma: float) -> float:
     """Residual of det(H^T H) * det((-f^{-1})'(sigma)) = 1.
 
-    The derivative of -f^{-1} uses centered differences with a locally scaled
-    step; ``source`` is any Jacobi data provider (propagated system or closed
-    form).
+    With H = eta * Id and -f^{-1} = g * Id the product is (eta^2 g')^k,
+    taken as one power so that it cannot overflow where the identity holds.
+    g' uses centered differences with a locally scaled step; ``source`` is
+    any Jacobi data provider (propagated system or closed form).
     """
     h = _fd_step(source, sigma)
     if sigma - h <= 0:
         raise InputError(f"herglotz.check_key1: sigma={sigma} too close to 0")
-    g_plus = -np.linalg.inv(f_real_axis_numeric(source, sigma + h))
-    g_minus = -np.linalg.inv(f_real_axis_numeric(source, sigma - h))
-    gprime = (g_plus - g_minus) / (2 * h)
-    _, _, H, _ = source.eval_at(sigma)
-    val = float(np.linalg.det(H.T @ H) * np.linalg.det(gprime))
+    g_plus = -(1.0 / f_real_axis_numeric(source, sigma + h))
+    g_minus = -(1.0 / f_real_axis_numeric(source, sigma - h))
+    _, _, eta, _ = source.eval_at(sigma)
+    val = (eta * eta * ((g_plus - g_minus) / (2 * h))) ** source.dim
     return abs(val - 1.0)
 
 
 def check_xi_identity(source, sigma: float) -> float:
-    """Residual of (Xi^T Xi) f'(sigma) = Id with a finite-difference f'."""
+    """Residual of (Xi^T Xi) f'(sigma) = Id, that is |xi^2 f' - 1|, with a
+    finite-difference f'."""
     h = _fd_step(source, sigma)
     if sigma - h <= 0:
         raise InputError(f"herglotz.check_xi_identity: sigma={sigma} too close to 0")
     fprime = (f_real_axis_numeric(source, sigma + h)
               - f_real_axis_numeric(source, sigma - h)) / (2 * h)
     xi, _, _, _ = source.eval_at(sigma)
-    k = xi.shape[0]
-    return float(np.max(np.abs(xi.T @ xi @ fprime - np.eye(k))))
+    return abs(xi * xi * fprime - 1.0)
 
 
 def minkowski_det_lower_bound(A1, A2):
@@ -466,21 +346,26 @@ def det_growth_bound(c: float, n: int, sigma: float) -> DetBound:
 
     Flat curvature saturates the bound exactly; positive curvature stays
     strictly below it.  Negative curvature (contrast case) violates it for
-    large sigma, as it must.
+    large sigma, as it must.  Either side overflowing a float raises
+    InputError (sigma = 10 overflows from n = 156 on).
     """
     if sigma <= 0:
         raise InputError(f"herglotz.det_growth_bound: sigma={sigma} must be positive")
-    rhs = sigma ** (2 * n - 2)
-    if c == 0:
-        lhs = sigma ** (2 * n - 2)  # analytic simplification; exact equality
-        return DetBound(lhs, rhs, True)
-    if g_pole_distance(c, complex(sigma)) < POLE_MARGIN:
+    if c != 0 and g_pole_distance(c, complex(sigma)) < POLE_MARGIN:
         raise PoleError(f"herglotz.det_growth_bound: sigma={sigma} too close to a pole")
     s = math.sqrt(abs(c))
-    if c > 0:
-        lhs = (math.sin(s * sigma) ** 2 / c) ** (n - 1)
-    else:
-        lhs = (math.sinh(s * sigma) ** 2 / -c) ** (n - 1)
+    try:
+        rhs = sigma ** (2 * n - 2)
+        if c == 0:
+            return DetBound(rhs, rhs, True)  # analytic simplification; exact equality
+        if c > 0:
+            lhs = (math.sin(s * sigma) ** 2 / c) ** (n - 1)
+        else:
+            lhs = (math.sinh(s * sigma) ** 2 / -c) ** (n - 1)
+    except OverflowError:
+        raise InputError(
+            f"herglotz.det_growth_bound: a side of the bound overflows a float "
+            f"at n={n}, sigma={sigma}") from None
     return DetBound(lhs, rhs, bool(lhs <= rhs + 1e-10))
 
 
@@ -501,22 +386,21 @@ def adapted_complex_structure_at(Fh: HerglotzMatrix) -> np.ndarray:
 
     With W = f(i) = X + iY, the structure maps the first frame block by
     columns of [-X Y^{-1}; Y^{-1}]; the second block is forced by J^2 = -Id.
+    For F = phi * Id every block is a scalar times Id, so J is the Kronecker
+    product of the scalar 2x2 structure with Id.
     """
-    W = Fh(1j)
-    X = _sym(np.real(W))
-    Y = _sym(np.imag(W))
-    eig = np.linalg.eigvalsh(Y)
-    if np.min(np.abs(eig)) < 1e-12 * max(1.0, float(np.max(np.abs(eig)))):
+    w = complex(Fh.phi(np.array([1j]))[0])
+    x, y = w.real, w.imag
+    if abs(y) < 1e-12 * max(1.0, abs(y)):
         raise DegeneracyError(
             "herglotz.adapted_complex_structure_at: Im f(i) numerically singular")
-    E = np.linalg.inv(Y)
-    k = Fh.dim
-    J = np.block([[-X @ E, -(Y + X @ E @ X)], [E, E @ X]])
-    defect = float(np.max(np.abs(J @ J + np.eye(2 * k))))
+    e = 1.0 / y
+    block = np.array([[-x * e, -(y + x * e * x)], [e, e * x]])
+    defect = float(np.max(np.abs(block @ block + np.eye(2))))
     if defect > 1e-8:
         raise NumericalError(
             f"herglotz.adapted_complex_structure_at: J^2 defect {defect:.3e}")
-    return J
+    return np.kron(block, np.eye(Fh.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +472,11 @@ def _golden_min(f, a, b, tol):
 def _trace_im(Fh, sigmas, tau) -> np.ndarray:
     """trace Im F(sigma + i tau) at every sigma.
 
-    A closed form sums k copies of Im phi along a broadcast axis, which
-    numpy adds in the same order as the diagonal of the stacked matrices:
-    the result is bit for bit the stacked path's.
+    Sums k copies of Im phi along a broadcast axis, which numpy adds in the
+    same order as the diagonal of the (m, k, k) stack phi * Id: the result
+    is bit for bit that stack's trace.
     """
-    zetas = sigmas + 1j * tau
-    if Fh.profile is None:
-        return np.trace(np.imag(Fh.many(zetas)), axis1=1, axis2=2)
-    im = np.imag(Fh._phi(zetas))
+    im = np.imag(Fh.phi(sigmas + 1j * tau))
     return np.broadcast_to(im[:, None], (len(im), Fh.dim)).sum(axis=1)
 
 
@@ -605,13 +486,13 @@ def _window_mass(Fh, t, delta, tau):
     With a primitive Phi the integral is exact, Im[Phi(t+delta+i tau) -
     Phi(t-delta+i tau)] * Id, once the segment is found to pass no closer
     than POLE_MARGIN to a pole (those of an evaluator with a primitive lie
-    on the real axis).  Other evaluators integrate their stacked values by
-    the trapezoid rule, spacing tau/6, 61 to 40 001 points.
+    on the real axis).  Evaluators without one integrate Im phi by the
+    trapezoid rule, spacing tau/6, 61 to 40 001 points, times Id.
     """
     if Fh.primitive is None:
         npts = int(max(61, min(40001, 2 * delta / (tau / 6.0) + 1)))
         grid = np.linspace(t - delta, t + delta, npts)
-        return np.trapezoid(np.imag(Fh.many(grid + 1j * tau)), grid, axis=0)
+        return np.trapezoid(np.imag(Fh.phi(grid + 1j * tau)), grid) * np.eye(Fh.dim)
     gap = max(0.0, float(Fh.pole_distance(complex(t))) - delta)
     if math.hypot(gap, tau) < POLE_MARGIN:
         raise PoleError(
@@ -664,8 +545,8 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     tau: the window holds the Poisson-smoothed measure, whose deficit at an
     isolated atom (the mass smoothed past the window's edges) is O(tau), and
     the extrapolation removes it.  A closed form with a primitive gives each
-    window integral exactly, from two evaluations (``_window_mass``); other
-    evaluators integrate by the trapezoid rule.  Disagreement above 5%
+    window integral exactly, from two evaluations (``_window_mass``); an
+    evaluator without one integrates by the trapezoid rule.  Disagreement above 5%
     between successive extrapolants raises ConvergenceError.
 
     F must be Herglotz: the atom scan skips most of its grid on that
@@ -680,9 +561,9 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     full-grid scan for every block size: the size only trades npts/48
     coarse evaluations against the fine ones in the kept blocks, which grow
     with it, and the scans of the CLI's ``herglotz`` task cost the same from
-    24 to 64 points, so it is a constant, not an option.  Closed
-    forms are scanned through their scalar profile, bit for bit as the
-    stacked (m, k, k) path that other evaluators take.
+    24 to 64 points, so it is a constant, not an option.  The scan reads
+    phi alone and holds one value per grid point; a grid of more than
+    MAX_STACK_ENTRIES points is refused before it is built.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -718,9 +599,8 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     tau_min = taus[-1]
     h_scan = min(tau_min / 2.0, (b - a) / 2000.0)
     npts = int(math.ceil((b - a) / h_scan)) + 1
-    mf.require_stack_size((npts, k, k), "herglotz.stieltjes_invert",
-                          f"use a smallest tau above {tau_min:g}"
-                          if npts > mf.MAX_STACK_ENTRIES else "use a smaller n")
+    mf.require_stack_size((npts,), "herglotz.stieltjes_invert",
+                          f"use a smallest tau above {tau_min:g}")
     grid = np.linspace(a, b, npts)
     locations = []
     for j in _scan_peaks(Fh, grid, tau_min, atom_threshold):

@@ -402,15 +402,13 @@ MAX_QUAD_NODES = 1_000_000
 # coordinates of one rule's nodes (80 MB); binds only for monte_carlo above
 # n = 10, where the node cap alone allows more
 MAX_QUAD_ENTRIES = 10_000_000
-# entries of one stack of matrices or frames, (samples, k, k) or (samples, k,
-# d): 80 MB of floats, 160 MB of complex values.  With the default grids it
-# binds from n = 26 for the herglotz scan (16 568 points) and from n = 45 for
-# verify (5 001 grid points)
+# points of one Stieltjes scan grid, (npts,): 80 MB of floats, 160 MB of
+# complex values.  The default tau schedule scans 16 568 points; a smallest
+# tau of 1e-6 would scan 16 566 372
 MAX_STACK_ENTRIES = 10_000_000
 
 
-def require_stack_size(shape: tuple, caller: str,
-                       remedy: str = "use a smaller n") -> None:
+def require_stack_size(shape: tuple, caller: str, remedy: str) -> None:
     """Refuse a stack of more than MAX_STACK_ENTRIES entries before it is
     built; ``remedy`` ends the message."""
     entries = math.prod(shape)

@@ -13,6 +13,8 @@ from geocount.errors import (ConfigurationError, DomainError, InputError,
 from geocount import flow
 from geocount.flow import DET_ZERO_REL, SIGMA_REFINE_TOL
 from geocount.herglotz import _golden_min
+from matrix_forms import (closed_form_matrices, jacobi_matrices, jacobi_stacks,
+                          times_id)
 
 
 def _traj_and_system(spec, T=3.0, step=1e-3, direction=0):
@@ -103,10 +105,11 @@ def _detect_det_zeros(js_sigma, dets, norms, det_interp, k, h):
 def _reference_zeros(js):
     """(xi zeros, eta zeros) by the general determinant-threshold detector."""
     out = []
-    for Y, dets, i in ((js.xi, js.det_xi, 0), (js.h, js.det_h, 2)):
+    xi, _, h, _ = jacobi_stacks(js)
+    for Y, dets, i in ((xi, js.det_xi, 0), (h, js.det_h, 2)):
         out.append(_detect_det_zeros(
             js.sigma, dets, np.max(np.abs(Y), axis=(1, 2)),
-            lambda s, i=i: float(np.linalg.det(js.eval_at(s)[i])),
+            lambda s, i=i: float(np.linalg.det(times_id(js.eval_at(s)[i], js.dim))),
             js.dim, js.trajectory.step))
     return out
 
@@ -203,26 +206,26 @@ _ZERO_CATALOG = [
 class TestClosedForm:
     def test_initial_conditions_any_curvature(self):
         for c in (-2.0, -1.0, 0.0, 1.0, 3.5):
-            xi, dxi, h, dh = gc.closed_form_jacobi(c, 0.0, 4)
+            xi, dxi, h, dh = closed_form_matrices(c, 0.0, 4)
             assert np.allclose(xi, np.eye(3))
             assert np.allclose(dxi, 0.0)
             assert np.allclose(h, 0.0)
             assert np.allclose(dh, np.eye(3))
 
     def test_round_sphere_quarter_period(self):
-        xi, _, h, _ = gc.closed_form_jacobi(1.0, math.pi / 2, 3)
+        xi, _, h, _ = closed_form_matrices(1.0, math.pi / 2, 3)
         assert np.max(np.abs(xi)) < 1e-15
         assert np.allclose(h, np.eye(2))
 
     def test_flat_solution_is_linear(self):
-        xi, dxi, h, dh = gc.closed_form_jacobi(0.0, 3.0, 3)
+        xi, dxi, h, dh = closed_form_matrices(0.0, 3.0, 3)
         assert np.allclose(xi, np.eye(2))
         assert np.allclose(h, 3.0 * np.eye(2))
 
     def test_hyperbolic_oracle(self):
         # independent oracle: solve Y'' = Y with the stated initial data
         s = 1.7
-        xi, dxi, h, dh = gc.closed_form_jacobi(-1.0, s, 2)
+        xi, dxi, h, dh = closed_form_matrices(-1.0, s, 2)
         assert abs(xi[0, 0] - math.cosh(s)) < 1e-15
         assert abs(h[0, 0] - math.sinh(s)) < 1e-15
 
@@ -265,8 +268,8 @@ class TestIntegrateGeodesic:
         traj = gc.integrate_geodesic(spec, x, theta, 3.7, 1e-2)
         assert abs(traj.positions[-1][0] - (1.0 + 3.7)) < 1e-12
         js = gc.propagate_jacobi(spec, traj)
-        exact = gc.closed_form_jacobi(0.0, 3.7, 2)
-        assert abs(js.h[-1][0, 0] - exact[2][0, 0]) < 1e-10
+        exact = closed_form_matrices(0.0, 3.7, 2)
+        assert abs(jacobi_stacks(js)[2][-1][0, 0] - exact[2][0, 0]) < 1e-10
 
     def test_unit_speed_conservation(self):
         from geocount.manifolds import metric_dot
@@ -292,7 +295,8 @@ class TestIntegrateGeodesic:
         vel = s * np.sinh(u) * x + np.cosh(u) * theta
         for got, want in ((traj.positions, pos), (traj.velocities, vel)):
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
-        assert np.array_equal(traj.frames, np.broadcast_to(traj.frames[0], traj.frames.shape))
+        assert traj.frame.shape == (2, 4)
+        assert np.array_equal(traj.scale, np.ones(len(traj.sigma)))
 
     def test_input_validation(self):
         spec = gc.constant_curvature(1.0, 2)
@@ -327,9 +331,10 @@ class TestPropagateJacobi:
         spec = gc.constant_curvature(c, 3)
         _, js = _traj_and_system(spec, T=3.0)
         worst = 0.0
+        stacks = jacobi_stacks(js)
         for j in range(0, len(js.sigma), 77):
-            exact = gc.closed_form_jacobi(c, js.sigma[j], 3)
-            approx = (js.xi[j], js.dxi[j], js.h[j], js.dh[j])
+            exact = closed_form_matrices(c, js.sigma[j], 3)
+            approx = tuple(Y[j] for Y in stacks)
             worst = max(worst, max(float(np.max(np.abs(a - e)))
                                    for a, e in zip(approx, exact)))
         assert worst <= 1e-6
@@ -354,7 +359,7 @@ class TestPropagateJacobi:
     def test_det_h_positive_near_zero(self, spec):
         _, js = _traj_and_system(spec, T=1.0)
         for s in (0.002, 0.005, 0.01):
-            _, _, h, _ = js.eval_at(s)
+            _, _, h, _ = jacobi_matrices(js.eval_at(s), js.dim)
             assert np.linalg.det(h) > 0
 
     @pytest.mark.parametrize("nsub", [1, 3])
@@ -372,7 +377,7 @@ class TestPropagateJacobi:
         traj = gc.integrate_geodesic(spec, x, theta, 3.0, 1e-2)
         js = gc.propagate_jacobi(spec, traj, step=traj.step / nsub)
         ref = _matrix_reference(spec, traj, nsub)
-        for got, want in zip((js.xi, js.dxi, js.h, js.dh), ref):
+        for got, want in zip(jacobi_stacks(js), ref):
             assert np.array_equal(got, want)
         assert np.array_equal(js.kappa, js.kop.profile(js.sigma))
 
@@ -388,7 +393,7 @@ class TestPropagateJacobi:
         traj = gc.integrate_geodesic(spec, x, theta, 0.5, 1e-2)
         js = gc.propagate_jacobi(spec, traj, step=traj.step / nsub)
         ref = _matrix_reference(spec, traj, nsub)
-        for got, want in zip((js.xi, js.dxi, js.h, js.dh), ref):
+        for got, want in zip(jacobi_stacks(js), ref):
             assert np.array_equal(got, want)
 
     def test_many_substeps_keep_one_row_per_grid_cell(self):
@@ -403,34 +408,27 @@ class TestPropagateJacobi:
         ref = np.stack([Y[:, 0, 0] for Y in _matrix_reference(spec, traj, 200)], axis=1)
         assert cols.tobytes() == ref.tobytes()
 
-    def test_matrix_expansions_capped_before_allocating(self, monkeypatch):
-        _, js = _traj_and_system(gc.constant_curvature(1.0, 3), T=1.0, step=1e-2)
-        monkeypatch.setattr(gc.manifolds, "MAX_STACK_ENTRIES", 4 * len(js.sigma) - 1)
-        for name in ("xi", "dxi", "h", "dh"):
-            with pytest.raises(InputError, match=r"\(101, 2, 2\)"):
-                getattr(js, name)
-        assert js.det_h.shape == (101,)
-
     def test_substep_integration(self):
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
         theta = gc.tangent_frame(spec, x)[0]
         traj = gc.integrate_geodesic(spec, x, theta, 2.0, 1e-2)
         js = gc.propagate_jacobi(spec, traj, step=1e-3)
-        exact = gc.closed_form_jacobi(1.0, 2.0, 2)
-        assert abs(js.h[-1][0, 0] - exact[2][0, 0]) < 1e-9
+        exact = closed_form_matrices(1.0, 2.0, 2)
+        assert abs(jacobi_stacks(js)[2][-1][0, 0] - exact[2][0, 0]) < 1e-9
 
     def test_dense_output_matches_grid(self):
         spec = gc.constant_curvature(1.0, 3)
         _, js = _traj_and_system(spec, T=2.0)
         j = 500
-        xi, dxi, h, dh = js.eval_at(float(js.sigma[j]))
-        assert np.allclose(xi, js.xi[j], atol=1e-12)
-        assert np.allclose(dh, js.dh[j], atol=1e-12)
+        xi, dxi, h, dh = jacobi_matrices(js.eval_at(float(js.sigma[j])), js.dim)
+        stacks = jacobi_stacks(js)
+        assert np.allclose(xi, stacks[0][j], atol=1e-12)
+        assert np.allclose(dh, stacks[3][j], atol=1e-12)
         # between nodes the dense output stays at the closed form
         s = float(js.sigma[j]) + 0.4 * js.step
-        exact = gc.closed_form_jacobi(1.0, s, 3)
-        approx = js.eval_at(s)
+        exact = closed_form_matrices(1.0, s, 3)
+        approx = jacobi_matrices(js.eval_at(s), js.dim)
         assert max(float(np.max(np.abs(a - e)))
                    for a, e in zip(approx, exact)) < 1e-10
 
@@ -442,21 +440,20 @@ class TestScalarColumns:
         assert not names & {"xi", "dxi", "h", "dh", "det_xi", "det_h"}
         _, js = _traj_and_system(gc.constant_curvature(1.0, 4), T=1.0, step=1e-2)
         assert js.cols.shape == (len(js.sigma), 4)
-        for Y in (js.xi, js.dxi, js.h, js.dh):
-            assert Y.shape == (len(js.sigma), 3, 3)
-            with pytest.raises(ValueError):
-                Y[0, 0, 0] = 1.0
+        assert not any(hasattr(js, name) for name in ("xi", "dxi", "h", "dh"))
+        assert all(isinstance(v, float) for v in js.eval_at(0.5))
 
     @pytest.mark.parametrize("spec", _SCALAR_COLUMN_SYSTEMS, ids=lambda s: s.label)
     def test_gates_and_dense_output_equal_matrix_formulas(self, spec):
         _, js = _traj_and_system(spec, T=3.0)
-        mats = (js.xi, js.dxi, js.h, js.dh)
+        mats = jacobi_stacks(js)
         assert gc.wronskian_drift(js) == _matrix_wronskian(*mats)
         assert gc.jacobi_residual(js) == _matrix_residual(js.sigma, js.kappa,
-                                                          js.xi, js.h)
+                                                          mats[0], mats[2])
         rng = np.random.default_rng(5)
         for s in np.concatenate([js.sigma[::250], rng.uniform(0.0, js.T, 40)]):
-            for got, want in zip(js.eval_at(float(s)), _matrix_eval_at(js, mats, float(s))):
+            for got, want in zip(jacobi_matrices(js.eval_at(float(s)), js.dim),
+                                 _matrix_eval_at(js, mats, float(s))):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
@@ -468,7 +465,8 @@ class TestScalarColumns:
     def test_determinants_are_powers_within_lu_roundoff(self, family, n):
         _, js = _traj_and_system(family(n), T=3.0, step=1e-2)
         eps = np.finfo(float).eps
-        for got, Y in ((js.det_xi, js.xi), (js.det_h, js.h)):
+        xi, _, h, _ = jacobi_stacks(js)
+        for got, Y in ((js.det_xi, xi), (js.det_h, h)):
             want = np.linalg.det(Y)
             assert np.all(np.abs(got - want) <= 64 * eps * np.abs(want))
 
@@ -486,7 +484,7 @@ class TestScalarColumns:
         _, ref = flow._fundamental_solutions(ref_profile, traj.sigma)
         assert np.all(np.abs(js.cols - ref) <= 4e-16 * np.maximum(1.0, np.abs(ref)))
         w = np.array([_MATH_WARPS[name][0](r) for r in traj.positions[:, 0]])
-        g = np.sum(traj.frames[:, 0, 1:] ** 2, axis=1) * w * w
+        g = np.sum((traj.scale[:, None] * traj.frame[0, 1:]) ** 2, axis=1) * w * w
         assert np.all(np.abs(g - 1.0) <= 1e-14)
 
 
@@ -526,7 +524,7 @@ class TestSingularSet:
         js = gc.propagate_jacobi(spec, traj)
         assert len(js.xi_zeros) == 1
         assert abs(js.xi_zeros[0] - math.pi / 2) < 1e-5
-        xi, _, _, _ = js.eval_at(float(js.xi_zeros[0]))
+        xi, _, _, _ = jacobi_matrices(js.eval_at(float(js.xi_zeros[0])), js.dim)
         assert abs(np.linalg.det(xi)) < 1e-10
 
     def test_singular_set_merges_families(self):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import geocount as gc
-from geocount.errors import (ConditioningError, DegeneracyError, InputError,
-                             PoleError)
+from geocount.errors import ConditioningError, InputError, PoleError
 from geocount.flow import ClosedFormJacobi
+from matrix_forms import times_id
 
 
 def _warped_system(T=4.0):
@@ -18,39 +18,44 @@ def _warped_system(T=4.0):
     return gc.propagate_jacobi(spec, traj)
 
 
+def _f(c, n, zeta):
+    """The closed-form matrix f = phi * Id of curvature c at zeta."""
+    return gc.HerglotzMatrix.from_constant_curvature(c, n)(zeta)
+
+
 class TestClosedFormF:
     def test_tan_at_i(self):
         # oracle: tan(i) = i*tanh(1)
-        F = gc.f_constant_curvature(1.0, 3, 1j)
+        F = _f(1.0, 3, 1j)
         expect = cmath.tan(1j)
         assert abs(expect - 1j * math.tanh(1.0)) < 1e-15
         assert np.allclose(F, expect * np.eye(2))
 
     def test_flat_is_identity_times_argument(self):
         for s in (0.3, -2.0, 5.5):
-            F = gc.f_constant_curvature(0.0, 4, s)
+            F = _f(0.0, 4, s)
             assert np.allclose(F, s * np.eye(3))
             assert np.max(np.abs(F.imag)) == 0.0
 
     def test_normalization_at_zero(self):
         h = 1e-6
         for c in (-1.0, 0.0, 1.0, 2.5):
-            F0 = gc.f_constant_curvature(c, 3, 0.0)
+            F0 = _f(c, 3, 0.0)
             assert np.max(np.abs(F0)) < 1e-15
-            fp = (gc.f_constant_curvature(c, 3, h)
-                  - gc.f_constant_curvature(c, 3, -h)) / (2 * h)
+            fp = (_f(c, 3, h)
+                  - _f(c, 3, -h)) / (2 * h)
             assert np.max(np.abs(fp - np.eye(2))) < 1e-9
 
     def test_pole_proximity(self):
         with pytest.raises(PoleError):
-            gc.f_constant_curvature(1.0, 2, math.pi / 2)
+            _f(1.0, 2, math.pi / 2)
         with pytest.raises(PoleError):
-            gc.f_constant_curvature(4.0, 2, math.pi / 4 + 1e-10)
+            _f(4.0, 2, math.pi / 4 + 1e-10)
 
     def test_curvature_rescaling(self):
         # f for curvature c is tan(sqrt(c) z)/sqrt(c)
         c, z = 2.0, 0.4 + 0.3j
-        F = gc.f_constant_curvature(c, 2, z)
+        F = _f(c, 2, z)
         s = math.sqrt(c)
         assert abs(F[0, 0] - cmath.tan(s * z) / s) < 1e-14
 
@@ -63,7 +68,8 @@ class TestRealAxisNumeric:
                                      2.0, 1e-3)
         js = gc.propagate_jacobi(spec, traj)
         f = gc.f_real_axis_numeric(js, math.pi / 4)
-        assert abs(f[0, 0] - 1.0) < 1e-8  # tan(pi/4)
+        assert isinstance(f, float)
+        assert abs(f - 1.0) < 1e-8  # tan(pi/4)
 
     def test_flat_linear(self):
         spec = gc.constant_curvature(0.0, 3)
@@ -71,19 +77,13 @@ class TestRealAxisNumeric:
         traj = gc.integrate_geodesic(spec, x, gc.tangent_frame(spec, x)[0],
                                      3.0, 1e-3)
         js = gc.propagate_jacobi(spec, traj)
-        assert np.allclose(gc.f_real_axis_numeric(js, 2.0), 2.0 * np.eye(2),
-                           atol=1e-9)
+        assert abs(gc.f_real_axis_numeric(js, 2.0) - 2.0) <= 1e-9
 
     def test_warped_small_sigma_expansion(self):
         js = _warped_system(T=1.0)
         for s in (0.005, 0.01, 0.02):
             f = gc.f_real_axis_numeric(js, s)
-            assert np.max(np.abs(f - s * np.eye(2))) < 5.0 * s**3
-
-    def test_symmetry_everywhere(self):
-        js = _warped_system(T=3.0)
-        for s in np.linspace(0.1, 2.9, 15):
-            assert gc.symmetry_defect(gc.f_real_axis_numeric(js, s)) <= 1e-8
+            assert abs(f - s) < 5.0 * s**3
 
     def test_pole_margin_enforced(self):
         spec = gc.constant_curvature(1.0, 2)
@@ -94,44 +94,44 @@ class TestRealAxisNumeric:
         with pytest.raises((InputError, ConditioningError)):
             gc.f_real_axis_numeric(js, float(js.xi_zeros[0]))
 
+    def test_singular_xi_raises_conditioning_error(self):
+        # the only case in which cond(xi * Id) exceeds any limit: xi = 0 or
+        # not finite; the distance to the detected zeros travels with it
+        class Source:
+            def __init__(self, xi, xi_zeros=None):
+                self.xi = xi
+                if xi_zeros is not None:
+                    self.xi_zeros = xi_zeros
+
+            def eval_at(self, sigma):
+                return self.xi, 0.0, 1.0, 1.0
+
+        for xi in (0.0, math.inf, math.nan):
+            with pytest.raises(ConditioningError) as bare:
+                gc.f_real_axis_numeric(Source(xi), 1.0)
+            assert bare.value.distance is None
+            with pytest.raises(ConditioningError, match="distance 2.500e-01") as err:
+                gc.f_real_axis_numeric(Source(xi, [0.75, 3.0]), 1.0)
+            assert err.value.distance == 0.25
+        assert gc.f_real_axis_numeric(Source(-2.0), 1.0) == -0.5
+
 
 class TestNegInverse:
-    def test_imaginary_unit_self_inverse(self):
-        F = 1j * np.eye(3)
-        assert np.allclose(gc.neg_inverse(F), 1j * np.eye(3))
-
     def test_tan_becomes_minus_cot(self):
         z = 0.7 + 0.2j
-        F = gc.f_constant_curvature(1.0, 2, z)
-        G = gc.neg_inverse(F)
-        assert abs(G[0, 0] - (-cmath.cos(z) / cmath.sin(z))) < 1e-12
+        Gh = gc.HerglotzMatrix.from_constant_curvature(1.0, 2).neg_inverse_function()
+        assert abs(Gh(z)[0, 0] - (-cmath.cos(z) / cmath.sin(z))) < 1e-12
 
     def test_linear_becomes_minus_reciprocal(self):
         z = 1.5 + 0.4j
-        G = gc.neg_inverse(z * np.eye(2))
-        assert np.allclose(G, (-1.0 / z) * np.eye(2))
-
-    def test_singular_input(self):
-        with pytest.raises(DegeneracyError):
-            gc.neg_inverse(np.zeros((2, 2), dtype=complex))
-
-    def test_positivity_propagates(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            m = rng.standard_normal((k, k))
-            y = m @ m.T + 0.1 * np.eye(k)
-            x = rng.standard_normal((k, k))
-            x = 0.5 * (x + x.T)
-            G = gc.neg_inverse(x + 1j * y)
-            assert gc.herglotz.min_im_eigenvalue(G) > 0
+        Gh = gc.HerglotzMatrix.from_constant_curvature(0.0, 3).neg_inverse_function()
+        assert np.allclose(Gh(z), (-1.0 / z) * np.eye(2))
 
 
 class TestTheoremNice:
     def test_round_sphere_report(self):
         Fh = gc.HerglotzMatrix.from_constant_curvature(1.0, 3)
         report = gc.check_theorem_nice(Fh, [1j, 0.5 + 0.2j, -2.0 + 1.5j])
-        assert report["symmetry_defect"] <= 1e-10
         assert report["f_zero_norm"] <= 1e-12
         assert report["fprime_zero_defect"] <= 1e-6
         assert report["min_im_eigenvalue"] > 0
@@ -150,15 +150,21 @@ class TestTheoremNice:
         assert report["max_real_axis_im"] == 0.0
         assert report["min_im_eigenvalue"] is None
 
-    def test_numeric_source_normalization(self):
-        # one-sided derivative path: real-axis sources know f only for
-        # sigma >= 0, but f(0)=0 and f'(0)=Id still have to come out
-        js = _warped_system(T=1.0)
-        Fh = gc.HerglotzMatrix.from_jacobi(js)
-        report = gc.check_theorem_nice(Fh, [0.3, 0.7])
-        assert report["f_zero_norm"] <= 1e-12
-        assert report["fprime_zero_defect"] <= 1e-6
-        assert report["symmetry_defect"] <= 1e-8
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 0.5, 1.0, 4.0])
+    def test_report_equals_the_matrix_formulas(self, c):
+        # the values the k x k form gave: max-entry norms of f(0) and of
+        # f'(0) - Id, and the eigenvalues of Im F over the samples
+        Fh = gc.HerglotzMatrix.from_constant_curvature(c, 4)
+        samples = [0.3 + 0.2j, -1.1 + 0.05j, 0.4, -2.0, 2.5 + 3.0j]
+        report = gc.check_theorem_nice(Fh, samples)
+        h = gc.herglotz.FD_STEP
+        F = np.stack([Fh(z) for z in samples])
+        upper = np.array([z.imag > 0 for z in map(complex, samples)])
+        assert report["f_zero_norm"] == np.max(np.abs(Fh(0.0)))
+        assert report["fprime_zero_defect"] == np.max(np.abs(
+            (Fh(h) - Fh(-h)) / (2 * h) - np.eye(3)))
+        assert report["min_im_eigenvalue"] == np.min(np.linalg.eigvalsh(F[upper].imag))
+        assert report["max_real_axis_im"] == np.max(np.abs(F[~upper].imag))
 
 
 class TestHerglotzPositivity:
@@ -170,17 +176,10 @@ class TestHerglotzPositivity:
         worst_f, worst_g = math.inf, math.inf
         for _ in range(100):
             z = complex(rng.uniform(-8, 8), 10.0 ** rng.uniform(-3, 1))
-            worst_f = min(worst_f, gc.herglotz.min_im_eigenvalue(Fh(z)))
-            worst_g = min(worst_g, gc.herglotz.min_im_eigenvalue(Gh(z)))
+            worst_f = min(worst_f, np.min(np.linalg.eigvalsh(Fh(z).imag)))
+            worst_g = min(worst_g, np.min(np.linalg.eigvalsh(Gh(z).imag)))
         assert worst_f > 0
         assert worst_g > 0
-
-    def test_real_axis_numeric_rejects_complex(self):
-        js = _warped_system(T=1.0)
-        Fh = gc.HerglotzMatrix.from_jacobi(js)
-        assert np.allclose(Fh(0.5), gc.f_real_axis_numeric(js, 0.5))
-        with pytest.raises(InputError):
-            Fh(0.5 + 0.1j)
 
 
 def _f_cmath(c, zeta):
@@ -227,14 +226,13 @@ class TestArrayEvaluator:
         Fh = gc.HerglotzMatrix.from_constant_curvature(c, 3)
         for H, ref in ((Fh, _f_cmath), (Fh.neg_inverse_function(), _g_cmath)):
             with np.errstate(all="raise"):  # masked saturation: no overflow
-                many = H.many(_ZETAS)
+                phi = H.phi(_ZETAS)
             stacked = np.stack([H(z) for z in _ZETAS])
-            assert many.shape == (len(_ZETAS), 2, 2)
-            scale = np.max(np.abs(stacked), axis=(1, 2))[:, None, None]
-            assert np.all(np.abs(many - stacked) <= 4 * _EPS * scale)
+            assert phi.shape == (len(_ZETAS),)
+            assert np.array_equal(times_id(phi, 2), stacked)
             want = np.array([ref(c, complex(z)) for z in _ZETAS])
-            assert np.all(np.abs(many[:, 0, 0] - want) <= 8 * _EPS * np.abs(want))
-            assert np.all(many[:, 0, 1] == 0)
+            assert np.all(np.abs(phi - want) <= 8 * _EPS * np.abs(want))
+            assert np.all(stacked[:, 0, 1] == 0)
 
     @pytest.mark.parametrize("c", [4.0, 1.0, 0.5, -1.0])
     def test_samples_reach_both_branches(self, c):
@@ -246,42 +244,16 @@ class TestArrayEvaluator:
         Gh = gc.HerglotzMatrix.from_constant_curvature(1.0, 2).neg_inverse_function()
         bad = complex(math.pi, 1e-9)
         with pytest.raises(PoleError, match=re.escape(f"zeta={bad} within")):
-            Gh.many([0.5 + 0.1j, bad, 2 * math.pi + 1e-9j])
+            Gh.phi([0.5 + 0.1j, bad, 2 * math.pi + 1e-9j])
         with pytest.raises(PoleError, match=re.escape(f"zeta={bad} within")):
             Gh(bad)
         Fh = gc.HerglotzMatrix.from_constant_curvature(0.0, 2).neg_inverse_function()
         with pytest.raises(PoleError):
-            Fh.many(np.array([1.0 + 1j, 0.0]))
-
-    def test_real_axis_source_refuses_off_axis(self):
-        js = _warped_system(T=1.0)
-        Fh = gc.HerglotzMatrix.from_jacobi(js)
-        stacked = np.stack([Fh(s) for s in (0.3, 0.5)])
-        assert np.array_equal(Fh.many([0.3, 0.5]), stacked)
-        with pytest.raises(InputError, match="off the real axis"):
-            Fh.many([0.3, 0.5 + 0.1j])
-
-    def test_stack_capped_before_allocating(self, monkeypatch):
-        # herglotz --n 400 asked numpy for a (16568, 399, 399) complex stack
-        Fh = gc.HerglotzMatrix.from_constant_curvature(1.0, 72)
-        Js = gc.HerglotzMatrix.from_jacobi(_warped_system(T=1.0))
-        zetas = np.full(2_000, 0.5 + 0.5j)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated before the stack cap was checked")
-        monkeypatch.setattr(np, "eye", refuse)
-        monkeypatch.setattr(np, "empty", refuse)
-        with pytest.raises(InputError, match=re.escape("(2000, 71, 71)")):
-            Fh.many(zetas)
-        monkeypatch.setattr(gc.manifolds, "MAX_STACK_ENTRIES", 39)
-        with pytest.raises(InputError, match=re.escape("(10, 2, 2)")):
-            Js.many(zetas.real[:10])
+            Fh.phi(np.array([1.0 + 1j, 0.0]))
 
     def test_empty_array(self):
         Fh = gc.HerglotzMatrix.from_constant_curvature(1.0, 4)
-        assert Fh.many([]).shape == (0, 3, 3)
-        assert gc.HerglotzMatrix.from_jacobi(_warped_system(T=1.0)).many(
-            np.array([])).shape == (0, 2, 2)
+        assert Fh.phi([]).shape == (0,)
 
 
 class TestIdentityChain:
@@ -396,6 +368,16 @@ class TestDetGrowthBound:
         with pytest.raises(PoleError):
             gc.det_growth_bound(1.0, 2, math.pi)
 
+    @pytest.mark.parametrize("c,n,sigma", [(1.0, 400, 9.0), (0.0, 156, 10.0),
+                                           (-1.0, 400, 3.0), (-1.0, 200, 3.0),
+                                           (-1.0, 2, 800.0)])
+    def test_overflow_is_an_input_error(self, c, n, sigma):
+        # sigma^(2n-2) (the first three) or the left side ((sinh^2 3)^199,
+        # then sinh 800 itself) overflows a float; it raised a bare
+        # OverflowError
+        with pytest.raises(InputError, match=f"n={n}, sigma={sigma}"):
+            gc.det_growth_bound(c, n, sigma)
+
 
 class TestBDecomposition:
     @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -410,7 +392,21 @@ class TestBDecomposition:
             count += 1
 
 
+def _matrix_structure(W):
+    """The complex structure from the k x k formula on W = f(i)."""
+    X, Y = W.real, W.imag
+    E = np.linalg.inv(Y)
+    return np.block([[-X @ E, -(Y + X @ E @ X)], [E, E @ X]])
+
+
 class TestAdaptedStructure:
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_equals_the_matrix_formula(self, c, n):
+        Fh = gc.HerglotzMatrix.from_constant_curvature(c, n)
+        J = gc.adapted_complex_structure_at(Fh)
+        assert np.array_equal(J, _matrix_structure(Fh(1j)))
+
     def test_flat_swaps_frames(self):
         Fh = gc.HerglotzMatrix.from_constant_curvature(0.0, 3)
         J = gc.adapted_complex_structure_at(Fh)

@@ -84,12 +84,11 @@ def test_certified_scan_finds_the_full_grid_peaks(c, n, lead, length, tau, thres
        a=st.floats(-2.0, 2.0),
        tau=st.floats(1e-4, 1e-3))
 def test_certified_scan_on_a_constant_function(scale, a, tau):
-    # Im F = P everywhere: either no grid point clears the threshold or every
-    # interior point is a (flat) peak; a user-built evaluator has no profile
-    P = scale * np.diag([1.0, 2.0])
-    Fh = HerglotzMatrix(evaluator=lambda z: 1j * P.astype(complex), dim=2,
-                        source="closed_form", pole_set=np.array([]),
-                        pole_distance=lambda z: math.inf)
+    # Im F = scale * Id everywhere: either no grid point clears the threshold
+    # or every interior point is a (flat) peak; a user-built profile
+    Fh = HerglotzMatrix(profile=lambda z: np.full(z.shape, 1j * scale), dim=2,
+                        pole_set=np.array([]),
+                        pole_distance=lambda z: np.full(z.shape, np.inf))
     grid = _scan_grid(a, 0.05, tau)
     want = _full_grid_peaks(Fh, grid, tau, 0.1)
     assert np.array_equal(herglotz._scan_peaks(Fh, grid, tau, 0.1), want)

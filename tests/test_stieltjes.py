@@ -9,14 +9,14 @@ import geocount as gc
 from geocount import herglotz
 from geocount.errors import InputError, NumericalError, PoleError
 from geocount.herglotz import HerglotzMatrix
+from matrix_forms import stacked_trace_im
 
 
-def _constant_function(P):
-    P = np.asarray(P, dtype=float)
+def _constant_function(p, k):
+    """The user-built F = i p * Id: no poles, no curvature, no primitive."""
     return HerglotzMatrix(
-        evaluator=lambda z: 1j * P.astype(complex),
-        dim=P.shape[0], source="closed_form", pole_set=np.array([]),
-        pole_distance=lambda z: math.inf)
+        profile=lambda z: np.full(z.shape, 1j * p), dim=k,
+        pole_set=np.array([]), pole_distance=lambda z: np.full(z.shape, np.inf))
 
 
 class TestMeasureRecovery:
@@ -49,7 +49,7 @@ class TestMeasureRecovery:
         assert abs(locs[0]) <= 1e-4 and abs(locs[1] - math.pi / 2) <= 1e-4
 
     def test_constant_function_flags_continuous_part(self):
-        Fh = _constant_function(np.diag([1.0, 2.0]))
+        Fh = _constant_function(1.5, 2)
         fd = gc.stieltjes_invert(Fh, (-1.0, 1.0))
         assert fd.atoms == ()
         assert np.max(np.abs(fd.A)) <= 1e-10
@@ -72,34 +72,17 @@ class TestMeasureRecovery:
                 gc.stieltjes_invert(Gh, (-1.0, 1.0), tau_schedule=(1e-1, 1e-2, last))
 
 
-class TestArrayFallback:
-    def test_user_evaluator_stacks_scalar_calls(self):
-        P = np.diag([1.0, 2.0])
-        Fh = _constant_function(P)
+class TestUserProfile:
+    def test_call_is_phi_times_identity(self):
+        Fh = _constant_function(1.5, 2)
         zs = [0.3 + 0.1j, -1.0 + 2.0j, 0.7]
-        assert np.array_equal(Fh.many(zs), np.stack([Fh(z) for z in zs]))
-        assert np.array_equal(Fh.many(zs), np.broadcast_to(1j * P, (3, 2, 2)))
+        assert np.array_equal(Fh.phi(zs), np.full(3, 1.5j))
+        assert np.array_equal(np.stack([Fh(z) for z in zs]),
+                              np.broadcast_to(1.5j * np.eye(2), (3, 2, 2)))
 
-    def test_generic_neg_inverse_stacks_scalar_calls(self):
-        Gh = _constant_function(np.diag([1.0, 2.0])).neg_inverse_function()
-        assert Gh.profile is None
-        zs = [0.3 + 0.1j, -1.0 + 2.0j]
-        assert np.array_equal(Gh.many(zs), np.stack([Gh(z) for z in zs]))
-        assert np.allclose(Gh.many(zs)[0], np.diag([1j, 0.5j]))
-
-    def test_closed_form_and_fallback_recover_the_same_measure(self):
-        # the same closed form with its profile removed runs every scan
-        # through stacked scalar calls
-        Gh = HerglotzMatrix.from_constant_curvature(4.0, 2).neg_inverse_function()
-        interval = (-0.7, 0.7 + math.pi / 2)
-        fast = gc.stieltjes_invert(Gh, interval)
-        slow = gc.stieltjes_invert(dataclasses.replace(Gh, profile=None), interval)
-        assert [t for t, _ in fast.atoms] == [t for t, _ in slow.atoms]
-        for (_, m1), (_, m2) in zip(fast.atoms, slow.atoms):
-            assert np.max(np.abs(m1 - m2)) <= 1e-13 * np.max(np.abs(m2))
-        assert np.array_equal(fast.A, slow.A)
-        assert abs(fast.continuous_mass - slow.continuous_mass) \
-            <= 1e-13 * abs(slow.continuous_mass)
+    def test_only_closed_forms_invert(self):
+        with pytest.raises(InputError, match="constant-curvature closed forms"):
+            _constant_function(1.5, 2).neg_inverse_function()
 
 
 def _bitwise_equal(x, y):
@@ -109,15 +92,14 @@ def _bitwise_equal(x, y):
 class TestScalarPathAndCoarsePass:
     @pytest.mark.parametrize("k", range(1, 15))
     def test_trace_equals_the_stacked_path(self, k):
-        # Im phi broadcast over k columns must give the stacked (m, k, k)
-        # path's trace bit for bit, signs of zeros included
+        # Im phi broadcast over k columns must give the trace of the stack
+        # phi * Id bit for bit, signs of zeros included
         for c in (1.0, 0.0):
             Gh = HerglotzMatrix.from_constant_curvature(c, k + 1).neg_inverse_function()
-            stacked = dataclasses.replace(Gh, profile=None)
             sigmas = np.linspace(-1.0, 7.0, 41)
             for tau in (1e-4, 1e-3, 1e-2):
                 assert _bitwise_equal(herglotz._trace_im(Gh, sigmas, tau),
-                                      herglotz._trace_im(stacked, sigmas, tau))
+                                      stacked_trace_im(Gh, sigmas, tau))
 
     def test_scan_skips_most_of_the_sphere_grid(self, monkeypatch):
         # work counter in place of a wall-time bound: the certified coarse
@@ -154,9 +136,8 @@ class TestScalarPathAndCoarsePass:
         # its block to be kept; below POLE_MARGIN the scan still evaluates
         # every grid point, so the guard raises where the full scan did
         eps = 1e-3
-        Fh = HerglotzMatrix(evaluator=lambda z: np.array([[-eps / z]]), dim=1,
-                            source="closed_form", pole_set=np.array([0.0]),
-                            pole_distance=abs)
+        Fh = HerglotzMatrix(profile=lambda z: -eps / z, dim=1,
+                            pole_set=np.array([0.0]), pole_distance=np.abs)
         grid = np.linspace(-1e-6, 1e-6, 801)
         with pytest.raises(PoleError):
             herglotz._scan_peaks(Fh, grid, 5e-9, 0.1)
@@ -243,9 +224,9 @@ class TestExactWindowMass:
 
     @pytest.mark.parametrize("c", [1.0, 4.0, 0.0])
     def test_trapezoid_fallback_within_its_measured_error(self, c):
-        # with the primitive removed the stacked trapezoid (spacing tau/6, at
-        # most 40 001 points) integrates the window; its error against the
-        # exact mass on a half-width 0.5 window at an atom
+        # with the primitive removed the trapezoid of Im phi (spacing tau/6,
+        # at most 40 001 points) integrates the window; its error against
+        # the exact mass on a half-width 0.5 window at an atom
         Gh = HerglotzMatrix.from_constant_curvature(c, 3).neg_inverse_function()
         trapezoid = dataclasses.replace(Gh, primitive=None)
         t = math.pi / math.sqrt(c) if c > 0 else 0.0
