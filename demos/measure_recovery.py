@@ -73,7 +73,7 @@ print("(the difference is the tail of atoms outside (-1, 7))")
 p = 1.5
 const = HerglotzMatrix(
     profile=lambda zz: np.full(zz.shape, 1j * p), dim=2,
-    pole_set=np.array([]), pole_distance=lambda zz: np.full(zz.shape, np.inf))
+    pole_distance=lambda zz: np.full(zz.shape, np.inf))
 fd_const = gc.stieltjes_invert(const, (-1.0, 1.0))
 print(f"\nconstant i*{p}*Id function: atoms = {fd_const.atoms}, "
       f"continuous mass {fd_const.continuous_mass:.4f}, "

@@ -115,7 +115,7 @@ def _counting_cumulative(spec, x, T, quad, step):
     frame = mf.tangent_frame(spec, x)
     dirs = quad.nodes @ frame
     # the metric norm of manifolds.require_unit_direction, for all rows at once
-    norm2 = np.sum(mf.ambient_signature(spec) * dirs * dirs, axis=1)
+    norm2 = np.sum(mf.metric_diagonal(spec, x) * dirs * dirs, axis=1)
     bad = np.flatnonzero(np.abs(norm2 - 1.0) > 1e-8)
     if bad.size:
         i = int(bad[0])
@@ -457,12 +457,7 @@ def check_gromov_inequality(n: int, K: int, C: float, quad_order: int = 64,
     the unit round sphere, for every k <= K at cutoff T = C*k."""
     if C <= 0:
         raise InputError(f"counting.check_gromov_inequality: C={C} must be positive")
-    spec = mf.constant_curvature(1.0, n)
-    x = mf.canonical_point(spec)
-    scheme = "product_gauss" if n <= 4 else "monte_carlo"
-    quad = mf.unit_sphere_quadrature(n, scheme, quad_order, seed)
-    grid, totals = _counting_cumulative(spec, x, C * K, quad, step)
-    return _gromov_from_cumulative(grid, totals, spec.volume, n, K, C)
+    return search_gromov_constant(n, K, [C], quad_order, step, seed)["checks"][0]
 
 
 def search_gromov_constant(n: int, K: int, c_grid, quad_order: int = 64,

@@ -132,24 +132,6 @@ class GeodesicTrajectory:
         return float(self.sigma[-1])
 
 
-def _normal_frame_at(spec, x, theta):
-    """Orthonormal basis of the normal space of theta inside T_x M."""
-    basis = mf.tangent_frame(spec, x)
-    frame = []
-    for cand in basis:
-        v = cand - theta * mf.metric_dot(spec, x, cand, theta)
-        for e in frame:
-            v = v - e * mf.metric_dot(spec, x, v, e)
-        norm2 = mf.metric_dot(spec, x, v, v)
-        if norm2 > 1e-8:
-            frame.append(v / math.sqrt(norm2))
-        if len(frame) == spec.n - 1:
-            break
-    if len(frame) != spec.n - 1:
-        raise InputError("flow.integrate_geodesic: could not complete a normal frame")
-    return np.array(frame)
-
-
 def _check_trajectory(sigma, g, velocities, frame, scale):
     """Unit speed and an orthonormal normal frame scale * frame; ``g`` is
     the diagonal of the metric at every sample."""
@@ -195,33 +177,26 @@ def integrate_geodesic(spec, x, theta, T, step):
     sigma = _grid(T, step)
     m = len(sigma) - 1
     h = sigma[1] - sigma[0]
+    frame = mf.orthonormal_frame(spec, x, [theta], spec.n - 1)
     scale = np.ones(m + 1)
 
     if spec.kind == mf.FLAT_TORUS:
         positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
         velocities = np.tile(theta, (m + 1, 1))
-        frame = _normal_frame_at(spec, x, theta)
-        g = np.ones_like(positions)
     elif spec.kind == mf.WARPED_PRODUCT:
         r = mf.radial_ray(spec, x, theta)(sigma)
         positions = np.tile(x, (m + 1, 1))
         positions[:, 0] = r
         velocities = np.tile(theta, (m + 1, 1))
-        frame = _normal_frame_at(spec, x, theta)
-        frame[:, 0] = 0.0  # the fibre directions
-        w = spec.warp.value(r)
-        scale = spec.warp.value(x[0]) / w
-        g = np.ones_like(positions)  # metric diagonal (1, w^2, ..., w^2)
-        g[:, 1:] = (w * w)[:, None]
+        scale = spec.warp.value(x[0]) / spec.warp.value(r)
     elif spec.kind == mf.CONSTANT_CURVATURE:
         xi, dxi, eta, deta = _space_form_scalars(spec.c, sigma)
         positions = xi[:, None] * x + eta[:, None] * theta
         velocities = dxi[:, None] * x + deta[:, None] * theta
-        frame = _normal_frame_at(spec, x, theta)
-        g = np.broadcast_to(mf.ambient_signature(spec), positions.shape)
     else:
         raise ConfigurationError(f"flow.integrate_geodesic: unknown kind {spec.kind}")
 
+    g = mf.metric_diagonal(spec, positions)
     _check_trajectory(sigma, g, velocities, frame, scale)
     return GeodesicTrajectory(spec, x, theta, sigma, positions, velocities,
                               frame, scale, h)
@@ -399,7 +374,8 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
     Raises InputError for a non-finite step or more than MAX_RK4_STEPS
     steps, and IntegrationFailureError when a grid cell may hold two zeros
     (grid step * sqrt(max kappa over the grid) >= pi) or when the Wronskian
-    or the finite-difference second-order residual exceeds its tolerance.
+    or the finite-difference second-order residual exceeds its tolerance
+    (1e-4 times the grid step, on which the residual's stencil is taken).
     """
     kop = mf.curvature_along(spec, (traj.x0, traj.theta0))
     hgrid = traj.step
@@ -432,10 +408,10 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
             f"flow.propagate_jacobi: Wronskian drift {drift:.3e} exceeds "
             f"{WRONSKIAN_TOL}")
     resid = jacobi_residual(js)
-    if resid > 1e-4 * js.step:
+    if resid > 1e-4 * hgrid:
         raise IntegrationFailureError(
             f"flow.propagate_jacobi: Jacobi residual {resid:.3e} exceeds "
-            f"{1e-4 * js.step:.3e}")
+            f"{1e-4 * hgrid:.3e}")
     return js
 
 

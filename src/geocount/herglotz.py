@@ -103,13 +103,6 @@ def _g_prime_scalar(c: float, sigma: float) -> float:
     return -c / math.sinh(s * sigma) ** 2
 
 
-def _pole_family(offset: float, period: float, window) -> np.ndarray:
-    lo, hi = window
-    k_lo = math.ceil((lo - offset) / period)
-    k_hi = math.floor((hi - offset) / period)
-    return offset + period * np.arange(k_lo, k_hi + 1)
-
-
 def _lattice_distance(along, across, offset: float, period: float):
     """Distance to the nearest point offset + k*period of a line of poles,
     given the coordinates along and across that line."""
@@ -152,19 +145,16 @@ class HerglotzMatrix:
 
     ``profile`` maps a 1-d complex array of zeta to phi there, and
     ``pole_distance`` maps it to the distance to the nearest pole, the guard
-    met before every evaluation; ``pole_set`` lists the real poles inside
-    ``window``.  ``curvature`` is set on the closed forms of constant
-    curvature.  A closed form whose poles all lie on the real axis may also
-    carry ``primitive``, a scalar Phi with Phi' = phi, continuous along
-    every line Im zeta = tau > 0; window masses then take two evaluations
-    of it.
+    met before every evaluation and by ``stieltjes_invert``'s endpoint
+    check.  ``curvature`` is set on the closed forms of constant curvature.
+    A closed form whose poles all lie on the real axis may also carry
+    ``primitive``, a scalar Phi with Phi' = phi, continuous along every
+    line Im zeta = tau > 0; window masses then take two evaluations of it.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
     dim: int
-    pole_set: np.ndarray
     pole_distance: Callable[[np.ndarray], np.ndarray]
-    window: tuple = (-12.0, 12.0)
     curvature: float | None = None
     primitive: Callable[[complex], complex] | None = None
 
@@ -184,14 +174,9 @@ class HerglotzMatrix:
         return self.profile(zetas)
 
     @classmethod
-    def from_constant_curvature(cls, c: float, n: int, window=(-12.0, 12.0)):
-        if c > 0:
-            s = math.sqrt(c)
-            poles = _pole_family(math.pi / (2 * s), math.pi / s, window)
-        else:
-            poles = np.array([])
-        return cls(functools.partial(_f_profile, c), n - 1, poles,
-                   functools.partial(f_pole_distance, c), tuple(window), float(c))
+    def from_constant_curvature(cls, c: float, n: int):
+        return cls(functools.partial(_f_profile, c), n - 1,
+                   functools.partial(f_pole_distance, c), float(c))
 
     def neg_inverse_function(self) -> "HerglotzMatrix":
         """The closed form of G = -f^{-1}, with its own pole bookkeeping.
@@ -204,14 +189,9 @@ class HerglotzMatrix:
         if c is None:
             raise InputError("herglotz.HerglotzMatrix.neg_inverse_function: "
                              "only the constant-curvature closed forms invert")
-        if c > 0:
-            poles = _pole_family(0.0, math.pi / math.sqrt(c), self.window)
-        else:
-            poles = np.array([0.0]) if self.window[0] <= 0 <= self.window[1] \
-                else np.array([])
         return HerglotzMatrix(
-            functools.partial(_g_profile, c), self.dim, poles,
-            functools.partial(g_pole_distance, c), self.window, c,
+            functools.partial(_g_profile, c), self.dim,
+            functools.partial(g_pole_distance, c), c,
             functools.partial(_g_primitive, c) if c >= 0 else None)
 
 
@@ -576,8 +556,7 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     if len(taus) < 3:
         raise InputError("herglotz.stieltjes_invert: need >= 3 tau values")
     for endpoint in (a, b):
-        if len(Fh.pole_set) and float(np.min(np.abs(Fh.pole_set - endpoint))) \
-                < SAMPLING_POLE_MARGIN:
+        if Fh.pole_distance(np.array([complex(endpoint)]))[0] < SAMPLING_POLE_MARGIN:
             raise InputError(
                 f"herglotz.stieltjes_invert: interval endpoint {endpoint} within "
                 f"{SAMPLING_POLE_MARGIN} of a pole")

@@ -212,24 +212,6 @@ def warped_product(
 # point / tangent-space helpers
 # ---------------------------------------------------------------------------
 
-def ambient_signature(spec: ManifoldSpec) -> np.ndarray:
-    """Diagonal of the ambient bilinear form used to represent the metric."""
-    if spec.kind == CONSTANT_CURVATURE:
-        if spec.c > 0:
-            return np.ones(spec.n + 1)
-        if spec.c < 0:
-            sig = np.ones(spec.n + 1)
-            sig[0] = -1.0  # hyperboloid model sits in Minkowski space
-            return sig
-        return np.ones(spec.n)
-    if spec.kind == FLAT_TORUS:
-        return np.ones(spec.n)
-    raise ConfigurationError(
-        "manifolds.ambient_signature: warped products use block metrics, "
-        "not a flat ambient form"
-    )
-
-
 def canonical_point(spec: ManifoldSpec) -> np.ndarray:
     """A convenient base point; all members here are homogeneous enough."""
     if spec.kind == CONSTANT_CURVATURE:
@@ -247,60 +229,77 @@ def canonical_point(spec: ManifoldSpec) -> np.ndarray:
     return x
 
 
+def metric_diagonal(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
+    """Diagonal of the metric at x, or at each row of a stack of points.
+
+    Space forms and tori carry their ambient form, with -1 first on the
+    hyperboloid (it sits in Minkowski space); a warped product has
+    (1, w(r)^2, ..., w(r)^2) at (r, y).
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.ones(x.shape)
+    if spec.kind == WARPED_PRODUCT:
+        w = spec.warp.value(x[..., :1])
+        g[..., 1:] = w * w
+    elif spec.kind == CONSTANT_CURVATURE and spec.c < 0:
+        g[..., 0] = -1.0
+    return g
+
+
 def metric_dot(spec: ManifoldSpec, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """Riemannian inner product of tangent vectors u, v at the point x."""
-    if spec.kind == WARPED_PRODUCT:
-        w = spec.warp.value(x[0])
-        return float(u[0] * v[0] + w * w * np.dot(u[1:], v[1:]))
-    sig = ambient_signature(spec)
-    return float(np.sum(sig * u * v))
+    return float(np.sum(metric_diagonal(spec, x) * u * v))
+
+
+# a projected direction whose metric norm^2 is at most this is dropped
+FRAME_SKIP_NORM2 = 1e-12
+
+
+def orthonormal_frame(spec: ManifoldSpec, x: np.ndarray, normals=(),
+                      count: int | None = None) -> np.ndarray:
+    """``count`` (default n) orthonormal tangent vectors at x, one per row,
+    orthogonal to every vector of ``normals``.
+
+    Modified Gram-Schmidt under diag(g) over the coordinate directions in a
+    fixed order: each direction loses its component along the model's normal
+    (x on curved space forms, (0, y) on warped products), then along each
+    of ``normals``, then along the vectors already kept, and is kept unless
+    its metric norm^2 is at most FRAME_SKIP_NORM2.  Raises InputError when
+    fewer than ``count`` vectors remain.
+    """
+    x = np.asarray(x, dtype=float)
+    g = metric_diagonal(spec, x)
+    count = spec.n if count is None else count
+    if spec.kind == CONSTANT_CURVATURE and spec.c != 0:
+        normals = [x, *normals]
+    elif spec.kind == WARPED_PRODUCT:
+        normals = [np.concatenate(([0.0], x[1:])), *normals]
+    frame = []
+    for i in range(len(x)):
+        v = np.zeros(len(x))
+        v[i] = 1.0
+        for nv in normals:
+            v = v - nv * ((g * v * nv).sum() / (g * nv * nv).sum())
+        for e in frame:
+            v = v - e * (g * v * e).sum()
+        norm2 = (g * v * v).sum()  # positive definite on the tangent space
+        if norm2 > FRAME_SKIP_NORM2:
+            frame.append(v / math.sqrt(norm2))
+        if len(frame) == count:
+            return np.array(frame)
+    raise InputError(
+        f"manifolds.orthonormal_frame: could not complete a frame of {count} "
+        f"vectors at x={x}")
 
 
 def tangent_frame(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent space at x, one vector per row.
 
-    Deterministic: Gram-Schmidt over the ambient coordinate directions in a
-    fixed order.  Used to turn abstract quadrature nodes in R^n into
+    Deterministic: ``orthonormal_frame`` over the coordinate directions in
+    a fixed order.  Used to turn abstract quadrature nodes in R^n into
     directions in T_x M.
     """
-    n = spec.n
-    if spec.kind == FLAT_TORUS or (spec.kind == CONSTANT_CURVATURE and spec.c == 0):
-        return np.eye(n)
-    if spec.kind == CONSTANT_CURVATURE:
-        sig = ambient_signature(spec)
-        d = n + 1
-        frame = []
-        for i in range(d):
-            v = np.zeros(d)
-            v[i] = 1.0
-            v = v - x * (np.sum(sig * v * x) / np.sum(sig * x * x))
-            for e in frame:
-                v = v - e * np.sum(sig * v * e)
-            norm2 = np.sum(sig * v * v)  # positive definite on the tangent space
-            if norm2 > 1e-12:
-                frame.append(v / math.sqrt(norm2))
-            if len(frame) == n:
-                break
-        return np.array(frame)
-    # warped product: radial direction first, then normalized fiber directions
-    r, y = x[0], x[1:]
-    w = spec.warp.value(r)
-    frame = [np.concatenate(([1.0], np.zeros(n)))]
-    fiber = []
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        v = v - y * np.dot(y, v)
-        for e in fiber:
-            v = v - e * np.dot(v, e)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            fiber.append(v / norm)
-        if len(fiber) == n - 1:
-            break
-    for t in fiber:
-        frame.append(np.concatenate(([0.0], t / w)))
-    return np.array(frame)
+    return orthonormal_frame(spec, x)
 
 
 def torus_wrap(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

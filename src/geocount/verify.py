@@ -35,16 +35,7 @@ def _sample_sigmas(rng, count, lo, hi, pole_distance, margin=herglotz.SAMPLING_P
 def _oracle_counting_total(spec, T, step=1e-4):
     """Counting total from the closed-form integrand, no ODE involved."""
     sig = np.arange(0.0, T + step / 2, step)
-    c = spec.c
-    k = spec.normal_dim
-    if c > 0:
-        s = math.sqrt(c)
-        vals = np.abs(np.sin(s * sig) / s) ** k
-    elif c < 0:
-        s = math.sqrt(-c)
-        vals = (np.sinh(s * sig) / s) ** k
-    else:
-        vals = sig**k
+    vals = np.abs(flow._space_form_scalars(spec.c, sig)[2]) ** spec.normal_dim
     return mf.sphere_surface_area(spec.n - 1) * float(np.trapezoid(vals, sig))
 
 

@@ -600,12 +600,43 @@ class TestScalarZeroFinder:
         assert np.max(np.abs(js.xi_zeros - [math.pi / 2, 1.5 * math.pi])) < 1e-2
 
     def test_coarse_grid_with_fine_substeps_is_refused(self):
+        # the stencil is taken on the grid, so on S^2 its truncation error
+        # (about h^4 / 90) passes the bound 1e-4 * h only below h = 0.21,
+        # however fine the substeps: residual 4.3e-5 > 2.5e-5 here, while
+        # grid 0.2 (1.8e-5) passes
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
         theta = gc.tangent_frame(spec, x)[0]
-        traj = gc.integrate_geodesic(spec, x, theta, 8.0, 0.2)
+        traj = gc.integrate_geodesic(spec, x, theta, 8.0, 0.25)
         with pytest.raises(IntegrationFailureError, match="residual"):
             gc.propagate_jacobi(spec, traj, step=1e-3)
+
+    def test_fine_substeps_pass_the_residual_gate(self):
+        # substep 1e-6 on a grid of 0.01: the stencil's residual, 2.2e-10,
+        # is its truncation error on the grid and exceeds 1e-4 times the
+        # substep (1e-10), so the bound must follow the grid step
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 0.5, 0.01)
+        js = gc.propagate_jacobi(spec, traj, step=1e-6)
+        assert 1e-10 < gc.jacobi_residual(js) <= 1e-4 * traj.step
+
+    @pytest.mark.parametrize("nsub", [1, 200])
+    def test_perturbed_kappa_fails_the_residual_gate(self, monkeypatch, nsub):
+        # a curvature off by 1e-6 leaves a residual of about 1e-6 * |eta|,
+        # above 1e-4 times the grid step 1e-3 with or without substeps
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 2.0, 1e-3)
+
+        def perturbed(kprofile, sigma, nsub=1, inner=flow._fundamental_solutions):
+            kappa, cols = inner(kprofile, sigma, nsub)
+            return kappa + 1e-6, cols
+        monkeypatch.setattr(flow, "_fundamental_solutions", perturbed)
+        with pytest.raises(IntegrationFailureError, match="residual"):
+            gc.propagate_jacobi(spec, traj, step=1e-3 / nsub)
 
 
 def _refuse(*args, **kwargs):

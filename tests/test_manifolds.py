@@ -192,23 +192,67 @@ class TestQuadratureCap:
                 gc.unit_sphere_quadrature(n, "product_gauss", order)
 
 
+def _frame_case(spec, x=None, where=None):
+    """A spec and a point on it; None stands for the canonical point."""
+    label = spec.label if where is None else f"{spec.label}@{where}"
+    return pytest.param(spec, x, id=label)
+
+
+_CH, _SH = math.cosh(0.7), math.sinh(0.7)
+
+
 class TestTangentFrames:
-    @pytest.mark.parametrize("spec", [
-        gc.constant_curvature(1.0, 3),
-        gc.constant_curvature(-1.0, 3),
-        gc.constant_curvature(0.0, 4),
-        gc.flat_torus(np.array([[2.0, 1.0], [0.0, 1.0]])),
-        gc.warped_product("one_plus_r2", 3),
-    ], ids=lambda s: s.label)
-    def test_orthonormal(self, spec):
+    @pytest.mark.parametrize("spec,x", [
+        _frame_case(gc.constant_curvature(1.0, 3)),
+        _frame_case(gc.constant_curvature(-1.0, 3)),
+        _frame_case(gc.constant_curvature(0.0, 4)),
+        _frame_case(gc.flat_torus(np.array([[2.0, 1.0], [0.0, 1.0]]))),
+        _frame_case(gc.warped_product("one_plus_r2", 3)),
+        # points off the canonical ones, coordinate axes included
+        _frame_case(gc.constant_curvature(1.0, 3), [0.0, 0.0, 1.0, 0.0], "axis"),
+        _frame_case(gc.constant_curvature(4.0, 3), [0.0, 0.0, 0.0, -0.5], "axis"),
+        _frame_case(gc.constant_curvature(1.0, 3), [0.48, -0.6, 0.64, 0.0], "generic"),
+        _frame_case(gc.constant_curvature(2.0, 4),
+                    np.array([0.5, 0.5, -0.5, 0.5, 0.0]) / math.sqrt(2.0), "generic"),
+        _frame_case(gc.constant_curvature(-1.0, 3), [_CH, _SH, 0.0, 0.0], "axis-plane"),
+        _frame_case(gc.constant_curvature(-1.0, 3),
+                    [_CH, 0.6 * _SH, 0.0, -0.8 * _SH], "generic"),
+        _frame_case(gc.constant_curvature(-4.0, 2),
+                    [0.5 * _CH, -0.5 * _SH, 0.0], "axis-plane"),
+        _frame_case(gc.warped_product("one_plus_r2", 3), [2.5, 0.6, 0.0, 0.8], "r=2.5"),
+        _frame_case(gc.warped_product("cosh", 3), [0.3, 0.0, 0.0, 1.0], "r=0.3"),
+        _frame_case(gc.warped_product("two_plus_cos", 4),
+                    [-1.0, 0.5, -0.5, 0.5, 0.5], "r=-1"),
+        _frame_case(gc.warped_product("sin", 2), [2.0, 0.8, -0.6], "r=2"),
+    ])
+    def test_orthonormal(self, spec, x):
         from geocount.manifolds import metric_dot
-        x = gc.canonical_point(spec)
+        x = gc.canonical_point(spec) if x is None else np.asarray(x, dtype=float)
+        if spec.kind == mf.WARPED_PRODUCT:
+            normal = np.concatenate(([0.0], x[1:]))
+        elif spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0:
+            normal = x
+        else:
+            normal = None
+
+        def check(frame, normals):
+            for i in range(len(frame)):
+                for j in range(i, len(frame)):
+                    g = metric_dot(spec, x, frame[i], frame[j])
+                    assert abs(g - (1.0 if i == j else 0.0)) < 1e-12
+                for v in normals:
+                    assert abs(metric_dot(spec, x, frame[i], v)) < 1e-12
+                if normal is not None:  # tangent: orthogonal to the normal
+                    assert abs(metric_dot(spec, x, frame[i], normal)) < 1e-12
+
         frame = gc.tangent_frame(spec, x)
-        assert frame.shape[0] == spec.n
-        for i in range(spec.n):
-            for j in range(i, spec.n):
-                g = metric_dot(spec, x, frame[i], frame[j])
-                assert abs(g - (1.0 if i == j else 0.0)) < 1e-12
+        assert frame.shape == (spec.n, len(x))
+        check(frame, [])
+        # the normal frame of a unit direction mixing the first and last
+        theta = (frame[0] + 2.0 * frame[-1]) / math.sqrt(5.0)
+        normal_frame = mf.orthonormal_frame(spec, x, [theta], spec.n - 1)
+        assert normal_frame.shape == (spec.n - 1, len(x))
+        check(normal_frame, [theta])
 
 
 class TestCurvatureAlong:

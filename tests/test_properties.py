@@ -87,7 +87,6 @@ def test_certified_scan_on_a_constant_function(scale, a, tau):
     # Im F = scale * Id everywhere: either no grid point clears the threshold
     # or every interior point is a (flat) peak; a user-built profile
     Fh = HerglotzMatrix(profile=lambda z: np.full(z.shape, 1j * scale), dim=2,
-                        pole_set=np.array([]),
                         pole_distance=lambda z: np.full(z.shape, np.inf))
     grid = _scan_grid(a, 0.05, tau)
     want = _full_grid_peaks(Fh, grid, tau, 0.1)

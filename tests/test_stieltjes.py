@@ -16,7 +16,7 @@ def _constant_function(p, k):
     """The user-built F = i p * Id: no poles, no curvature, no primitive."""
     return HerglotzMatrix(
         profile=lambda z: np.full(z.shape, 1j * p), dim=k,
-        pole_set=np.array([]), pole_distance=lambda z: np.full(z.shape, np.inf))
+        pole_distance=lambda z: np.full(z.shape, np.inf))
 
 
 class TestMeasureRecovery:
@@ -70,6 +70,14 @@ class TestMeasureRecovery:
         for last in (0.0, -1e-3, math.nan):  # the primitive needs tau > 0
             with pytest.raises(InputError):
                 gc.stieltjes_invert(Gh, (-1.0, 1.0), tau_schedule=(1e-1, 1e-2, last))
+
+    def test_endpoint_guard_reaches_every_pole(self):
+        # G = -cot has a pole at 4 pi, as far out as any other; an endpoint
+        # 1e-4 from it is refused
+        Gh = HerglotzMatrix.from_constant_curvature(1.0, 2).neg_inverse_function()
+        a = 4 * math.pi + 1e-4
+        with pytest.raises(InputError, match=f"endpoint {a} within"):
+            gc.stieltjes_invert(Gh, (a, 4 * math.pi + 2.0))
 
 
 class TestUserProfile:
@@ -137,7 +145,7 @@ class TestScalarPathAndCoarsePass:
         # every grid point, so the guard raises where the full scan did
         eps = 1e-3
         Fh = HerglotzMatrix(profile=lambda z: -eps / z, dim=1,
-                            pole_set=np.array([0.0]), pole_distance=np.abs)
+                            pole_distance=np.abs)
         grid = np.linspace(-1e-6, 1e-6, 801)
         with pytest.raises(PoleError):
             herglotz._scan_peaks(Fh, grid, 5e-9, 0.1)
