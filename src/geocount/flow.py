@@ -177,7 +177,6 @@ def integrate_geodesic(spec, x, theta, T, step):
     sigma = _grid(T, step)
     m = len(sigma) - 1
     h = sigma[1] - sigma[0]
-    frame = mf.orthonormal_frame(spec, x, [theta], spec.n - 1)
     scale = np.ones(m + 1)
 
     if spec.kind == mf.FLAT_TORUS:
@@ -196,6 +195,7 @@ def integrate_geodesic(spec, x, theta, T, step):
     else:
         raise ConfigurationError(f"flow.integrate_geodesic: unknown kind {spec.kind}")
 
+    frame = mf.orthonormal_frame(spec, x, [theta])
     g = mf.metric_diagonal(spec, positions)
     _check_trajectory(sigma, g, velocities, frame, scale)
     return GeodesicTrajectory(spec, x, theta, sigma, positions, velocities,

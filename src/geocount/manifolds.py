@@ -251,25 +251,28 @@ def metric_dot(spec: ManifoldSpec, x: np.ndarray, u: np.ndarray, v: np.ndarray) 
     return float(np.sum(metric_diagonal(spec, x) * u * v))
 
 
-# a projected direction whose metric norm^2 is at most this is dropped
-FRAME_SKIP_NORM2 = 1e-12
+# a projected coordinate direction keeping at most this share of its own
+# metric norm^2 is dropped: relative, so the warp's scale does not matter,
+# and large enough that a kept vector loses at most ~1e-14 to cancellation;
+# a frame always completes while the share is below 1 / (number of
+# coordinates)
+FRAME_SKIP_SHARE = 1e-4
 
 
-def orthonormal_frame(spec: ManifoldSpec, x: np.ndarray, normals=(),
-                      count: int | None = None) -> np.ndarray:
-    """``count`` (default n) orthonormal tangent vectors at x, one per row,
+def orthonormal_frame(spec: ManifoldSpec, x: np.ndarray, normals=()) -> np.ndarray:
+    """n - len(normals) orthonormal tangent vectors at x, one per row,
     orthogonal to every vector of ``normals``.
 
     Modified Gram-Schmidt under diag(g) over the coordinate directions in a
-    fixed order: each direction loses its component along the model's normal
-    (x on curved space forms, (0, y) on warped products), then along each
-    of ``normals``, then along the vectors already kept, and is kept unless
-    its metric norm^2 is at most FRAME_SKIP_NORM2.  Raises InputError when
-    fewer than ``count`` vectors remain.
+    fixed order: each direction e_i loses its component along the model's
+    normal (x on curved space forms, (0, y) on warped products), then along
+    each of ``normals``, then along the vectors already kept, and is kept
+    unless its metric norm^2 is at most FRAME_SKIP_SHARE * |g_i|.  Raises
+    InputError when too few vectors remain.
     """
     x = np.asarray(x, dtype=float)
     g = metric_diagonal(spec, x)
-    count = spec.n if count is None else count
+    count = spec.n - len(normals)
     if spec.kind == CONSTANT_CURVATURE and spec.c != 0:
         normals = [x, *normals]
     elif spec.kind == WARPED_PRODUCT:
@@ -283,7 +286,7 @@ def orthonormal_frame(spec: ManifoldSpec, x: np.ndarray, normals=(),
         for e in frame:
             v = v - e * (g * v * e).sum()
         norm2 = (g * v * v).sum()  # positive definite on the tangent space
-        if norm2 > FRAME_SKIP_NORM2:
+        if norm2 > FRAME_SKIP_SHARE * abs(g[i]):
             frame.append(v / math.sqrt(norm2))
         if len(frame) == count:
             return np.array(frame)

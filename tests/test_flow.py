@@ -324,6 +324,20 @@ class TestIntegrateGeodesic:
         with pytest.raises(DomainError):
             gc.integrate_geodesic(spec, x, inward, 1.5, 1e-2)
 
+    def test_warped_base_point_outside_domain(self):
+        # w = 0 at r = 0: the ray's domain check speaks before the frame
+        spec = gc.warped_product("sin", 2)
+        x = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(DomainError, match="r=0"):
+            gc.integrate_geodesic(spec, x, np.array([1.0, 0.0, 0.0]), 1.0, 1e-2)
+
+    def test_warped_small_warp(self):
+        # w(r) ~ 1e-7 near the end of the sin warp's domain
+        spec = gc.warped_product("sin", 3, base_radius=1e-7)
+        x = gc.canonical_point(spec)
+        traj = gc.integrate_geodesic(spec, x, gc.tangent_frame(spec, x)[0], 1.0, 1e-2)
+        assert traj.frame.shape == (2, 4)
+
 
 class TestPropagateJacobi:
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])

@@ -192,17 +192,25 @@ class TestQuadratureCap:
                 gc.unit_sphere_quadrature(n, "product_gauss", order)
 
 
-def _frame_case(spec, x=None, where=None):
-    """A spec and a point on it; None stands for the canonical point."""
+def _frame_case(spec, x=None, where=None, theta=None):
+    """A spec, a point on it and a unit direction there for the normal
+    frame; None stands for the canonical point and for a direction mixing
+    the tangent frame's first and last vectors."""
     label = spec.label if where is None else f"{spec.label}@{where}"
-    return pytest.param(spec, x, id=label)
+    return pytest.param(spec, x, theta, id=label)
+
+
+def _near_axis(s):
+    """On S^2 at e0, a unit direction at angle s from the axis e1."""
+    return _frame_case(gc.constant_curvature(1.0, 2), [1.0, 0.0, 0.0],
+                       f"theta-near-axis-{s:g}", [0.0, math.cos(s), math.sin(s)])
 
 
 _CH, _SH = math.cosh(0.7), math.sinh(0.7)
 
 
 class TestTangentFrames:
-    @pytest.mark.parametrize("spec,x", [
+    @pytest.mark.parametrize("spec,x,theta", [
         _frame_case(gc.constant_curvature(1.0, 3)),
         _frame_case(gc.constant_curvature(-1.0, 3)),
         _frame_case(gc.constant_curvature(0.0, 4)),
@@ -224,8 +232,14 @@ class TestTangentFrames:
         _frame_case(gc.warped_product("two_plus_cos", 4),
                     [-1.0, 0.5, -0.5, 0.5, 0.5], "r=-1"),
         _frame_case(gc.warped_product("sin", 2), [2.0, 0.8, -0.6], "r=2"),
+        # a warp of size ~1e-7: the skip test is relative to the metric
+        _frame_case(gc.warped_product("sin", 3, base_radius=1e-7)),
+        _frame_case(gc.warped_product("sin", 3, base_radius=1e-7),
+                    [1e-7, 0.6, 0.0, -0.8], "fibre"),
+        # normal frames of directions close to a coordinate axis
+        *(_near_axis(s) for s in (1.3e-2, 1.7e-3, 2.3e-4, 1.9e-5, 2.9e-6)),
     ])
-    def test_orthonormal(self, spec, x):
+    def test_orthonormal(self, spec, x, theta):
         from geocount.manifolds import metric_dot
         x = gc.canonical_point(spec) if x is None else np.asarray(x, dtype=float)
         if spec.kind == mf.WARPED_PRODUCT:
@@ -248,9 +262,10 @@ class TestTangentFrames:
         frame = gc.tangent_frame(spec, x)
         assert frame.shape == (spec.n, len(x))
         check(frame, [])
-        # the normal frame of a unit direction mixing the first and last
-        theta = (frame[0] + 2.0 * frame[-1]) / math.sqrt(5.0)
-        normal_frame = mf.orthonormal_frame(spec, x, [theta], spec.n - 1)
+        if theta is None:
+            theta = (frame[0] + 2.0 * frame[-1]) / math.sqrt(5.0)
+        theta = np.asarray(theta, dtype=float)
+        normal_frame = mf.orthonormal_frame(spec, x, [theta])
         assert normal_frame.shape == (spec.n - 1, len(x))
         check(normal_frame, [theta])
 
