@@ -32,6 +32,7 @@ library version.
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -238,9 +239,9 @@ def build_manifest(raw: dict, task: str | None = None) -> ExperimentManifest:
 # runner
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, payload: dict, manifest: ExperimentManifest):
-    body = {"manifest_sha256": manifest.sha256(), "version": __version__}
-    body.update(payload)
+def _write_json(path: Path, payload: dict, meta: dict):
+    """``payload`` under the run's ``meta`` (manifest hash and version)."""
+    body = {**meta, **payload}
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
@@ -297,8 +298,7 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
                 raise
         if report is not None:
             _write_json(out / "growth.json",
-                        {"manifold": spec.label, "growth": report.to_dict()},
-                        manifest)
+                        {"manifold": spec.label, "growth": report.to_dict()}, meta)
             outputs.append("growth.json")
             if not quiet:
                 kindinfo = (f"degree={report.degree}" if report.kind == "polynomial"
@@ -314,10 +314,10 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
         checks, fatou = verify.herglotz_battery(
             manifest.c, manifest.n, manifest.seed, manifest.tau_schedule)
         summary = emit_report(checks, quiet)
-        _write_json(out / "herglotz_report.json", summary, manifest)
+        _write_json(out / "herglotz_report.json", summary, meta)
         outputs.append("herglotz_report.json")
         if fatou is not None:
-            _write_json(out / "fatou.json", fatou, manifest)
+            _write_json(out / "fatou.json", fatou, meta)
             outputs.append("fatou.json")
         if not summary["all_passed"]:
             exit_code = 4
@@ -325,7 +325,7 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
     elif manifest.task == "lemma_suite":
         checks = verify.lemma_battery(spec, manifest.seed)
         summary = emit_report(checks, quiet)
-        _write_json(out / "verify_report.json", summary, manifest)
+        _write_json(out / "verify_report.json", summary, meta)
         outputs.append("verify_report.json")
         if not summary["all_passed"]:
             exit_code = 4
@@ -344,7 +344,7 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
             "minimal_passing_C": result["minimal_passing_C"],
             "checks": [chk.to_dict() for chk in result["checks"]],
         }
-        _write_json(out / "gromov.json", payload, manifest)
+        _write_json(out / "gromov.json", payload, meta)
         outputs.append("gromov.json")
         if not quiet:
             print(f"minimal passing C on grid {result['c_grid']}: "
@@ -357,7 +357,7 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
         "manifold": spec.label,
         "outputs": sorted(outputs),
         "exit_code": exit_code,
-    }, manifest)
+    }, meta)
     return exit_code
 
 
@@ -425,7 +425,10 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the interpreter:
+    parse_args leaves it unchanged, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="geocount",
         description="Geodesic counting, Jacobi propagation and Herglotz "
@@ -442,7 +445,11 @@ def main(argv=None) -> int:
             ("gromov", "Betti partial sums vs the counting integral"),
     ):
         sub.add_parser(name, help=help_text, parents=[common])
-    args = parser.parse_args(
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
 
     try:

@@ -92,6 +92,13 @@ def berger_bott_integrand(js: flow.JacobiSystem, sigma: float) -> float:
     return float(np.interp(sigma, js.sigma, np.abs(js.det_h)))
 
 
+def _constant_eta(kap, grid):
+    """eta and eta' of y'' = -kap y, data (0, 1), at the grid points: flow's
+    RK4 kernel with the constant -kap at every stage node."""
+    negk = [-kap] * (len(grid) - 1)
+    return flow._rk4((np.diff(grid).tolist(), negk, negk, negk), 1, 0.0, 1.0)
+
+
 def _counting_cumulative(spec, x, T, quad, step):
     """Cumulative counting integral on the arc-length grid.
 
@@ -101,7 +108,10 @@ def _counting_cumulative(spec, x, T, quad, step):
     checked to be unit vectors in one array expression; eta alone (xi is
     not needed) is propagated once with flow's scalar RK4 kernel, and the
     composite trapezoid of |eta|^k enters the total with the sum of the
-    quadrature weights.
+    quadrature weights.  IntegrationFailureError refuses a step whose
+    relative energy drift |eta'^2 + kappa eta^2 - 1| / max(1, eta'^2,
+    |kappa| eta^2) exceeds flow.WRONSKIAN_TOL, and a total past the float
+    range.
     """
     if quad.n != spec.n:
         raise ConfigurationError(
@@ -125,14 +135,23 @@ def _counting_cumulative(spec, x, T, quad, step):
 
     grid = flow._grid(T, step)
     kap = float(spec.c)
-    _, inputs = flow._rk4_inputs(lambda s: np.full_like(s, kap), grid, 1)
-    eta, _ = flow._rk4(inputs, 1, 0.0, 1.0)
-    intg = np.abs(np.array(eta)) ** spec.normal_dim
-    cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
+    eta, deta = (np.array(v) for v in _constant_eta(kap, grid))
+    # propagate_jacobi's Wronskian gate, on the energy of the same equation;
+    # past RK4's stable step the squares overflow, and inf or nan fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2, k2 = deta * deta, kap * eta * eta
+        drift = float(np.max(np.abs(d2 + k2 - 1.0)
+                             / np.maximum(1.0, np.maximum(d2, np.abs(k2)))))
+        if not drift <= flow.WRONSKIAN_TOL:
+            raise IntegrationFailureError(
+                f"counting.berger_bott_total: energy drift {drift:.3e} of the "
+                f"Jacobi solution exceeds {flow.WRONSKIAN_TOL}")
+        intg = np.abs(eta) ** spec.normal_dim
+        cum = np.concatenate(
+            ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
     if not np.all(np.isfinite(cum)):
         raise IntegrationFailureError(
-            "counting.berger_bott_total: non-finite Jacobi solution")
+            "counting.berger_bott_total: the counting integral overflows")
     # np.sum adds pairwise in node order; a sequential sum of 4096 equal
     # Monte Carlo weights would be off by ~1e-13 relative
     return grid, np.sum(quad.weights) * cum
@@ -194,7 +213,9 @@ def _lattice_box(basis, reach, caller):
     """
     n = basis.shape[0]
     binv = np.linalg.inv(basis)
-    extents = [reach * np.linalg.norm(binv[:, i]) for i in range(n)]
+    # inf times a column norm that underflowed to 0 would be nan, and warn
+    extents = ([reach * np.linalg.norm(binv[:, i]) for i in range(n)]
+               if math.isfinite(reach) else [reach])
     if not all(math.isfinite(e) for e in extents):
         raise InputError(
             f"counting.{caller}: the coefficient box for reach {reach} is not finite")
@@ -321,7 +342,9 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     if T <= 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    diam = float(np.sum(np.linalg.norm(basis, axis=1)))
+    # a row too long to square has length inf here, which _lattice_box refuses
+    with np.errstate(over="ignore"):
+        diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     reach = T + diam
     vecs = _lattice_box(basis, reach, "torus_count_integral_oracle")
     vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]

@@ -29,6 +29,8 @@ from .errors import ConfigurationError, InputError, IntegrationFailureError
 WRONSKIAN_TOL = 1e-8
 SPEED_DRIFT_TOL = 1e-6
 DET_ZERO_REL = 1e-8      # |y| at the last sample, relative to the local max |y|
+# Brent's xtol on a cell's Hermite interpolant: it bounds the root finding
+# only.  A zero's error follows the grid (see _scalar_zeros).
 SIGMA_REFINE_TOL = 1e-10
 # RK4 steps of one propagation, grid cells times substeps; the largest default
 # use, gromov's search to T = 500 at step 0.01, takes 5e4
@@ -353,6 +355,13 @@ def _scalar_zeros(sigma, y, dy):
     The last sample counts as a zero when |y| there is at most DET_ZERO_REL
     times max(1e-3, max |y| over the trailing half unit of arc length) and
     the last cell holds no sign change.
+
+    SIGMA_REFINE_TOL bounds only Brent's method on the interpolant.  The
+    interpolant itself is off by O(h^4) in the grid step h, and the samples
+    by the RK4 error of the substep, so that is the accuracy of a zero: on
+    S^2 to T = 7 the conjugate points pi and 2 pi come out 9.5e-8 off on
+    grid 0.2 and 2.2e-9 on grid 0.1 (both with substep 1e-3), 5.2e-10 on
+    grid 0.01 and 1.6e-11 on grid 1e-3 (no substeps).
     """
     zeros = list(sigma[:-1][y[:-1] == 0.0])
     for j in np.flatnonzero(y[:-1] * y[1:] < 0.0).tolist():
@@ -376,6 +385,9 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
     (grid step * sqrt(max kappa over the grid) >= pi) or when the Wronskian
     or the finite-difference second-order residual exceeds its tolerance
     (1e-4 times the grid step, on which the residual's stencil is taken).
+    Substeps make the samples more accurate but the zeros are refined on
+    the grid's Hermite interpolant, so their error is O(grid step^4)
+    whatever the substep (see ``_scalar_zeros``).
     """
     kop = mf.curvature_along(spec, (traj.x0, traj.theta0))
     hgrid = traj.step

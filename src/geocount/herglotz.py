@@ -431,21 +431,46 @@ class FatouData:
         }
 
 
+# golden-section steps whose candidate points one batch evaluates
+GOLDEN_LOOKAHEAD = 4
+
+
 def _golden_min(f, a, b, tol):
-    """Golden-section search for a minimizer of a unimodal f on [a, b]."""
+    """Golden-section search for a minimizer of a unimodal f on [a, b].
+
+    ``f`` maps an array of points to their values.  Each step keeps
+    [a, d] or [c, b] and adds one point, so the next GOLDEN_LOOKAHEAD steps
+    can need 2 + 4 + ... + 2^GOLDEN_LOOKAHEAD points (30); one call of f
+    evaluates them all, and the comparisons then walk the path taken.  The
+    iterates and the result are those of the search that evaluates one
+    point per step.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f(np.array([c, d])).tolist()
     while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        # tree[l] holds the 2^l brackets (a, b, c, d) after l steps; node i
+        # has children 2i (f(c) < f(d): keep [a, d], new c) and 2i + 1
+        # (keep [c, b], new d), and its new point is points[2^l - 2 + i]
+        tree, points = [[(a, b, c, d)]], []
+        for _ in range(GOLDEN_LOOKAHEAD):
+            kids = []
+            for a_, b_, c_, d_ in tree[-1]:
+                kids.append((a_, d_, d_ - invphi * (d_ - a_), c_))
+                kids.append((c_, b_, d_, c_ + invphi * (b_ - c_)))
+            points += [kid[2 + i % 2] for i, kid in enumerate(kids)]
+            tree.append(kids)
+        values = f(np.array(points)).tolist()
+        i = 0
+        for depth in range(1, GOLDEN_LOOKAHEAD + 1):
+            if not b - a > tol:
+                break
+            left = fc < fd
+            i = 2 * i + (not left)
+            a, b, c, d = tree[depth][i]
+            new = values[2 ** depth - 2 + i]
+            fc, fd = (new, fc) if left else (fd, new)
     return 0.5 * (a + b)
 
 
@@ -583,9 +608,8 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     grid = np.linspace(a, b, npts)
     locations = []
     for j in _scan_peaks(Fh, grid, tau_min, atom_threshold):
-        t = _golden_min(
-            lambda s: -float(_trace_im(Fh, np.array([s]), tau_min)[0]),
-            grid[j - 1], grid[j + 1], tol=1e-8)
+        t = _golden_min(lambda s: -_trace_im(Fh, s, tau_min),
+                        grid[j - 1], grid[j + 1], tol=1e-8)
         if not locations or t - locations[-1] > 50 * h_scan:
             locations.append(t)
 

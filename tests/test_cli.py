@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,113 @@ class TestRunner:
         assert cli.main(args + ["--out", str(out2)]) == 0
         for name in ("curve.csv", "growth.json", "run.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# one of each subcommand, a --quiet run, a --manifest run and an argparse
+# error; "{manifest}" stands for the path of SMALL_MANIFEST
+REPEATED_RUNS = [
+    ["count", "--c", "1", "--n", "2", "--T", "1:3:8", "--step", "0.01",
+     "--quad-order", "8"],
+    ["growth", "--kind", "flat_torus", "--n", "2", "--T", "1:10:10",
+     "--quad-order", "8", "--quiet"],
+    ["herglotz", "--c", "0", "--n", "3"],
+    ["verify", "--kind", "warped_product", "--warp", "cosh", "--n", "3"],
+    ["gromov", "--c", "1", "--n", "3", "--K", "2", "--quad-order", "4"],
+    ["count", "--manifest", "{manifest}", "--T", "1,2,3"],
+    ["count", "--kind", "sphere"],
+]
+
+SMALL_MANIFEST = """
+[manifold]
+kind = constant_curvature
+c = -1.0
+n = 3
+
+[parameters]
+quad_order = 4
+step = 0.01
+"""
+
+
+def _in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's own exits
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+class TestRepeatedMain:
+    """The parser is built once per interpreter; runs in one interpreter
+    must write what a fresh interpreter writes."""
+
+    def test_runs_repeat_in_one_interpreter_and_match_a_fresh_one(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        manifest = _write(tmp_path, SMALL_MANIFEST)
+        argvs = [[str(manifest) if a == "{manifest}" else a for a in argv]
+                 for argv in REPEATED_RUNS]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        fresh = [subprocess.Popen(
+            [sys.executable, "-m", "geocount.cli", *argv,
+             "--out", str(tmp_path / f"fresh{i}")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for i, argv in enumerate(argvs)]
+        runs = [[] for _ in argvs]
+        for rep in range(2):
+            for i, argv in enumerate(argvs):
+                out = tmp_path / f"run{rep}_{i}"
+                code, stdout, stderr = _in_process(argv + ["--out", str(out)], capsys)
+                runs[i].append((code, stdout, stderr, _outputs(out)))
+        for i, proc in enumerate(fresh):
+            stdout, stderr = proc.communicate(timeout=300)
+            runs[i].append((proc.returncode, stdout, stderr,
+                            _outputs(tmp_path / f"fresh{i}")))
+        codes = [run[0][0] for run in runs]
+        assert codes == [0, 0, 0, 0, 0, 0, 2]
+        assert "invalid choice: 'sphere'" in runs[-1][0][2]
+        assert all(run[0][3] for run in runs[:-1])  # every good run wrote files
+        for argv, run in zip(argvs, runs):
+            assert run[1] == run[0] and run[2] == run[0], argv
+
+    @pytest.mark.parametrize("command", ["", "count", "growth", "herglotz",
+                                         "verify", "gromov"])
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
+        # cli_help_80/ holds the help printed at 80 columns before the
+        # parser was cached
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = _in_process([command, "--help"] if command else ["--help"],
+                                   capsys)
+        expected = Path(__file__).with_name("cli_help_80") / f"{command or 'geocount'}.txt"
+        assert code == 0
+        assert out.encode() == expected.read_bytes()
+
+
+class TestCountingGate:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--c", "5e4", "--n", "3", "--T", "1:5:5", "--step", "0.01"],
+        ["growth", "--c", "1e5", "--n", "3", "--T", "1:30:30"],
+        ["count", "--c", "400", "--n", "3", "--step", "0.01"],
+        ["growth", "--c", "4", "--n", "3", "--step", "0.05"],
+    ])
+    def test_inaccurate_step_exits_3_without_warnings(self, tmp_path, capsys, argv):
+        # c = 5e4 used to exit 0 with a total 1e-3 of the closed form's, and
+        # c = 1e5 overflowed |eta|^2; c = 400 and c = 4 at these steps are
+        # refused since the gate came in
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "energy drift" in capsys.readouterr().err
+        assert not caught
 
 
 class TestEmitReport:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,38 @@ class TestTotals:
             ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
         assert np.array_equal(grid, gc.flow._grid(2.345, step))
         assert np.array_equal(totals, np.sum(quad.weights) * cum)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("c", [4.0, 1.0, 0.0, -1.0, -9.0])
+    def test_constant_eta_equals_the_sampled_profile(self, c, step):
+        # -c handed to the kernel directly gives the bits of -c sampled at
+        # every stage node of every step
+        grid = gc.flow._grid(2.345, step)
+        _, inputs = gc.flow._rk4_inputs(lambda s: np.full_like(s, c), grid, 1)
+        want = np.array(gc.flow._rk4(inputs, 1, 0.0, 1.0))
+        got = np.array(gc.counting._constant_eta(c, grid))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("c, step, drift", [
+        (4.0, 0.05, r"8\.32\de-06"), (400.0, 0.01, r"2\.65\de-03"),
+        (5e4, 0.01, r"1\.000e\+00")])
+    def test_inaccurate_step_is_refused(self, c, step, drift):
+        # the gate of propagate_jacobi's Wronskian, on the energy
+        # eta'^2 + c eta^2 = 1 to T = 30 (c = 4 at step 0.05: h sqrt(c) = 0.1)
+        spec = gc.constant_curvature(c, 3)
+        quad = gc.unit_sphere_quadrature(3, "product_gauss", 4)
+        with pytest.raises(gc.IntegrationFailureError,
+                           match=f"energy drift {drift} of the Jacobi solution "
+                                 "exceeds 1e-08"):
+            gc.berger_bott_total(spec, gc.canonical_point(spec), 30.0, quad, step)
+
+    def test_overflowing_total_is_refused(self):
+        # c = -100: eta ~ sinh(10 T) / 10 is accurate but eta^4 passes 1e308
+        spec = gc.constant_curvature(-100.0, 5)
+        quad = gc.unit_sphere_quadrature(5, "monte_carlo", 64)
+        with pytest.raises(gc.IntegrationFailureError, match="overflows"):
+            gc.berger_bott_total(spec, gc.canonical_point(spec), 30.0, quad, 1e-3)
 
     def test_curve_equals_separate_totals_on_the_verify_basis(self):
         # the torus battery reads T = 1, 2, 5 off one curve: its grids to
@@ -478,6 +511,18 @@ class TestLatticeBoxGuard:
         self._forbid_meshgrid(monkeypatch)
         with pytest.raises(InputError, match="more than the cap"):
             gc.torus_count_integral_oracle(np.eye(8), 1e-3, 10)
+
+    def test_basis_too_long_to_square_exits_2_without_warnings(self, tmp_path, capsys):
+        # the row length 1e200 squares past the float range: the oracle's
+        # reach is inf, which the box refuses, with no overflow warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["verify", "--kind", "flat_torus", "--n", "2",
+                             "--basis", "1e200 0; 0 1",
+                             "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "the coefficient box for reach inf is not finite" in capsys.readouterr().err
+        assert not caught
 
     def test_verify_exits_2(self, tmp_path, capsys):
         code = cli.main(["verify", "--kind", "flat_torus", "--n", "3",

@@ -12,9 +12,8 @@ from geocount.errors import (ConfigurationError, DomainError, InputError,
                              IntegrationFailureError)
 from geocount import flow
 from geocount.flow import DET_ZERO_REL, SIGMA_REFINE_TOL
-from geocount.herglotz import _golden_min
-from matrix_forms import (closed_form_matrices, jacobi_matrices, jacobi_stacks,
-                          times_id)
+from matrix_forms import (closed_form_matrices, golden_min_one_point,
+                          jacobi_matrices, jacobi_stacks, times_id)
 
 
 def _traj_and_system(spec, T=3.0, step=1e-3, direction=0):
@@ -58,7 +57,7 @@ def _matrix_reference(spec, traj, nsub=1):
     return out_y[:, :, :k], out_dy[:, :, :k], out_y[:, :, k:], out_dy[:, :, k:]
 
 
-golden_min = functools.partial(_golden_min, tol=SIGMA_REFINE_TOL)
+golden_min = functools.partial(golden_min_one_point, tol=SIGMA_REFINE_TOL)
 
 
 def _detect_det_zeros(js_sigma, dets, norms, det_interp, k, h):
@@ -612,6 +611,23 @@ class TestScalarZeroFinder:
         # places each one only to about 1e-2 (measured: 3e-4 to 8e-3)
         assert np.max(np.abs(js.h_zeros - [0.0, math.pi])) < 1e-2
         assert np.max(np.abs(js.xi_zeros - [math.pi / 2, 1.5 * math.pi])) < 1e-2
+
+    @pytest.mark.parametrize("grid, substep, measured", [
+        (0.2, 1e-3, 9.5e-8), (0.1, 1e-3, 2.2e-9), (0.01, None, 5.2e-10),
+        (1e-3, None, 1.6e-11)])
+    def test_zero_error_follows_the_grid(self, grid, substep, measured):
+        # SIGMA_REFINE_TOL bounds Brent's method on the Hermite interpolant
+        # only: the conjugate points of S^2 are off by the interpolant's
+        # O(grid^4) error, or by the RK4 error where no substep refines the
+        # grid, and the bound is twice the error measured
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.tangent_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 7.0, grid)
+        js = gc.propagate_jacobi(spec, traj, step=substep)
+        assert js.h_zeros[0] == 0.0 and len(js.h_zeros) == 3
+        err = np.max(np.abs(js.h_zeros[1:] - [math.pi, 2 * math.pi]))
+        assert err <= 2 * measured
 
     def test_coarse_grid_with_fine_substeps_is_refused(self):
         # the stencil is taken on the grid, so on S^2 its truncation error

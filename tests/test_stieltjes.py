@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import geocount as gc
-from geocount import herglotz
+from geocount import herglotz, verify
 from geocount.errors import InputError, NumericalError, PoleError
 from geocount.herglotz import HerglotzMatrix
-from matrix_forms import stacked_trace_im
+from matrix_forms import golden_min_one_point, stacked_trace_im
 
 
 def _constant_function(p, k):
@@ -150,6 +150,58 @@ class TestScalarPathAndCoarsePass:
         with pytest.raises(PoleError):
             herglotz._scan_peaks(Fh, grid, 5e-9, 0.1)
         assert len(herglotz._scan_peaks(Fh, grid, 1e-7, 0.1)) == 0
+
+
+class TestBatchedGoldenSearch:
+    # the (c, n, tau schedule) of the CLI's herglotz runs that recover atoms
+    # (c = -1 runs the checks alone)
+    @pytest.mark.parametrize("c, n, taus", [
+        (1.0, 3, (1e-1, 1e-2, 1e-3, 1e-4)),
+        (4.0, 3, (1e-1, 1e-2, 1e-3)),
+        (0.5, 4, (1e-1, 1e-2, 1e-3)),
+        (0.0, 3, (1e-1, 1e-2, 1e-3)),
+    ])
+    def test_atoms_equal_the_one_point_search(self, monkeypatch, c, n, taus):
+        searches = []
+        batched = herglotz._golden_min
+
+        def spy(f, a, b, tol):
+            t = batched(f, a, b, tol)
+            searches.append((t, golden_min_one_point(
+                lambda s: float(f(np.array([s]))[0]), a, b, tol)))
+            return t
+
+        monkeypatch.setattr(herglotz, "_golden_min", spy)
+        verify.herglotz_battery(c, n, 0, taus)
+        assert searches
+        assert all(got == want for got, want in searches)
+
+    def test_random_unimodal_cells_equal_the_one_point_search(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a = float(rng.uniform(-10.0, 10.0))
+            b = a + float(10.0 ** rng.uniform(-4.0, 1.0))
+            m = float(rng.uniform(a - 0.2 * (b - a), b + 0.2 * (b - a)))
+            p = float(rng.uniform(0.5, 4.0))
+            # far above the spacing of doubles near a and b, so the search ends
+            tol = float(10.0 ** rng.uniform(-8.0, -3.0)) * (b - a)
+            for f in (lambda s: np.abs(s - m) ** p,
+                      lambda s: -1.0 / ((s - m) ** 2 + (b - a) ** 2),
+                      lambda s: np.zeros_like(s)):  # ties: always keep [c, b]
+                batched, path = set(), []
+
+                def many(s, f=f):
+                    batched.update(s.tolist())
+                    return f(s)
+
+                def one(s, f=f):
+                    path.append(s)
+                    return float(f(np.array([s]))[0])
+
+                assert herglotz._golden_min(many, a, b, tol) == \
+                    golden_min_one_point(one, a, b, tol)
+                # every iterate of the one-point search, bit for bit
+                assert set(path) <= batched
 
 
 def _window_oracle(c, t, delta, tau):
