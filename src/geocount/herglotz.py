@@ -443,34 +443,36 @@ def _golden_min(f, a, b, tol):
     can need 2 + 4 + ... + 2^GOLDEN_LOOKAHEAD points (30); one call of f
     evaluates them all, and the comparisons then walk the path taken.  The
     iterates and the result are those of the search that evaluates one
-    point per step.
+    point per step.  The search also stops once a < c < d < b fails: the
+    bracket then no longer shrinks, as where tol is below the spacing of
+    doubles.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(np.array([c, d])).tolist()
-    while b - a > tol:
-        # tree[l] holds the 2^l brackets (a, b, c, d) after l steps; node i
-        # has children 2i (f(c) < f(d): keep [a, d], new c) and 2i + 1
-        # (keep [c, b], new d), and its new point is points[2^l - 2 + i]
-        tree, points = [[(a, b, c, d)]], []
-        for _ in range(GOLDEN_LOOKAHEAD):
-            kids = []
-            for a_, b_, c_, d_ in tree[-1]:
-                kids.append((a_, d_, d_ - invphi * (d_ - a_), c_))
-                kids.append((c_, b_, d_, c_ + invphi * (b_ - c_)))
-            points += [kid[2 + i % 2] for i, kid in enumerate(kids)]
-            tree.append(kids)
-        values = f(np.array(points)).tolist()
-        i = 0
-        for depth in range(1, GOLDEN_LOOKAHEAD + 1):
-            if not b - a > tol:
-                break
-            left = fc < fd
-            i = 2 * i + (not left)
-            a, b, c, d = tree[depth][i]
-            new = values[2 ** depth - 2 + i]
-            fc, fd = (new, fc) if left else (fd, new)
+    depth = GOLDEN_LOOKAHEAD
+    while b - a > tol and a < c < d < b:
+        if depth == GOLDEN_LOOKAHEAD:
+            # tree[l] holds the 2^l brackets (a, b, c, d) after l steps;
+            # node i has children 2i (f(c) < f(d): keep [a, d], new c) and
+            # 2i + 1 (keep [c, b], new d); its new point is values[2^l - 2 + i]
+            tree, points = [[(a, b, c, d)]], []
+            for _ in range(GOLDEN_LOOKAHEAD):
+                kids = []
+                for a_, b_, c_, d_ in tree[-1]:
+                    kids.append((a_, d_, d_ - invphi * (d_ - a_), c_))
+                    kids.append((c_, b_, d_, c_ + invphi * (b_ - c_)))
+                points += [kid[2 + i % 2] for i, kid in enumerate(kids)]
+                tree.append(kids)
+            values = f(np.array(points)).tolist()
+            depth = i = 0
+        depth += 1
+        left = fc < fd
+        i = 2 * i + (not left)
+        a, b, c, d = tree[depth][i]
+        new = values[2 ** depth - 2 + i]
+        fc, fd = (new, fc) if left else (fd, new)
     return 0.5 * (a + b)
 
 

@@ -176,6 +176,18 @@ class TestBatchedGoldenSearch:
         assert searches
         assert all(got == want for got, want in searches)
 
+    def test_search_ends_where_doubles_are_coarser_than_tol(self):
+        # near 1e8 * pi doubles are 6e-8 apart, above the refinement's tol
+        # of 1e-8, so b - a never reaches tol; the search used to loop
+        # forever here and now stops when the bracket stops shrinking
+        Gh = HerglotzMatrix.from_constant_curvature(1.0, 2).neg_inverse_function()
+        t = 1e8 * math.pi
+        fd = gc.stieltjes_invert(Gh, (t - 1.0, t + 1.0))
+        assert len(fd.atoms) == 1
+        assert abs(fd.locations[0] - t) <= 2 * math.ulp(t)
+        assert herglotz._golden_min(lambda s: np.abs(s - t), t - 1e-6, t + 1e-6,
+                                    1e-12) == pytest.approx(t, abs=2 * math.ulp(t))
+
     def test_random_unimodal_cells_equal_the_one_point_search(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
