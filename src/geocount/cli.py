@@ -1,33 +1,34 @@
 """Batch experiment runner: manifests, subcommands, reproducible outputs.
 
-Manifest grammar (flat INI, parsed with configparser; flags mirror the keys
-and override them)::
+Manifest grammar (flat INI, parsed with configparser).  The subcommand names
+the task.  A key whose comment starts with [subcommands] is read by those
+alone, any other key by all five; a subcommand takes the flags of the keys it
+reads, and a flag overrides its key.  Keys a subcommand does not read are
+still parsed, validated and hashed::
 
     [manifold]
     kind = constant_curvature      # constant_curvature | flat_torus | warped_product
     c = 1.0                        # constant_curvature only
     n = 2
-    basis = 1 0; 0 1               # flat_torus only, rows separated by ';'
-    warp = one_plus_r2             # warped_product only (see warp catalog)
-
-    [task]
-    name = count                   # count | growth | herglotz_verify | lemma_suite | gromov
+    basis = 1 0; 0 1               # [count growth verify] flat_torus, rows ';'-separated
+    warp = one_plus_r2             # [count growth verify] warped_product (warp catalog)
 
     [parameters]
-    T = 1:30:30                    # comma list "1,2,5" or range "start:stop:count"
-    quad_scheme = product_gauss    # product_gauss | monte_carlo
-    quad_order = 64
-    step = 0.001
+    T = 1:30:30                    # [count growth] list "1,2,5" or range "start:stop:count"
+    quad_scheme = product_gauss    # [count growth] product_gauss | monte_carlo
+    quad_order = 64                # [count growth gromov]
+    step = 0.001                   # [count growth gromov]
     seed = 0
-    tau_schedule = 0.1,0.01,0.001
-    K = 50                         # growth-inequality depth
-    c_grid = 0.5,1,2,5,10          # constants tried by the gromov task
+    tau_schedule = 0.1,0.01,0.001  # [herglotz]
+    K = 50                         # [gromov] growth-inequality depth
+    c_grid = 0.5,1,2,5,10          # [gromov] constants tried
     out = outdir
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure,
-4 verification failure.  Outputs are byte-identical for identical manifests
-and seeds; every output file embeds the resolved-manifest hash and the
-library version.
+herglotz and gromov read kind (and gromov c) only to refuse every manifold
+but their own.  Exit codes: 0 success, 2 validation error, 3 numerical
+failure, 4 verification failure.  Outputs are byte-identical for identical
+manifests and seeds; every output file embeds the resolved-manifest hash and
+the library version.
 """
 
 import argparse
@@ -48,14 +49,42 @@ from . import manifolds as mf
 from .errors import (CatalogError, ConfigurationError, GeocountError,
                      InputError)
 
-TASKS = ("count", "growth", "herglotz_verify", "lemma_suite", "gromov")
-SUBCOMMAND_TASK = {
-    "count": "count",
-    "growth": "growth",
-    "herglotz": "herglotz_verify",
-    "verify": "lemma_suite",
-    "gromov": "gromov",
+# flag -> (manifest key, argparse keywords), in help order; --manifest and
+# --quiet steer the run and have no key
+FLAGS = {
+    "manifest": (None, {"help": "INI manifest path"}),
+    "out": ("parameters.out", {"help": "output directory"}),
+    "seed": ("parameters.seed", {"type": int, "help": "RNG seed (default 0)"}),
+    "quiet": (None, {"action": "store_true", "help": "suppress report lines"}),
+    "kind": ("manifold.kind", {"choices": ("constant_curvature", "flat_torus",
+                                           "warped_product")}),
+    "c": ("manifold.c", {"type": float, "help": "constant curvature value"}),
+    "n": ("manifold.n", {"type": int, "help": "manifold dimension"}),
+    "basis": ("manifold.basis", {"help": "torus lattice basis, rows ';'-separated"}),
+    "warp": ("manifold.warp", {"help": "warp catalog name"}),
+    "T": ("parameters.t", {"help": "cutoff list '1,2,5' or range 'start:stop:count'"}),
+    "quad_scheme": ("parameters.quad_scheme", {"choices": ("product_gauss", "monte_carlo")}),
+    "quad_order": ("parameters.quad_order", {"type": int}),
+    "step": ("parameters.step", {"type": float}),
+    "tau_schedule": ("parameters.tau_schedule", {"help": "comma list, strictly decreasing"}),
+    "K": ("parameters.k", {"type": int, "help": "growth-inequality depth"}),
+    "c_grid": ("parameters.c_grid", {"help": "comma list of constants for gromov"}),
 }
+
+# subcommand -> (task, help line, flags): the flags of the keys its task reads
+_SHARED = ("manifest", "out", "seed", "quiet", "kind", "c", "n")
+_COUNTING = _SHARED + ("basis", "warp", "T", "quad_scheme", "quad_order", "step")
+SUBCOMMANDS = {
+    "count": ("count", "counting curve over a list of cutoffs", _COUNTING),
+    "growth": ("growth", "counting curve plus growth classification", _COUNTING),
+    "herglotz": ("herglotz_verify", "closed-form function checks and measure recovery",
+                 _SHARED + ("tau_schedule",)),
+    "verify": ("lemma_suite", "identity and inequality suite for one manifold",
+               _SHARED + ("basis", "warp")),
+    "gromov": ("gromov", "Betti partial sums vs the counting integral",
+               _SHARED + ("quad_order", "step", "K", "c_grid")),
+}
+TASKS = tuple(task for task, _, _ in SUBCOMMANDS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -92,35 +121,55 @@ def _parse_basis(text: str) -> np.ndarray:
     return np.array([[float(v) for v in r.split()] for r in rows])
 
 
+# manifest key -> (ExperimentManifest field, parser of its text), in parse
+# order: of several malformed keys, the first one here is reported
+MANIFEST_KEYS = {
+    "manifold.n": ("n", int),
+    "manifold.kind": ("kind", str),
+    "manifold.c": ("c", float),
+    "manifold.basis": ("basis", _parse_basis),
+    "manifold.warp": ("warp", str),
+    "parameters.seed": ("seed", int),
+    "parameters.k": ("K", int),
+    "parameters.out": ("out_dir", str),
+    "parameters.t": ("T_values", _parse_values),
+    "parameters.quad_scheme": ("quad_scheme", str),
+    "parameters.quad_order": ("quad_order", int),
+    "parameters.step": ("step", float),
+    "parameters.tau_schedule": ("tau_schedule", _parse_floats),
+    "parameters.c_grid": ("c_grid", _parse_floats),
+}
+
+
 @dataclass
 class ExperimentManifest:
-    """Resolved, validated description of one batch run."""
+    """Resolved description of one batch run."""
 
     task: str
-    kind: str
-    n: int
+    kind: str = "constant_curvature"
+    n: int = 2
     c: float = 1.0
     basis: np.ndarray | None = None
     warp: str = "one_plus_r2"
     T_values: np.ndarray = field(default_factory=lambda: np.linspace(1, 30, 30))
-    quad_scheme: str = ""
-    quad_order: int = 0
-    step: float = 0.0
+    quad_scheme: str | None = None
+    quad_order: int | None = None
+    step: float | None = None
     seed: int = 0
     tau_schedule: tuple = (1e-1, 1e-2, 1e-3)
     K: int = 50
     c_grid: tuple = (0.5, 1.0, 2.0, 5.0, 10.0)
     out_dir: str = "out"
 
-    def spec(self) -> mf.ManifoldSpec:
-        if self.kind == "constant_curvature":
-            return mf.constant_curvature(self.c, self.n)
-        if self.kind == "flat_torus":
-            basis = self.basis if self.basis is not None else np.eye(self.n)
-            return mf.flat_torus(basis)
-        if self.kind == "warped_product":
-            return mf.warped_product(self.warp, self.n)
-        raise InputError(f"cli: parameter kind='{self.kind}' unknown")
+    def __post_init__(self):
+        # the three defaults that depend on n, the scheme and the task
+        if self.quad_scheme is None:
+            self.quad_scheme = "product_gauss" if self.n <= 4 else "monte_carlo"
+        if self.quad_order is None:
+            self.quad_order = (4096 if self.quad_scheme == "monte_carlo"
+                               else 64 if self.n == 2 else 16 if self.n == 3 else 8)
+        if self.step is None:
+            self.step = 0.001 if self.task == "count" else 0.01
 
     def canonical_text(self) -> str:
         items = {
@@ -147,7 +196,8 @@ class ExperimentManifest:
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
-    def validate(self):
+    def validate(self) -> mf.ManifoldSpec:
+        """Refuse out-of-range values; the spec of the manifold otherwise."""
         if self.task not in TASKS:
             raise InputError(f"cli.run_manifest: parameter task='{self.task}' "
                              f"not one of {TASKS}")
@@ -171,7 +221,13 @@ class ExperimentManifest:
                              "positive and finite")
         if self.K < 1:
             raise InputError(f"cli.run_manifest: parameter K={self.K} must be >= 1")
-        self.spec()
+        if self.kind == "constant_curvature":
+            return mf.constant_curvature(self.c, self.n)
+        if self.kind == "flat_torus":
+            return mf.flat_torus(self.basis if self.basis is not None else np.eye(self.n))
+        if self.kind == "warped_product":
+            return mf.warped_product(self.warp, self.n)
+        raise InputError(f"cli: parameter kind='{self.kind}' unknown")
 
 
 def parse_manifest(path) -> dict:
@@ -187,52 +243,24 @@ def parse_manifest(path) -> dict:
     return raw
 
 
-def build_manifest(raw: dict, task: str | None = None) -> ExperimentManifest:
-    """Typed manifest from raw strings; ``task`` (the subcommand) wins.
-
-    Text that does not parse raises InputError naming its key.
+def build_manifest(raw: dict, task: str) -> ExperimentManifest:
+    """Manifest of ``task`` from raw strings: the keys of MANIFEST_KEYS present
+    in ``raw`` are parsed, the other fields keep their defaults, and other
+    keys are ignored.  Text that does not parse raises InputError naming its
+    key; values are checked by ``ExperimentManifest.validate``.
     """
-
-    def get(key, default, parse=str):
-        text = raw.get(key, default)
-        try:
-            return parse(text)
-        except InputError:
-            raise
-        except ValueError as exc:
-            raise InputError(
-                f"cli.build_manifest: parameter {key}='{text}' is malformed: {exc}"
-            ) from None
-
-    n = get("manifold.n", "2", int)
-    manifest = ExperimentManifest(
-        task=task or get("task.name", "count"),
-        kind=get("manifold.kind", "constant_curvature"),
-        n=n,
-        c=get("manifold.c", "1.0", float),
-        basis=get("manifold.basis", None, _parse_basis) if "manifold.basis" in raw else None,
-        warp=get("manifold.warp", "one_plus_r2"),
-        seed=get("parameters.seed", "0", int),
-        K=get("parameters.k", raw.get("parameters.K", "50"), int),
-        out_dir=get("parameters.out", "out"),
-    )
-    if "parameters.t" in raw:
-        manifest.T_values = get("parameters.t", None, _parse_values)
-    manifest.quad_scheme = get(
-        "parameters.quad_scheme",
-        "product_gauss" if n <= 4 else "monte_carlo")
-    default_order = "64" if n == 2 else ("16" if n == 3 else "8")
-    if manifest.quad_scheme == "monte_carlo":
-        default_order = "4096"
-    manifest.quad_order = get("parameters.quad_order", default_order, int)
-    default_step = "0.001" if manifest.task == "count" else "0.01"
-    manifest.step = get("parameters.step", default_step, float)
-    if "parameters.tau_schedule" in raw:
-        manifest.tau_schedule = get("parameters.tau_schedule", None, _parse_floats)
-    if "parameters.c_grid" in raw:
-        manifest.c_grid = get("parameters.c_grid", None, _parse_floats)
-    manifest.validate()
-    return manifest
+    fields = {}
+    for key, (name, parse) in MANIFEST_KEYS.items():
+        if key in raw:
+            try:
+                fields[name] = parse(raw[key])
+            except InputError:
+                raise
+            except ValueError as exc:
+                raise InputError(
+                    f"cli.build_manifest: parameter {key}='{raw[key]}' is "
+                    f"malformed: {exc}") from None
+    return ExperimentManifest(task, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +302,9 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
     validation and numerical errors propagate as exceptions for ``main`` to
     encode.
     """
-    manifest.validate()
+    spec = manifest.validate()
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = manifest.spec()
     meta = {"manifest_sha256": manifest.sha256(), "version": __version__}
     exit_code = 0
     outputs = []
@@ -365,44 +392,6 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--manifest", help="INI manifest path")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--quiet", action="store_true", help="suppress report lines")
-    p.add_argument("--kind", choices=("constant_curvature", "flat_torus",
-                                      "warped_product"))
-    p.add_argument("--c", type=float, help="constant curvature value")
-    p.add_argument("--n", type=int, help="manifold dimension")
-    p.add_argument("--basis", help="torus lattice basis, rows ';'-separated")
-    p.add_argument("--warp", help="warp catalog name")
-    p.add_argument("--T", help="cutoff list '1,2,5' or range 'start:stop:count'")
-    p.add_argument("--quad-scheme", choices=("product_gauss", "monte_carlo"))
-    p.add_argument("--quad-order", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--tau-schedule", help="comma list, strictly decreasing")
-    p.add_argument("--K", type=int, help="growth-inequality depth")
-    p.add_argument("--c-grid", help="comma list of constants for gromov")
-
-
-def _flags_to_raw(args: argparse.Namespace) -> dict:
-    mapping = {
-        "kind": "manifold.kind", "c": "manifold.c", "n": "manifold.n",
-        "basis": "manifold.basis", "warp": "manifold.warp",
-        "T": "parameters.t", "quad_scheme": "parameters.quad_scheme",
-        "quad_order": "parameters.quad_order", "step": "parameters.step",
-        "seed": "parameters.seed", "tau_schedule": "parameters.tau_schedule",
-        "K": "parameters.k",
-        "c_grid": "parameters.c_grid", "out": "parameters.out",
-    }
-    raw = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            raw[key] = str(value)
-    return raw
-
-
 # a dash-led number in plain or exponent notation: -1, -0.5, -1e-06, -2.5E+3
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
@@ -434,29 +423,26 @@ def _parser() -> argparse.ArgumentParser:
         description="Geodesic counting, Jacobi propagation and Herglotz "
                     "verification pipelines on model manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the flags are built once and shared by every subparser
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(common)
-    for name, help_text in (
-            ("count", "counting curve over a list of cutoffs"),
-            ("growth", "counting curve plus growth classification"),
-            ("herglotz", "closed-form function checks and measure recovery"),
-            ("verify", "identity and inequality suite for one manifold"),
-            ("gromov", "Betti partial sums vs the counting integral"),
-    ):
-        sub.add_parser(name, help=help_text, parents=[common])
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, (_, kwargs) in FLAGS.items():
+            if flag in flags:
+                p.add_argument("--" + flag.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
+    task, _, flags = SUBCOMMANDS[args.command]
 
     try:
         raw = parse_manifest(args.manifest) if args.manifest else {}
-        raw.update(_flags_to_raw(args))
-        manifest = build_manifest(raw, task=SUBCOMMAND_TASK[args.command])
-        return run_manifest(manifest, quiet=args.quiet)
+        for flag in flags:
+            key, value = FLAGS[flag][0], getattr(args, flag)
+            if key is not None and value is not None:
+                raw[key] = str(value)
+        return run_manifest(build_manifest(raw, task), quiet=args.quiet)
     except (InputError, ConfigurationError, CatalogError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -110,8 +110,8 @@ def _counting_cumulative(spec, x, T, quad, step):
     composite trapezoid of |eta|^k enters the total with the sum of the
     quadrature weights.  IntegrationFailureError refuses a step whose
     relative energy drift |eta'^2 + kappa eta^2 - 1| / max(1, eta'^2,
-    |kappa| eta^2) exceeds flow.WRONSKIAN_TOL, and a total past the float
-    range.
+    |kappa| eta^2) exceeds flow.WRONSKIAN_TOL, a Jacobi solution and a total
+    past the float range.
     """
     if quad.n != spec.n:
         raise ConfigurationError(
@@ -136,16 +136,24 @@ def _counting_cumulative(spec, x, T, quad, step):
     grid = flow._grid(T, step)
     kap = float(spec.c)
     eta, deta = (np.array(v) for v in _constant_eta(kap, grid))
-    # propagate_jacobi's Wronskian gate, on the energy of the same equation;
-    # past RK4's stable step the squares overflow, and inf or nan fails it
+    # propagate_jacobi's Wronskian gate on the energy, over the samples with
+    # finite squares: past RK4's stable step the drift grows before they
+    # overflow, at an accurate step they overflow with the exact solution
     with np.errstate(over="ignore", invalid="ignore"):
         d2, k2 = deta * deta, kap * eta * eta
+        finite = np.isfinite(d2) & np.isfinite(k2)
         drift = float(np.max(np.abs(d2 + k2 - 1.0)
-                             / np.maximum(1.0, np.maximum(d2, np.abs(k2)))))
+                             / np.maximum(1.0, np.maximum(d2, np.abs(k2))),
+                             where=finite, initial=0.0))
         if not drift <= flow.WRONSKIAN_TOL:
             raise IntegrationFailureError(
                 f"counting.berger_bott_total: energy drift {drift:.3e} of the "
                 f"Jacobi solution exceeds {flow.WRONSKIAN_TOL}")
+        if not finite.all():
+            raise IntegrationFailureError(
+                "counting.berger_bott_total: the Jacobi solution leaves the "
+                f"float range at sigma={grid[np.argmin(finite)]:.6g} "
+                f"(kappa={kap:g}); use a smaller T")
         intg = np.abs(eta) ** spec.normal_dim
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * np.diff(grid) * (intg[:-1] + intg[1:]))))
@@ -384,12 +392,16 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
 # growth classification
 # ---------------------------------------------------------------------------
 
-def classify_growth(curve: CountingCurve, holdout_fraction: float = 0.25) -> GrowthReport:
+HOLDOUT_FRACTION = 0.25  # share of the fit window that scores the two models
+
+
+def classify_growth(curve: CountingCurve) -> GrowthReport:
     """Fit polynomial vs exponential growth on the upper half of the samples.
 
     log(value) is regressed against log(T) and against T on the window minus
-    a held-out tail; the model with the smaller held-out residual wins, ties
-    going to polynomial.  The polynomial degree is the rounded log-log slope.
+    a held-out tail of at least 2 points; the model with the smaller held-out
+    residual wins, ties going to polynomial.  The polynomial degree is the
+    rounded log-log slope.
     """
     T, v = curve.T, curve.values
     if len(T) < 8:
@@ -406,7 +418,7 @@ def classify_growth(curve: CountingCurve, holdout_fraction: float = 0.25) -> Gro
     if len(wT) < 6:
         raise InputError(
             "counting.classify_growth: too few positive values in the fit window")
-    nh = max(2, int(round(holdout_fraction * len(wT))))
+    nh = max(2, int(round(HOLDOUT_FRACTION * len(wT))))
     fit_T, fit_v = wT[:-nh], wV[:-nh]
     out_T, out_v = wT[-nh:], wV[-nh:]
 

@@ -511,6 +511,7 @@ def _window_mass(Fh, t, delta, tau):
 
 
 SCAN_BLOCK = 48
+ATOM_THRESHOLD = 0.1  # atoms: peaks of trace Im F above ATOM_THRESHOLD / tau
 
 
 def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
@@ -540,13 +541,13 @@ def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
                           & (mid >= trace[:-2]) & (mid >= trace[2:])) + 1
 
 
-def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-3),
-                     atom_threshold: float = 0.1) -> FatouData:
+def stieltjes_invert(Fh: HerglotzMatrix, interval,
+                     tau_schedule=(1e-1, 1e-2, 1e-3)) -> FatouData:
     """Recover the boundary measure of a Herglotz matrix function.
 
     The constant part A comes from the large-argument limit of
     Im F(i tau)/tau, extrapolated quadratically in 1/tau.  Atoms are the
-    local maxima of trace Im F(sigma + i tau) above atom_threshold/tau at the
+    local maxima of trace Im F(sigma + i tau) above ATOM_THRESHOLD/tau at the
     smallest tau, refined by golden-section search.  Each mass is the
     window integral of Im F at every usable tau, extrapolated linearly in
     tau: the window holds the Poisson-smoothed measure, whose deficit at an
@@ -563,8 +564,8 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
     |sigma - c| <= w <= tau' and tau <= tau'.  The scan grid is cut into
     blocks of SCAN_BLOCK = 48 points of half-width w; one evaluation at each
     centre c, at tau' = max(w, tau), skips every block with
-    6 tau' u(c, tau') < atom_threshold (twice the bound, for rounding), which
-    holds no point above atom_threshold / tau.  The atoms are those of the
+    6 tau' u(c, tau') < ATOM_THRESHOLD (twice the bound, for rounding), which
+    holds no point above ATOM_THRESHOLD / tau.  The atoms are those of the
     full-grid scan for every block size: the size only trades npts/48
     coarse evaluations against the fine ones in the kept blocks, which grow
     with it, and the scans of the CLI's ``herglotz`` task cost the same from
@@ -609,7 +610,7 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval, tau_schedule=(1e-1, 1e-2, 1e-
                           f"use a smallest tau above {tau_min:g}")
     grid = np.linspace(a, b, npts)
     locations = []
-    for j in _scan_peaks(Fh, grid, tau_min, atom_threshold):
+    for j in _scan_peaks(Fh, grid, tau_min, ATOM_THRESHOLD):
         t = _golden_min(lambda s: -_trace_im(Fh, s, tau_min),
                         grid[j - 1], grid[j + 1], tol=1e-8)
         if not locations or t - locations[-1] > 50 * h_scan:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geocount import cli
+from geocount import manifolds as mf
 
 SPHERE_MANIFEST = """
 [manifold]
@@ -143,7 +144,9 @@ class TestRunner:
         code = cli.main(["gromov", "--kind", "flat_torus", "--n", "2",
                          "--out", str(tmp_path / "z"), "--quiet"])
         assert code == 2
-        # text that does not parse, empty or non-finite lists, bad numbers
+        # text that does not parse, empty or non-finite lists, bad numbers,
+        # each sent to the subcommands that take its flags (the others refuse
+        # the flag itself, see test_subcommands_refuse_flags_they_do_not_take)
         for i, extra in enumerate([
                 ["--T", "abc"], ["--T", "1:5:0"], ["--T", ",,"], ["--T", "inf"],
                 ["--T", "nan"], ["--T", "1:5"], ["--T", "1:5:-2"], ["--T", "1:inf:3"],
@@ -152,10 +155,14 @@ class TestRunner:
                 ["--c-grid", ""], ["--kind", "flat_torus", "--basis", "a b; c d"],
                 ["--kind", "flat_torus", "--basis", "1 0; 0"],
                 ["--kind", "flat_torus", "--basis", "1 0; 0 nan"]]):
-            for task in ("count", "herglotz", "gromov"):
-                code = cli.main([task, "--n", "2", *extra,
-                                 "--out", str(tmp_path / f"t{i}{task}"), "--quiet"])
-                assert code == 2, (task, extra)
+            flags = {a[2:].replace("-", "_") for a in extra if a.startswith("--")}
+            takers = [command for command, (_, _, taken) in cli.SUBCOMMANDS.items()
+                      if flags <= set(taken)]
+            assert takers, extra
+            for command in takers:
+                code = cli.main([command, "--n", "2", *extra, "--out",
+                                 str(tmp_path / f"t{i}{command}"), "--quiet"])
+                assert code == 2, (command, extra)
 
     def test_range_with_infinite_end_refused_before_linspace(self, tmp_path, capsys):
         for text in ("1:inf:3", "-1e308:1e308:3", "nan:1:3"):
@@ -163,6 +170,52 @@ class TestRunner:
                              "--out", str(tmp_path / "r"), "--quiet"])
             assert code == 2
             assert "needs a finite start and stop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli.SUBCOMMANDS))
+    def test_subcommands_refuse_flags_they_do_not_take(self, capsys, command):
+        taken = cli.SUBCOMMANDS[command][2]
+        refused = [flag for flag in cli.FLAGS if flag not in taken]
+        assert refused
+        for flag in refused:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--" + flag.replace("_", "-"), "1", "--quiet"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err, flag
+
+    def test_each_subcommand_takes_the_flags_of_its_keys(self):
+        shared = {"manifest", "out", "seed", "quiet", "kind", "c", "n"}
+        counting = shared | {"basis", "warp", "T", "quad_scheme", "quad_order", "step"}
+        assert {command: set(flags) for command, (_, _, flags)
+                in cli.SUBCOMMANDS.items()} == {
+            "count": counting, "growth": counting,
+            "herglotz": shared | {"tau_schedule"},
+            "verify": shared | {"basis", "warp"},
+            "gromov": shared | {"quad_order", "step", "K", "c_grid"}}
+        assert sum(len(flags) for _, _, flags in cli.SUBCOMMANDS.values()) == 54
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--c", "1", "--n", "2", "--T", "1,2", "--step", "0.01"],
+        ["growth", "--kind", "flat_torus", "--n", "2", "--T", "1:10:10",
+         "--quad-order", "8"],
+        ["herglotz", "--c", "0", "--n", "3"],
+        ["verify", "--kind", "warped_product", "--warp", "cosh", "--n", "3"],
+    ])
+    def test_a_run_validates_once_and_builds_one_spec(self, tmp_path, monkeypatch,
+                                                      argv):
+        calls = {"validate": 0, "spec": 0}
+        validate, spec_init = cli.ExperimentManifest.validate, mf.ManifoldSpec.__init__
+
+        def counted_validate(self):
+            calls["validate"] += 1
+            return validate(self)
+
+        def counted_init(self, *args, **kwargs):
+            calls["spec"] += 1
+            spec_init(self, *args, **kwargs)
+        monkeypatch.setattr(cli.ExperimentManifest, "validate", counted_validate)
+        monkeypatch.setattr(mf.ManifoldSpec, "__init__", counted_init)
+        assert cli.main(argv + ["--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert calls == {"validate": 1, "spec": 1}
 
     def test_interval_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -397,8 +450,8 @@ class TestRepeatedMain:
     @pytest.mark.parametrize("command", ["", "count", "growth", "herglotz",
                                          "verify", "gromov"])
     def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
-        # cli_help_80/ holds the help printed at 80 columns before the
-        # parser was cached
+        # cli_help_80/ holds the help printed at 80 columns; each subcommand
+        # lists the flags of the keys its task reads
         monkeypatch.setenv("COLUMNS", "80")
         code, out, _ = _in_process([command, "--help"] if command else ["--help"],
                                    capsys)
@@ -422,7 +475,30 @@ class TestCountingGate:
             warnings.simplefilter("always")
             code = cli.main(argv + ["--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
-        assert "energy drift" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "energy drift" in err and "nan" not in err
+        assert "float range" not in err
+        assert not caught
+
+    def test_drift_is_taken_over_the_finite_samples(self, tmp_path, capsys):
+        # h sqrt|kappa| = 0.1: the drift, 6.2e-8 before eta ~ sinh(100 sigma)
+        # / 100 overflows its squares, read nan when it took those samples in
+        code = cli.main(["count", "--c", "-1e4", "--n", "3", "--step", "0.001",
+                         "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "energy drift 6.219e-08" in capsys.readouterr().err
+
+    def test_overflow_at_an_accurate_step_is_named(self, tmp_path, capsys):
+        # h sqrt|kappa| = 0.05 keeps the drift below 2e-9, but the exact
+        # solution's squares leave the float range at sigma = 3.556
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["count", "--c", "-1e4", "--n", "3", "--step", "0.0005",
+                             "--T", "1:4:4", "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "leaves the float range at sigma=3.556" in err
+        assert "energy drift" not in err
         assert not caught
 
 

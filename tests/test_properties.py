@@ -26,7 +26,7 @@ def test_malformed_list_text_raises_only_validation_errors(key, text):
     if key == "manifold.basis":
         raw["manifold.kind"] = "flat_torus"
     try:
-        cli.build_manifest(raw, task="count")
+        cli.build_manifest(raw, task="count").validate()
     except (InputError, ConfigurationError, CatalogError):
         pass
 
