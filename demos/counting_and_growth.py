@@ -75,7 +75,8 @@ for name, curve in curves.items():
 #    normalized counting integral at cutoff C*k.  Both sides grow linearly,
 #    so some constant works; the search reports the smallest on a grid.
 # ---------------------------------------------------------------------------
-result = gc.search_gromov_constant(2, K=50, c_grid=(0.5, 1.0, 2.0, 5.0, 10.0),
+result = gc.search_gromov_constant(gc.constant_curvature(1.0, 2), K=50,
+                                   c_grid=(0.5, 1.0, 2.0, 5.0, 10.0),
                                    quad_order=64, step=1e-2)
 print(f"\nBetti-sum inequality on the 2-sphere, k <= 50:")
 for chk in result["checks"]:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 import geocount as gc
-from geocount.flow import ClosedFormJacobi
+from geocount.closed_form import ClosedFormJacobi
 
 # ---------------------------------------------------------------------------
 # 1. The identity det(H^T H) * det((-1/f)'(sigma)) = 1 and its twin

@@ -10,19 +10,18 @@ growth of counting curves as polynomial or exponential.
 
 __version__ = "0.1.0"
 
+from .closed_form import ClosedFormJacobi
 from .counting import (CountingCurve, GrowthReport, berger_bott_curve,
                        berger_bott_integrand, berger_bott_total,
-                       check_gromov_inequality, classify_growth,
-                       count_sphere_arcs, count_torus_lattice,
-                       loop_space_betti_partial_sums, search_gromov_constant,
-                       torus_count_integral_oracle)
+                       classify_growth, count_sphere_arcs,
+                       count_torus_lattice, loop_space_betti_partial_sums,
+                       search_gromov_constant, torus_count_integral_oracle)
 from .errors import (CatalogError, ConditioningError, ConfigurationError,
                      ConvergenceError, DegeneracyError, DomainError,
                      GeocountError, InputError, IntegrationFailureError,
                      NumericalError, PoleError)
-from .flow import (ClosedFormJacobi, GeodesicTrajectory, JacobiSystem,
-                   integrate_geodesic, jacobi_residual, propagate_jacobi,
-                   write_jacobi_csv, wronskian_drift)
+from .flow import (GeodesicTrajectory, JacobiSystem, integrate_geodesic,
+                   jacobi_residual, propagate_jacobi, wronskian_drift)
 from .herglotz import (DetBound, FatouData, HerglotzMatrix,
                        adapted_complex_structure_at, check_b_decomposition,
                        check_key1, check_theorem_nice, check_xi_identity,

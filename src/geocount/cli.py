@@ -358,12 +358,8 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
             exit_code = 4
 
     elif manifest.task == "gromov":
-        if spec.kind != mf.CONSTANT_CURVATURE or spec.c != 1.0:
-            raise InputError(
-                "cli.run_manifest: gromov needs kind=constant_curvature with "
-                "c=1 (the unit round sphere)")
         result = counting.search_gromov_constant(
-            manifest.n, manifest.K, manifest.c_grid,
+            spec, manifest.K, manifest.c_grid,
             quad_order=manifest.quad_order, step=manifest.step,
             seed=manifest.seed)
         payload = {

@@ -486,25 +486,23 @@ def _gromov_from_cumulative(grid, totals, volume, n, K, C):
     return GromovCheck(n, K, float(C), bool(np.all(ok)), first, lhs, rhs)
 
 
-def check_gromov_inequality(n: int, K: int, C: float, quad_order: int = 64,
-                            step: float = 1e-2, seed: int = 0) -> GromovCheck:
-    """Check Betti partial sums against the normalized counting integral on
-    the unit round sphere, for every k <= K at cutoff T = C*k."""
-    if C <= 0:
-        raise InputError(f"counting.check_gromov_inequality: C={C} must be positive")
-    return search_gromov_constant(n, K, [C], quad_order, step, seed)["checks"][0]
-
-
-def search_gromov_constant(n: int, K: int, c_grid, quad_order: int = 64,
-                           step: float = 1e-2, seed: int = 0) -> dict:
-    """Smallest constant on a grid for which the inequality holds up to K.
+def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,
+                           quad_order: int = 64, step: float = 1e-2,
+                           seed: int = 0) -> dict:
+    """Smallest constant C on a grid for which the Betti partial sums stay
+    below the normalized counting integral at cutoff T = C*k for every
+    k <= K.  ``spec`` must be the unit round sphere (InputError otherwise).
 
     A single propagation to the largest cutoff serves every grid value.
     """
+    if spec.kind != mf.CONSTANT_CURVATURE or spec.c != 1.0:
+        raise InputError(
+            "counting.search_gromov_constant: gromov needs kind=constant_curvature "
+            "with c=1 (the unit round sphere)")
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid or c_grid[0] <= 0:
         raise InputError("counting.search_gromov_constant: c_grid must be positive")
-    spec = mf.constant_curvature(1.0, n)
+    n = spec.n
     x = mf.canonical_point(spec)
     scheme = "product_gauss" if n <= 4 else "monte_carlo"
     quad = mf.unit_sphere_quadrature(n, scheme, quad_order, seed)

@@ -16,13 +16,13 @@ conjugate points) are the zeros of the scalars xi and eta, found as sign
 changes on the grid and refined on the same Hermite interpolant.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
+from . import closed_form
 from . import manifolds as mf
 from .errors import ConfigurationError, InputError, IntegrationFailureError
 
@@ -55,55 +55,6 @@ def _grid(T: float, step: float) -> np.ndarray:
     _require_step_budget(T / step, "grid")
     m = max(1, int(math.ceil(T / step - 1e-12)))
     return np.linspace(0.0, T, m + 1)
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-def _space_form_scalars(c: float, sigma, lib=np):
-    """(xi, xi', eta, eta') of y'' = -c y, elementwise in sigma.
-
-    Cosine/sine families for c > 0, linear for c = 0, hyperbolic for c < 0.
-    ``lib`` supplies cos/sin/cosh/sinh: numpy for grids, math for scalars.
-    """
-    if c > 0:
-        s = math.sqrt(c)
-        cos, sin = lib.cos(s * sigma), lib.sin(s * sigma)
-        return cos, -s * sin, sin / s, cos
-    if c < 0:
-        s = math.sqrt(-c)
-        cosh, sinh = lib.cosh(s * sigma), lib.sinh(s * sigma)
-        return cosh, s * sinh, sinh / s, cosh
-    one = 1.0 + 0.0 * sigma
-    return one, 0.0 * one, sigma, one
-
-
-@dataclass(frozen=True)
-class ClosedFormJacobi:
-    """Closed-form Jacobi data for constant curvature, read like a system:
-    ``eval_at`` gives the scalars (xi, xi', eta, eta') of Xi = xi * Id and
-    H = eta * Id."""
-
-    c: float
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return self.n - 1
-
-    def eval_at(self, sigma: float):
-        return _space_form_scalars(self.c, sigma, math)
-
-    def distance_to_singular(self, sigma: float) -> float:
-        if self.c > 0:
-            s = math.sqrt(self.c)
-            period = math.pi / s
-            d_h = abs(sigma - round(sigma / period) * period)
-            shifted = sigma - period / 2
-            d_xi = abs(shifted - round(shifted / period) * period)
-            return min(d_h, d_xi)
-        return abs(sigma)  # det H vanishes at 0 only; Xi never degenerates
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +119,7 @@ def integrate_geodesic(spec, x, theta, T, step):
 
     Every branch is a closed form with a parallel normal frame.  Space forms
     follow gamma = xi(sigma) x + eta(sigma) theta on the ambient quadric, with
-    xi, eta the scalar solutions of y'' = -c y (cos/sin, cosh/sinh, or linear);
+    xi, eta the scalar solutions of y'' = -c y from ``closed_form.scalars``;
     normal vectors orthogonal to span(x, theta) are parallel, so the frame is
     constant.  Flat tori are straight lines in the universal cover wrapped
     back to the fundamental domain; warped products support radial rays.
@@ -191,7 +142,7 @@ def integrate_geodesic(spec, x, theta, T, step):
         velocities = np.tile(theta, (m + 1, 1))
         scale = spec.warp.value(x[0]) / spec.warp.value(r)
     elif spec.kind == mf.CONSTANT_CURVATURE:
-        xi, dxi, eta, deta = _space_form_scalars(spec.c, sigma)
+        xi, dxi, eta, deta = closed_form.scalars(spec.c, sigma)
         positions = xi[:, None] * x + eta[:, None] * theta
         velocities = dxi[:, None] * x + deta[:, None] * theta
     else:
@@ -451,18 +402,3 @@ def jacobi_residual(js: JacobiSystem) -> float:
     d2 = (-Y[:-4] + 16 * Y[1:-3] - 30 * Y[2:-2] + 16 * Y[3:-1] - Y[4:]) / (12 * hg**2)
     resid = d2 + js.kappa[2:-2, None] * Y[2:-2]
     return float(np.max(np.abs(resid) / np.maximum(1.0, np.abs(Y[2:-2]))))
-
-
-def write_jacobi_csv(js: JacobiSystem, path, metadata: dict | None = None):
-    """Columnar dump (sigma, position..., det Xi, det H) for inspection."""
-    pos = js.trajectory.positions
-    det_xi, det_h = js.det_xi, js.det_h
-    with open(path, "w", newline="") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sigma"] + [f"x{i}" for i in range(pos.shape[1])] + ["det_xi", "det_h"])
-        for j in range(len(js.sigma)):
-            row = [js.sigma[j], *pos[j], det_xi[j], det_h[j]]
-            writer.writerow([format(v, ".17g") for v in row])

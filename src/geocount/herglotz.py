@@ -7,14 +7,13 @@ phi = eta / xi times Id; every determinant below is a k-th power of a scalar.
 G = -f^{-1} has positive imaginary part on the upper half plane, and its
 boundary behaviour encodes a purely atomic measure that is recovered here by
 Poisson-kernel integration with extrapolation in the regularization
-parameter.  Closed forms exist for constant curvature; for general metrics
-only real-axis identities are checked, since the complex extension is
-exactly the entire-tube hypothesis.  Matrices are built only where a result
-is one: F(zeta), the constant part A, the atom masses and the complex
-structure J.
+parameter.  Closed forms exist for constant curvature (``closed_form``);
+for general metrics only real-axis identities are checked, since the
+complex extension is exactly the entire-tube hypothesis.  Matrices are
+built only where a result is one: F(zeta), the constant part A, the atom
+masses and the complex structure J.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import closed_form
 from . import manifolds as mf
 from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
                      InputError, NumericalError, PoleError)
@@ -33,106 +33,6 @@ FD_STEP = 1e-5
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
-# ---------------------------------------------------------------------------
-# closed-form profiles for constant curvature
-# ---------------------------------------------------------------------------
-
-def _saturating(u: np.ndarray, edge: np.ndarray, fn, limit) -> np.ndarray:
-    """fn(u) where |edge| <= 30, limit * sign(edge) beyond.
-
-    tan and cot saturate off the real axis, tanh and coth along it; past 30
-    their limits stand in, so fn never sees an argument whose sin/cos
-    (sinh/cosh) would overflow.
-    """
-    far = np.abs(edge) > 30.0
-    if not far.any():
-        return fn(u)
-    out = np.empty_like(u)
-    out[far] = limit * np.copysign(1.0, edge[far])
-    out[~far] = fn(u[~far])
-    return out
-
-
-def _f_profile(c: float, zeta: np.ndarray) -> np.ndarray:
-    """The scalar phi with f = phi * Id, at an array of zeta: zeta for flat,
-    tan-type for positive curvature, tanh-type (for contrast experiments;
-    not Herglotz) for negative curvature."""
-    if c == 0:
-        return zeta.copy()
-    s = math.sqrt(abs(c))
-    u = s * zeta
-    if c > 0:
-        return _saturating(u, u.imag, np.tan, 1j) / s
-    return _saturating(u, u.real, np.tanh, 1.0) / s
-
-
-def _g_profile(c: float, zeta: np.ndarray) -> np.ndarray:
-    """The scalar phi with -1/f = phi * Id, regular at the poles of f."""
-    if c == 0:
-        return -1.0 / zeta
-    s = math.sqrt(abs(c))
-    u = s * zeta
-    if c > 0:
-        return _saturating(u, u.imag, lambda v: -s * np.cos(v) / np.sin(v), 1j * s)
-    return _saturating(u, u.real, lambda v: -s * np.cosh(v) / np.sinh(v), -s)
-
-
-def _g_primitive(c: float, zeta: complex) -> complex:
-    """A primitive Phi of the scalar -1/f (Phi' = phi), continuous along
-    every line Im zeta = tau > 0; c >= 0 only.
-
-    For c > 0 it is -log sin(s zeta) up to a constant, written as
-    i s zeta - log(1 - e^{2 i s zeta}): |e^{2 i s zeta}| < 1 above the real
-    axis, so the principal log never meets its cut.  For c = 0 it is -log zeta.
-    """
-    if c == 0:
-        return -cmath.log(zeta)
-    s = math.sqrt(c)
-    return 1j * s * zeta - cmath.log(1.0 - cmath.exp(2j * s * zeta))
-
-
-def _g_prime_scalar(c: float, sigma: float) -> float:
-    """d/dsigma of -1/f on the real axis, in closed form."""
-    if c == 0:
-        return 1.0 / (sigma * sigma)
-    s = math.sqrt(abs(c))
-    if c > 0:
-        return c / math.sin(s * sigma) ** 2
-    return -c / math.sinh(s * sigma) ** 2
-
-
-def _lattice_distance(along, across, offset: float, period: float):
-    """Distance to the nearest point offset + k*period of a line of poles,
-    given the coordinates along and across that line."""
-    shifted = along - offset
-    return np.hypot(np.abs(shifted - np.round(shifted / period) * period), across)
-
-
-def f_pole_distance(c: float, zeta):
-    """Distance from zeta (a number or an array) to the nearest pole of the
-    closed-form f."""
-    zeta = np.asarray(zeta, dtype=complex)
-    if c == 0:
-        return np.full(zeta.shape, math.inf)
-    period = math.pi / math.sqrt(abs(c))
-    if c > 0:  # poles at odd multiples of pi/(2s) on the real axis
-        return _lattice_distance(zeta.real, zeta.imag, period / 2, period)
-    # poles at odd multiples of i*pi/(2s)
-    return _lattice_distance(zeta.imag, zeta.real, period / 2, period)
-
-
-def g_pole_distance(c: float, zeta):
-    """Distance from zeta (a number or an array) to the nearest pole of the
-    closed-form -1/f."""
-    zeta = np.asarray(zeta, dtype=complex)
-    if c == 0:
-        return np.abs(zeta)
-    period = math.pi / math.sqrt(abs(c))
-    if c > 0:  # poles at multiples of pi/s on the real axis
-        return _lattice_distance(zeta.real, zeta.imag, 0.0, period)
-    return _lattice_distance(zeta.imag, zeta.real, 0.0, period)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +75,8 @@ class HerglotzMatrix:
 
     @classmethod
     def from_constant_curvature(cls, c: float, n: int):
-        return cls(functools.partial(_f_profile, c), n - 1,
-                   functools.partial(f_pole_distance, c), float(c))
+        return cls(functools.partial(closed_form.f_profile, c), n - 1,
+                   functools.partial(closed_form.f_pole_distance, c), float(c))
 
     def neg_inverse_function(self) -> "HerglotzMatrix":
         """The closed form of G = -f^{-1}, with its own pole bookkeeping.
@@ -190,9 +90,9 @@ class HerglotzMatrix:
             raise InputError("herglotz.HerglotzMatrix.neg_inverse_function: "
                              "only the constant-curvature closed forms invert")
         return HerglotzMatrix(
-            functools.partial(_g_profile, c), self.dim,
-            functools.partial(g_pole_distance, c), c,
-            functools.partial(_g_primitive, c) if c >= 0 else None)
+            functools.partial(closed_form.g_profile, c), self.dim,
+            functools.partial(closed_form.g_pole_distance, c), c,
+            functools.partial(closed_form.g_primitive, c) if c >= 0 else None)
 
 
 def f_real_axis_numeric(source, sigma: float) -> float:
@@ -331,17 +231,14 @@ def det_growth_bound(c: float, n: int, sigma: float) -> DetBound:
     """
     if sigma <= 0:
         raise InputError(f"herglotz.det_growth_bound: sigma={sigma} must be positive")
-    if c != 0 and g_pole_distance(c, complex(sigma)) < POLE_MARGIN:
+    if c != 0 and closed_form.g_pole_distance(c, complex(sigma)) < POLE_MARGIN:
         raise PoleError(f"herglotz.det_growth_bound: sigma={sigma} too close to a pole")
-    s = math.sqrt(abs(c))
     try:
         rhs = sigma ** (2 * n - 2)
         if c == 0:
             return DetBound(rhs, rhs, True)  # analytic simplification; exact equality
-        if c > 0:
-            lhs = (math.sin(s * sigma) ** 2 / c) ** (n - 1)
-        else:
-            lhs = (math.sinh(s * sigma) ** 2 / -c) ** (n - 1)
+        # 1/det G' = (eta^2)^k
+        lhs = (closed_form.scalars(c, sigma, math)[2] ** 2) ** (n - 1)
     except OverflowError:
         raise InputError(
             f"herglotz.det_growth_bound: a side of the bound overflows a float "
@@ -357,8 +254,7 @@ def check_b_decomposition(c: float, n: int, sigma: float) -> float:
     """
     if sigma == 0:
         raise InputError("herglotz.check_b_decomposition: sigma must be nonzero")
-    gp = _g_prime_scalar(c, sigma)
-    return gp - 1.0 / (sigma * sigma)
+    return closed_form.g_prime(c, sigma) - 1.0 / (sigma * sigma)
 
 
 def adapted_complex_structure_at(Fh: HerglotzMatrix) -> np.ndarray:

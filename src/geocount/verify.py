@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import counting, flow, herglotz
+from . import closed_form, counting, flow, herglotz
 from . import manifolds as mf
 
 
@@ -35,7 +35,7 @@ def _sample_sigmas(rng, count, lo, hi, pole_distance, margin=herglotz.SAMPLING_P
 def _oracle_counting_total(spec, T, step=1e-4):
     """Counting total from the closed-form integrand, no ODE involved."""
     sig = np.arange(0.0, T + step / 2, step)
-    vals = np.abs(flow._space_form_scalars(spec.c, sig)[2]) ** spec.normal_dim
+    vals = np.abs(closed_form.scalars(spec.c, sig)[2]) ** spec.normal_dim
     return mf.sphere_surface_area(spec.n - 1) * float(np.trapezoid(vals, sig))
 
 
@@ -71,7 +71,7 @@ def herglotz_battery(c: float, n: int, seed: int = 0,
     fatou_dict = None
     if c >= 0:
         if c > 0:
-            period = math.pi / math.sqrt(c)
+            period = closed_form.pole_period(c)
             interval = (-1.0, 2 * period + 1.0)
             expected = [0.0, period, 2 * period]
         else:
@@ -106,7 +106,7 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         theta = frame[0]
         traj = flow.integrate_geodesic(spec, x, theta, T=5.0, step=1e-3)
         js = flow.propagate_jacobi(spec, traj)
-        cf = flow.ClosedFormJacobi(spec.c, spec.n)
+        cf = closed_form.ClosedFormJacobi(spec.c, spec.n)
         err = 0.0
         for j in range(0, len(js.sigma), 200):
             exact = cf.eval_at(js.sigma[j])
@@ -135,10 +135,8 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
                                  max(0.0, -f_min), 0.0))
             checks.append(_check("Im(-1/f) positive definite",
                                  max(0.0, -g_min), 0.0))
-
-            def gpole(s):
-                return herglotz.g_pole_distance(spec.c, complex(s))
-            bs = _sample_sigmas(rng, 50, 0.05, 10.0, gpole)
+            bs = _sample_sigmas(rng, 50, 0.05, 10.0,
+                                lambda s: closed_form.g_pole_distance(spec.c, s))
             b_min = min(herglotz.check_b_decomposition(spec.c, spec.n, s)
                         for s in bs)
             checks.append(_check("origin-atom remainder PSD",

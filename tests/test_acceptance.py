@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 import geocount as gc
-from geocount.flow import ClosedFormJacobi
-from geocount.herglotz import g_pole_distance
+from geocount.closed_form import ClosedFormJacobi, g_pole_distance
 from matrix_forms import closed_form_matrices, jacobi_stacks
 
 
@@ -215,7 +214,8 @@ def test_criterion_9_growth_classification():
 
 
 def test_criterion_10_growth_inequality_constant():
-    res = gc.search_gromov_constant(2, 50, (0.5, 1.0, 2.0, 5.0, 10.0),
+    res = gc.search_gromov_constant(gc.constant_curvature(1.0, 2), 50,
+                                    (0.5, 1.0, 2.0, 5.0, 10.0),
                                     quad_order=64, step=1e-2)
     minimal = res["minimal_passing_C"]
     _criterion(10, "Betti sums bounded by the counting integral for some C",

@@ -130,6 +130,13 @@ class TestRunner:
         lines = (out / "curve.csv").read_text().splitlines()
         assert len(lines) == 3 + 4
 
+    def test_gromov_refuses_other_curvature(self, tmp_path, capsys):
+        code = cli.main(["gromov", "--c", "2", "--n", "3",
+                         "--out", str(tmp_path / "g"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: counting.search_gromov_constant: gromov needs")
+
     def test_validation_errors_exit_2(self, tmp_path):
         # decreasing T list
         code = cli.main(["count", "--kind", "constant_curvature", "--n", "2",

@@ -604,21 +604,41 @@ class TestBettiSums:
             gc.loop_space_betti_partial_sums("sphere", 1, 3)
 
 
+def _gromov_check(K, C, **kwargs):
+    """The inequality on the round 2-sphere at the one constant C."""
+    sphere = gc.constant_curvature(1.0, 2)
+    return gc.search_gromov_constant(sphere, K, [C], **kwargs)["checks"][0]
+
+
 class TestGromov:
     def test_generous_constant_holds(self):
-        chk = gc.check_gromov_inequality(2, 20, 10.0, quad_order=32, step=2e-2)
+        chk = _gromov_check(20, 10.0, quad_order=32, step=2e-2)
         assert chk.holds and chk.first_failure_k is None
 
     def test_tiny_constant_fails(self):
-        chk = gc.check_gromov_inequality(2, 20, 0.1, quad_order=32, step=1e-3)
+        chk = _gromov_check(20, 0.1, quad_order=32, step=1e-3)
         assert not chk.holds
         assert chk.first_failure_k is not None
 
     def test_single_step_with_huge_constant(self):
-        chk = gc.check_gromov_inequality(2, 1, 50.0, quad_order=16, step=2e-2)
+        chk = _gromov_check(1, 50.0, quad_order=16, step=2e-2)
         assert chk.holds
 
+    @pytest.mark.parametrize("c_grid", [(), (0.0, 1.0), (-1.0,)])
+    def test_empty_or_nonpositive_grid_refused(self, c_grid):
+        with pytest.raises(InputError, match="c_grid must be positive"):
+            gc.search_gromov_constant(gc.constant_curvature(1.0, 2), 2, c_grid)
+
+    @pytest.mark.parametrize("spec", [gc.constant_curvature(2.0, 3),
+                                      gc.constant_curvature(-1.0, 2),
+                                      gc.flat_torus(np.eye(2))],
+                             ids=["c=2", "c=-1", "torus"])
+    def test_only_the_unit_round_sphere(self, spec):
+        with pytest.raises(InputError, match="unit round sphere"):
+            gc.search_gromov_constant(spec, 2, (1.0,))
+
     def test_search_reports_minimal(self):
-        res = gc.search_gromov_constant(2, 20, (0.5, 5.0), quad_order=32, step=2e-2)
+        res = gc.search_gromov_constant(gc.constant_curvature(1.0, 2), 20,
+                                        (0.5, 5.0), quad_order=32, step=2e-2)
         assert res["minimal_passing_C"] == 5.0
         assert [chk.holds for chk in res["checks"]] == [False, True]

@@ -705,19 +705,3 @@ class TestStepBudget:
         for step in (1e-9, 1e-320):
             with pytest.raises(InputError, match="cap"):
                 gc.propagate_jacobi(spec, traj, step=step)
-
-
-class TestSerialization:
-    def test_jacobi_csv_roundtrip(self, tmp_path):
-        spec = gc.constant_curvature(1.0, 2)
-        _, js = _traj_and_system(spec, T=1.0, step=1e-2)
-        path = tmp_path / "jacobi.csv"
-        gc.write_jacobi_csv(js, path, metadata={"tag": "test"})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# tag=test"
-        header = lines[1].split(",")
-        assert header[0] == "sigma" and header[-2:] == ["det_xi", "det_h"]
-        row = lines[2].split(",")
-        assert float(row[0]) == 0.0
-        assert float(row[-1]) == 0.0  # det H(0)
-        assert len(lines) == 2 + len(js.sigma)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import geocount as gc
+from geocount.closed_form import ClosedFormJacobi, g_pole_distance
 from geocount.errors import ConditioningError, InputError, PoleError
-from geocount.flow import ClosedFormJacobi
 from matrix_forms import times_id
 
 
@@ -386,7 +386,7 @@ class TestBDecomposition:
         count = 0
         while count < 50:
             s = float(rng.uniform(0.05, 10.0))
-            if c > 0 and gc.herglotz.g_pole_distance(c, complex(s)) < 0.05:
+            if c > 0 and g_pole_distance(c, complex(s)) < 0.05:
                 continue
             assert gc.check_b_decomposition(c, 3, s) >= -1e-10
             count += 1
