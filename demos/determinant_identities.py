@@ -31,7 +31,7 @@ for c in (0.0, 1.0, -1.0):
 spec = gc.warped_product("one_plus_r2", 3)
 x = gc.canonical_point(spec)
 traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), 4.0, 1e-3)
-js = gc.propagate_jacobi(spec, traj)
+js = gc.propagate_jacobi(traj)
 print("identity residuals on the warped product (ODE-propagated):")
 for sigma in (0.7, 1.3, 2.5):
     print(f"  sigma = {sigma}: gram-det {gc.check_key1(js, sigma):.2e}, "

@@ -22,9 +22,9 @@ print("propagated vs closed-form solutions, sigma in [0, 10], step 1e-3:")
 for c in (-1.0, 0.0, 1.0):
     spec = gc.constant_curvature(c, 3)
     x = gc.canonical_point(spec)
-    theta = gc.tangent_frame(spec, x)[0]
+    theta = gc.orthonormal_frame(spec, x)[0]
     traj = gc.integrate_geodesic(spec, x, theta, T=10.0, step=1e-3)
-    js = gc.propagate_jacobi(spec, traj)
+    js = gc.propagate_jacobi(traj)
     cf = gc.ClosedFormJacobi(c, 3)
     worst = 0.0
     for j in range(0, len(js.sigma), 100):
@@ -41,9 +41,9 @@ for c in (-1.0, 0.0, 1.0):
 for n in (2, 3):
     spec = gc.constant_curvature(1.0, n)
     x = gc.canonical_point(spec)
-    theta = gc.tangent_frame(spec, x)[0]
+    theta = gc.orthonormal_frame(spec, x)[0]
     traj = gc.integrate_geodesic(spec, x, theta, T=7.0, step=1e-3)
-    js = gc.propagate_jacobi(spec, traj)
+    js = gc.propagate_jacobi(traj)
     print(f"\nround sphere n={n}:")
     print(f"  det H zeros: {np.round(js.h_zeros, 8)}")
     print(f"  det Xi zeros: {np.round(js.xi_zeros, 8)}")
@@ -57,7 +57,7 @@ print(f"  (reference: pi = {math.pi:.8f}, pi/2 = {math.pi / 2:.8f})")
 spec = gc.warped_product("two_plus_cos", 3)
 x = gc.canonical_point(spec)
 traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), T=10.0, step=1e-3)
-js = gc.propagate_jacobi(spec, traj)
+js = gc.propagate_jacobi(traj)
 K = gc.curvature_along(spec, (x, np.array([1.0, 0, 0, 0])))
 print("\nwarped product w(r) = 2 + cos(r), radial ray from r=1:")
 print(f"  curvature profile at sigma = 0, 2, 4: "
@@ -71,8 +71,8 @@ print(f"  det H zeros: {js.h_zeros}")
 # ---------------------------------------------------------------------------
 spec = gc.constant_curvature(1.0, 2)
 x = gc.canonical_point(spec)
-traj = gc.integrate_geodesic(spec, x, gc.tangent_frame(spec, x)[0], 2.0, 1e-3)
-js = gc.propagate_jacobi(spec, traj)
+traj = gc.integrate_geodesic(spec, x, gc.orthonormal_frame(spec, x)[0], 2.0, 1e-3)
+js = gc.propagate_jacobi(traj)
 s = 1.23456789
 _, _, eta, _ = js.eval_at(s)
 print(f"\ndense output at sigma = {s}:")

@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .closed_form import ClosedFormJacobi
 from .counting import (CountingCurve, GrowthReport, berger_bott_curve,
-                       berger_bott_integrand, berger_bott_total,
-                       classify_growth, count_sphere_arcs,
+                       berger_bott_total, classify_growth, count_sphere_arcs,
                        count_torus_lattice, loop_space_betti_partial_sums,
                        search_gromov_constant, torus_count_integral_oracle)
 from .errors import (CatalogError, ConditioningError, ConfigurationError,
@@ -30,6 +29,6 @@ from .herglotz import (DetBound, FatouData, HerglotzMatrix,
                        stieltjes_invert)
 from .manifolds import (CurvatureFrameOperator, ManifoldSpec, SphereQuadrature,
                         WarpFunction, canonical_point, constant_curvature,
-                        curvature_along, flat_torus, sphere_surface_area,
-                        tangent_frame, unit_sphere_quadrature, warp_by_name,
-                        warped_product)
+                        curvature_along, flat_torus, orthonormal_frame,
+                        sphere_surface_area, unit_sphere_quadrature,
+                        warp_by_name, warped_product)

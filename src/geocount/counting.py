@@ -83,20 +83,11 @@ class GrowthReport:
 # the counting integral
 # ---------------------------------------------------------------------------
 
-def berger_bott_integrand(js: flow.JacobiSystem, sigma: float) -> float:
-    """sqrt det of the Gram matrix of the (0, Id) Jacobi solution at sigma.
-
-    In the parallel frame this is |det H(sigma)|.  Values between grid
-    samples interpolate linearly.
-    """
-    return float(np.interp(sigma, js.sigma, np.abs(js.det_h)))
-
-
 def _constant_eta(kap, grid):
     """eta and eta' of y'' = -kap y, data (0, 1), at the grid points: flow's
     RK4 kernel with the constant -kap at every stage node."""
     negk = [-kap] * (len(grid) - 1)
-    return flow._rk4((np.diff(grid).tolist(), negk, negk, negk), 1, 0.0, 1.0)
+    return flow._rk4((np.diff(grid).tolist(), negk, negk, negk), 0.0, 1.0)
 
 
 def _counting_cumulative(spec, x, T, quad, step):
@@ -122,7 +113,7 @@ def _counting_cumulative(spec, x, T, quad, step):
             "counting.berger_bott_total: warped products expose radial "
             "geodesics only; direction quadrature is not available")
     x = np.asarray(x, dtype=float)
-    frame = mf.tangent_frame(spec, x)
+    frame = mf.orthonormal_frame(spec, x)
     dirs = quad.nodes @ frame
     # the metric norm of manifolds.require_unit_direction, for all rows at once
     norm2 = np.sum(mf.metric_diagonal(spec, x) * dirs * dirs, axis=1)

@@ -4,9 +4,10 @@ Everything is sampled on a uniform arc-length grid.  On every model manifold
 the curvature operator along a geodesic is kappa(sigma) * Id in a parallel
 orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces to
 one scalar equation.  Its two fundamental solutions, xi with data (1, 0) and
-eta with data (0, 1), are propagated one at a time by one classical
-fixed-step RK4 loop over plain float lists (kappa sampled once for both, in
-one profile call); the counting integral runs the same loop for eta alone.
+eta with data (0, 1), are propagated one at a time by one classical RK4
+loop over plain float lists, one step per grid cell (kappa sampled once for
+both, in one profile call); the counting integral runs the same loop for
+eta alone.
 The matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
 forms: great circles and their hyperbolic and flat analogues, straight lines
 on tori, radial rays in warped products.  Cubic Hermite dense output (exact
@@ -32,17 +33,9 @@ DET_ZERO_REL = 1e-8      # |y| at the last sample, relative to the local max |y|
 # Brent's xtol on a cell's Hermite interpolant: it bounds the root finding
 # only.  A zero's error follows the grid (see _scalar_zeros).
 SIGMA_REFINE_TOL = 1e-10
-# RK4 steps of one propagation, grid cells times substeps; the largest default
-# use, gromov's search to T = 500 at step 0.01, takes 5e4
+# RK4 steps of one propagation, one per grid cell; the largest default use,
+# gromov's search to T = 500 at step 0.01, takes 5e4
 MAX_RK4_STEPS = 2_000_000
-
-
-def _require_step_budget(steps: float, caller: str) -> None:
-    """Refuse a propagation of more than MAX_RK4_STEPS steps before allocating."""
-    if not steps <= MAX_RK4_STEPS:
-        raise InputError(
-            f"flow.{caller}: {steps:.6g} RK4 steps, more than the cap of "
-            f"{MAX_RK4_STEPS}; use a shorter T or a larger step")
 
 
 def _grid(T: float, step: float) -> np.ndarray:
@@ -52,7 +45,10 @@ def _grid(T: float, step: float) -> np.ndarray:
         raise InputError(f"flow: parameters T={T}, step={step} must be positive")
     if step > T:
         raise InputError(f"flow: parameter step={step} exceeds T={T}")
-    _require_step_budget(T / step, "grid")
+    if not T / step <= MAX_RK4_STEPS:
+        raise InputError(
+            f"flow.grid: {T / step:.6g} RK4 steps, more than the cap of "
+            f"{MAX_RK4_STEPS}; use a shorter T or a larger step")
     m = max(1, int(math.ceil(T / step - 1e-12)))
     return np.linspace(0.0, T, m + 1)
 
@@ -224,31 +220,27 @@ class JacobiSystem:
         return float(np.min(np.abs(self.singular_set - sigma)))
 
 
-def _rk4_inputs(kprofile, sigma, nsub):
+def _rk4_inputs(kprofile, sigma):
     """kappa at the grid points and the inputs of ``_rk4``: plain float lists
-    of the substep widths and of -kappa at every substep's start, midpoint
-    and end, from one ``kprofile`` call on those points and the last grid
-    point."""
-    hsub = np.diff(sigma) / nsub
-    starts = sigma[:-1, None] + np.arange(nsub) * hsub[:, None]
-    nodes = np.stack([starts, starts + 0.5 * hsub[:, None],
-                      starts + hsub[:, None]], axis=-1)
+    of the cell widths and of -kappa at every cell's start, midpoint and end,
+    from one ``kprofile`` call on those points and the last grid point.  The
+    end node is start + width, which may differ from the next grid point in
+    the last bit."""
+    h = np.diff(sigma)
+    starts = sigma[:-1]
+    nodes = np.stack([starts, starts + 0.5 * h, starts + h], axis=-1)
     kap = np.asarray(kprofile(np.append(nodes.ravel(), sigma[-1])), dtype=float)
-    kappa = np.append(kap[:-1:3 * nsub], kap[-1])
-    hs = hsub.tolist()
-    steps = hs if nsub == 1 else [h for h in hs for _ in range(nsub)]
     negk = -kap[:-1]
-    return kappa, (steps, negk[0::3].tolist(), negk[1::3].tolist(),
-                   negk[2::3].tolist())
+    return np.append(kap[:-1:3], kap[-1]), (
+        h.tolist(), negk[0::3].tolist(), negk[1::3].tolist(), negk[2::3].tolist())
 
 
-def _rk4(inputs, nsub, y, dy):
+def _rk4(inputs, y, dy):
     """Classical RK4 for one solution of y'' = -kappa y with data (y, dy);
-    returns lists of y and y' at the grid points (after every nsub-th step).
+    returns lists of y and y' at the grid points, one step per cell.
     The stages are inlined; hoisting 0.5*h and h/6 and writing 2.0 for 2
     keep every rounding of the textbook expressions."""
     ys, dys = [y], [dy]
-    left = nsub
     for h, na, nm, nb in zip(*inputs):
         hh = 0.5 * h
         k1 = na * y
@@ -263,25 +255,20 @@ def _rk4(inputs, nsub, y, dy):
         h6 = h / 6.0
         y, dy = (y + h6 * (dy + 2.0 * d2 + 2.0 * d3 + d4),
                  dy + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + nb * y4))
-        left -= 1
-        if not left:
-            ys.append(y)
-            dys.append(dy)
-            left = nsub
+        ys.append(y)
+        dys.append(dy)
     return ys, dys
 
 
-def _fundamental_solutions(kprofile, sigma, nsub=1):
+def _fundamental_solutions(kprofile, sigma):
     """RK4 for the scalar Jacobi equation y'' = -kappa(sigma) y on a grid.
 
-    Each grid cell is split into ``nsub`` equal substeps; kappa is sampled
-    once for all of them by ``_rk4_inputs``, and ``_rk4`` propagates xi
-    (data (1, 0)) and then eta (data (0, 1)).  Returns kappa at the grid
-    points and an (m+1, 4) array of rows (xi, xi', eta, eta').
+    kappa is sampled once for every cell by ``_rk4_inputs``, and ``_rk4``
+    propagates xi (data (1, 0)) and then eta (data (0, 1)).  Returns kappa
+    at the grid points and an (m+1, 4) array of rows (xi, xi', eta, eta').
     """
-    kappa, inputs = _rk4_inputs(kprofile, sigma, nsub)
-    return kappa, np.column_stack(_rk4(inputs, nsub, 1.0, 0.0)
-                                  + _rk4(inputs, nsub, 0.0, 1.0))
+    kappa, inputs = _rk4_inputs(kprofile, sigma)
+    return kappa, np.column_stack(_rk4(inputs, 1.0, 0.0) + _rk4(inputs, 0.0, 1.0))
 
 
 def _hermite(t, hcell, y0, dy0, y1, dy1):
@@ -309,10 +296,9 @@ def _scalar_zeros(sigma, y, dy):
 
     SIGMA_REFINE_TOL bounds only Brent's method on the interpolant.  The
     interpolant itself is off by O(h^4) in the grid step h, and the samples
-    by the RK4 error of the substep, so that is the accuracy of a zero: on
-    S^2 to T = 7 the conjugate points pi and 2 pi come out 9.5e-8 off on
-    grid 0.2 and 2.2e-9 on grid 0.1 (both with substep 1e-3), 5.2e-10 on
-    grid 0.01 and 1.6e-11 on grid 1e-3 (no substeps).
+    by the RK4 error, so that is the accuracy of a zero: on S^2 to T = 7
+    the conjugate points pi and 2 pi come out 5.2e-10 off on grid 0.01 and
+    1.6e-11 on grid 1e-3.
     """
     zeros = list(sigma[:-1][y[:-1] == 0.0])
     for j in np.flatnonzero(y[:-1] * y[1:] < 0.0).tolist():
@@ -327,31 +313,18 @@ def _scalar_zeros(sigma, y, dy):
     return np.sort(zeros)
 
 
-def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
-    """Propagate both fundamental Jacobi solutions on the trajectory's grid.
+def propagate_jacobi(traj: GeodesicTrajectory):
+    """Propagate both fundamental Jacobi solutions on the trajectory's grid,
+    one RK4 step per grid cell.
 
-    ``step`` (default: the trajectory step) may subdivide each grid cell.
-    Raises InputError for a non-finite step or more than MAX_RK4_STEPS
-    steps, and IntegrationFailureError when a grid cell may hold two zeros
+    Raises IntegrationFailureError when a grid cell may hold two zeros
     (grid step * sqrt(max kappa over the grid) >= pi) or when the Wronskian
     or the finite-difference second-order residual exceeds its tolerance
-    (1e-4 times the grid step, on which the residual's stencil is taken).
-    Substeps make the samples more accurate but the zeros are refined on
-    the grid's Hermite interpolant, so their error is O(grid step^4)
-    whatever the substep (see ``_scalar_zeros``).
+    (1e-4 times the grid step).
     """
-    kop = mf.curvature_along(spec, (traj.x0, traj.theta0))
+    kop = mf.curvature_along(traj.spec, (traj.x0, traj.theta0))
     hgrid = traj.step
-    if step is None:
-        step = hgrid
-    if not (math.isfinite(step) and step > 0):
-        raise InputError(
-            f"flow.propagate_jacobi: parameter step={step} must be positive and finite")
-    nsub = max(1.0, round(float(hgrid) / step, 0))  # a float: inf for tiny steps
-    _require_step_budget((len(traj.sigma) - 1) * nsub, "propagate_jacobi")
-    nsub = int(nsub)
-
-    kappa, cols = _fundamental_solutions(kop.profile, traj.sigma, nsub=nsub)
+    kappa, cols = _fundamental_solutions(kop.profile, traj.sigma)
     reach = hgrid * math.sqrt(max(0.0, float(np.max(kappa))))
     if reach >= math.pi:
         raise IntegrationFailureError(
@@ -360,9 +333,9 @@ def propagate_jacobi(spec, traj: GeodesicTrajectory, step: float | None = None):
     xz = _scalar_zeros(traj.sigma, cols[:, 0], cols[:, 1])
     hz = _scalar_zeros(traj.sigma, cols[:, 2], cols[:, 3])
     js = JacobiSystem(
-        spec=spec, trajectory=traj, kop=kop, sigma=traj.sigma, kappa=kappa,
-        cols=cols, xi_zeros=xz, h_zeros=hz,
-        singular_set=np.unique(np.concatenate([xz, hz])), step=hgrid / nsub,
+        spec=traj.spec, trajectory=traj, kop=kop, sigma=traj.sigma,
+        kappa=kappa, cols=cols, xi_zeros=xz, h_zeros=hz,
+        singular_set=np.unique(np.concatenate([xz, hz])), step=hgrid,
     )
 
     drift = wronskian_drift(js)

@@ -295,16 +295,6 @@ def orthonormal_frame(spec: ManifoldSpec, x: np.ndarray, normals=()) -> np.ndarr
         f"vectors at x={x}")
 
 
-def tangent_frame(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at x, one vector per row.
-
-    Deterministic: ``orthonormal_frame`` over the coordinate directions in
-    a fixed order.  Used to turn abstract quadrature nodes in R^n into
-    directions in T_x M.
-    """
-    return orthonormal_frame(spec, x)
-
-
 def torus_wrap(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Representatives of the rows of x, shape (..., n), in the fundamental
     domain [0,1)^n . basis, with one solve for the whole stack."""

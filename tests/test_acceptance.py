@@ -66,9 +66,9 @@ def test_criterion_3_jacobi_ode_accuracy():
     for c in (-1.0, 0.0, 1.0):
         spec = gc.constant_curvature(c, 3)
         x = gc.canonical_point(spec)
-        theta = gc.tangent_frame(spec, x)[0]
+        theta = gc.orthonormal_frame(spec, x)[0]
         traj = gc.integrate_geodesic(spec, x, theta, 10.0, 1e-3)
-        js = gc.propagate_jacobi(spec, traj)
+        js = gc.propagate_jacobi(traj)
         stacks = jacobi_stacks(js)
         for j in range(0, len(js.sigma), 37):
             exact = closed_form_matrices(c, js.sigma[j], 3)
@@ -115,7 +115,7 @@ def test_criterion_5_identity_suite():
     spec = gc.warped_product("one_plus_r2", 3)
     x = gc.canonical_point(spec)
     traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), 4.0, 1e-3)
-    js = gc.propagate_jacobi(spec, traj)
+    js = gc.propagate_jacobi(traj)
     worst_ode = 0.0
     for _ in range(20):
         s = float(rng.uniform(0.15, 3.8))

@@ -346,17 +346,22 @@ class TestRunner:
         payload = json.loads((out / "gromov.json").read_text())
         assert payload["minimal_passing_C"] == 5.0
 
-    def test_herglotz_task(self, tmp_path):
+    @pytest.mark.parametrize("c", [1.0, 9.0, 16.0, 100.0, 400.0])
+    def test_herglotz_task(self, tmp_path, c):
+        # below period 2 the interval ends halfway between atoms: a margin
+        # of 1 put an end near an atom (c = 9) or took in atoms beyond the
+        # three expected (c >= 16)
         out = tmp_path / "h"
-        code = cli.main(["herglotz", "--kind", "constant_curvature", "--c", "1",
+        code = cli.main(["herglotz", "--kind", "constant_curvature", "--c", str(c),
                          "--n", "2", "--out", str(out), "--quiet"])
         assert code == 0
         report = json.loads((out / "herglotz_report.json").read_text())
         assert report["all_passed"]
         assert report["n_checks"] >= 8
         fatou = json.loads((out / "fatou.json").read_text())
+        period = math.pi / math.sqrt(c)
         assert len(fatou["atoms"]) == 3
-        assert abs(fatou["atoms"][1]["t"] - math.pi) < 1e-4
+        assert abs(fatou["atoms"][1]["t"] - period) < 1e-4
 
     def test_verify_task_warped(self, tmp_path):
         out = tmp_path / "v"

@@ -259,7 +259,7 @@ class TestTangentFrames:
                 if normal is not None:  # tangent: orthogonal to the normal
                     assert abs(metric_dot(spec, x, frame[i], normal)) < 1e-12
 
-        frame = gc.tangent_frame(spec, x)
+        frame = gc.orthonormal_frame(spec, x)
         assert frame.shape == (spec.n, len(x))
         check(frame, [])
         if theta is None:
@@ -274,7 +274,7 @@ class TestCurvatureAlong:
     def test_round_sphere_identity(self):
         spec = gc.constant_curvature(1.0, 3)
         x = gc.canonical_point(spec)
-        theta = gc.tangent_frame(spec, x)[0]
+        theta = gc.orthonormal_frame(spec, x)[0]
         K = gc.curvature_along(spec, (x, theta))
         for s in (0.0, 1.3, 7.7):
             assert np.allclose(K(s), np.eye(2))
@@ -287,7 +287,7 @@ class TestCurvatureAlong:
     def test_hyperbolic_scalar(self):
         spec = gc.constant_curvature(-1.0, 2)
         x = gc.canonical_point(spec)
-        theta = gc.tangent_frame(spec, x)[0]
+        theta = gc.orthonormal_frame(spec, x)[0]
         K = gc.curvature_along(spec, (x, theta))
         assert K(0.5).shape == (1, 1)
         assert abs(K(0.5)[0, 0] + 1.0) < 1e-15
@@ -298,7 +298,7 @@ class TestCurvatureAlong:
     ], ids=lambda s: s.label)
     def test_symmetry(self, spec):
         x = gc.canonical_point(spec)
-        theta = gc.tangent_frame(spec, x)[0]
+        theta = gc.orthonormal_frame(spec, x)[0]
         K = gc.curvature_along(spec, (x, theta))
         for s in np.linspace(0.0, 3.0, 7):
             M = K(s)
@@ -321,14 +321,14 @@ class TestCurvatureAlong:
     def test_non_unit_direction_rejected(self):
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
-        theta = 2.0 * gc.tangent_frame(spec, x)[0]
+        theta = 2.0 * gc.orthonormal_frame(spec, x)[0]
         with pytest.raises(InputError):
             gc.curvature_along(spec, (x, theta))
 
     def test_warped_requires_radial(self):
         spec = gc.warped_product("one_plus_r2", 2)
         x = gc.canonical_point(spec)
-        fiber_dir = gc.tangent_frame(spec, x)[1]
+        fiber_dir = gc.orthonormal_frame(spec, x)[1]
         with pytest.raises(ConfigurationError):
             gc.curvature_along(spec, (x, fiber_dir))
 
