@@ -346,7 +346,8 @@ class TestRunner:
         payload = json.loads((out / "gromov.json").read_text())
         assert payload["minimal_passing_C"] == 5.0
 
-    @pytest.mark.parametrize("c", [1.0, 9.0, 16.0, 100.0, 400.0])
+    @pytest.mark.parametrize("c", [1.0, 9.0, 10.0, 16.0, 25.0, 50.0, 100.0,
+                                   200.0, 400.0])
     def test_herglotz_task(self, tmp_path, c):
         # below period 2 the interval ends halfway between atoms: a margin
         # of 1 put an end near an atom (c = 9) or took in atoms beyond the

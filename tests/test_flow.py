@@ -381,15 +381,57 @@ class TestPropagateJacobi:
         gc.warped_product("cosh", 3),
         gc.warped_product("two_plus_cos", 2),
     ], ids=lambda s: s.label)
-    def test_scalar_kernel_equals_matrix_reference(self, spec):
+    @pytest.mark.parametrize("step", [1e-2, 1e-2 / 3], ids=["grid=0.01", "grid=0.01/3"])
+    def test_scalar_kernel_equals_matrix_reference(self, spec, step):
         x = gc.canonical_point(spec)
         theta = gc.orthonormal_frame(spec, x)[0]
-        traj = gc.integrate_geodesic(spec, x, theta, 3.0, 1e-2)
+        traj = gc.integrate_geodesic(spec, x, theta, 3.0, step)
         js = gc.propagate_jacobi(traj)
         ref = _matrix_reference(spec, traj)
         for got, want in zip(jacobi_stacks(js), ref):
             assert np.array_equal(got, want)
         assert np.array_equal(js.kappa, js.kop.profile(js.sigma))
+
+    def test_fundamental_solutions_keep_one_row_per_grid_cell(self):
+        # two grid cells on a varying profile: one row per grid point, in the
+        # bits of the matrix reference
+        spec = gc.warped_product("two_plus_cos", 3)
+        x = gc.canonical_point(spec)
+        traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), 0.2, 0.1)
+        kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
+        kappa, cols = flow._fundamental_solutions(kprofile, traj.sigma)
+        assert cols.shape == (3, 4) and cols.flags.c_contiguous
+        assert np.array_equal(kappa, kprofile(traj.sigma))
+        ref = np.stack([Y[:, 0, 0] for Y in _matrix_reference(spec, traj)], axis=1)
+        assert cols.tobytes() == ref.tobytes()
+
+    def test_round_sphere_end_value(self):
+        # eta(2) = sin 2 on S^2 (measured: 8.5e-15 off on grid 1e-3)
+        spec = gc.constant_curvature(1.0, 2)
+        _, js = _traj_and_system(spec, T=2.0)
+        exact = closed_form_matrices(1.0, 2.0, 2)
+        assert abs(jacobi_stacks(js)[2][-1][0, 0] - exact[2][0, 0]) < 1e-12
+
+    # det H, the integrand of the counting function, read through the dense
+    # output: 1 at pi/2 on S^2, sigma^2 on R^3 and 0 at sigma = 0
+    def test_det_h_round_sphere_unit_value(self):
+        _, js = _traj_and_system(gc.constant_curvature(1.0, 2), T=2.0)
+        _, _, h, _ = jacobi_matrices(js.eval_at(math.pi / 2), js.dim)
+        assert abs(np.linalg.det(h) - 1.0) < 1e-12
+
+    def test_det_h_flat_power_value(self):
+        _, js = _traj_and_system(gc.constant_curvature(0.0, 3), T=3.0)
+        _, _, h, _ = jacobi_matrices(js.eval_at(2.0), js.dim)
+        assert abs(np.linalg.det(h) - 4.0) < 1e-12
+
+    def test_det_h_vanishes_at_zero(self):
+        spec = gc.warped_product("two_plus_cos", 3)
+        x = gc.canonical_point(spec)
+        traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), 1.0, 1e-3)
+        js = gc.propagate_jacobi(traj)
+        assert js.det_h[0] == 0.0
+        _, _, h, _ = jacobi_matrices(js.eval_at(0.0), js.dim)
+        assert np.linalg.det(h) == 0.0
 
     def test_dense_output_matches_grid(self):
         spec = gc.constant_curvature(1.0, 3)
@@ -537,7 +579,7 @@ class TestScalarZeroFinder:
         assert len(js.h_zeros) == 3
         assert np.max(np.abs(js.h_zeros - [0.0, math.pi, 2 * math.pi])) < 1e-8
 
-    @pytest.mark.parametrize("c", [1.0, 4.0])
+    @pytest.mark.parametrize("c", [0.25, 1.0, 4.0, 9.0])
     def test_grid_holding_two_zeros_per_cell_is_refused(self, c):
         # a cell of width pi / sqrt(c) can hold two zeros with no sign change
         # between its ends; the Wronskian or residual gate refuses the grid
@@ -594,9 +636,24 @@ class TestScalarZeroFinder:
         err = np.max(np.abs(h_zeros[1:] - [math.pi, 2 * math.pi]))
         assert err <= 2 * measured
 
-    def test_perturbed_kappa_fails_the_residual_gate(self, monkeypatch):
-        # a curvature off by 1e-6 leaves a residual of about 1e-6 * |eta|,
-        # above 1e-4 times the grid step 1e-3
+    @pytest.mark.parametrize("grid, drift", [
+        (0.25, 1.1e-4), (0.1, 1.1e-6), (0.05, 3.5e-8)])
+    def test_coarse_grid_fails_the_wronskian_gate(self, grid, drift):
+        # one RK4 step per cell: on S^2 to T = 8 the Wronskian drift (the
+        # value measured) passes WRONSKIAN_TOL only below grid 0.05
+        spec = gc.constant_curvature(1.0, 2)
+        x = gc.canonical_point(spec)
+        theta = gc.orthonormal_frame(spec, x)[0]
+        traj = gc.integrate_geodesic(spec, x, theta, 8.0, grid)
+        with pytest.raises(IntegrationFailureError, match="Wronskian") as info:
+            gc.propagate_jacobi(traj)
+        got = float(str(info.value).split("drift ")[1].split()[0])
+        assert drift / 2 <= got <= 2 * drift
+
+    @pytest.mark.parametrize("delta", [1e-6, -1e-6])
+    def test_perturbed_kappa_fails_the_residual_gate(self, monkeypatch, delta):
+        # a curvature off by 1e-6 either way leaves a residual of about
+        # 1e-6 * |eta|, above 1e-4 times the grid step 1e-3
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
         theta = gc.orthonormal_frame(spec, x)[0]
@@ -604,7 +661,7 @@ class TestScalarZeroFinder:
 
         def perturbed(kprofile, sigma, inner=flow._fundamental_solutions):
             kappa, cols = inner(kprofile, sigma)
-            return kappa + 1e-6, cols
+            return kappa + delta, cols
         monkeypatch.setattr(flow, "_fundamental_solutions", perturbed)
         with pytest.raises(IntegrationFailureError, match="residual"):
             gc.propagate_jacobi(traj)
