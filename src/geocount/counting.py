@@ -198,17 +198,35 @@ def count_sphere_arcs(d: float, T: float) -> int:
     return forward + backward
 
 
-# lattice points in one coefficient box: its meshgrid temporaries take about
-# 2n int64 copies of the box, some 100 MB at the cap in three dimensions
-_LATTICE_BOX_CAP = 2_000_000
+# lattice points that one enumeration may list or count: a ball of radius rho
+# holds at most V_n (rho + diam/2)^n / |det| of them (the unit cells centred
+# on them are disjoint and lie in the ball of radius rho + diam/2), and that
+# bound is checked before any array is built
+_LATTICE_BALL_CAP = 2_000_000
+
+# nodes per expansion of the enumeration: they bound its arrays (about
+# 8 (n + 3) bytes a node) whatever the lattice size
+_LINE_BUDGET = 8192
 
 
-def _lattice_box(basis, reach, caller):
-    """Lattice vectors of the coefficient box that covers the ball of radius
-    reach about the origin.
+def _lattice_frame(basis, reach, caller):
+    """Fincke-Pohst frame of the lattice for the ball of radius reach.
 
-    The box size prod(2 b_i + 1) is checked against _LATTICE_BOX_CAP before
-    any array is built.
+    Refuses, before any array is built, a reach whose coefficient box is not
+    finite and a ball that may hold more than _LATTICE_BALL_CAP lattice
+    points.  Returns (order, R, tol): the basis rows sorted shortest first,
+    the upper triangular R with positive diagonal of the QR factorisation of
+    basis[order].T, so that |z @ basis| = |R z[order]|, and tol, a bound on
+    the rounding of a squared distance below reach^2 computed through R.
+
+    A point z within reach has |z_i| <= reach |binv[:, i]|, so
+    sum_i |z_i| |b_i| <= kappa reach with kappa = sum_i |b_i| |binv[:, i]|.
+    The QR factor's backward error (a few n eps |b_i| per column), the
+    rounding of the nested sums and of the interval ends, and the float
+    lattice vectors z @ basis each move a squared distance by a small
+    multiple of n^2 eps kappa reach^2; tol = 4 (n + 3)^3 eps (kappa + 1)
+    reach^2 bounds their sum with room to spare.  A larger tol would only
+    move vectors into the listed rings, where they are tested directly.
     """
     n = basis.shape[0]
     binv = np.linalg.inv(basis)
@@ -218,36 +236,137 @@ def _lattice_box(basis, reach, caller):
     if not all(math.isfinite(e) for e in extents):
         raise InputError(
             f"counting.{caller}: the coefficient box for reach {reach} is not finite")
-    bounds = [int(math.ceil(e)) + 1 for e in extents]
-    size = math.prod(2 * b + 1 for b in bounds)
-    if size > _LATTICE_BOX_CAP:
+    norms = np.linalg.norm(basis, axis=1)
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    with np.errstate(over="ignore", divide="ignore"):
+        bound = float(ball * np.float64(reach + np.sum(norms) / 2) ** n
+                      / abs(np.linalg.det(basis)))
+    if not bound <= _LATTICE_BALL_CAP:
         raise InputError(
-            f"counting.{caller}: the coefficient box for reach {reach:g} has "
-            f"{size} lattice points, more than the cap of {_LATTICE_BOX_CAP}; "
-            "lower T or use a less elongated basis")
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    return mesh @ basis
+            f"counting.{caller}: the ball of radius {reach:g} may hold "
+            f"{bound:.0f} lattice points, more than the cap of "
+            f"{_LATTICE_BALL_CAP}; lower T or use a less elongated basis")
+    order = np.argsort(norms, kind="stable")
+    R = np.linalg.qr(basis[order].T, mode="r")
+    R *= np.sign(np.diag(R))[:, None]
+    kappa = float(np.sum(norms * np.linalg.norm(binv, axis=0)))
+    tol = 4.0 * (n + 3) ** 3 * np.finfo(float).eps * (kappa + 1.0) * reach * reach
+    return order, R, tol
+
+
+def _runs(starts, lengths):
+    """Entries of the integer runs starts[k], ..., starts[k] + lengths[k] - 1,
+    run after run: the run of every entry and its value."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return run, np.arange(len(run)) + np.repeat(starts - first, lengths)
+
+
+def _interval(a, P, rad2, rii):
+    """First integer and count of the integers j with rii^2 (j - a)^2 + P <=
+    rad2, for each line."""
+    room = rad2 - P
+    h = np.sqrt(np.maximum(room, 0.0)) / rii
+    lo = np.ceil(a - h)
+    cnt = np.where(room >= 0.0, np.floor(a + h) - lo + 1.0, 0.0)
+    return lo, np.maximum(cnt, 0.0).astype(np.intp)
+
+
+def _line_split(a, P, inner2, outer2, rii):
+    """Split the points j of each line within outer2 (the integers j with
+    rii^2 (j - a)^2 + P <= outer2) into the run within inner2, counted, and
+    the ring around it, listed.  Returns the run's count on every line and,
+    for every ring point, its line and j, line after line."""
+    lo, cnt = _interval(a, P, outer2, rii)
+    ilo, icnt = _interval(a, P, inner2, rii)
+    # an empty run sits at the line's end; a nonempty one lies inside the
+    # line's interval, since a smaller radius gives a narrower interval
+    ilo = np.where(icnt > 0, ilo, lo + cnt)
+    lengths = np.stack((ilo - lo, lo + cnt - ilo - icnt), axis=1).ravel()
+    line, j = _runs(np.stack((lo, ilo + icnt), axis=1).ravel(),
+                    lengths.astype(np.intp))
+    return icnt, line // 2, j
+
+
+def _lattice_lines(R, w, rad2):
+    """Innermost lines of the Fincke-Pohst enumeration of the integer vectors
+    z with |R (w_k + z)|^2 <= rad2, for each centre w_k (a row of w, in R's
+    coordinate order).
+
+    Coordinates n - 1 down to 1 are fixed one at a time, each over the
+    integer interval that the ones before leave; a batch is halved before an
+    expansion past _LINE_BUDGET nodes.  Yields batches (owner, z, a, P), in
+    the order of the centres: line k belongs to centre owner[k] and holds
+    the points z[k] + j e_0 (z[k, 0] = 0), at squared distance
+    R_00^2 (j - a[k])^2 + P[k].
+    """
+    n = len(R)
+    stack = [(n - 1, np.arange(len(w)), np.zeros(w.shape), np.zeros(len(w)))]
+    while stack:
+        i, owner, z, P = stack.pop()
+        # component i of R (w + z) is R_ii (z_i - a)
+        a = -(w[owner, i]
+              + (w[owner, i + 1:] + z[:, i + 1:]) @ R[i, i + 1:] / R[i, i])
+        if i == 0:
+            yield owner, z, a, P
+            continue
+        lo, cnt = _interval(a, P, rad2, R[i, i])
+        if np.sum(cnt) > _LINE_BUDGET and len(owner) > 1:
+            half = len(owner) // 2
+            stack += [(i, owner[half:], z[half:], P[half:]),
+                      (i, owner[:half], z[:half], P[:half])]
+            continue
+        rep, j = _runs(lo, cnt)
+        z = z[rep]
+        z[:, i] = j
+        stack.append((i - 1, owner[rep], z,
+                      P[rep] + (R[i, i] * (j - a[rep])) ** 2))
+
+
+def _lattice_vectors(z, line, j, order, basis):
+    """The lattice vectors of the points j of the given lines (rows of z,
+    coefficients in the frame's order): their coefficients @ basis."""
+    coef = np.empty((len(line), len(order)))
+    coef[:, order] = z[line]
+    coef[:, order[0]] = j
+    return coef @ basis
+
+
+def _count_ball(basis, frame, centre, radius):
+    """Number of lattice vectors v with np.linalg.norm(centre + v) <= radius,
+    as that float test decides it: each line counts the vectors more than
+    the frame's tol inside at once, and only the few within tol of the
+    sphere are formed and tested."""
+    order, R, tol = frame
+    w = np.linalg.solve(basis.T, centre)[order]  # centre = w @ basis
+    r2 = radius * radius
+    count = 0
+    for _, z, a, P in _lattice_lines(R, w[None, :], r2 + tol):
+        inside, line, j = _line_split(a, P, r2 - tol, r2 + tol, R[0, 0])
+        near = centre + _lattice_vectors(z, line, j, order, basis)
+        count += int(np.sum(inside)) + int(np.count_nonzero(
+            np.linalg.norm(near, axis=1) <= radius))
+    return count
 
 
 def count_torus_lattice(basis, x, y, T: float) -> int:
     """Number of lattice translates v with ||y - x + v|| <= T.
 
     Geodesic arcs on the torus from x to y correspond one-to-one to lattice
-    vectors; enumeration runs over the bounded coefficient box that can reach
-    the ball of radius T.
+    vectors; they are counted line by line in the ball of radius T about
+    x - y (Fincke-Pohst), whose vectors lie within T + ||y - x|| of the
+    origin.
     """
     basis = np.asarray(basis, dtype=float)
     diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    vecs = _lattice_box(basis, T + float(np.linalg.norm(diff)),
-                        "count_torus_lattice")
-    dist = np.linalg.norm(diff[None, :] + vecs, axis=1)
-    return int(np.count_nonzero(dist <= T))
+    frame = _lattice_frame(basis, T + float(np.linalg.norm(diff)),
+                           "count_torus_lattice")
+    return _count_ball(basis, frame, diff, T) if T >= 0 else 0
 
 
-# target x lattice-vector pairs per oracle chunk, at most: they bound the
-# chunk's arrays (about 100 bytes a pair in three dimensions) whatever the
-# lattice size
+# targets per oracle chunk times the lattice vectors within reach, at most;
+# a sub-cell's shell lies within reach, so this bounds the (target, shell
+# slot) entries of a chunk (about 25 bytes each) whatever the lattice size
 _ORACLE_PAIR_BUDGET = 2_000_000
 
 
@@ -273,54 +392,86 @@ def _oracle_cells_per_axis(basis):
     return tuple(int(2.0 ** e) if f else 1 for e, f in zip(expo, free))
 
 
-def _oracle_cells(basis, vecs, T, reach, m):
-    """Classify the lattice vectors against each of the prod(m) sub-cells.
+def _oracle_cells(basis, frame, T, reach, m, cells):
+    """Classify the lattice vectors near each of the given sub-cells.
 
-    Sub-cell (i_1, ..., i_n) holds the targets with floor(u_k m_k) = i_k.  It
-    is a parallelepiped whose points lie within r (its largest
-    centre-to-corner distance) of its centre c.  A vector v with
-    |c + v| <= T - r is within T of every target in the sub-cell ("sure"),
-    one with |c + v| > T + r of none; the rest form the sub-cell's shell.  A
-    slack of 1e-9 reach on both radii covers the rounding of the targets and
-    of the pairwise test.
+    Sub-cell (i_1, ..., i_n), flat index in C order, holds the targets with
+    floor(u_k m_k) = i_k.  It is a parallelepiped whose points lie within r
+    (its largest centre-to-corner distance) of its centre c.  A vector v
+    with |c + v| <= T - r is within T of every target in the sub-cell
+    ("sure"), one with |c + v| > T + r of none; the rest form the sub-cell's
+    shell.  A slack of 1e-9 reach on both radii covers the rounding of the
+    targets and of the pairwise test, and the frame's tol on both squared
+    radii the rounding of the enumeration.
 
-    Each batch of sub-cells takes one matrix product: |c + v|^2 is computed
-    as |c|^2 + 2 c.v + |v|^2.  Each of |c|^2, c.v and |v|^2 is a sum of n
-    products and is off by at most about n u times the sum of their
-    magnitudes (u = 2^-53, the unit roundoff), n u (|c| + |v|)^2 for the
-    three together; the two additions add 2 u (|c| + |v|)^2 more.  Since
-    |c| <= diam <= reach and |v| <= reach, (|c| + |v|)^2 <= 4 reach^2, so
-    tol = 4 (n + 3) eps reach^2 (eps = 2 u) bounds the error twice over.  It
-    is taken off the sure radius^2 and added to the impossible radius^2.
-
-    Returns the sure count of every sub-cell (in C order of its index tuple)
-    and the shells as indices into vecs: sub-cell i owns
-    flat[starts[i]:starts[i] + lens[i]].
+    The enumeration visits only the lines of the ball of radius T + r about
+    each centre: a line counts its sure vectors at once and lists its shell
+    vectors, at most two runs at its ends.  Returns the sure count and the
+    shell size of every sub-cell, the shells as a table of coordinates
+    (table[k, i, :lens[i]] holds coordinate k of sub-cell i's shell vectors,
+    the other slots inf), and the work: lines visited plus shell vectors
+    listed.
     """
+    order, R, tol = frame
     n = basis.shape[0]
     m = np.asarray(m)
     corners = (np.indices((2,) * n).reshape(n, -1).T - 0.5) / m
     r = float(np.max(np.linalg.norm(corners @ basis, axis=1)))
-    centres = ((np.indices(tuple(m)).reshape(n, -1).T + 0.5) / m) @ basis
-    tol = 4.0 * (n + 3) * np.finfo(float).eps * reach * reach
     inner = T - r - 1e-9 * reach
     inner2 = inner * inner - tol if inner > 0.0 else -math.inf
     outer2 = (T + r + 1e-9 * reach) ** 2 + tol
-    cc = np.sum(centres * centres, axis=1)
-    vv = np.sum(vecs * vecs, axis=1)
-    twice = 2.0 * vecs.T
-    sure, lens, flat = [], [], []
-    batch = max(1, _ORACLE_PAIR_BUDGET // len(vecs))
-    for lo in range(0, len(centres), batch):
-        d2 = centres[lo:lo + batch] @ twice
-        d2 += cc[lo:lo + batch, None]
-        d2 += vv
-        sure.append(np.count_nonzero(d2 <= inner2, axis=1))
-        rows, cols = np.nonzero((d2 > inner2) & (d2 <= outer2))
-        lens.append(np.bincount(rows, minlength=len(d2)))
-        flat.append(cols)
-    lens = np.concatenate(lens)
-    return np.concatenate(sure), np.cumsum(lens) - lens, lens, np.concatenate(flat)
+    w = ((np.stack(np.unravel_index(cells, m), axis=1) + 0.5) / m)[:, order]
+    size = math.prod(m)
+    sure = np.zeros(size, np.int64)
+    owners, shells, work = [np.zeros(0, np.intp)], [np.zeros((0, n))], 0
+    for owner, z, a, P in _lattice_lines(R, w, outer2):
+        inside, line, j = _line_split(a, P, inner2, outer2, R[0, 0])
+        sure += np.bincount(cells[owner], inside, size).astype(np.int64)
+        owners.append(cells[owner[line]])
+        shells.append(_lattice_vectors(z, line, j, order, basis))
+        work += len(owner) + len(line)
+    # lines come out in the order of their centres, so the shell vectors are
+    # in sub-cell order already
+    owners = np.concatenate(owners)
+    lens = np.bincount(owners, minlength=size)
+    width = int(np.max(lens))
+    slot = owners * width + np.arange(len(owners)) - (np.cumsum(lens) - lens)[owners]
+    table = np.full((n, size * width), np.inf)
+    table[:, slot] = np.concatenate(shells).T
+    table = table.reshape(n, size, width)
+    return sure, lens, table, work
+
+
+def _oracle_targets(seed, samples, chunk, n):
+    """The oracle's uniform coefficient rows, chunk rows at a time."""
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, chunk):
+        yield rng.random((min(chunk, samples - done), n))
+
+
+def _sub_cell(u, m):
+    # floor(u_k m_k) <= m_k - 1: for an integer m, the largest double below 1
+    # times m still rounds below m
+    return np.ravel_multi_index((u * m).astype(np.intp).T, m)
+
+
+def _shell_hits(table, y, cells, T, d2, term):
+    """Number of (target, shell vector) pairs with |y + v|^2 <= T^2, one
+    entry per target and slot of its sub-cell's row of the table (an empty
+    slot holds inf, which never passes), computed in the buffers d2 and
+    term, (targets, slots) each.  The sum_k (y_k + v_k)^2 runs in coordinate
+    order, the order np.sum(..., axis=1) adds a row of fewer than 8 entries;
+    the ball cap refuses n >= 6.  The sub-cell indices are in range, so
+    np.take's bounds check ("clip" never clips) is skipped."""
+    np.take(table[0], cells, axis=0, out=d2, mode="clip")
+    d2 += y[:, :1]
+    d2 *= d2
+    for k in range(1, len(table)):
+        np.take(table[k], cells, axis=0, out=term, mode="clip")
+        term += y[:, k:k + 1]
+        term *= term
+        d2 += term
+    return int(np.count_nonzero(d2 <= T * T))
 
 
 def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) -> float:
@@ -331,6 +482,18 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     floor(u m) of the coefficient cube; it counts the sub-cell's sure
     vectors at once, and only its shell vectors pass the pairwise test
     |y + v|^2 <= T^2, so the count is the one that testing every pair gives.
+
+    Cost: a first pass over the random stream marks the occupied sub-cells
+    (at most samples of them).  The enumeration visits, for each, the lines
+    of the ball of radius T + r about its centre (about that ball's
+    (n-1)-volume over the covolume of the lattice projected along the
+    shortest row) and lists its shell (about the shell's volume over
+    |det|).  The pairwise pass makes samples x (largest shell) entries.
+    Nothing scales with the lattice vectors within reach, which are only
+    counted, line by line: the targets are drawn and mapped in row chunks
+    of _ORACLE_PAIR_BUDGET // that count, the chunks in which a test of
+    every pair draws them, since the rows of u @ basis can differ in the
+    last bit with the chunk size.
     """
     if samples < 1:
         raise InputError(
@@ -340,41 +503,30 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     n = basis.shape[0]
     if T <= 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    # a row too long to square has length inf here, which _lattice_box refuses
+    # a row too long to square has length inf here, which the frame refuses
     with np.errstate(over="ignore"):
         diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     reach = T + diam
-    vecs = _lattice_box(basis, reach, "torus_count_integral_oracle")
-    vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
+    frame = _lattice_frame(basis, reach, "torus_count_integral_oracle")
+    chunk = max(1, _ORACLE_PAIR_BUDGET
+                // _count_ball(basis, frame, np.zeros(n), reach))
     m = _oracle_cells_per_axis(basis)
-    sure, starts, lens, flat = _oracle_cells(basis, vecs, T, reach, m)
+    occupied = np.zeros(math.prod(m), dtype=bool)
+    for u in _oracle_targets(seed, samples, chunk, n):
+        occupied[_sub_cell(u, m)] = True
+        if occupied.all():
+            break
+    sure, _, table, _ = _oracle_cells(
+        basis, frame, T, reach, m, np.flatnonzero(occupied))
 
-    cols = np.ascontiguousarray(vecs.T)
+    # one pair of buffers for all chunks: fresh arrays of this size would
+    # each be mapped and faulted in anew
+    d2, term = np.empty((2, min(chunk, samples), table.shape[2]))
     total = 0
-    chunk = max(1, _ORACLE_PAIR_BUDGET // len(vecs))
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        u = rng.random((take, n))
-        y = u @ basis
-        # floor(u_k m_k) <= m_k - 1: for an integer m, the largest double
-        # below 1 times m still rounds below m
-        cell = np.ravel_multi_index((u * m).astype(np.intp).T, m)
-        total += int(np.sum(sure[cell]))
-        # one entry per (target, shell vector) pair, targets in order
-        cnt = lens[cell]
-        tgt = np.repeat(np.arange(take), cnt)
-        first = np.cumsum(cnt) - cnt
-        vec = flat[(starts[cell] - first)[tgt] + np.arange(len(tgt))]
-        # sum_k (y_k + v_k)^2 in coordinate order, the order np.sum(..., axis=1)
-        # adds a row of fewer than 8 entries; the box cap refuses n >= 8
-        # (every axis of the box then has at least 7 points)
-        d2 = (y.T[0][tgt] + cols[0][vec]) ** 2
-        for k in range(1, n):
-            d2 += (y.T[k][tgt] + cols[k][vec]) ** 2
-        total += int(np.count_nonzero(d2 <= T * T))
-        done += take
+    for u in _oracle_targets(seed, samples, chunk, n):
+        cells = _sub_cell(u, m)
+        total += int(np.sum(sure[cells])) + _shell_hits(
+            table, u @ basis, cells, T, d2[:len(u)], term[:len(u)])
     vol = abs(float(np.linalg.det(basis)))
     return vol * total / samples
 

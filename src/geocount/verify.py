@@ -215,12 +215,15 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
     elif spec.kind == mf.WARPED_PRODUCT:
         theta = np.zeros(1 + spec.n)
         theta[0] = 1.0
-        traj = flow.integrate_geodesic(spec, x, theta, T=4.0, step=1e-3)
+        # the outward ray r = r0 + sigma goes three quarters of the way to a
+        # finite domain end, where w vanishes (sin: the antipodal pole)
+        T = min(4.0, 0.75 * (spec.warp.domain[1] - spec.base_radius))
+        traj = flow.integrate_geodesic(spec, x, theta, T=T, step=1e-3)
         js = flow.propagate_jacobi(traj)
         checks.append(_check("Wronskian conservation",
                              flow.wronskian_drift(js), 1e-8))
         sigmas = _sample_sigmas(
-            rng, 12, 0.2, 3.8,
+            rng, 12, 0.05 * T, 0.95 * T,
             lambda s: js.distance_to_singular(s), margin=0.1)
         checks.append(_check(
             "gram-det identity det(H^T H) det((-1/f)') = 1",

@@ -375,6 +375,18 @@ class TestRunner:
         names = [chk["name"] for chk in report["checks"]]
         assert any("gram-det identity" in name for name in names)
 
+    @pytest.mark.parametrize("seed", ["0", "1", "101"])
+    def test_verify_sin_warp_stays_inside_its_domain(self, tmp_path, seed):
+        # w = sin on (0, pi) from r0 = 1: the ray ends at r0 + 0.75 (pi - r0),
+        # short of the pole at pi, where a ray of length 4 left the domain
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--kind", "warped_product", "--warp", "sin",
+                         "--n", "3", "--seed", seed, "--out", str(out), "--quiet"])
+        assert code == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["all_passed"]
+        assert all(chk["residual"] <= 1e-9 for chk in report["checks"])
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         args = ["count", "--kind", "constant_curvature", "--c", "1", "--n", "2",

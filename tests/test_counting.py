@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import geocount as gc
 from geocount import cli
@@ -106,8 +108,8 @@ class _FixedStream:
 
 
 _VERIFY_BASIS = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
-# passes flat_torus (det 1e-5), but its coefficient box at T = 5 has about
-# 5e8 points
+# passes flat_torus (det 1e-5), but the ball of its oracle at T = 5 may hold
+# about 2e8 lattice points
 _THIN_BASIS = np.diag([1e-5, 1.0, 1.0])
 
 
@@ -368,9 +370,10 @@ class TestOraclePruning:
         # sub-cells of the unit square are 1/22 wide, about 0.064 across:
         # no lattice vector is within T of a whole sub-cell
         basis, T = np.eye(2), 0.03
-        vecs = np.array([[i, j] for i in range(-3, 4) for j in range(-3, 4)], float)
+        frame = gc.counting._lattice_frame(basis, T + 2.0, "test")
         m = gc.counting._oracle_cells_per_axis(basis)
-        sure, _, lens, _ = gc.counting._oracle_cells(basis, vecs, T, T + 2.0, m)
+        sure, lens, _, _ = gc.counting._oracle_cells(
+            basis, frame, T, T + 2.0, m, np.arange(22 * 22))
         assert m == (22, 22) and not np.any(sure) and np.sum(lens) > 0
         assert (gc.torus_count_integral_oracle(basis, T, 5000, seed=2)
                 == _pairwise_oracle_reference(basis, T, 5000, seed=2))
@@ -393,9 +396,26 @@ class TestOraclePruning:
                     == _pairwise_oracle_reference(basis, T, len(rows)))
 
 
+    def test_thin_basis_classifies_by_the_samples(self, monkeypatch):
+        # work counter in place of a time bound: 50 targets occupy at most 50
+        # of the 172 sub-cells, and the oracle visits at least 10x fewer lines
+        # and shell vectors than the 172 x 326 773 (sub-cell, vector) entries
+        # of a dense classification of the ball
+        seen = []
+        classify = gc.counting._oracle_cells
+
+        def spy(*args):
+            out = classify(*args)
+            seen.append((len(args[5]), out[3]))
+            return out
+        monkeypatch.setattr(gc.counting, "_oracle_cells", spy)
+        gc.torus_count_integral_oracle(np.diag([0.01, 0.01, 1.0]), 1.0, 50, seed=0)
+        [(occupied, work)] = seen
+        assert occupied <= 50 and 10 * work <= 172 * 326_773
+
     def test_thin_basis_equals_pairwise_reference(self):
         # 326 773 lattice vectors within reach, 172 sub-cells of 0.01 x 0.01
-        # x 1/172: the shell is thin although the box is large
+        # x 1/172: the shell is thin although the ball is large
         basis = np.diag([0.01, 0.01, 1.0])
         assert (gc.torus_count_integral_oracle(basis, 1.0, 50, seed=0)
                 == _pairwise_oracle_reference(basis, 1.0, 50, seed=0))
@@ -427,16 +447,20 @@ class TestOraclePruning:
 
     def test_round_sub_cells_shrink_the_shell(self):
         # work counter in place of a time bound: the verify basis at T = 5
-        # builds fewer shell indices than the cubic 8 x 8 x 8 split did
+        # lists fewer shell vectors than the cubic 8 x 8 x 8 split did, and
+        # visits at least 10x fewer lines and shell vectors than the 432 x
+        # 1 563 (sub-cell, vector) entries of a dense classification
         basis, T = _VERIFY_BASIS, 5.0
         reach = T + float(np.sum(np.linalg.norm(basis, axis=1)))
-        vecs = gc.counting._lattice_box(basis, reach, "test")
-        vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
-        _, _, cube_lens, _ = gc.counting._oracle_cells(basis, vecs, T, reach, (8, 8, 8))
+        frame = gc.counting._lattice_frame(basis, reach, "test")
+        _, cube_lens, _, _ = gc.counting._oracle_cells(
+            basis, frame, T, reach, (8, 8, 8), np.arange(512))
         m = gc.counting._oracle_cells_per_axis(basis)
-        _, _, lens, flat = gc.counting._oracle_cells(basis, vecs, T, reach, m)
+        _, lens, table, work = gc.counting._oracle_cells(
+            basis, frame, T, reach, m, np.arange(math.prod(m)))
         assert np.sum(cube_lens) == 27_112
-        assert len(flat) == np.sum(lens) <= 27_112
+        assert np.count_nonzero(np.isfinite(table[0])) == np.sum(lens) <= 27_112
+        assert 10 * work <= 432 * 1_563
 
     def test_targets_on_the_sure_and_impossible_radii(self, monkeypatch):
         # Sub-cell (0, 0) of the unit square has centre c = (1, 1)/44 and
@@ -456,40 +480,74 @@ class TestOraclePruning:
                     == _pairwise_oracle_reference(np.eye(2), T, len(rows)))
 
 
-class TestLatticeBoxGuard:
-    """The coefficient box is sized before it is built; these tests never
-    build a large one."""
+def _reference_box_points(basis, T):
+    """Points in the coefficient box of the pairwise reference at cutoff T."""
+    reach = T + float(np.sum(np.linalg.norm(basis, axis=1)))
+    binv = np.linalg.inv(basis)
+    return math.prod(2 * (math.ceil(reach * np.linalg.norm(binv[:, i])) + 1) + 1
+                     for i in range(len(basis)))
 
-    def _forbid_meshgrid(self, monkeypatch):
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(n=st.integers(2, 4), draw=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.05, 3.0), samples=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+def test_oracle_equals_pairwise_reference_on_random_bases(n, draw, scale,
+                                                          samples, seed):
+    # rows scaled by 10^[-2, 1]; T a multiple of the mean row length.  The
+    # reference builds its whole coefficient box and a (targets, box) array,
+    # so only cases it can hold in a few MB are compared
+    rng = np.random.default_rng(draw)
+    basis = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 1, (n, 1))
+    assume(abs(np.linalg.det(basis)) > 1e-12)
+    T = scale * float(np.mean(np.linalg.norm(basis, axis=1)))
+    assume(_reference_box_points(basis, T) * samples <= 200_000)
+    try:
+        value = gc.torus_count_integral_oracle(basis, T, samples, seed)
+    except InputError:
+        # the ball cap; the reference would build the whole box
+        event("refused by the ball cap")
+        return
+    assert value == _pairwise_oracle_reference(basis, T, samples, seed)
+
+
+class TestLatticeBallGuard:
+    """The lattice ball is sized before it is enumerated; these tests never
+    enumerate a large one."""
+
+    def _forbid_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("meshgrid called on an oversized box")
-        monkeypatch.setattr(np, "meshgrid", refuse)
+            raise AssertionError("enumeration started on an oversized ball")
+        monkeypatch.setattr(gc.counting, "_lattice_lines", refuse)
 
     def test_oracle_refuses_before_allocating(self, monkeypatch):
-        self._forbid_meshgrid(monkeypatch)
-        with pytest.raises(InputError, match="505401805 lattice points"):
+        self._forbid_enumeration(monkeypatch)
+        with pytest.raises(InputError, match="214467265 lattice points"):
             gc.torus_count_integral_oracle(_THIN_BASIS, 5.0, 20000, seed=0)
 
     def test_lattice_count_refuses_before_allocating(self, monkeypatch):
-        self._forbid_meshgrid(monkeypatch)
+        self._forbid_enumeration(monkeypatch)
         with pytest.raises(InputError, match="lattice points, more than the cap"):
             gc.count_torus_lattice(_THIN_BASIS, np.zeros(3), np.zeros(3), 5.0)
 
     def test_infinite_cutoff_is_an_input_error(self, monkeypatch):
-        self._forbid_meshgrid(monkeypatch)
+        self._forbid_enumeration(monkeypatch)
         with pytest.raises(InputError, match="not finite"):
             gc.count_torus_lattice(np.eye(2), np.zeros(2), np.zeros(2), math.inf)
 
-    def test_eight_dimensions_are_refused(self, monkeypatch):
-        # every axis of the box has at least 7 points from n = 2 on, and
-        # 7^8 is above the cap: the oracle's shell sum runs for n <= 7 only
-        self._forbid_meshgrid(monkeypatch)
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_six_dimensions_and_up_are_refused(self, monkeypatch, n):
+        # the oracle's reach is T + diam, and diam >= n |det|^(1/n), so its
+        # ball bound is at least V_n (1.5 n)^n: 2.7e6 at n = 6, above the
+        # cap, and more from there on.  The oracle's shell sum runs for
+        # n <= 5 only
+        self._forbid_enumeration(monkeypatch)
         with pytest.raises(InputError, match="more than the cap"):
-            gc.torus_count_integral_oracle(np.eye(8), 1e-3, 10)
+            gc.torus_count_integral_oracle(np.eye(n), 1e-3, 10)
 
     def test_basis_too_long_to_square_exits_2_without_warnings(self, tmp_path, capsys):
         # the row length 1e200 squares past the float range: the oracle's
-        # reach is inf, which the box refuses, with no overflow warning
+        # reach is inf, which the frame refuses, with no overflow warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(["verify", "--kind", "flat_torus", "--n", "2",
@@ -504,7 +562,7 @@ class TestLatticeBoxGuard:
                          "--basis", "1e-5 0 0; 0 1 0; 0 0 1",
                          "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
-        assert "505401805 lattice points" in capsys.readouterr().err
+        assert "214467265 lattice points" in capsys.readouterr().err
 
 
 class TestClassifyGrowth:
