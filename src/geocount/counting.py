@@ -407,10 +407,10 @@ def _oracle_cells(basis, frame, T, reach, m, cells):
     The enumeration visits only the lines of the ball of radius T + r about
     each centre: a line counts its sure vectors at once and lists its shell
     vectors, at most two runs at its ends.  Returns the sure count and the
-    shell size of every sub-cell, the shells as a table of coordinates
-    (table[k, i, :lens[i]] holds coordinate k of sub-cell i's shell vectors,
-    the other slots inf), and the work: lines visited plus shell vectors
-    listed.
+    shell size of every sub-cell, the shells of the given sub-cells (in
+    increasing order) as a table of coordinates (table[k, i, :lens[cells[i]]]
+    holds coordinate k of the shell vectors of sub-cell cells[i], the other
+    slots inf), and the work: lines visited plus shell vectors listed.
     """
     order, R, tol = frame
     n = basis.shape[0]
@@ -435,11 +435,12 @@ def _oracle_cells(basis, frame, T, reach, m, cells):
     owners = np.concatenate(owners)
     lens = np.bincount(owners, minlength=size)
     width = int(np.max(lens))
-    slot = owners * width + np.arange(len(owners)) - (np.cumsum(lens) - lens)[owners]
-    table = np.full((n, size * width), np.inf)
+    first = np.cumsum(lens) - lens
+    slot = (np.searchsorted(cells, owners) * width
+            + np.arange(len(owners)) - first[owners])
+    table = np.full((n, len(cells) * width), np.inf)
     table[:, slot] = np.concatenate(shells).T
-    table = table.reshape(n, size, width)
-    return sure, lens, table, work
+    return sure, lens, table.reshape(n, len(cells), width), work
 
 
 def _oracle_targets(seed, samples, chunk, n):
@@ -455,19 +456,19 @@ def _sub_cell(u, m):
     return np.ravel_multi_index((u * m).astype(np.intp).T, m)
 
 
-def _shell_hits(table, y, cells, T, d2, term):
+def _shell_hits(table, y, rows, T, d2, term):
     """Number of (target, shell vector) pairs with |y + v|^2 <= T^2, one
     entry per target and slot of its sub-cell's row of the table (an empty
     slot holds inf, which never passes), computed in the buffers d2 and
     term, (targets, slots) each.  The sum_k (y_k + v_k)^2 runs in coordinate
     order, the order np.sum(..., axis=1) adds a row of fewer than 8 entries;
-    the ball cap refuses n >= 6.  The sub-cell indices are in range, so
-    np.take's bounds check ("clip" never clips) is skipped."""
-    np.take(table[0], cells, axis=0, out=d2, mode="clip")
+    the ball cap refuses n >= 6.  The row indices are in range, so np.take's
+    bounds check ("clip" never clips) is skipped."""
+    np.take(table[0], rows, axis=0, out=d2, mode="clip")
     d2 += y[:, :1]
     d2 *= d2
     for k in range(1, len(table)):
-        np.take(table[k], cells, axis=0, out=term, mode="clip")
+        np.take(table[k], rows, axis=0, out=term, mode="clip")
         term += y[:, k:k + 1]
         term *= term
         d2 += term
@@ -516,8 +517,10 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
         occupied[_sub_cell(u, m)] = True
         if occupied.all():
             break
-    sure, _, table, _ = _oracle_cells(
-        basis, frame, T, reach, m, np.flatnonzero(occupied))
+    cells = np.flatnonzero(occupied)
+    sure, _, table, _ = _oracle_cells(basis, frame, T, reach, m, cells)
+    row = np.zeros(len(occupied), np.intp)
+    row[cells] = np.arange(len(cells))
 
     # one pair of buffers for all chunks: fresh arrays of this size would
     # each be mapped and faulted in anew
@@ -526,7 +529,7 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     for u in _oracle_targets(seed, samples, chunk, n):
         cells = _sub_cell(u, m)
         total += int(np.sum(sure[cells])) + _shell_hits(
-            table, u @ basis, cells, T, d2[:len(u)], term[:len(u)])
+            table, u @ basis, row[cells], T, d2[:len(u)], term[:len(u)])
     vol = abs(float(np.linalg.det(basis)))
     return vol * total / samples
 
