@@ -137,7 +137,8 @@ def g_pole_distance(c: float, zeta):
 class ClosedFormJacobi:
     """Closed-form Jacobi data for constant curvature, read like a system:
     ``eval_at`` gives the scalars (xi, xi', eta, eta') of Xi = xi * Id and
-    H = eta * Id, and ``distance_to_singular`` the distance to the nearest
+    H = eta * Id, ``f`` gives f = eta / xi at a complex zeta through
+    ``f_profile``, and ``distance_to_singular`` the distance to the nearest
     zero of xi or eta."""
 
     c: float
@@ -149,6 +150,9 @@ class ClosedFormJacobi:
 
     def eval_at(self, sigma: float):
         return scalars(self.c, sigma, math)
+
+    def f(self, zeta) -> complex:
+        return complex(f_profile(self.c, np.array([zeta], dtype=complex))[0])
 
     def distance_to_singular(self, sigma: float) -> float:
         return float(min(f_pole_distance(self.c, sigma),

@@ -163,11 +163,11 @@ class JacobiSystem:
     with (Id, 0) data is xi * Id and H with (0, Id) data is eta * Id: the
     system stores ``cols``, one row (xi, xi', eta, eta') per grid point, and
     ``kappa``, the curvature profile at the grid points; ``eval_at`` reads
-    the four scalars between grid points.  ``det_xi`` and ``det_h`` are
-    xi^k and eta^k.  ``xi_zeros`` and ``h_zeros`` are the zeros of xi and
-    eta, hence of det Xi and det H for every k; ``h_zeros`` are the
-    conjugate points of sigma = 0, and ``singular_set`` is the union of both
-    lists.
+    the four scalars between grid points, and ``f`` = eta / xi off them.
+    ``det_xi`` and ``det_h`` are xi^k and eta^k.  ``xi_zeros`` and
+    ``h_zeros`` are the zeros of xi and eta, hence of det Xi and det H for
+    every k; ``h_zeros`` are the conjugate points of sigma = 0, and
+    ``singular_set`` is the union of both lists.
     """
 
     spec: mf.ManifoldSpec
@@ -200,11 +200,12 @@ class JacobiSystem:
         j = int(np.searchsorted(self.sigma, sigma, side="right")) - 1
         return min(max(j, 0), len(self.sigma) - 2)
 
-    def eval_at(self, sigma: float):
-        """Dense output (xi, xi', eta, eta') at sigma, as floats: cubic
-        Hermite in each cell, O(step^4) accurate, with y'' = -kappa y for the
-        derivatives."""
-        j = self._bracket(sigma)
+    def eval_at(self, sigma):
+        """Dense output (xi, xi', eta, eta') at sigma: cubic Hermite in each
+        cell, O(step^4) accurate, with y'' = -kappa y for the derivatives.
+        Each is a polynomial on the cell, so a complex sigma, bracketed by
+        its real part, gives its continuation."""
+        j = self._bracket(sigma.real)
         hcell = self.sigma[j + 1] - self.sigma[j]
         t = (sigma - self.sigma[j]) / hcell
         y0, dy0 = self.cols[j, 0::2], self.cols[j, 1::2]  # (xi, eta), (xi', eta')
@@ -213,6 +214,10 @@ class JacobiSystem:
         dy = _hermite(t, hcell, dy0, -self.kappa[j] * y0, dy1, -self.kappa[j + 1] * y1)
         (xi, eta), (dxi, deta) = y.tolist(), dy.tolist()
         return xi, dxi, eta, deta
+
+    def f(self, zeta) -> complex:
+        xi, _, eta, _ = self.eval_at(zeta)
+        return eta / xi
 
     def distance_to_singular(self, sigma: float) -> float:
         if len(self.singular_set) == 0:

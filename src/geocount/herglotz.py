@@ -8,10 +8,12 @@ G = -f^{-1} has positive imaginary part on the upper half plane, and its
 boundary behaviour encodes a purely atomic measure that is recovered here by
 Poisson-kernel integration with extrapolation in the regularization
 parameter.  Closed forms exist for constant curvature (``closed_form``);
-for general metrics only real-axis identities are checked, since the
-complex extension is exactly the entire-tube hypothesis.  Matrices are
-built only where a result is one: F(zeta), the constant part A, the atom
-masses and the complex structure J.
+the real-axis identities take f' by one complex step, Im f(sigma + ih)/h,
+through f's continuation off the axis (the entire-tube hypothesis): tan or
+tanh for closed forms, the polynomial dense output for propagated data.  It
+assumes f real on the real axis, as every Jacobi f is.  Matrices are built
+only where a result is one: F(zeta), the constant part A, the atom masses
+and the complex structure J.
 """
 
 import functools
@@ -28,7 +30,7 @@ from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
 
 POLE_MARGIN = 1e-8
 SAMPLING_POLE_MARGIN = 0.05
-FD_STEP = 1e-5
+COMPLEX_STEP = 1e-20
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -131,36 +133,29 @@ def f_real_axis_numeric(source, sigma: float) -> float:
 def check_theorem_nice(Fh: HerglotzMatrix, sample_zeta) -> dict:
     """Report normalization at 0 and imaginary-part positivity.
 
-    f(0) must vanish, f'(0) must be the identity (centered differences), and
+    f(0) must vanish, f'(0) must be the identity (one complex step), and
     Im f must be positive definite at every upper-half-plane sample; for
     F = phi * Id that is Im phi > 0.
     """
     samples = np.array([complex(z) for z in sample_zeta], dtype=complex)
     phi = Fh.phi(samples)
     upper = samples.imag > 0
-    h = FD_STEP
-    f0, f_plus, f_minus = Fh.phi(np.array([0.0, h, -h]))
+    f0 = Fh.phi([0.0])[0]
+    fprime0 = _fprime(lambda z: Fh.phi([z])[0], 0.0)
     return {
         "f_zero_norm": float(abs(f0)),
-        "fprime_zero_defect": float(abs((f_plus - f_minus) / (2 * h) - 1.0)),
+        "fprime_zero_defect": float(abs(fprime0 - 1.0)),
         "min_im_eigenvalue": float(np.min(phi[upper].imag)) if upper.any() else None,
         "max_real_axis_im": float(np.max(np.abs(phi[~upper].imag), initial=0.0)),
         "samples": len(samples),
     }
 
 
-def _fd_step(source, sigma: float) -> float:
-    """Centered-difference step, shrunk near singular points.
-
-    Both f and -1/f blow up like 1/d at distance d from their poles; a step
-    proportional to d keeps the relative truncation error flat instead of
-    letting it grow like 1/d^2.
-    """
-    scale = max(1.0, abs(sigma))
-    dist = source.distance_to_singular(sigma)
-    if math.isfinite(dist):
-        scale = min(scale, max(0.5 * dist, 1e-3))
-    return FD_STEP * scale
+def _fprime(f, sigma: float) -> float:
+    """f'(sigma) = Im f(sigma + ih) / h with h = COMPLEX_STEP, the complex
+    step (Squire and Trapp, SIAM Rev. 40, 1998), for an f that is real on
+    the real axis and continues holomorphically off it."""
+    return f(complex(sigma, COMPLEX_STEP)).imag / COMPLEX_STEP
 
 
 def check_key1(source, sigma: float) -> float:
@@ -168,29 +163,19 @@ def check_key1(source, sigma: float) -> float:
 
     With H = eta * Id and -f^{-1} = g * Id the product is (eta^2 g')^k,
     taken as one power so that it cannot overflow where the identity holds.
-    g' uses centered differences with a locally scaled step; ``source`` is
-    any Jacobi data provider (propagated system or closed form).
+    g' = f'/f^2 is the complex step of g = -1/f through ``source.f``;
+    ``source`` is any Jacobi data provider (propagated system or closed form).
     """
-    h = _fd_step(source, sigma)
-    if sigma - h <= 0:
-        raise InputError(f"herglotz.check_key1: sigma={sigma} too close to 0")
-    g_plus = -(1.0 / f_real_axis_numeric(source, sigma + h))
-    g_minus = -(1.0 / f_real_axis_numeric(source, sigma - h))
+    gprime = _fprime(lambda z: -1.0 / source.f(z), sigma)
     _, _, eta, _ = source.eval_at(sigma)
-    val = (eta * eta * ((g_plus - g_minus) / (2 * h))) ** source.dim
-    return abs(val - 1.0)
+    return abs((eta * eta * gprime) ** source.dim - 1.0)
 
 
 def check_xi_identity(source, sigma: float) -> float:
-    """Residual of (Xi^T Xi) f'(sigma) = Id, that is |xi^2 f' - 1|, with a
-    finite-difference f'."""
-    h = _fd_step(source, sigma)
-    if sigma - h <= 0:
-        raise InputError(f"herglotz.check_xi_identity: sigma={sigma} too close to 0")
-    fprime = (f_real_axis_numeric(source, sigma + h)
-              - f_real_axis_numeric(source, sigma - h)) / (2 * h)
+    """Residual of (Xi^T Xi) f'(sigma) = Id, that is |xi^2 f' - 1|, with f'
+    the complex step through ``source.f``."""
     xi, _, _, _ = source.eval_at(sigma)
-    return abs(xi * xi * fprime - 1.0)
+    return abs(xi * xi * _fprime(source.f, sigma) - 1.0)
 
 
 def minkowski_det_lower_bound(A1, A2):
@@ -222,12 +207,14 @@ class DetBound(NamedTuple):
 
 
 def det_growth_bound(c: float, n: int, sigma: float) -> DetBound:
-    """Compare 1/det((-f^{-1})') with sigma^(2n-2) at real sigma > 0.
+    """Compare 1/det((-f^{-1})') = eta^(2n-2) with sigma^(2n-2), sigma > 0.
 
     Flat curvature saturates the bound exactly; positive curvature stays
     strictly below it.  Negative curvature (contrast case) violates it for
-    large sigma, as it must.  Either side overflowing a float raises
-    InputError (sigma = 10 overflows from n = 156 on).
+    large sigma, as it must.  Where either side overflows a float (sigma =
+    10 does from n = 156 on), lhs and rhs are (n - 1) times the logs of the
+    bases eta^2 and sigma^2, compared with no tolerance: the power is
+    monotone, so the verdict is that of the powers.
     """
     if sigma <= 0:
         raise InputError(f"herglotz.det_growth_bound: sigma={sigma} must be positive")
@@ -237,12 +224,13 @@ def det_growth_bound(c: float, n: int, sigma: float) -> DetBound:
         rhs = sigma ** (2 * n - 2)
         if c == 0:
             return DetBound(rhs, rhs, True)  # analytic simplification; exact equality
-        # 1/det G' = (eta^2)^k
         lhs = (closed_form.scalars(c, sigma, math)[2] ** 2) ** (n - 1)
     except OverflowError:
-        raise InputError(
-            f"herglotz.det_growth_bound: a side of the bound overflows a float "
-            f"at n={n}, sigma={sigma}") from None
+        s = math.sqrt(abs(c))  # log sinh x = x + log((1 - e^-2x) / 2) for c < 0
+        log_eta = (s * sigma + math.log(-math.expm1(-2.0 * s * sigma) / (2.0 * s))
+                   if c < 0 else math.log(abs(closed_form.scalars(c, sigma, math)[2])))
+        lhs, rhs = 2 * (n - 1) * log_eta, 2 * (n - 1) * math.log(sigma)
+        return DetBound(lhs, rhs, lhs <= rhs)
     return DetBound(lhs, rhs, bool(lhs <= rhs + 1e-10))
 
 
