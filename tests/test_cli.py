@@ -266,26 +266,24 @@ class TestRunner:
                          "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
         assert code == 2
 
-    @pytest.mark.parametrize("task,code", [("herglotz", 4), ("verify", 2)])
+    @pytest.mark.parametrize("task,code", [("herglotz", 4), ("verify", 0)])
     def test_matrix_stacks_capped_before_allocating(self, tmp_path, task, code):
         # herglotz --n 400 asked for 39 GiB (exit 1) and verify --n 400 grew
         # until it was killed; neither builds a k x k stack any more.
         # herglotz runs to the end and fails one check (exit 4): the trace
         # of the atoms' Poisson tails, 0.0129 per dimension, is held to a
         # bound that does not grow with k, 0.05 * (b - a) = 0.414, so every
-        # n from 34 on is flagged.  verify stops at the determinant growth
-        # bound, whose sigma^798 overflows a float from sigma = 2.44 on
+        # n from 34 on is flagged.  verify passes every check: the
+        # determinant growth bound, whose sigma^798 overflows a float from
+        # sigma = 2.44 on, compares the logs of its sides there
         proc = _main_under_1gib([task, "--n", "400", "--quiet",
                                  "--out", str(tmp_path / task)])
         assert proc.returncode == code, proc.stderr
         assert "a stack of shape" not in proc.stderr
-        if task == "herglotz":
-            report = json.loads((tmp_path / task / "herglotz_report.json").read_text())
-            failed = [c["name"] for c in report["checks"] if not c["passed"]]
-            assert failed == ["no continuous boundary mass"]
-        else:
-            assert "herglotz.det_growth_bound" in proc.stderr
-            assert "n=400" in proc.stderr
+        name = "herglotz_report.json" if task == "herglotz" else "verify_report.json"
+        report = json.loads((tmp_path / task / name).read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == (["no continuous boundary mass"] if task == "herglotz" else [])
 
     def test_stieltjes_scan_capped_before_its_grid(self, tmp_path):
         # stieltjes_invert counts the scan points before it builds the grid
@@ -386,6 +384,31 @@ class TestRunner:
         report = json.loads((out / "verify_report.json").read_text())
         assert report["all_passed"]
         assert all(chk["residual"] <= 1e-9 for chk in report["checks"])
+
+    @pytest.mark.parametrize("seed", ["0", "1", "101"])
+    @pytest.mark.parametrize("c,n", [("-1", "3"), ("-2", "3"), ("-4", "3"),
+                                     ("1", "44")])
+    def test_verify_identities_pass_for_c_below_0_and_large_n(self, tmp_path,
+                                                                c, n, seed):
+        # each exited 4: the centred differences cancelled for c < 0 (8.4e-7
+        # at c = -2 against 1e-8) and their error rose with the k-th power
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--c", c, "--n", n, "--seed", seed,
+                         "--out", str(out), "--quiet"])
+        assert code == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        identities = [chk for chk in report["checks"] if "identity" in chk["name"]]
+        assert len(identities) == 2
+        assert all(chk["residual"] <= 1e-12 for chk in identities)
+
+    def test_verify_n_100_passes(self, tmp_path):
+        # it exited 4 (gram-det 2.4e-8, the 99th power of a centred
+        # difference); n = 400, past a float, runs under the memory cap above
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--c", "1", "--n", "100", "--seed", "1",
+                         "--out", str(out), "--quiet"])
+        assert code == 0
+        assert json.loads((out / "verify_report.json").read_text())["all_passed"]
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

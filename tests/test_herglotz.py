@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geocount as gc
+from geocount import verify
 from geocount.closed_form import ClosedFormJacobi, g_pole_distance
 from geocount.errors import ConditioningError, InputError, PoleError
 from matrix_forms import times_id
@@ -152,17 +153,19 @@ class TestTheoremNice:
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 0.5, 1.0, 4.0])
     def test_report_equals_the_matrix_formulas(self, c):
-        # the values the k x k form gave: max-entry norms of f(0) and of
-        # f'(0) - Id, and the eigenvalues of Im F over the samples
+        # the values the k x k form gives: max-entry norms of f(0) and of
+        # the complex step Im F(ih)/h - Id, and the eigenvalues of Im F over
+        # the samples
         Fh = gc.HerglotzMatrix.from_constant_curvature(c, 4)
         samples = [0.3 + 0.2j, -1.1 + 0.05j, 0.4, -2.0, 2.5 + 3.0j]
         report = gc.check_theorem_nice(Fh, samples)
-        h = gc.herglotz.FD_STEP
+        h = gc.herglotz.COMPLEX_STEP
         F = np.stack([Fh(z) for z in samples])
         upper = np.array([z.imag > 0 for z in map(complex, samples)])
         assert report["f_zero_norm"] == np.max(np.abs(Fh(0.0)))
         assert report["fprime_zero_defect"] == np.max(np.abs(
-            (Fh(h) - Fh(-h)) / (2 * h) - np.eye(3)))
+            Fh(1j * h).imag / h - np.eye(3)))
+        assert report["fprime_zero_defect"] <= 1e-15
         assert report["min_im_eigenvalue"] == np.min(np.linalg.eigvalsh(F[upper].imag))
         assert report["max_real_axis_im"] == np.max(np.abs(F[~upper].imag))
 
@@ -262,6 +265,57 @@ class TestIdentityChain:
             cf = ClosedFormJacobi(c, 3)
             assert gc.check_key1(cf, sigma) <= 1e-8
             assert gc.check_xi_identity(cf, sigma) <= 1e-8
+
+    @pytest.mark.parametrize("c", [4.0, 1.0, 0.0, -1.0, -2.0, -4.0])
+    @pytest.mark.parametrize("k", [2, 43, 199])
+    def test_closed_form_residuals_every_sign_and_large_k(self, c, k):
+        # the complex step has no difference to cancel for c < 0, and the
+        # k-th power of its base stays within 2e-13 up to k = 199; the
+        # centred differences reached 8.4e-7 at c = -2 and 1.0e-8 at k = 43
+        cf = ClosedFormJacobi(c, k + 1)
+        rng = np.random.default_rng(k)
+        sigmas = [s for s in rng.uniform(0.2, 4.8, 60)
+                  if cf.distance_to_singular(s) >= 0.05]
+        worst = max(max(gc.check_key1(cf, s), gc.check_xi_identity(cf, s))
+                    for s in sigmas)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("c", [4.0, 1.0, 0.0, -1.0, -4.0])
+    def test_sigma_near_zero(self, c):
+        # sigma = 1e-3 was refused as too close to 0 by the centred step
+        for source in (ClosedFormJacobi(c, 44), _warped_system(T=1.0)):
+            assert gc.check_key1(source, 1e-3) <= 1e-12
+            assert gc.check_xi_identity(source, 1e-3) <= 1e-12
+
+    # worst residual of the two identity records over seeds 0, 1 and 101
+    # (measured: 1.1e-12, 3.3e-10, 2.3e-11, 1.8e-13, 3.2e-11), times 10
+    @pytest.mark.parametrize("warp,bound", [
+        ("identity", 1.1e-11), ("cosh", 3.3e-9), ("one_plus_r2", 2.3e-10),
+        ("sin", 1.8e-12), ("two_plus_cos", 3.2e-10)])
+    def test_warped_battery_residuals(self, warp, bound):
+        names = ("gram-det identity det(H^T H) det((-1/f)') = 1",
+                 "frame identity (Xi^T Xi) f' = Id")
+        spec = gc.warped_product(warp, 3)
+        for seed in (0, 1, 101):
+            records = {r["name"]: r for r in verify.lemma_battery(spec, seed)}
+            for name in names:
+                assert records[name]["residual"] <= bound, (seed, name)
+                assert records[name]["tolerance"] == 1e-5
+
+    # measured worst over seeds 0, 1 and 101: 2.6e-12 and 1.3e-12, times 10
+    @pytest.mark.parametrize("basis,bound", [
+        ([[1.0, 0, 0], [0.5, 1.0, 0], [0, 0, 2.0]], 2.6e-11),
+        ([[1.0, 0], [0, 1.0]], 1.3e-11)])
+    def test_torus_residuals(self, basis, bound):
+        # the torus battery's system and sigma window, without its oracles
+        spec = gc.flat_torus(basis)
+        theta = np.zeros(spec.n)
+        theta[0] = 1.0
+        traj = gc.integrate_geodesic(spec, gc.canonical_point(spec), theta, 5.0, 1e-3)
+        js = gc.propagate_jacobi(traj)
+        for seed in (0, 1, 101):
+            sigmas = np.random.default_rng(seed).uniform(0.2, 4.8, 10)
+            assert max(gc.check_key1(js, s) for s in sigmas) <= bound
 
     def test_flat_identity_is_exact(self):
         cf = ClosedFormJacobi(0.0, 4)
@@ -368,15 +422,31 @@ class TestDetGrowthBound:
         with pytest.raises(PoleError):
             gc.det_growth_bound(1.0, 2, math.pi)
 
-    @pytest.mark.parametrize("c,n,sigma", [(1.0, 400, 9.0), (0.0, 156, 10.0),
-                                           (-1.0, 400, 3.0), (-1.0, 200, 3.0),
-                                           (-1.0, 2, 800.0)])
-    def test_overflow_is_an_input_error(self, c, n, sigma):
+    @pytest.mark.parametrize("c,n,sigma,log_eta,ok", [
+        (1.0, 400, 9.0, math.log(abs(math.sin(9.0))), True),
+        (0.0, 156, 10.0, math.log(10.0), True),
+        (-1.0, 400, 3.0, math.log(math.sinh(3.0)), False),
+        (-1.0, 200, 3.0, math.log(math.sinh(3.0)), False),
+        (-1.0, 2, 800.0, 800.0 - math.log(2.0), False),
+        (-4.0, 2, 400.0, 800.0 - math.log(4.0), False)])
+    def test_overflow_compares_logs(self, c, n, sigma, log_eta, ok):
         # sigma^(2n-2) (the first three) or the left side ((sinh^2 3)^199,
-        # then sinh 800 itself) overflows a float; it raised a bare
-        # OverflowError
-        with pytest.raises(InputError, match=f"n={n}, sigma={sigma}"):
-            gc.det_growth_bound(c, n, sigma)
+        # then sinh 800 itself) overflows a float; the sides are then
+        # (n - 1) log eta^2 and (n - 1) log sigma^2, compared exactly
+        bound = gc.det_growth_bound(c, n, sigma)
+        assert bound.lhs == pytest.approx(2 * (n - 1) * log_eta, rel=1e-15)
+        assert bound.rhs == pytest.approx(2 * (n - 1) * math.log(sigma), rel=1e-15)
+        assert bound.ok is ok
+        if c == 0:
+            assert bound.lhs == bound.rhs
+
+    @pytest.mark.parametrize("c,ok", [(1.0, True), (0.0, True), (-0.01, False)])
+    def test_verdict_unchanged_where_the_powers_overflow(self, c, ok):
+        # at sigma = 10 the power sigma^(2n-2) overflows from n = 156 on; the
+        # verdict on either side of that n is the same, since eta^2 against
+        # sigma^2 (sinh(1)^2 / 0.01 = 138 > 100 for c = -0.01) decides it
+        for n in range(150, 162):
+            assert gc.det_growth_bound(c, n, 10.0).ok is ok
 
 
 class TestBDecomposition:

@@ -1,18 +1,21 @@
 """Property tests: malformed input is refused with a validation error,
-count/growth runs over a bounded parameter box end with a documented exit
-code (0 ok, 2 validation, 3 numerical failure, 4 verification failure), and
-the certified Stieltjes scan finds the peaks of the full-grid scan."""
+count/growth and verify runs over a bounded parameter box end with a
+documented exit code (0 ok, 2 validation, 3 numerical failure, 4
+verification failure), and the certified Stieltjes scan finds the peaks of
+the full-grid scan."""
 
 import math
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geocount import cli, herglotz
 from geocount.errors import CatalogError, ConfigurationError, InputError
 from geocount.herglotz import HerglotzMatrix
+from geocount.manifolds import WARP_CATALOG
 
 LIST_KEYS = ("parameters.t", "parameters.tau_schedule", "parameters.c_grid",
              "manifold.basis")
@@ -47,6 +50,30 @@ def test_count_and_growth_exit_with_a_documented_code(task, c, n, ends, count,
                          f"--T={lo!r}:{hi!r}:{count}",
                          f"--step={step!r}", "--quad-order", str(order),
                          "--out", out, "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(kind=st.one_of(
+           st.builds(lambda c, n: [f"--c={c!r}", "--n", str(n)],
+                     st.floats(-30.0, 30.0), st.integers(2, 60)),
+           st.builds(lambda warp, n: ["--kind", "warped_product", "--warp", warp,
+                                      "--n", str(n)],
+                     st.sampled_from(sorted(WARP_CATALOG)), st.integers(2, 6))),
+       seed=st.integers(0, 1000))
+@example(kind=["--c=-25.0", "--n", "3"], seed=0)
+def test_verify_exits_with_a_documented_code(kind, seed):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["verify", *kind, "--seed", str(seed), "--out", out,
+                         "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("warp", sorted(WARP_CATALOG))
+def test_verify_every_warp_exits_with_a_documented_code(warp):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["verify", "--kind", "warped_product", "--warp", warp,
+                         "--n", "3", "--out", out, "--quiet"])
     assert code in (0, 2, 3, 4)
 
 
