@@ -41,9 +41,10 @@ def scalars(c: float, sigma, lib=np):
 def _saturating(u: np.ndarray, edge: np.ndarray, fn, limit) -> np.ndarray:
     """fn(u) where |edge| <= 30, limit * sign(edge) beyond.
 
-    tan and cot saturate off the real axis, tanh and coth along it; past 30
-    their limits stand in, so fn never sees an argument whose sin/cos
-    (sinh/cosh) would overflow.
+    tan and cot saturate off the real axis, coth along it; past 30 their
+    limits stand in, so fn never sees an argument whose sin/cos (sinh/cosh)
+    would overflow.  tanh needs no limit: numpy's complex tanh keeps its
+    first-order term 4 sin y cos y e^{-2|x|} at large |x| without overflow.
     """
     far = np.abs(edge) > 30.0
     if not far.any():
@@ -64,7 +65,7 @@ def f_profile(c: float, zeta: np.ndarray) -> np.ndarray:
     u = s * zeta
     if c > 0:
         return _saturating(u, u.imag, np.tan, 1j) / s
-    return _saturating(u, u.real, np.tanh, 1.0) / s
+    return np.tanh(u) / s
 
 
 def g_profile(c: float, zeta: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ def _counting_cumulative(spec, x, T, quad, step):
 
     grid = flow._grid(T, step)
     kap = float(spec.c)
-    eta, deta = (np.array(v) for v in _constant_eta(kap, grid))
+    eta, deta = _constant_eta(kap, grid)
     # propagate_jacobi's Wronskian gate on the energy, over the samples with
     # finite squares: past RK4's stable step the drift grows before they
     # overflow, at an accurate step they overflow with the exact solution

@@ -6,8 +6,8 @@ orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces to
 one scalar equation.  Its two fundamental solutions, xi with data (1, 0) and
 eta with data (0, 1), are propagated one at a time by one classical RK4
 loop over plain float lists, one step per grid cell (kappa sampled once for
-both, in one profile call); the counting integral runs the same loop for
-eta alone.
+both, in one profile call; where kappa is 0 the loop is one running sum);
+the counting integral runs the same loop for eta alone.
 The matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
 forms: great circles and their hyperbolic and flat analogues, straight lines
 on tori, radial rays in warped products.  Cubic Hermite dense output (exact
@@ -242,9 +242,21 @@ def _rk4_inputs(kprofile, sigma):
 
 def _rk4(inputs, y, dy):
     """Classical RK4 for one solution of y'' = -kappa y with data (y, dy);
-    returns lists of y and y' at the grid points, one step per cell.
+    returns arrays of y and y' at the grid points, one step per cell.
     The stages are inlined; hoisting 0.5*h and h/6 and writing 2.0 for 2
-    keep every rounding of the textbook expressions."""
+    keep every rounding of the textbook expressions.
+
+    Flat branch: when every -kappa is zero, each slope stage is a signed
+    zero, so y' stays dy and each step adds (h/6) * (dy + 2dy + 2dy + dy);
+    one sequential cumsum then gives the loop's bits.  A dy of -0.0 (the
+    zero stages may flip its sign) and a sum that is not finite take the
+    loop."""
+    if not any(map(any, inputs[1:])) and (dy or math.copysign(1.0, dy) > 0):
+        s = dy + 2.0 * dy + 2.0 * dy + dy
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = np.cumsum(np.append(y, np.divide(inputs[0], 6.0) * s))
+        if np.isfinite(ys).all():
+            return ys, np.full(len(ys), dy)
     ys, dys = [y], [dy]
     for h, na, nm, nb in zip(*inputs):
         hh = 0.5 * h
@@ -262,7 +274,7 @@ def _rk4(inputs, y, dy):
                  dy + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + nb * y4))
         ys.append(y)
         dys.append(dy)
-    return ys, dys
+    return np.array(ys), np.array(dys)
 
 
 def _fundamental_solutions(kprofile, sigma):

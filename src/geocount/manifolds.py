@@ -133,6 +133,11 @@ def constant_curvature(c: float, n: int) -> ManifoldSpec:
     c = float(c)
     if not math.isfinite(c):
         raise InputError(f"manifolds.constant_curvature: parameter c={c} must be finite")
+    if c != 0 and not math.isfinite(1.0 / abs(c)):
+        # the model sits at radius 1/sqrt|c|, whose square the frame forms
+        raise InputError(
+            f"manifolds.constant_curvature: parameter c={c!r}: the squared "
+            "radius 1/|c| overflows a float")
     if c > 0:
         radius = 1.0 / math.sqrt(c)
         area = sphere_surface_area(n)

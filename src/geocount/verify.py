@@ -96,6 +96,21 @@ def herglotz_battery(c: float, n: int, seed: int = 0,
     return checks, fatou_dict
 
 
+def _psd_pairs(rng, count):
+    """k -> (A1, A2), the stacks of ``count`` PSD pairs M M^T grouped by
+    size.  Pair by pair, k is drawn in [1, 6] and then both (k, k) factors
+    M, in one rng stream; the products are formed once per k."""
+    factors = {}
+    for _ in range(count):
+        k = int(rng.integers(1, 7))
+        factors.setdefault(k, []).append(rng.standard_normal((2, k, k)))
+    pairs = {}
+    for k, group in factors.items():
+        m = np.array(group)
+        pairs[k] = (m @ m.swapaxes(-1, -2)).swapaxes(0, 1)
+    return pairs
+
+
 def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
     """Identity suite for one manifold: ODE accuracy, conservation laws,
     the determinant identity chain, positivity and determinant bounds."""
@@ -155,15 +170,8 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
             if spec.c == 0:
                 checks.append(_check("flat case saturates the bound", eq_gap, 0.0))
 
-        pairs = {}  # k -> list of PSD pairs, drawn in one rng stream
-        for _ in range(1000):
-            k = int(rng.integers(1, 7))
-            m1 = rng.standard_normal((k, k))
-            m2 = rng.standard_normal((k, k))
-            pairs.setdefault(k, []).append((m1 @ m1.T, m2 @ m2.T))
         worst = 0.0
-        for group in pairs.values():
-            a1, a2 = np.array(group).swapaxes(0, 1)
+        for a1, a2 in _psd_pairs(rng, 1000).values():
             margin = herglotz.minkowski_det_lower_bound(a1, a2)
             scale = np.maximum(1.0, np.abs(np.linalg.det(a1 + a2)))
             worst = max(worst, float(np.max(-margin / scale)))

@@ -579,3 +579,20 @@ def test_cli_import_leaves_scipy_ndimage_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_subnormal_curvature_exits_2_without_runtime_warnings(tmp_path):
+    # the sphere's squared radius 1/c overflowed in orthonormal_frame, a
+    # RuntimeWarning, before the grid cap exited 2
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "geocount.cli",
+         "verify", "--c=2.2250738585e-313", "--n", "2", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("validation error: manifolds.constant_curvature: parameter "
+                           "c=2.2250738585e-313: the squared radius 1/|c| overflows "
+                           "a float\n")

@@ -444,6 +444,95 @@ class TestScalarColumns:
         assert np.all(np.abs(g - 1.0) <= 1e-14)
 
 
+def _literal_rk4(inputs, y, dy):
+    """The per-step RK4 loop of ``flow._rk4``, kept verbatim as the
+    reference of its flat branch."""
+    ys, dys = [y], [dy]
+    for h, na, nm, nb in zip(*inputs):
+        hh = 0.5 * h
+        k1 = na * y
+        y2 = y + hh * dy
+        d2 = dy + hh * k1
+        k2 = nm * y2
+        y3 = y + hh * d2
+        d3 = dy + hh * k2
+        k3 = nm * y3
+        y4 = y + h * d3
+        d4 = dy + h * k3
+        h6 = h / 6.0
+        y, dy = (y + h6 * (dy + 2.0 * d2 + 2.0 * d3 + d4),
+                 dy + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + nb * y4))
+        ys.append(y)
+        dys.append(dy)
+    return ys, dys
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+_FLAT_GRIDS = {
+    "T=2.345,step=1e-3": flow._grid(2.345, 1e-3),
+    "T=2.345,step=1e-2": flow._grid(2.345, 1e-2),
+    "non-uniform": np.concatenate(
+        ([0.0], np.cumsum(np.random.default_rng(3).uniform(1e-4, 2e-2, 400)))),
+}
+
+
+class TestFlatKernel:
+    @pytest.mark.parametrize("grid", list(_FLAT_GRIDS.values()), ids=list(_FLAT_GRIDS))
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("data", [(0.0, 1.0), (1.0, 0.0), (0.3, -1.7), (1.0, -0.0)])
+    def test_flat_branch_equals_the_loop(self, grid, zero, data):
+        # kappa = 0 as either signed zero: y' keeps the loop's bits and signs
+        # of zero, y the bits of its running sum; dy = -0.0 takes the loop
+        negk = [zero] * (len(grid) - 1)
+        inputs = (np.diff(grid).tolist(), negk, negk, negk)
+        got = flow._rk4(inputs, *data)
+        want = _literal_rk4(inputs, *data)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("at", [0, 17, -1], ids=["first", "inner", "last"])
+    @pytest.mark.parametrize("stage", [1, 2, 3], ids=["start", "mid", "end"])
+    def test_one_nonzero_node_takes_the_loop(self, at, stage):
+        grid = _FLAT_GRIDS["T=2.345,step=1e-2"]
+        m = len(grid) - 1
+        inputs = [np.diff(grid).tolist(), [0.0] * m, [0.0] * m, [0.0] * m]
+        flat = flow._rk4(tuple(inputs), 1.0, 0.0)
+        inputs[stage][at] = -0.5
+        got = flow._rk4(tuple(inputs), 1.0, 0.0)
+        assert all(_same_bits(g, w) for g, w in zip(got, _literal_rk4(inputs, 1.0, 0.0)))
+        assert not np.array_equal(got[1], flat[1])
+
+    @pytest.mark.parametrize("h,data", [
+        (1.0, (1e308, 1e308)), (1e308, (1e308, 1.0)), (1e308, (-1e308, -1.0)),
+        (1.0, (math.nan, 1.0)), (1.0, (0.0, math.inf)), (math.inf, (0.0, 1.0))])
+    def test_non_finite_flat_solutions_take_the_loop(self, h, data):
+        # silently, as the loop over floats does (a RuntimeWarning fails)
+        negk = [0.0] * 3
+        inputs = ([h] * 3, negk, negk, negk)
+        got = flow._rk4(inputs, *data)
+        want = _literal_rk4(inputs, *data)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("spec", [gc.flat_torus(np.eye(3)), gc.constant_curvature(0.0, 3)],
+                             ids=lambda s: s.label)
+    def test_flat_systems_equal_the_loop(self, spec):
+        # both flat kinds reach the branch through propagate_jacobi, and c = 0
+        # through the counting integral's eta
+        _, js = _traj_and_system(spec, T=2.345)
+        _, inputs = flow._rk4_inputs(js.kop.profile, js.sigma)
+        want = _literal_rk4(inputs, 1.0, 0.0) + _literal_rk4(inputs, 0.0, 1.0)
+        assert _same_bits(js.cols, np.column_stack(want))
+        grid = flow._grid(2.345, 1e-3)
+        negk = [-0.0] * (len(grid) - 1)
+        want = _literal_rk4((np.diff(grid).tolist(), negk, negk, negk), 0.0, 1.0)
+        got = gc.counting._constant_eta(0.0, grid)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
 class TestSingularSet:
     def test_sign_change_zeros_round_sphere(self):
         # n=2: det H = sin(sigma) changes sign at pi, 2pi

@@ -280,6 +280,14 @@ class TestIdentityChain:
                     for s in sigmas)
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("c", [-40.0, -100.0, -1000.0])
+    def test_past_the_saturation_edge(self, c):
+        # sqrt|c| sigma > 30: tanh's first-order term carries the complex
+        # step (a real limit there gave f' = 0 and both residuals 1.0)
+        cf = ClosedFormJacobi(c, 3)
+        assert gc.check_key1(cf, 4.8) <= 1e-8
+        assert gc.check_xi_identity(cf, 4.8) <= 1e-8
+
     @pytest.mark.parametrize("c", [4.0, 1.0, 0.0, -1.0, -4.0])
     def test_sigma_near_zero(self, c):
         # sigma = 1e-3 was refused as too close to 0 by the centred step
@@ -382,6 +390,30 @@ class TestMinkowski:
             single = [gc.minkowski_det_lower_bound(p, q) for p, q in zip(a1, a2)]
             assert all(isinstance(v, float) for v in single)
             assert np.array_equal(margins, single)
+
+    @pytest.mark.parametrize("seed", [0, 1, 101])
+    def test_battery_pairs_equal_the_per_pair_products(self, seed):
+        # the battery's stacks against drawing and multiplying pair by pair,
+        # bit for bit, with the rng left in the same state
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify._psd_pairs(rng, 1000)
+        want = {}
+        for _ in range(1000):
+            k = int(ref_rng.integers(1, 7))
+            m1 = ref_rng.standard_normal((k, k))
+            m2 = ref_rng.standard_normal((k, k))
+            want.setdefault(k, []).append((m1 @ m1.T, m2 @ m2.T))
+        assert list(got) == list(want)
+        for k, group in want.items():
+            a1, a2 = got[k]
+            assert a1.tobytes() == np.array([p for p, _ in group]).tobytes()
+            assert a2.tobytes() == np.array([q for _, q in group]).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_battery_superadditivity_residual_is_pinned(self):
+        records = {r["name"]: r for r in verify.lemma_battery(gc.constant_curvature(1.0, 3), 0)}
+        record = records["determinant superadditivity on PSD pairs"]
+        assert record["residual"] == 3.1292692132909193e-16
 
     def test_stack_validation_names_the_failing_side(self):
         good = np.stack([np.eye(2), 2.0 * np.eye(2)])

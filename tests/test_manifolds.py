@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ class TestManifoldSpec:
         # radius 1/sqrt(c) = 1e147: radius^3 is beyond the float range
         assert gc.constant_curvature(1e-294, 3).volume == math.inf
         assert gc.constant_curvature(1e-294, 2).volume < math.inf
+
+    @pytest.mark.parametrize("c", [2.2250738585e-313, -5e-324, 1 / sys.float_info.max])
+    def test_curvature_whose_squared_radius_overflows_is_refused(self, c):
+        with pytest.raises(InputError, match=r"radius 1/\|c\| overflows a float"):
+            gc.constant_curvature(c, 3)
+
+    @pytest.mark.parametrize("c", [5.6e-309, -5.6e-309])
+    def test_smallest_curvatures_build_frames(self, c):
+        # 1/|c| is finite: the frame at the canonical point forms that square
+        # without overflow (a RuntimeWarning fails the test)
+        spec = gc.constant_curvature(c, 3)
+        frame = gc.orthonormal_frame(spec, gc.canonical_point(spec))
+        assert np.array_equal(frame, np.eye(4)[1:])
 
     def test_warp_catalog_is_numpy(self):
         names = [f.name for f in dataclasses.fields(gc.WarpFunction)]
