@@ -37,14 +37,6 @@ class NumericalError(GeocountError):
     """A numerical result is outside the range round-off can explain."""
 
 
-class ConditioningError(NumericalError):
-    """A matrix was too ill-conditioned to invert reliably."""
-
-    def __init__(self, message, distance=None):
-        super().__init__(message)
-        self.distance = distance
-
-
 class PoleError(NumericalError):
     """An evaluation point is too close to a pole."""
 

@@ -5,15 +5,17 @@ On every model manifold the curvature operator is kappa * Id, so the Jacobi
 solutions are Xi = xi * Id and H = eta * Id, and f = Xi^{-1} H is the scalar
 phi = eta / xi times Id; every determinant below is a k-th power of a scalar.
 G = -f^{-1} has positive imaginary part on the upper half plane, and its
-boundary behaviour encodes a purely atomic measure that is recovered here by
-Poisson-kernel integration with extrapolation in the regularization
-parameter.  Closed forms exist for constant curvature (``closed_form``);
-the real-axis identities take f' by one complex step, Im f(sigma + ih)/h,
-through f's continuation off the axis (the entire-tube hypothesis): tan or
-tanh for closed forms, the polynomial dense output for propagated data.  It
-assumes f real on the real axis, as every Jacobi f is.  Matrices are built
-only where a result is one: F(zeta), the constant part A, the atom masses
-and the complex structure J.
+boundary measure is the purely atomic measure of its scalar times Id, which
+is recovered here from that scalar alone by Poisson-kernel integration with
+extrapolation in the regularization parameter.  Closed forms exist for
+constant curvature (``closed_form``); on the real axis f = eta / xi is the
+sources' own ``f``.  The identities take f' by one complex step,
+Im f(sigma + ih)/h, through f's continuation off the axis (the entire-tube
+hypothesis): tan or tanh for closed forms, the polynomial dense output for
+propagated data.  It assumes f real on the real axis, as every Jacobi f is.
+Matrices are built only where a result is one: F(zeta), the complex
+structure J, and the constant part and atom masses that
+``FatouData.to_dict`` writes.
 """
 
 import functools
@@ -25,16 +27,12 @@ import numpy as np
 
 from . import closed_form
 from . import manifolds as mf
-from .errors import (ConditioningError, ConvergenceError, DegeneracyError,
-                     InputError, NumericalError, PoleError)
+from .errors import (ConvergenceError, DegeneracyError, InputError,
+                     NumericalError, PoleError)
 
 POLE_MARGIN = 1e-8
 SAMPLING_POLE_MARGIN = 0.05
 COMPLEX_STEP = 1e-20
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +93,6 @@ class HerglotzMatrix:
             functools.partial(closed_form.g_profile, c), self.dim,
             functools.partial(closed_form.g_pole_distance, c), c,
             functools.partial(closed_form.g_primitive, c) if c >= 0 else None)
-
-
-def f_real_axis_numeric(source, sigma: float) -> float:
-    """f(sigma) = eta(sigma) / xi(sigma), the scalar with F = f * Id, from
-    Jacobi data on the real axis.
-
-    ``source`` is any Jacobi data provider: a propagated system or a closed
-    form.  For propagated data (which carries the detected ``xi_zeros``) the
-    poles of f sit where xi vanishes, so the proximity margin is measured
-    against those zeros (zeros of eta are zeros of f, harmless here).  A xi
-    that is 0 or not finite raises ConditioningError.
-    """
-    zeros = getattr(source, "xi_zeros", None)
-    dist = None
-    if zeros is not None:
-        zeros = np.asarray(zeros, dtype=float)
-        dist = math.inf if len(zeros) == 0 else float(np.min(np.abs(zeros - sigma)))
-        if dist < 10 * 1e-10:
-            raise InputError(
-                f"herglotz.f_real_axis_numeric: sigma={sigma} within 10x detection "
-                "tolerance of a pole of f")
-    xi, _, eta, _ = source.eval_at(sigma)
-    if xi == 0.0 or not math.isfinite(xi):
-        where = ("" if dist is None
-                 else f", distance {dist:.3e} to the nearest singular point")
-        raise ConditioningError(
-            f"herglotz.f_real_axis_numeric: Xi({sigma}) = {xi:.3e} * Id is "
-            f"singular{where}", distance=dist)
-    return eta / xi
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +163,8 @@ def minkowski_det_lower_bound(A1, A2):
         scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
         if np.any(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1)) > 1e-8 * scale):
             raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not symmetric")
-        if np.any(np.min(np.linalg.eigvalsh(_sym(A)), axis=-1) < -1e-10 * scale):
+        sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+        if np.any(np.min(np.linalg.eigvalsh(sym), axis=-1) < -1e-10 * scale):
             raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not PSD")
     margin = np.linalg.det(A1 + A2) - np.linalg.det(A1) - np.linalg.det(A2)
     return float(margin) if A1.ndim == 2 else margin
@@ -273,40 +243,44 @@ def adapted_complex_structure_at(Fh: HerglotzMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FatouData:
-    """Derivative representation data: constant part A and point masses.
+    """Derivative representation data of F = phi * Id, k = ``dim``: the
+    constant part A and the point masses of phi, each times Id in F.
 
-    F'(zeta) = A + (1/pi) * sum_j mass_j / (zeta - t_j)^2 for the recovered
-    atoms (t_j, mass_j); ``continuous_mass`` is the residual boundary mass
-    found away from all atoms (flagged when non-negligible, since the model
-    is purely atomic).
+    phi'(zeta) = A + (1/pi) * sum_j mass_j / (zeta - t_j)^2 for the recovered
+    atoms (t_j, mass_j); ``continuous_mass`` is the residual boundary mass of
+    phi found away from all atoms (flagged when non-negligible, since the
+    model is purely atomic).  ``to_dict`` writes A and every mass as its
+    k x k matrix.
     """
 
-    A: np.ndarray
-    atoms: tuple  # ((t, mass matrix), ...)
+    A: float
+    atoms: tuple  # ((t, mass), ...)
     tau_schedule: tuple
     interval: tuple
+    dim: int
     continuous_mass: float = 0.0
     has_continuous_part: bool = False
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if float(np.min(np.linalg.eigvalsh(_sym(A)))) < -1e-10:
+        if self.A < -1e-10:
             raise NumericalError(
                 "herglotz.FatouData: constant part A not PSD within tolerance")
         for t, m in self.atoms:
-            if float(np.min(np.linalg.eigvalsh(_sym(np.asarray(m))))) < -1e-10:
+            if m < -1e-10:
                 raise NumericalError(
                     f"herglotz.FatouData: atom mass at t={t} not PSD within tolerance")
-        object.__setattr__(self, "A", A)
 
     @property
     def locations(self) -> np.ndarray:
         return np.array([t for t, _ in self.atoms])
 
     def to_dict(self) -> dict:
+        def times_id(value):  # +0.0 off the diagonal, whatever value's sign
+            return np.diag(np.full(self.dim, value)).tolist()
+
         return {
-            "A": self.A.tolist(),
-            "atoms": [{"t": float(t), "mass_matrix": np.asarray(m).tolist()}
+            "A": times_id(self.A),
+            "atoms": [{"t": float(t), "mass_matrix": times_id(m)}
                       for t, m in self.atoms],
             "tau_schedule": list(self.tau_schedule),
             "interval": list(self.interval),
@@ -360,30 +334,24 @@ def _golden_min(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _trace_im(Fh, sigmas, tau) -> np.ndarray:
-    """trace Im F(sigma + i tau) at every sigma.
-
-    Sums k copies of Im phi along a broadcast axis, which numpy adds in the
-    same order as the diagonal of the (m, k, k) stack phi * Id: the result
-    is bit for bit that stack's trace.
-    """
-    im = np.imag(Fh.phi(sigmas + 1j * tau))
-    return np.broadcast_to(im[:, None], (len(im), Fh.dim)).sum(axis=1)
+def _im_phi(Fh, sigmas, tau) -> np.ndarray:
+    """Im phi(sigma + i tau) at every sigma."""
+    return np.imag(Fh.phi(sigmas + 1j * tau))
 
 
-def _window_mass(Fh, t, delta, tau):
-    """Matrix integral of Im F(sigma + i tau) over (t-delta, t+delta).
+def _window_mass(Fh, t, delta, tau) -> float:
+    """Integral of Im phi(sigma + i tau) over (t-delta, t+delta).
 
     With a primitive Phi the integral is exact, Im[Phi(t+delta+i tau) -
-    Phi(t-delta+i tau)] * Id, once the segment is found to pass no closer
-    than POLE_MARGIN to a pole (those of an evaluator with a primitive lie
-    on the real axis).  Evaluators without one integrate Im phi by the
-    trapezoid rule, spacing tau/6, 61 to 40 001 points, times Id.
+    Phi(t-delta+i tau)], once the segment is found to pass no closer than
+    POLE_MARGIN to a pole (those of an evaluator with a primitive lie on the
+    real axis).  Evaluators without one integrate Im phi by the trapezoid
+    rule, spacing tau/6, 61 to 40 001 points.
     """
     if Fh.primitive is None:
         npts = int(max(61, min(40001, 2 * delta / (tau / 6.0) + 1)))
         grid = np.linspace(t - delta, t + delta, npts)
-        return np.trapezoid(np.imag(Fh.phi(grid + 1j * tau)), grid) * np.eye(Fh.dim)
+        return float(np.trapezoid(_im_phi(Fh, grid, tau), grid))
     gap = max(0.0, float(Fh.pole_distance(complex(t))) - delta)
     if math.hypot(gap, tau) < POLE_MARGIN:
         raise PoleError(
@@ -391,16 +359,16 @@ def _window_mass(Fh, t, delta, tau):
             f"{tau}i passes within {POLE_MARGIN} of a pole")
     primitive = Fh.primitive
     return (primitive(complex(t + delta, tau))
-            - primitive(complex(t - delta, tau))).imag * np.eye(Fh.dim)
+            - primitive(complex(t - delta, tau))).imag
 
 
 SCAN_BLOCK = 48
-ATOM_THRESHOLD = 0.1  # atoms: peaks of trace Im F above ATOM_THRESHOLD / tau
+ATOM_THRESHOLD = 0.1  # atoms: peaks of Im phi above ATOM_THRESHOLD / tau
 
 
 def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
-    """Interior indices of an equispaced grid where trace Im F(sigma + i tau)
-    is >= both neighbours and above threshold / tau.
+    """Interior indices of an equispaced grid where Im phi(sigma + i tau) is
+    >= both neighbours and above threshold / tau.
 
     Blocks of SCAN_BLOCK points that the coarse pass certifies to lie below
     threshold / (2 tau) are not evaluated (see ``stieltjes_invert``); their
@@ -415,34 +383,37 @@ def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
     tau_c = max(w, tau)
     nblocks = -(-npts // SCAN_BLOCK)
     centres = grid[0] + (SCAN_BLOCK * np.arange(nblocks) + 0.5 * (SCAN_BLOCK - 1)) * h
-    skip = ((6.0 * tau_c * _trace_im(Fh, centres, tau_c) < threshold)
+    skip = ((6.0 * tau_c * _im_phi(Fh, centres, tau_c) < threshold)
             & (tau >= POLE_MARGIN))
     kept = ~np.repeat(skip, SCAN_BLOCK)[:npts]
-    trace = np.full(npts, -np.inf)
-    trace[kept] = _trace_im(Fh, grid[kept], tau)
-    mid = trace[1:-1]
+    im = np.full(npts, -np.inf)
+    im[kept] = _im_phi(Fh, grid[kept], tau)
+    mid = im[1:-1]
     return np.flatnonzero((mid > threshold / tau)
-                          & (mid >= trace[:-2]) & (mid >= trace[2:])) + 1
+                          & (mid >= im[:-2]) & (mid >= im[2:])) + 1
 
 
 def stieltjes_invert(Fh: HerglotzMatrix, interval,
                      tau_schedule=(1e-1, 1e-2, 1e-3)) -> FatouData:
-    """Recover the boundary measure of a Herglotz matrix function.
+    """Recover the boundary measure of a Herglotz function F = phi * Id.
 
+    That measure is mu_phi * Id (the Nevanlinna representation of matrix
+    Herglotz functions: Gesztesy and Tsekanovskii, Math. Nachr. 218, 2000),
+    so it is recovered once, from phi, and every value below is a scalar.
     The constant part A comes from the large-argument limit of
-    Im F(i tau)/tau, extrapolated quadratically in 1/tau.  Atoms are the
-    local maxima of trace Im F(sigma + i tau) above ATOM_THRESHOLD/tau at the
+    Im phi(i tau)/tau, extrapolated quadratically in 1/tau.  Atoms are the
+    local maxima of Im phi(sigma + i tau) above ATOM_THRESHOLD/tau at the
     smallest tau, refined by golden-section search.  Each mass is the
-    window integral of Im F at every usable tau, extrapolated linearly in
+    window integral of Im phi at every usable tau, extrapolated linearly in
     tau: the window holds the Poisson-smoothed measure, whose deficit at an
     isolated atom (the mass smoothed past the window's edges) is O(tau), and
     the extrapolation removes it.  A closed form with a primitive gives each
     window integral exactly, from two evaluations (``_window_mass``); an
-    evaluator without one integrates by the trapezoid rule.  Disagreement above 5%
-    between successive extrapolants raises ConvergenceError.
+    evaluator without one integrates by the trapezoid rule.  Disagreement
+    above 5% between successive extrapolants raises ConvergenceError.
 
-    F must be Herglotz: the atom scan skips most of its grid on that
-    ground.  Then u(sigma, tau) = trace Im F(sigma + i tau) is a tau plus
+    phi must be Herglotz: the atom scan skips most of its grid on that
+    ground.  Then u(sigma, tau) = Im phi(sigma + i tau) is a tau plus
     the Poisson integral of a positive measure, and the ratio of Poisson
     kernels gives u(sigma, tau) <= (3 tau'/tau) u(c, tau') whenever
     |sigma - c| <= w <= tau' and tau <= tau'.  The scan grid is cut into
@@ -472,17 +443,15 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
             raise InputError(
                 f"herglotz.stieltjes_invert: interval endpoint {endpoint} within "
                 f"{SAMPLING_POLE_MARGIN} of a pole")
-    k = Fh.dim
 
-    # constant part from the large-tau limit
+    # constant part from the large-tau limit; the [0, 0] entry of F is phi
     taus_A = (1e2, 1e3, 1e4)
     xs = np.array([1.0 / t for t in taus_A])
-    V = np.stack([np.imag(Fh(complex(0.0, t))) / t for t in taus_A])
-    coef = np.polynomial.polynomial.polyfit(xs, V.reshape(3, -1), 2)
-    A_quad = _sym(coef[0].reshape(k, k))
-    A_lin = _sym((V[2] * xs[1] - V[1] * xs[2]) / (xs[1] - xs[2]))
-    drift = float(np.max(np.abs(A_quad - A_lin)))
-    if drift > max(0.05 * float(np.max(np.abs(A_quad))), 1e-4):
+    v = np.array([Fh(complex(0.0, t))[0, 0].imag / t for t in taus_A])
+    A_quad = float(np.polynomial.polynomial.polyfit(xs, v, 2)[0])
+    A_lin = float((v[2] * xs[1] - v[1] * xs[2]) / (xs[1] - xs[2]))
+    drift = abs(A_quad - A_lin)
+    if drift > max(0.05 * abs(A_quad), 1e-4):
         raise ConvergenceError(
             f"herglotz.stieltjes_invert: A extrapolants differ by {drift:.3e}")
 
@@ -495,7 +464,7 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
     grid = np.linspace(a, b, npts)
     locations = []
     for j in _scan_peaks(Fh, grid, tau_min, ATOM_THRESHOLD):
-        t = _golden_min(lambda s: -_trace_im(Fh, s, tau_min),
+        t = _golden_min(lambda s: -_im_phi(Fh, s, tau_min),
                         grid[j - 1], grid[j + 1], tol=1e-8)
         if not locations or t - locations[-1] > 50 * h_scan:
             locations.append(t)
@@ -519,12 +488,12 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
         fine = extrap(masses[-2], masses[-1], usable[-2], usable[-1])
         if len(usable) >= 3:
             coarse = extrap(masses[-3], masses[-2], usable[-3], usable[-2])
-            diff = float(np.max(np.abs(fine - coarse)))
-            if diff > 0.05 * max(float(np.max(np.abs(fine))), 1e-3):
+            diff = abs(fine - coarse)
+            if diff > 0.05 * max(abs(fine), 1e-3):
                 raise ConvergenceError(
                     f"herglotz.stieltjes_invert: mass extrapolants at t={t:.6f} "
                     f"differ by {diff:.3e}")
-        atoms.append((float(t), _sym(fine)))
+        atoms.append((float(t), fine))
 
     # residual boundary mass away from every atom window
     step = (b - a) / 4000.0
@@ -533,22 +502,23 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
         near = np.abs(sweep[:, None] - np.array(locations)[None, :])
         sweep = sweep[~(np.min(near, axis=1) < 0.4)]
     cont = 0.0
-    for v in (step * _trace_im(Fh, sweep, tau_min)).tolist():
+    for v in (step * _im_phi(Fh, sweep, tau_min)).tolist():
         cont += v  # sequential: the sum does not depend on numpy's pairwise order
     flagged = cont > 0.05 * (b - a)
 
     return FatouData(A=A_quad, atoms=tuple(atoms), tau_schedule=taus,
-                     interval=(a, b), continuous_mass=cont,
+                     interval=(a, b), dim=Fh.dim, continuous_mass=cont,
                      has_continuous_part=bool(flagged))
 
 
-def fatou_reconstruct(fd: FatouData, zeta: complex) -> np.ndarray:
-    """Evaluate the derivative representation A + (1/pi) sum mass/(zeta-t)^2."""
+def fatou_reconstruct(fd: FatouData, zeta: complex) -> complex:
+    """Evaluate the derivative representation phi'(zeta) = A + (1/pi) sum
+    mass/(zeta-t)^2; F'(zeta) is that scalar times Id."""
     zeta = complex(zeta)
     if zeta.imag <= 0:
         raise InputError(
             f"herglotz.fatou_reconstruct: zeta={zeta} must lie in the upper half plane")
-    out = fd.A.astype(complex).copy()
+    out = complex(fd.A)
     for t, m in fd.atoms:
-        out = out + np.asarray(m) / (math.pi * (zeta - t) ** 2)
+        out += m / (math.pi * (zeta - t) ** 2)
     return out

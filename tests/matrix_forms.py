@@ -20,12 +20,6 @@ def times_id(values, k):
     return values[..., None, None] * np.eye(k, dtype=values.dtype)
 
 
-def stacked_trace_im(Fh, sigmas, tau):
-    """trace Im F(sigma + i tau) from the (m, k, k) stack phi * Id."""
-    stack = times_id(Fh.phi(sigmas + 1j * tau), Fh.dim)
-    return np.trace(np.imag(stack), axis1=1, axis2=2)
-
-
 def jacobi_matrices(values, k):
     """(Xi, Xi', H, H') from one (xi, xi', eta, eta'), or stacks from columns."""
     return tuple(times_id(v, k) for v in values)

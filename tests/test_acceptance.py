@@ -89,11 +89,10 @@ def test_criterion_4_measure_recovery():
     loc_err = (math.inf if len(fd1.atoms) != 3 else
                max(abs(t - e) for (t, _), e in zip(fd1.atoms, expected)))
     mass_err = (math.inf if len(fd1.atoms) != 3 else
-                max(float(np.max(np.abs(m - math.pi * np.eye(2)))) / math.pi
-                    for _, m in fd1.atoms))
+                max(abs(m - math.pi) / math.pi for _, m in fd1.atoms))
     Gh0 = gc.HerglotzMatrix.from_constant_curvature(0.0, 3).neg_inverse_function()
     fd0 = gc.stieltjes_invert(Gh0, (-1.0, 1.0))
-    a_err = max(float(np.max(np.abs(fd1.A))), float(np.max(np.abs(fd0.A))))
+    a_err = max(abs(fd1.A), abs(fd0.A))
     _criterion(4, "boundary measure: atoms {0, pi, 2pi}, masses pi*Id, A = 0",
                loc_err <= 1e-4 and mass_err <= 0.02 and a_err <= 1e-3,
                f"loc={loc_err:.2e} mass_rel={mass_err:.2e} A={a_err:.2e}")

@@ -8,7 +8,7 @@ import pytest
 import geocount as gc
 from geocount import verify
 from geocount.closed_form import ClosedFormJacobi, g_pole_distance
-from geocount.errors import ConditioningError, InputError, PoleError
+from geocount.errors import InputError, PoleError
 from matrix_forms import times_id
 
 
@@ -61,16 +61,15 @@ class TestClosedFormF:
         assert abs(F[0, 0] - cmath.tan(s * z) / s) < 1e-14
 
 
-class TestRealAxisNumeric:
+class TestRealAxisF:
+    # f = eta / xi on the real axis, from the propagated Jacobi data
     def test_round_sphere_tan(self):
         spec = gc.constant_curvature(1.0, 2)
         x = gc.canonical_point(spec)
         traj = gc.integrate_geodesic(spec, x, gc.orthonormal_frame(spec, x)[0],
                                      2.0, 1e-3)
         js = gc.propagate_jacobi(traj)
-        f = gc.f_real_axis_numeric(js, math.pi / 4)
-        assert isinstance(f, float)
-        assert abs(f - 1.0) < 1e-8  # tan(pi/4)
+        assert abs(js.f(math.pi / 4) - 1.0) < 1e-8  # tan(pi/4)
 
     def test_flat_linear(self):
         spec = gc.constant_curvature(0.0, 3)
@@ -78,43 +77,12 @@ class TestRealAxisNumeric:
         traj = gc.integrate_geodesic(spec, x, gc.orthonormal_frame(spec, x)[0],
                                      3.0, 1e-3)
         js = gc.propagate_jacobi(traj)
-        assert abs(gc.f_real_axis_numeric(js, 2.0) - 2.0) <= 1e-9
+        assert abs(js.f(2.0) - 2.0) <= 1e-9
 
     def test_warped_small_sigma_expansion(self):
         js = _warped_system(T=1.0)
         for s in (0.005, 0.01, 0.02):
-            f = gc.f_real_axis_numeric(js, s)
-            assert abs(f - s) < 5.0 * s**3
-
-    def test_pole_margin_enforced(self):
-        spec = gc.constant_curvature(1.0, 2)
-        x = gc.canonical_point(spec)
-        traj = gc.integrate_geodesic(spec, x, gc.orthonormal_frame(spec, x)[0],
-                                     2.0, 1e-3)
-        js = gc.propagate_jacobi(traj)
-        with pytest.raises((InputError, ConditioningError)):
-            gc.f_real_axis_numeric(js, float(js.xi_zeros[0]))
-
-    def test_singular_xi_raises_conditioning_error(self):
-        # the only case in which cond(xi * Id) exceeds any limit: xi = 0 or
-        # not finite; the distance to the detected zeros travels with it
-        class Source:
-            def __init__(self, xi, xi_zeros=None):
-                self.xi = xi
-                if xi_zeros is not None:
-                    self.xi_zeros = xi_zeros
-
-            def eval_at(self, sigma):
-                return self.xi, 0.0, 1.0, 1.0
-
-        for xi in (0.0, math.inf, math.nan):
-            with pytest.raises(ConditioningError) as bare:
-                gc.f_real_axis_numeric(Source(xi), 1.0)
-            assert bare.value.distance is None
-            with pytest.raises(ConditioningError, match="distance 2.500e-01") as err:
-                gc.f_real_axis_numeric(Source(xi, [0.75, 3.0]), 1.0)
-            assert err.value.distance == 0.25
-        assert gc.f_real_axis_numeric(Source(-2.0), 1.0) == -0.5
+            assert abs(js.f(s) - s) < 5.0 * s**3
 
 
 class TestNegInverse:

@@ -1,8 +1,9 @@
 """Property tests: malformed input is refused with a validation error,
 count/growth and verify runs over a bounded parameter box end with a
 documented exit code (0 ok, 2 validation, 3 numerical failure, 4
-verification failure), and the certified Stieltjes scan finds the peaks of
-the full-grid scan."""
+verification failure), herglotz runs for c in {0} U [1e-3, 400] pass every
+check, and the certified Stieltjes scan finds the peaks of the full-grid
+scan."""
 
 import math
 import tempfile
@@ -77,12 +78,23 @@ def test_verify_every_warp_exits_with_a_documented_code(warp):
     assert code in (0, 2, 3, 4)
 
 
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(c=st.one_of(st.just(0.0), st.floats(1e-3, 400.0)),
+       n=st.integers(2, 60))
+@example(c=1.0, n=34)  # the first n whose k-copy trace crossed the mass bound
+def test_herglotz_passes_every_check(c, n):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["herglotz", f"--c={c!r}", "--n", str(n), "--out", out,
+                         "--quiet"])
+    assert code == 0
+
+
 def _full_grid_peaks(Fh, grid, tau, threshold):
     """The atom scan before the coarse pass: every grid point evaluated."""
-    trace = herglotz._trace_im(Fh, grid, tau)
-    mid = trace[1:-1]
+    im = herglotz._im_phi(Fh, grid, tau)
+    mid = im[1:-1]
     return np.flatnonzero((mid > threshold / tau)
-                          & (mid >= trace[:-2]) & (mid >= trace[2:])) + 1
+                          & (mid >= im[:-2]) & (mid >= im[2:])) + 1
 
 
 def _scan_grid(a, length, tau):
