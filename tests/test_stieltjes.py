@@ -93,7 +93,26 @@ class TestUserProfile:
             _constant_function(1.5, 2).neg_inverse_function()
 
 
+def _bitwise_equal(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 class TestScalarPathAndCoarsePass:
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_im_phi_is_every_diagonal_entry_of_f(self, k):
+        # the scalar the inversion reads is Im F(sigma + i tau) on every
+        # diagonal entry bit for bit, signs of zeros included, and F has
+        # nothing off the diagonal: F = phi * Id for every k
+        for c in (1.0, 0.0):
+            Gh = HerglotzMatrix.from_constant_curvature(c, k + 1).neg_inverse_function()
+            sigmas = np.linspace(-1.0, 7.0, 41)
+            for tau in (1e-4, 1e-3, 1e-2):
+                im = herglotz._im_phi(Gh, sigmas, tau)
+                mats = np.imag(np.array([Gh(s + 1j * tau) for s in sigmas]))
+                for i in range(k):
+                    assert _bitwise_equal(im, mats[:, i, i])
+                assert not np.any(mats[:, ~np.eye(k, dtype=bool)])
+
     @pytest.mark.parametrize("c", [1.0, 4.0])
     def test_every_k_inverts_the_one_scalar_measure(self, c):
         # F = phi * Id has the boundary measure mu_phi * Id, so atoms,
@@ -375,6 +394,11 @@ class TestReconstruction:
                           interval=(-5.0, 5.0), dim=1)
         recon = gc.fatou_reconstruct(fd, z)
         assert abs(recon - direct) < 1e-2
+
+    def test_pure_constant_part(self):
+        fd = gc.FatouData(A=0.5, atoms=(), tau_schedule=(1e-1, 1e-2, 1e-3),
+                          interval=(-1.0, 1.0), dim=2)
+        assert gc.fatou_reconstruct(fd, 0.3 + 2.0j) == 0.5
 
     def test_requires_upper_half_plane(self):
         fd = gc.FatouData(A=0.0, atoms=(), tau_schedule=(1e-1, 1e-2, 1e-3),
