@@ -1,20 +1,21 @@
 """Unit-speed geodesics and Jacobi fields along them.
 
-Everything is sampled on a uniform arc-length grid.  On every model manifold
-the curvature operator along a geodesic is kappa(sigma) * Id in a parallel
-orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces to
-one scalar equation.  Its two fundamental solutions, xi with data (1, 0) and
-eta with data (0, 1), are propagated one at a time by one classical RK4
-loop over plain float lists, one step per grid cell (kappa sampled once for
-both, in one profile call; where kappa is 0 the loop is one running sum);
-the counting integral runs the same loop for eta alone.
-The matrix solutions are Xi = xi * Id and H = eta * Id.  Geodesics are closed
-forms: great circles and their hyperbolic and flat analogues, straight lines
-on tori, radial rays in warped products.  Cubic Hermite dense output (exact
-to the integrator's order) supports evaluation between samples.  Since
-det Xi = xi^k and det H = eta^k, the zeros of both determinants (for H, the
-conjugate points) are the zeros of the scalars xi and eta, found as sign
-changes on the grid and refined on the same Hermite interpolant.
+Geodesics are kept as closed forms, evaluated where asked: great circles and
+their hyperbolic and flat analogues, straight lines on tori, radial rays in
+warped products.  Jacobi fields are sampled on a uniform arc-length grid.  On
+every model manifold the curvature operator along a geodesic is
+kappa(sigma) * Id in a parallel orthonormal frame, so the matrix Jacobi
+equation Y'' + kappa Y = 0 reduces to one scalar equation.  Its two
+fundamental solutions, xi with data (1, 0) and eta with data (0, 1), are
+propagated one at a time by one classical RK4 loop over plain float lists,
+one step per grid cell (kappa sampled once for both, in one profile call;
+where kappa is 0 the loop is one running sum); the counting integral runs
+the same loop for eta alone.  The matrix solutions are Xi = xi * Id and
+H = eta * Id.  Cubic Hermite dense output (exact to the integrator's order)
+supports evaluation between samples.  Since det Xi = xi^k and det H = eta^k,
+the zeros of both determinants (for H, the conjugate points) are the zeros
+of the scalars xi and eta, found as sign changes on the grid and refined on
+the same Hermite interpolant.
 """
 
 import math
@@ -25,7 +26,7 @@ from scipy.optimize import brentq
 
 from . import closed_form
 from . import manifolds as mf
-from .errors import ConfigurationError, InputError, IntegrationFailureError
+from .errors import InputError, IntegrationFailureError
 
 WRONSKIAN_TOL = 1e-8
 SPEED_DRIFT_TOL = 1e-6
@@ -59,96 +60,98 @@ def _grid(T: float, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
-    """Sampled unit-speed geodesic with a parallel orthonormal normal frame.
-
-    The frame at sigma[j] is scale[j] * frame: every branch transports one
-    constant (n-1, d) frame, scaled by 1 on space forms and tori and by
-    w(r0)/w(r) on a warped product's radial ray.
-    """
+    """Unit-speed geodesic on the arc-length grid ``sigma``, kept as its
+    closed form (``at``), with the parallel orthonormal normal frame
+    scale[j] * frame at sigma[j]: scale is 1 on space forms and tori and
+    w(r0)/w(r) on a warped product's radial ray."""
 
     spec: mf.ManifoldSpec
     x0: np.ndarray
     theta0: np.ndarray
     sigma: np.ndarray      # (m+1,)
-    positions: np.ndarray  # (m+1, d); torus positions are wrapped
-    velocities: np.ndarray
     frame: np.ndarray      # (n-1, d)
     scale: np.ndarray      # (m+1,)
     step: float
 
-    @property
-    def T(self) -> float:
-        return float(self.sigma[-1])
+    def at(self, sigma):
+        """(positions, velocities), (len(sigma), d) each, at the arc lengths
+        sigma; torus positions are wrapped."""
+        sigma = np.asarray(sigma, dtype=float)
+        spec, x, theta = self.spec, self.x0, self.theta0
+        velocities = np.broadcast_to(theta, (len(sigma), len(theta)))
+        if spec.kind == mf.FLAT_TORUS:
+            positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
+        elif spec.kind == mf.WARPED_PRODUCT:
+            positions = np.tile(x, (len(sigma), 1))
+            positions[:, 0] = mf.radial_ray(spec, x, theta)(sigma)
+        else:
+            xi, dxi, eta, deta = closed_form.scalars(spec.c, sigma)
+            positions = xi[:, None] * x + eta[:, None] * theta
+            velocities = dxi[:, None] * x + deta[:, None] * theta
+        return positions, velocities
+
+    positions = property(lambda self: self.at(self.sigma)[0])
+    velocities = property(lambda self: self.at(self.sigma)[1])
 
 
-def _check_trajectory(sigma, g, velocities, frame, scale):
-    """Unit speed and an orthonormal normal frame scale * frame; ``g`` is
-    the diagonal of the metric at every sample."""
-    drift = np.abs(np.sum(g * velocities * velocities, axis=1) - 1.0)
-    bad = np.nonzero(drift > SPEED_DRIFT_TOL)[0]
-    if len(bad):
-        j = bad[0]
-        raise IntegrationFailureError(
-            f"flow.integrate_geodesic: unit-speed drift {drift[j]:.3e} at "
-            f"sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
-    # frame orthonormality and normality to the velocity, spot-checked on a
-    # subsample (parallel transport is exact for every closed-form branch);
-    # one Gram matrix per distinct metric diagonal scale^2 * g, so space
-    # forms and tori build one
+def _check_trajectory(traj, a, b):
+    """Unit speed at every sample and an orthonormal normal frame.  The
+    velocity a x0 + b theta0 has |gamma'|^2 = a^2 <x0, x0> + 2ab <x0, theta0>
+    + b^2 <theta0, theta0>, the metric's fiber entries taken at x0 over
+    scale^2; its drift from 1 is relative to the terms' sizes."""
+    sigma, frame, scale, x, theta = (traj.sigma, traj.frame, traj.scale,
+                                     traj.x0, traj.theta0)
+    g = mf.metric_diagonal(traj.spec, x)
+
+    def dot(u, v):
+        return g[0] * u[0] * v[0] + np.dot(g[1:] * u[1:], v[1:]) / scale**2
+
+    terms = (a * a * dot(x, x), 2.0 * a * b * dot(x, theta), b * b * dot(theta, theta))
+    drift = np.abs(sum(terms) - 1.0) / np.maximum(1.0, sum(map(np.abs, terms)))
+    # the frame, orthonormal and normal to the velocity at up to 64 samples
+    # (transport is exact on every branch): one Gram matrix per distinct
+    # metric diagonal scale^2 * g, so space forms and tori build one
     idx = np.unique(np.linspace(0, len(sigma) - 1, min(len(sigma), 64)).astype(int))
-    rows, which = np.unique(g[idx] * (scale[idx, None] ** 2), axis=0,
-                            return_inverse=True)
+    positions, velocities = traj.at(sigma[idx])
+    g = mf.metric_diagonal(traj.spec, positions)
+    rows, which = np.unique(g * (scale[idx, None] ** 2), axis=0, return_inverse=True)
     eye = np.eye(len(frame))
     gram = np.array([np.max(np.abs((frame * q) @ frame.T - eye)) for q in rows])
-    normal = scale[idx, None] * ((g[idx] * velocities[idx]) @ frame.T)
+    normal = scale[idx, None] * ((g * velocities) @ frame.T)
     defect = np.maximum(gram[which.reshape(-1)], np.max(np.abs(normal), axis=1))
-    bad = np.nonzero(defect > 1e-8)[0]
-    if len(bad):
-        j = idx[bad[0]]
-        raise IntegrationFailureError(
-            f"flow.integrate_geodesic: frame orthonormality defect "
-            f"{defect[bad[0]]:.3e} at sigma={sigma[j]:.6f}", sigma=float(sigma[j]))
+    for name, value, tol, at in (("unit-speed drift", drift, SPEED_DRIFT_TOL, sigma),
+                                 ("frame orthonormality defect", defect, 1e-8, sigma[idx])):
+        bad = np.flatnonzero(value > tol)
+        if len(bad):
+            s = float(at[bad[0]])
+            raise IntegrationFailureError(
+                f"flow.integrate_geodesic: {name} {value[bad[0]]:.3e} at "
+                f"sigma={s:.6f}", sigma=s)
 
 
 def integrate_geodesic(spec, x, theta, T, step):
-    """Sample the unit-speed geodesic with gamma(0)=x, gamma'(0)=theta.
-
-    Every branch is a closed form with a parallel normal frame.  Space forms
-    follow gamma = xi(sigma) x + eta(sigma) theta on the ambient quadric, with
-    xi, eta the scalar solutions of y'' = -c y from ``closed_form.scalars``;
-    normal vectors orthogonal to span(x, theta) are parallel, so the frame is
-    constant.  Flat tori are straight lines in the universal cover wrapped
-    back to the fundamental domain; warped products support radial rays.
+    """The unit-speed geodesic with gamma(0)=x, gamma'(0)=theta to T, kept
+    as its closed form: xi(sigma) x + eta(sigma) theta on a space form's
+    ambient quadric (``closed_form.scalars``), with a constant frame normal
+    to span(x, theta); a straight line wrapped back to a torus's fundamental
+    domain; a warped product's radial ray.  Unit speed is checked at every
+    grid point and the frame at up to 64 of them.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     mf.require_unit_direction(spec, x, theta)
     sigma = _grid(T, step)
-    m = len(sigma) - 1
-    h = sigma[1] - sigma[0]
-    scale = np.ones(m + 1)
-
-    if spec.kind == mf.FLAT_TORUS:
-        positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
-        velocities = np.tile(theta, (m + 1, 1))
-    elif spec.kind == mf.WARPED_PRODUCT:
+    scale = np.ones(len(sigma))
+    a, b = 0.0, 1.0  # the velocity is a x + b theta
+    if spec.kind == mf.WARPED_PRODUCT:
         r = mf.radial_ray(spec, x, theta)(sigma)
-        positions = np.tile(x, (m + 1, 1))
-        positions[:, 0] = r
-        velocities = np.tile(theta, (m + 1, 1))
         scale = spec.warp.value(x[0]) / spec.warp.value(r)
     elif spec.kind == mf.CONSTANT_CURVATURE:
-        xi, dxi, eta, deta = closed_form.scalars(spec.c, sigma)
-        positions = xi[:, None] * x + eta[:, None] * theta
-        velocities = dxi[:, None] * x + deta[:, None] * theta
-    else:
-        raise ConfigurationError(f"flow.integrate_geodesic: unknown kind {spec.kind}")
-
+        _, a, _, b = closed_form.scalars(spec.c, sigma)
     frame = mf.orthonormal_frame(spec, x, [theta])
-    g = mf.metric_diagonal(spec, positions)
-    _check_trajectory(sigma, g, velocities, frame, scale)
-    return GeodesicTrajectory(spec, x, theta, sigma, positions, velocities,
-                              frame, scale, h)
+    traj = GeodesicTrajectory(spec, x, theta, sigma, frame, scale, sigma[1] - sigma[0])
+    _check_trajectory(traj, a, b)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,6 @@ class JacobiSystem:
 
     spec: mf.ManifoldSpec
     trajectory: GeodesicTrajectory
-    kop: mf.CurvatureFrameOperator
     sigma: np.ndarray
     kappa: np.ndarray  # (m+1,)
     cols: np.ndarray   # (m+1, 4): xi, xi', eta, eta'
@@ -350,7 +352,7 @@ def propagate_jacobi(traj: GeodesicTrajectory):
     xz = _scalar_zeros(traj.sigma, cols[:, 0], cols[:, 1])
     hz = _scalar_zeros(traj.sigma, cols[:, 2], cols[:, 3])
     js = JacobiSystem(
-        spec=traj.spec, trajectory=traj, kop=kop, sigma=traj.sigma,
+        spec=traj.spec, trajectory=traj, sigma=traj.sigma,
         kappa=kappa, cols=cols, xi_zeros=xz, h_zeros=hz,
         singular_set=np.unique(np.concatenate([xz, hz])), step=hgrid,
     )

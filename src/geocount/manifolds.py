@@ -256,48 +256,54 @@ def metric_dot(spec: ManifoldSpec, x: np.ndarray, u: np.ndarray, v: np.ndarray) 
     return float(np.sum(metric_diagonal(spec, x) * u * v))
 
 
-# a projected coordinate direction keeping at most this share of its own
-# metric norm^2 is dropped: relative, so the warp's scale does not matter,
-# and large enough that a kept vector loses at most ~1e-14 to cancellation;
-# a frame always completes while the share is below 1 / (number of
-# coordinates)
-FRAME_SKIP_SHARE = 1e-4
-
-
 def orthonormal_frame(spec: ManifoldSpec, x: np.ndarray, normals=()) -> np.ndarray:
     """n - len(normals) orthonormal tangent vectors at x, one per row,
     orthogonal to every vector of ``normals``.
 
-    Modified Gram-Schmidt under diag(g) over the coordinate directions in a
-    fixed order: each direction e_i loses its component along the model's
-    normal (x on curved space forms, (0, y) on warped products), then along
-    each of ``normals``, then along the vectors already kept, and is kept
-    unless its metric norm^2 is at most FRAME_SKIP_SHARE * |g_i|.  Raises
-    InputError when too few vectors remain.
+    One Householder reflection under diag(g) per normal, the model's normal
+    (x on curved space forms, (0, y) on warped products) first.  A normal
+    p, mapped through the earlier reflections, cleared on the axes they took
+    and scaled to <p, p> = eps = +-1, goes to -sign(p_k) e_k / sqrt|g_k| on
+    the free axis k of largest |p_k| sqrt|g_k| (e_0 for the timelike x on
+    the hyperboloid); its mirror v = p + sign(p_k) e_k / sqrt|g_k| has <v, v>
+    = 2 eps (1 + |p_k| sqrt|g_k|), never 0.  The frame is the other axes
+    e_j / sqrt|g_j| mapped back, so an axis no mirror touches stays itself.
+    Raises InputError for a null normal or one in the span of those before.
     """
     x = np.asarray(x, dtype=float)
     g = metric_diagonal(spec, x)
-    count = spec.n - len(normals)
+    root = np.sqrt(np.abs(g))
     if spec.kind == CONSTANT_CURVATURE and spec.c != 0:
         normals = [x, *normals]
     elif spec.kind == WARPED_PRODUCT:
         normals = [np.concatenate(([0.0], x[1:])), *normals]
-    frame = []
-    for i in range(len(x)):
-        v = np.zeros(len(x))
-        v[i] = 1.0
-        for nv in normals:
-            v = v - nv * ((g * v * nv).sum() / (g * nv * nv).sum())
-        for e in frame:
-            v = v - e * (g * v * e).sum()
-        norm2 = (g * v * v).sum()  # positive definite on the tangent space
-        if norm2 > FRAME_SKIP_SHARE * abs(g[i]):
-            frame.append(v / math.sqrt(norm2))
-        if len(frame) == count:
-            return np.array(frame)
-    raise InputError(
-        f"manifolds.orthonormal_frame: could not complete a frame of {count} "
-        f"vectors at x={x}")
+    free = np.ones(len(x), dtype=bool)
+    mirrors = []
+    for p in normals:
+        p = np.asarray(p, dtype=float)
+        for v, vv in mirrors:
+            p = p - v * (2.0 * np.sum(g * p * v) / vv)
+        top = np.max(np.abs(p))  # O(1) entries before any square
+        p = p / top if top > 0 else p
+        size = np.sum(np.abs(g) * p * p)
+        p[~free] = 0.0
+        nn = np.sum(g * p * p)
+        k = int(np.argmax(np.abs(p) * root))
+        eps = math.copysign(1.0, g[k])
+        if not eps * nn > 1e-20 * size:  # a residue of 1e-10 is rounding
+            raise InputError(f"manifolds.orthonormal_frame: a normal at x={x} "
+                             "is null or in the span of the normals before it")
+        p = p / math.sqrt(eps * nn)
+        v = p.copy()
+        v[k] += math.copysign(1.0, p[k]) / root[k]
+        mirrors.append((v, 2.0 * eps * (1.0 + abs(p[k]) * root[k])))
+        free[k] = False
+    axes = np.flatnonzero(free)
+    frame = np.zeros((len(axes), len(x)))
+    frame[np.arange(len(axes)), axes] = 1.0 / root[axes]
+    for v, vv in reversed(mirrors):
+        frame -= np.outer(frame @ (g * v) * (2.0 / vv), v)
+    return frame
 
 
 def torus_wrap(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

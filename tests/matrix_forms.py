@@ -4,7 +4,9 @@ Every curvature operator on the menu is kappa * Id, so the library carries
 phi (F = phi * Id) and the Jacobi scalars (xi, xi', eta, eta') and builds a
 matrix only where a result is one.  These helpers expand the scalars back to
 the k x k forms, so tests can compare against the matrix formulas.  The
-one-point golden-section search is the reference for herglotz's batched one.
+one-point golden-section search is the reference for herglotz's batched one;
+the Gram-Schmidt frame and the sampled geodesic arrays are the bit references
+for the reflection frame and ``GeodesicTrajectory.at``.
 """
 
 import math
@@ -12,6 +14,9 @@ import math
 import numpy as np
 
 import geocount as gc
+from geocount import closed_form
+from geocount import manifolds as mf
+from geocount.errors import InputError
 
 
 def times_id(values, k):
@@ -52,3 +57,97 @@ def golden_min_one_point(f, a, b, tol):
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+# a projected coordinate direction keeping at most this share of its own
+# metric norm^2 is dropped: relative, so the warp's scale does not matter,
+# and large enough that a kept vector loses at most ~1e-14 to cancellation;
+# a frame always completes while the share is below 1 / (number of
+# coordinates)
+FRAME_SKIP_SHARE = 1e-4
+
+
+def gram_schmidt_frame(spec, x, normals=()):
+    """n - len(normals) orthonormal tangent vectors at x, one per row,
+    orthogonal to every vector of ``normals``.
+
+    Modified Gram-Schmidt under diag(g) over the coordinate directions in a
+    fixed order: each direction e_i loses its component along the model's
+    normal (x on curved space forms, (0, y) on warped products), then along
+    each of ``normals``, then along the vectors already kept, and is kept
+    unless its metric norm^2 is at most FRAME_SKIP_SHARE * |g_i|.  Raises
+    InputError when too few vectors remain.
+    """
+    x = np.asarray(x, dtype=float)
+    g = mf.metric_diagonal(spec, x)
+    count = spec.n - len(normals)
+    if spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0:
+        normals = [x, *normals]
+    elif spec.kind == mf.WARPED_PRODUCT:
+        normals = [np.concatenate(([0.0], x[1:])), *normals]
+    frame = []
+    for i in range(len(x)):
+        v = np.zeros(len(x))
+        v[i] = 1.0
+        for nv in normals:
+            v = v - nv * ((g * v * nv).sum() / (g * nv * nv).sum())
+        for e in frame:
+            v = v - e * (g * v * e).sum()
+        norm2 = (g * v * v).sum()  # positive definite on the tangent space
+        if norm2 > FRAME_SKIP_SHARE * abs(g[i]):
+            frame.append(v / math.sqrt(norm2))
+        if len(frame) == count:
+            return np.array(frame)
+    raise InputError(
+        f"manifolds.orthonormal_frame: could not complete a frame of {count} "
+        f"vectors at x={x}")
+
+
+def sampled_geodesic(spec, x, theta, sigma):
+    """(positions, velocities), (m+1, d) each, on the grid sigma: the
+    three closed-form branches as arrays."""
+    m = len(sigma) - 1
+    if spec.kind == mf.FLAT_TORUS:
+        positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
+        velocities = np.tile(theta, (m + 1, 1))
+    elif spec.kind == mf.WARPED_PRODUCT:
+        r = mf.radial_ray(spec, x, theta)(sigma)
+        positions = np.tile(x, (m + 1, 1))
+        positions[:, 0] = r
+        velocities = np.tile(theta, (m + 1, 1))
+    else:
+        xi, dxi, eta, deta = closed_form.scalars(spec.c, sigma)
+        positions = xi[:, None] * x + eta[:, None] * theta
+        velocities = dxi[:, None] * x + deta[:, None] * theta
+    return positions, velocities
+
+
+def random_point(spec, rng, radial=False):
+    """A random point of spec and a random unit tangent direction there.
+
+    On a warped product the radius is drawn in [-2, 2] and at least 0.2
+    inside the warp's domain, and the direction is +-e_0 when ``radial``;
+    on the hyperboloid the spacelike part is U(0, 3) * N(0, I)."""
+    n = spec.n
+    if spec.kind == mf.WARPED_PRODUCT:
+        lo, hi = spec.warp.domain
+        r0 = rng.uniform(max(lo + 0.2, -2.0), min(hi - 0.2, 2.0))
+        y = rng.standard_normal(n)
+        x = np.concatenate(([r0], y / np.linalg.norm(y)))
+    elif spec.kind == mf.CONSTANT_CURVATURE and spec.c > 0:
+        x = rng.standard_normal(n + 1)
+        x *= 1.0 / (np.linalg.norm(x) * math.sqrt(spec.c))
+    elif spec.kind == mf.CONSTANT_CURVATURE and spec.c < 0:
+        y = rng.uniform(0.0, 3.0) * rng.standard_normal(n)
+        x = np.concatenate(([math.sqrt(1.0 / -spec.c + y @ y)], y))
+    else:
+        x = rng.uniform(-3.0, 3.0) * rng.standard_normal(n)
+    if spec.kind == mf.WARPED_PRODUCT and radial:
+        return x, np.concatenate(([rng.choice([-1.0, 1.0])], np.zeros(n)))
+    g = mf.metric_diagonal(spec, x)
+    v = rng.standard_normal(len(x))
+    if spec.kind == mf.WARPED_PRODUCT:
+        v[1:] -= (v[1:] @ x[1:]) * x[1:]
+    elif spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0:
+        v -= np.sum(g * v * x) / np.sum(g * x * x) * x
+    return x, v / math.sqrt(np.sum(g * v * v))

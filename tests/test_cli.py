@@ -266,16 +266,22 @@ class TestRunner:
                          "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
         assert code == 2
 
-    @pytest.mark.parametrize("task", ["herglotz", "verify"])
-    def test_matrix_stacks_capped_before_allocating(self, tmp_path, task):
+    @pytest.mark.parametrize("task,n", [
+        pytest.param("herglotz", "400", id="herglotz"),
+        pytest.param("verify", "400", id="verify"),
+        pytest.param("verify", "800", id="verify-800"),
+    ])
+    def test_matrix_stacks_capped_before_allocating(self, tmp_path, task, n):
         # herglotz --n 400 asked for 39 GiB (exit 1) and verify --n 400 grew
         # until it was killed; neither builds a k x k stack any more.  Both
         # pass every check.  herglotz inverts the scalar measure of phi, so
         # its continuous mass (the atoms' Poisson tails, 0.0129 at c = 1)
         # does not grow with k and stays below 0.05 * (b - a) = 0.414.
         # verify's determinant growth bound, whose sigma^798 overflows a
-        # float from sigma = 2.44 on, compares the logs of its sides there
-        proc = _main_under_1gib([task, "--n", "400", "--quiet",
+        # float from sigma = 2.44 on, compares the logs of its sides there.
+        # verify --n 800 keeps no (m+1) x d sample arrays and builds its
+        # frames with one reflection per normal
+        proc = _main_under_1gib([task, "--n", n, "--quiet",
                                  "--out", str(tmp_path / task)])
         assert proc.returncode == 0, proc.stderr
         assert "a stack of shape" not in proc.stderr
@@ -398,6 +404,17 @@ class TestRunner:
         identities = [chk for chk in report["checks"] if "identity" in chk["name"]]
         assert len(identities) == 2
         assert all(chk["residual"] <= 1e-12 for chk in identities)
+
+    @pytest.mark.parametrize("c", ["-9", "-25", "-100"])
+    def test_verify_passes_at_large_negative_c(self, tmp_path, c):
+        # exit 3 at c = -9 and -25: the unit-speed drift and the propagated
+        # Jacobi check took absolute differences of terms near
+        # cosh(5 sqrt|c|); both are now relative to the terms' size
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--c", c, "--n", "3", "--out", str(out),
+                         "--quiet"])
+        assert code == 0
+        assert json.loads((out / "verify_report.json").read_text())["all_passed"]
 
     def test_verify_n_100_passes(self, tmp_path):
         # it exited 4 (gram-det 2.4e-8, the 99th power of a centred

@@ -8,8 +8,10 @@ import geocount as gc
 from geocount.errors import (ConfigurationError, DomainError, InputError,
                              IntegrationFailureError)
 from geocount import flow
+from geocount import manifolds as mf
 from geocount.flow import SIGMA_REFINE_TOL
-from matrix_forms import closed_form_matrices, jacobi_matrices, jacobi_stacks
+from matrix_forms import (closed_form_matrices, jacobi_matrices, jacobi_stacks,
+                          random_point, sampled_geodesic)
 
 
 def _traj_and_system(spec, T=3.0, step=1e-3, direction=0):
@@ -219,9 +221,11 @@ class TestIntegrateGeodesic:
                            traj.velocities[j])
             assert abs(g - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("c", [-4.0, -3.9])
+    @pytest.mark.parametrize("c", [-4.0, -3.9, -25.0])
     def test_strongly_hyperbolic_closed_form(self, c):
-        # ambient RK4 drifted off unit speed here; the closed form does not
+        # ambient RK4 drifted off unit speed here; the closed form does not.
+        # At c = -25 the terms of |gamma'|^2 reach cosh^2(25) = 1.3e21, so
+        # the speed drift is taken relative to their size
         spec = gc.constant_curvature(c, 3)
         x = gc.canonical_point(spec)
         theta = gc.orthonormal_frame(spec, x)[0]
@@ -274,6 +278,35 @@ class TestIntegrateGeodesic:
         x = gc.canonical_point(spec)
         traj = gc.integrate_geodesic(spec, x, gc.orthonormal_frame(spec, x)[0], 1.0, 1e-2)
         assert traj.frame.shape == (2, 4)
+
+
+_EVERY_KIND = [
+    *(gc.constant_curvature(c, 3) for c in (1.0, 4.0, -1.0, -2.0, 0.0)),
+    gc.flat_torus(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])),
+    *(gc.warped_product(name, 3) for name in sorted(mf.WARP_CATALOG)),
+]
+
+
+class TestClosedFormTrajectory:
+    @pytest.mark.parametrize("seed", [0, 1, 101])
+    @pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda s: s.label)
+    def test_at_equals_the_sampled_arrays(self, spec, seed):
+        # a random point and direction; radial rays stay inside the warp's
+        # domain for 0.15 of arc length
+        x, theta = random_point(spec, np.random.default_rng(seed), radial=True)
+        T = 0.15 if spec.kind == mf.WARPED_PRODUCT else 3.0
+        traj = gc.integrate_geodesic(spec, x, theta, T, 1e-3)
+        want = sampled_geodesic(spec, x, theta, traj.sigma)
+        for got in (traj.at(traj.sigma), (traj.positions, traj.velocities)):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    def test_trajectory_keeps_no_sample_arrays(self):
+        fields = [f.name for f in dataclasses.fields(gc.GeodesicTrajectory)]
+        assert fields == ["spec", "x0", "theta0", "sigma", "frame", "scale", "step"]
+        fields = [f.name for f in dataclasses.fields(gc.JacobiSystem)]
+        assert "kop" not in fields
 
 
 class TestPropagateJacobi:
@@ -330,7 +363,8 @@ class TestPropagateJacobi:
         ref = _matrix_reference(spec, traj)
         for got, want in zip(jacobi_stacks(js), ref):
             assert np.array_equal(got, want)
-        assert np.array_equal(js.kappa, js.kop.profile(js.sigma))
+        kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
+        assert np.array_equal(js.kappa, kprofile(js.sigma))
 
     def test_fundamental_solutions_keep_one_row_per_grid_cell(self):
         # two grid cells on a varying profile: one row per grid point, in the
@@ -522,8 +556,9 @@ class TestFlatKernel:
     def test_flat_systems_equal_the_loop(self, spec):
         # both flat kinds reach the branch through propagate_jacobi, and c = 0
         # through the counting integral's eta
-        _, js = _traj_and_system(spec, T=2.345)
-        _, inputs = flow._rk4_inputs(js.kop.profile, js.sigma)
+        traj, js = _traj_and_system(spec, T=2.345)
+        kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
+        _, inputs = flow._rk4_inputs(kprofile, js.sigma)
         want = _literal_rk4(inputs, 1.0, 0.0) + _literal_rk4(inputs, 0.0, 1.0)
         assert _same_bits(js.cols, np.column_stack(want))
         grid = flow._grid(2.345, 1e-3)

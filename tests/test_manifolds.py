@@ -9,6 +9,7 @@ import geocount as gc
 from geocount import manifolds as mf
 from geocount.errors import (CatalogError, ConfigurationError, DomainError,
                              InputError)
+from matrix_forms import gram_schmidt_frame
 
 
 class TestSphereQuadrature:
@@ -282,6 +283,41 @@ class TestTangentFrames:
         normal_frame = mf.orthonormal_frame(spec, x, [theta])
         assert normal_frame.shape == (spec.n - 1, len(x))
         check(normal_frame, [theta])
+
+
+def _canonical_frame_specs():
+    """Space forms of six curvatures, the five warps and the torus, each in
+    dimensions 2, 3, 5, 40 and 400."""
+    for n in (2, 3, 5, 40, 400):
+        yield from (gc.constant_curvature(c, n) for c in (1.0, 4.0, -1.0, -2.0, 0.0, 0.3))
+        yield from (gc.warped_product(name, n) for name in sorted(mf.WARP_CATALOG))
+        yield gc.flat_torus(np.eye(n))
+
+
+class TestReflectionFrame:
+    @pytest.mark.parametrize("spec", list(_canonical_frame_specs()),
+                             ids=lambda s: s.label)
+    def test_canonical_frames_equal_gram_schmidt(self, spec):
+        # every axis that no mirror touches stays the same axis, bit for bit
+        x = gc.canonical_point(spec)
+        want = gram_schmidt_frame(spec, x)
+        theta = want[0]
+        for got, ref in ((gc.orthonormal_frame(spec, x), want),
+                         (gc.orthonormal_frame(spec, x, [theta]),
+                          gram_schmidt_frame(spec, x, [theta]))):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("c,normals", [
+        (1.0, [np.zeros(4)]),
+        (1.0, [np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0, 0.0])]),
+        (1.0, [np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.0, 2.0, 2.0, 1e-12])]),
+        (-1.0, [np.array([2.0, 0.0, 0.0, 0.0])]),
+    ], ids=["zero", "parallel", "parallel-to-rounding", "hyperboloid-x-again"])
+    def test_null_or_dependent_normal_is_refused(self, c, normals):
+        spec = gc.constant_curvature(c, 3)
+        with pytest.raises(InputError, match="null or in the span"):
+            gc.orthonormal_frame(spec, gc.canonical_point(spec), normals)
 
 
 class TestCurvatureAlong:

@@ -2,8 +2,8 @@
 count/growth and verify runs over a bounded parameter box end with a
 documented exit code (0 ok, 2 validation, 3 numerical failure, 4
 verification failure), herglotz runs for c in {0} U [1e-3, 400] pass every
-check, and the certified Stieltjes scan finds the peaks of the full-grid
-scan."""
+check, the certified Stieltjes scan finds the peaks of the full-grid
+scan, and frames and geodesics at random points pass their checks."""
 
 import math
 import tempfile
@@ -13,10 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geocount as gc
 from geocount import cli, herglotz
+from geocount import manifolds as mf
 from geocount.errors import CatalogError, ConfigurationError, InputError
 from geocount.herglotz import HerglotzMatrix
 from geocount.manifolds import WARP_CATALOG
+from matrix_forms import random_point
 
 LIST_KEYS = ("parameters.t", "parameters.tau_schedule", "parameters.c_grid",
              "manifold.basis")
@@ -130,3 +133,56 @@ def test_certified_scan_on_a_constant_function(scale, a, tau):
     grid = _scan_grid(a, 0.05, tau)
     want = _full_grid_peaks(Fh, grid, tau, 0.1)
     assert np.array_equal(herglotz._scan_peaks(Fh, grid, tau, 0.1), want)
+
+
+_KINDS = ["sphere", "hyperboloid", "flat", "torus", *sorted(WARP_CATALOG)]
+
+
+def _spec(kind, size, n):
+    """A spec of the kind named; space forms have |c| = 10^size."""
+    if kind in ("sphere", "hyperboloid"):
+        return gc.constant_curvature((1.0 if kind == "sphere" else -1.0) * 10.0**size, n)
+    if kind == "flat":
+        return gc.constant_curvature(0.0, n)
+    if kind == "torus":
+        return gc.flat_torus(2.0 * np.eye(n))
+    return gc.warped_product(kind, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=29)
+@given(kind=st.sampled_from(_KINDS), size=st.floats(-1.0, 2.0),
+       n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+@example(kind="hyperboloid", size=1.4, n=57, seed=59)  # failed with Gram-Schmidt
+def test_frames_at_random_points_are_orthonormal_and_normal(kind, size, n, seed):
+    # Gram-Schmidt left defects up to 8e-9 on the hyperboloid
+    spec = _spec(kind, size, n)
+    x, theta = random_point(spec, np.random.default_rng(seed))
+    g = mf.metric_diagonal(spec, x)
+    model = []
+    if spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0:
+        model = [x]
+    elif spec.kind == mf.WARPED_PRODUCT:
+        model = [np.concatenate(([0.0], x[1:]))]
+    for normals in ([], [theta]):
+        frame = gc.orthonormal_frame(spec, x, normals)
+        assert frame.shape == (n - len(normals), len(x))
+        assert np.max(np.abs((frame * g) @ frame.T - np.eye(len(frame)))) <= 1e-11
+        for p in model + normals:
+            size_p = math.sqrt(abs(np.sum(g * p * p)))
+            assert np.max(np.abs((frame * g) @ p)) <= 1e-11 * size_p
+
+
+@settings(derandomize=True, deadline=None, max_examples=29)
+@given(size=st.floats(-1.0, 2.0), n=st.integers(2, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=1.4, n=57, seed=59)  # failed with Gram-Schmidt
+def test_geodesics_at_random_hyperboloid_points_pass_their_checks(size, n, seed):
+    # six e-folds of the scalars: with Gram-Schmidt frames (1e-8 frame
+    # check) and an absolute unit-speed drift (1e-6), about one point in
+    # five failed
+    c = -10.0**size
+    spec = gc.constant_curvature(c, n)
+    x, theta = random_point(spec, np.random.default_rng(seed))
+    T = 6.0 / math.sqrt(-c)
+    traj = gc.integrate_geodesic(spec, x, theta, T, T / 500)
+    assert len(traj.sigma) == 501
