@@ -1,21 +1,21 @@
 """Unit-speed geodesics and Jacobi fields along them.
 
-Geodesics are kept as closed forms, evaluated where asked: great circles and
-their hyperbolic and flat analogues, straight lines on tori, radial rays in
-warped products.  Jacobi fields are sampled on a uniform arc-length grid.  On
-every model manifold the curvature operator along a geodesic is
-kappa(sigma) * Id in a parallel orthonormal frame, so the matrix Jacobi
-equation Y'' + kappa Y = 0 reduces to one scalar equation.  Its two
-fundamental solutions, xi with data (1, 0) and eta with data (0, 1), are
-propagated one at a time by one classical RK4 loop over plain float lists,
-one step per grid cell (kappa sampled once for both, in one profile call;
-where kappa is 0 the loop is one running sum); the counting integral runs
-the same loop for eta alone.  The matrix solutions are Xi = xi * Id and
-H = eta * Id.  Cubic Hermite dense output (exact to the integrator's order)
-supports evaluation between samples.  Since det Xi = xi^k and det H = eta^k,
-the zeros of both determinants (for H, the conjugate points) are the zeros
-of the scalars xi and eta, found as sign changes on the grid and refined on
-the same Hermite interpolant.
+Geodesics are kept as one closed form, xi x0 + eta theta0 with the
+space-form scalars of ``closed_form`` at the curvature c (0 on tori and on
+warped products' radial rays), evaluated where asked.  Jacobi fields are
+sampled on a uniform arc-length grid.  On every model manifold the
+curvature operator along a geodesic is kappa(sigma) * Id in a parallel
+orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces
+to one scalar equation.  Its two fundamental solutions, xi with data (1, 0)
+and eta with data (0, 1), are propagated one at a time by one classical RK4
+loop over plain float lists, one step per grid cell (kappa sampled once for
+both, in one profile call; where kappa is 0 the loop is one running sum);
+the counting integral runs the same loop for eta alone.  The matrix
+solutions are Xi = xi * Id and H = eta * Id.  Cubic Hermite dense output
+(exact to the integrator's order) supports evaluation between samples.
+Since det Xi = xi^k and det H = eta^k, the zeros of both determinants (for
+H, the conjugate points) are the zeros of the scalars xi and eta, found as
+sign changes on the grid and refined on the same Hermite interpolant.
 """
 
 import math
@@ -75,55 +75,52 @@ class GeodesicTrajectory:
 
     def at(self, sigma):
         """(positions, velocities), (len(sigma), d) each, at the arc lengths
-        sigma; torus positions are wrapped."""
-        sigma = np.asarray(sigma, dtype=float)
-        spec, x, theta = self.spec, self.x0, self.theta0
-        velocities = np.broadcast_to(theta, (len(sigma), len(theta)))
-        if spec.kind == mf.FLAT_TORUS:
-            positions = mf.torus_wrap(spec.basis, x + sigma[:, None] * theta)
-        elif spec.kind == mf.WARPED_PRODUCT:
-            positions = np.tile(x, (len(sigma), 1))
-            positions[:, 0] = mf.radial_ray(spec, x, theta)(sigma)
-        else:
-            xi, dxi, eta, deta = closed_form.scalars(spec.c, sigma)
-            positions = xi[:, None] * x + eta[:, None] * theta
-            velocities = dxi[:, None] * x + deta[:, None] * theta
-        return positions, velocities
-
-    positions = property(lambda self: self.at(self.sigma)[0])
-    velocities = property(lambda self: self.at(self.sigma)[1])
+        sigma: xi x0 + eta theta0 and xi' x0 + eta' theta0; torus positions
+        are wrapped."""
+        xi, dxi, eta, deta = _scalars(self.spec, np.asarray(sigma, dtype=float))
+        x, theta = self.x0, self.theta0
+        positions = xi[:, None] * x + eta[:, None] * theta
+        if self.spec.kind == mf.FLAT_TORUS:
+            positions = mf.torus_wrap(self.spec.basis, positions)
+        elif self.spec.kind == mf.WARPED_PRODUCT:
+            self.spec.warp.check_domain(positions[:, 0])
+        return positions, dxi[:, None] * x + deta[:, None] * theta
 
 
-def _check_trajectory(traj, a, b):
+def _scalars(spec, sigma):
+    """``closed_form.scalars`` at the curvature c of the geodesic's closed
+    form: spec.c on space forms, 0 on tori and on warped products, whose
+    radial rays are straight lines in the coordinates (r, y)."""
+    return closed_form.scalars(spec.c if spec.kind == mf.CONSTANT_CURVATURE else 0.0,
+                               sigma)
+
+
+def _check_trajectory(traj):
     """Unit speed at every sample and an orthonormal normal frame.  The
-    velocity a x0 + b theta0 has |gamma'|^2 = a^2 <x0, x0> + 2ab <x0, theta0>
-    + b^2 <theta0, theta0>, the metric's fiber entries taken at x0 over
-    scale^2; its drift from 1 is relative to the terms' sizes."""
-    sigma, frame, scale, x, theta = (traj.sigma, traj.frame, traj.scale,
-                                     traj.x0, traj.theta0)
-    g = mf.metric_diagonal(traj.spec, x)
-
-    def dot(u, v):
-        return g[0] * u[0] * v[0] + np.dot(g[1:] * u[1:], v[1:]) / scale**2
-
-    terms = (a * a * dot(x, x), 2.0 * a * b * dot(x, theta), b * b * dot(theta, theta))
+    velocity a x0 + b theta0, (a, b) = (xi', eta'), has |gamma'|^2 =
+    a^2 <x0, x0> + 2ab <x0, theta0> + b^2 <theta0, theta0>, taken at x0 (on
+    a warped product a = 0 and the fiber part of the radial theta0 is at
+    most 1e-10, so the scale drops out); its drift from 1 is relative to the
+    terms' sizes.  The frame is transported exactly, so it is checked once,
+    at x0, under diag(g): its Gram matrix and its products with theta0, and
+    with x0 where a != 0 (curved space forms), each relative to the sizes
+    of the terms it sums."""
+    spec, x, theta, frame = traj.spec, traj.x0, traj.theta0, traj.frame
+    _, a, _, b = _scalars(spec, traj.sigma)
+    terms = (a * a * mf.metric_dot(spec, x, x, x),
+             2.0 * a * b * mf.metric_dot(spec, x, x, theta),
+             b * b * mf.metric_dot(spec, x, theta, theta))
     drift = np.abs(sum(terms) - 1.0) / np.maximum(1.0, sum(map(np.abs, terms)))
-    # the frame, orthonormal and normal to the velocity at up to 64 samples
-    # (transport is exact on every branch): one Gram matrix per distinct
-    # metric diagonal scale^2 * g, so space forms and tori build one
-    idx = np.unique(np.linspace(0, len(sigma) - 1, min(len(sigma), 64)).astype(int))
-    positions, velocities = traj.at(sigma[idx])
-    g = mf.metric_diagonal(traj.spec, positions)
-    rows, which = np.unique(g * (scale[idx, None] ** 2), axis=0, return_inverse=True)
-    eye = np.eye(len(frame))
-    gram = np.array([np.max(np.abs((frame * q) @ frame.T - eye)) for q in rows])
-    normal = scale[idx, None] * ((g * velocities) @ frame.T)
-    defect = np.maximum(gram[which.reshape(-1)], np.max(np.abs(normal), axis=1))
-    for name, value, tol, at in (("unit-speed drift", drift, SPEED_DRIFT_TOL, sigma),
-                                 ("frame orthonormality defect", defect, 1e-8, sigma[idx])):
-        bad = np.flatnonzero(value > tol)
+    curved = spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0
+    vs = np.vstack([frame, theta, x] if curved else [frame, theta])
+    gf = frame * mf.metric_diagonal(spec, x)
+    defect = np.max(np.abs(gf @ vs.T - np.eye(len(frame), len(vs)))
+                    / np.maximum(1.0, np.abs(gf) @ np.abs(vs).T))
+    for name, value, tol in (("unit-speed drift", drift, SPEED_DRIFT_TOL),
+                             ("frame orthonormality defect", [defect], 1e-8)):
+        bad = np.flatnonzero(np.asarray(value) > tol)
         if len(bad):
-            s = float(at[bad[0]])
+            s = float(traj.sigma[bad[0]])
             raise IntegrationFailureError(
                 f"flow.integrate_geodesic: {name} {value[bad[0]]:.3e} at "
                 f"sigma={s:.6f}", sigma=s)
@@ -131,26 +128,22 @@ def _check_trajectory(traj, a, b):
 
 def integrate_geodesic(spec, x, theta, T, step):
     """The unit-speed geodesic with gamma(0)=x, gamma'(0)=theta to T, kept
-    as its closed form: xi(sigma) x + eta(sigma) theta on a space form's
-    ambient quadric (``closed_form.scalars``), with a constant frame normal
-    to span(x, theta); a straight line wrapped back to a torus's fundamental
-    domain; a warped product's radial ray.  Unit speed is checked at every
-    grid point and the frame at up to 64 of them.
+    as its closed form xi(sigma) x + eta(sigma) theta (``GeodesicTrajectory.at``)
+    with a constant frame normal to theta (and to x on curved space forms)
+    and, on a warped product, the radial ray's scale.  Unit speed is checked
+    at every grid point and the frame once, at x.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     mf.require_unit_direction(spec, x, theta)
     sigma = _grid(T, step)
     scale = np.ones(len(sigma))
-    a, b = 0.0, 1.0  # the velocity is a x + b theta
     if spec.kind == mf.WARPED_PRODUCT:
         r = mf.radial_ray(spec, x, theta)(sigma)
         scale = spec.warp.value(x[0]) / spec.warp.value(r)
-    elif spec.kind == mf.CONSTANT_CURVATURE:
-        _, a, _, b = closed_form.scalars(spec.c, sigma)
     frame = mf.orthonormal_frame(spec, x, [theta])
     traj = GeodesicTrajectory(spec, x, theta, sigma, frame, scale, sigma[1] - sigma[0])
-    _check_trajectory(traj, a, b)
+    _check_trajectory(traj)
     return traj
 
 

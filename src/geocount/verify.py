@@ -182,7 +182,8 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         quad = mf.unit_sphere_quadrature(
             spec.n, "product_gauss" if spec.n <= 4 else "monte_carlo",
             64 if spec.n == 2 else 16, seed)
-        T = 2.0 if spec.c <= 0 else 2.0 / math.sqrt(spec.c)
+        # short of the first conjugate point pi / sqrt(c), and bounded as c -> 0+
+        T = 2.0 / math.sqrt(max(1.0, spec.c))
         total = counting.berger_bott_total(spec, x, T, quad, step=1e-3)
         oracle = _oracle_counting_total(spec, T)
         checks.append(_check("counting total vs closed-form integrand oracle",

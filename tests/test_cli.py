@@ -266,12 +266,14 @@ class TestRunner:
                          "--T", "1,2", "--out", str(tmp_path / "q"), "--quiet"])
         assert code == 2
 
-    @pytest.mark.parametrize("task,n", [
-        pytest.param("herglotz", "400", id="herglotz"),
-        pytest.param("verify", "400", id="verify"),
-        pytest.param("verify", "800", id="verify-800"),
+    @pytest.mark.parametrize("task,n,extra", [
+        pytest.param("herglotz", "400", [], id="herglotz"),
+        pytest.param("verify", "400", [], id="verify"),
+        pytest.param("verify", "800", [], id="verify-800"),
+        pytest.param("verify", "800", ["--kind", "warped_product", "--warp", "cosh"],
+                     id="verify-warped-800"),
     ])
-    def test_matrix_stacks_capped_before_allocating(self, tmp_path, task, n):
+    def test_matrix_stacks_capped_before_allocating(self, tmp_path, task, n, extra):
         # herglotz --n 400 asked for 39 GiB (exit 1) and verify --n 400 grew
         # until it was killed; neither builds a k x k stack any more.  Both
         # pass every check.  herglotz inverts the scalar measure of phi, so
@@ -280,8 +282,9 @@ class TestRunner:
         # verify's determinant growth bound, whose sigma^798 overflows a
         # float from sigma = 2.44 on, compares the logs of its sides there.
         # verify --n 800 keeps no (m+1) x d sample arrays and builds its
-        # frames with one reflection per normal
-        proc = _main_under_1gib([task, "--n", n, "--quiet",
+        # frames with one reflection per normal; a warped product's frame is
+        # checked once, at the base point, not once per metric row
+        proc = _main_under_1gib([task, *extra, "--n", n, "--quiet",
                                  "--out", str(tmp_path / task)])
         assert proc.returncode == 0, proc.stderr
         assert "a stack of shape" not in proc.stderr
@@ -410,6 +413,16 @@ class TestRunner:
         # exit 3 at c = -9 and -25: the unit-speed drift and the propagated
         # Jacobi check took absolute differences of terms near
         # cosh(5 sqrt|c|); both are now relative to the terms' size
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--c", c, "--n", "3", "--out", str(out),
+                         "--quiet"])
+        assert code == 0
+        assert json.loads((out / "verify_report.json").read_text())["all_passed"]
+
+    @pytest.mark.parametrize("c", ["1e-7", "1e-9", "1e-300"])
+    def test_verify_passes_at_small_positive_c(self, tmp_path, c):
+        # exit 2: the counting cutoff 2/sqrt(c) grew past the RK4 step cap as
+        # c -> 0+; it is 2/max(1, sqrt(c)), short of the conjugate point
         out = tmp_path / "v"
         code = cli.main(["verify", "--c", c, "--n", "3", "--out", str(out),
                          "--quiet"])

@@ -1,10 +1,13 @@
 """Property tests: malformed input is refused with a validation error,
-count/growth and verify runs over a bounded parameter box end with a
-documented exit code (0 ok, 2 validation, 3 numerical failure, 4
-verification failure), herglotz runs for c in {0} U [1e-3, 400] pass every
-check, the certified Stieltjes scan finds the peaks of the full-grid
-scan, and frames and geodesics at random points pass their checks."""
+count/growth, verify and gromov runs over a bounded parameter box (space
+forms, flat tori on random bases, warped products) end with a documented
+exit code (0 ok, 2 validation, 3 numerical failure, 4 verification failure;
+a RuntimeWarning is an error under the suite's warning filter), herglotz
+runs for c in {0} U [1e-3, 400] pass every check, the certified Stieltjes
+scan finds the peaks of the full-grid scan, and frames and geodesics at
+random points pass their checks."""
 
+import dataclasses
 import math
 import tempfile
 
@@ -14,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geocount as gc
-from geocount import cli, herglotz
+from geocount import cli, flow, herglotz
 from geocount import manifolds as mf
-from geocount.errors import CatalogError, ConfigurationError, InputError
+from geocount.errors import (CatalogError, ConfigurationError, InputError,
+                             IntegrationFailureError)
 from geocount.herglotz import HerglotzMatrix
 from geocount.manifolds import WARP_CATALOG
 from matrix_forms import random_point
@@ -71,6 +75,70 @@ def test_verify_exits_with_a_documented_code(kind, seed):
         code = cli.main(["verify", *kind, "--seed", str(seed), "--out", out,
                          "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+def _basis_text(entries, n):
+    return ";".join(" ".join(repr(v) for v in entries[i * n:(i + 1) * n])
+                    for i in range(n))
+
+
+# a flat torus on a random basis, as CLI flags; singular bases are refused
+# (exit 2)
+_TORI = st.integers(2, 4).flatmap(lambda n: st.builds(
+    lambda entries: ["--kind", "flat_torus", "--n", str(n),
+                     f"--basis={_basis_text(entries, n)}"],
+    st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(task=st.sampled_from(["count", "growth"]),
+       torus=_TORI,
+       lo=st.floats(0.0, 20.0),
+       span=st.floats(0.0, 20.0),
+       count=st.integers(1, 12),
+       step=st.floats(1e-3, 0.5),
+       order=st.integers(1, 12))
+def test_count_and_growth_on_random_tori_exit_with_a_documented_code(
+        task, torus, lo, span, count, step, order):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main([task, *torus, f"--T={lo!r}:{lo + span!r}:{count}",
+                         f"--step={step!r}", "--quad-order", str(order),
+                         "--out", out, "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(torus=_TORI, seed=st.integers(0, 1000))
+def test_verify_on_random_tori_exits_with_a_documented_code(torus, seed):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["verify", *torus, "--seed", str(seed), "--out", out,
+                         "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.integers(2, 4), K=st.integers(1, 30),
+       c_grid=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4),
+       step=st.floats(1e-2, 0.1), order=st.integers(1, 12))
+def test_gromov_on_the_unit_sphere_exits_with_a_documented_code(n, K, c_grid,
+                                                                step, order):
+    grid = ",".join(repr(c) for c in c_grid)
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["gromov", "--c", "1", "--n", str(n), "--K", str(K),
+                         f"--c-grid={grid}", f"--step={step!r}",
+                         "--quad-order", str(order), "--out", out, "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("task", ["count", "growth"])
+@pytest.mark.parametrize("warp", sorted(WARP_CATALOG))
+def test_count_and_growth_refuse_every_warp_with_exit_2(task, warp, capsys):
+    # counting needs direction quadrature; a warped product has radial rays only
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main([task, "--kind", "warped_product", "--warp", warp,
+                         "--n", "3", "--out", out, "--quiet"])
+    assert code == 2
+    assert "radial geodesics only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("warp", sorted(WARP_CATALOG))
@@ -177,12 +245,22 @@ def test_frames_at_random_points_are_orthonormal_and_normal(kind, size, n, seed)
        seed=st.integers(0, 2**32 - 1))
 @example(size=1.4, n=57, seed=59)  # failed with Gram-Schmidt
 def test_geodesics_at_random_hyperboloid_points_pass_their_checks(size, n, seed):
-    # six e-folds of the scalars: with Gram-Schmidt frames (1e-8 frame
-    # check) and an absolute unit-speed drift (1e-6), about one point in
-    # five failed
+    # twenty e-folds of the scalars.  At six, Gram-Schmidt frames (1e-8
+    # frame check) and an absolute unit-speed drift (1e-6) failed about one
+    # point in five; at twenty, a frame normality taken against gamma' at
+    # the samples, which grows like e^{sqrt|c| sigma}, failed every point
     c = -10.0**size
     spec = gc.constant_curvature(c, n)
     x, theta = random_point(spec, np.random.default_rng(seed))
-    T = 6.0 / math.sqrt(-c)
+    T = 20.0 / math.sqrt(-c)
     traj = gc.integrate_geodesic(spec, x, theta, T, T / 500)
     assert len(traj.sigma) == 501
+    # the check still catches a frame 1e-6 off (relative to the size of
+    # its Gram terms, up to 1e3 here) and a point off the quadric
+    g = mf.metric_diagonal(spec, x)
+    sizes = np.abs(traj.frame * g) @ np.abs(traj.frame).T
+    frame = traj.frame * (1.0 + 1e-6 * np.max(sizes))
+    with pytest.raises(IntegrationFailureError, match="frame orthonormality defect"):
+        flow._check_trajectory(dataclasses.replace(traj, frame=frame))
+    with pytest.raises(IntegrationFailureError, match="unit-speed drift"):
+        flow._check_trajectory(dataclasses.replace(traj, x0=1.001 * x))
