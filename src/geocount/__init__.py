@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .closed_form import ClosedFormJacobi
 from .counting import (CountingCurve, GrowthReport, berger_bott_curve,
                        berger_bott_total, classify_growth, count_sphere_arcs,
-                       count_torus_lattice, loop_space_betti_partial_sums,
-                       search_gromov_constant, torus_count_integral_oracle)
+                       loop_space_betti_partial_sums, search_gromov_constant,
+                       torus_count_integral_oracle)
 from .errors import (CatalogError, ConfigurationError, ConvergenceError,
                      DegeneracyError, DomainError, GeocountError, InputError,
                      IntegrationFailureError, NumericalError, PoleError)

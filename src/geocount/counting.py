@@ -4,8 +4,9 @@ The total count of geodesic arcs out of a point, integrated over targets,
 equals a double integral of the Jacobi-field Gram determinant: arc length
 along each geodesic, directions over the unit tangent sphere.  This module
 evaluates that double integral on the model manifolds, provides independent
-counting oracles for the round sphere and flat tori, and classifies the
-growth of the resulting curves in the length cutoff T.
+counting oracles (arc counts on the round sphere; on flat tori, a Monte Carlo
+integral over targets of lattice counts, one lattice enumeration per call),
+and classifies the growth of the resulting curves in the length cutoff T.
 """
 
 import csv
@@ -209,7 +210,7 @@ _LATTICE_BALL_CAP = 2_000_000
 _LINE_BUDGET = 8192
 
 
-def _lattice_frame(basis, reach, caller):
+def _lattice_frame(basis, reach):
     """Fincke-Pohst frame of the lattice for the ball of radius reach.
 
     Refuses, before any array is built, a reach whose coefficient box is not
@@ -235,7 +236,8 @@ def _lattice_frame(basis, reach, caller):
                if math.isfinite(reach) else [reach])
     if not all(math.isfinite(e) for e in extents):
         raise InputError(
-            f"counting.{caller}: the coefficient box for reach {reach} is not finite")
+            "counting.torus_count_integral_oracle: the coefficient box for "
+            f"reach {reach} is not finite")
     norms = np.linalg.norm(basis, axis=1)
     ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     with np.errstate(over="ignore", divide="ignore"):
@@ -243,8 +245,8 @@ def _lattice_frame(basis, reach, caller):
                       / abs(np.linalg.det(basis)))
     if not bound <= _LATTICE_BALL_CAP:
         raise InputError(
-            f"counting.{caller}: the ball of radius {reach:g} may hold "
-            f"{bound:.0f} lattice points, more than the cap of "
+            "counting.torus_count_integral_oracle: the ball of radius "
+            f"{reach:g} may hold {bound:.0f} lattice points, more than the cap of "
             f"{_LATTICE_BALL_CAP}; lower T or use a less elongated basis")
     order = np.argsort(norms, kind="stable")
     R = np.linalg.qr(basis[order].T, mode="r")
@@ -323,51 +325,11 @@ def _lattice_lines(R, w, rad2):
                       P[rep] + (R[i, i] * (j - a[rep])) ** 2))
 
 
-def _lattice_vectors(z, line, j, order, basis):
-    """The lattice vectors of the points j of the given lines (rows of z,
-    coefficients in the frame's order): their coefficients @ basis."""
-    coef = np.empty((len(line), len(order)))
-    coef[:, order] = z[line]
-    coef[:, order[0]] = j
-    return coef @ basis
-
-
-def _count_ball(basis, frame, centre, radius):
-    """Number of lattice vectors v with np.linalg.norm(centre + v) <= radius,
-    as that float test decides it: each line counts the vectors more than
-    the frame's tol inside at once, and only the few within tol of the
-    sphere are formed and tested."""
-    order, R, tol = frame
-    w = np.linalg.solve(basis.T, centre)[order]  # centre = w @ basis
-    r2 = radius * radius
-    count = 0
-    for _, z, a, P in _lattice_lines(R, w[None, :], r2 + tol):
-        inside, line, j = _line_split(a, P, r2 - tol, r2 + tol, R[0, 0])
-        near = centre + _lattice_vectors(z, line, j, order, basis)
-        count += int(np.sum(inside)) + int(np.count_nonzero(
-            np.linalg.norm(near, axis=1) <= radius))
-    return count
-
-
-def count_torus_lattice(basis, x, y, T: float) -> int:
-    """Number of lattice translates v with ||y - x + v|| <= T.
-
-    Geodesic arcs on the torus from x to y correspond one-to-one to lattice
-    vectors; they are counted line by line in the ball of radius T about
-    x - y (Fincke-Pohst), whose vectors lie within T + ||y - x|| of the
-    origin.
-    """
-    basis = np.asarray(basis, dtype=float)
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    frame = _lattice_frame(basis, T + float(np.linalg.norm(diff)),
-                           "count_torus_lattice")
-    return _count_ball(basis, frame, diff, T) if T >= 0 else 0
-
-
-# targets per oracle chunk times the lattice vectors within reach, at most;
-# a sub-cell's shell lies within reach, so this bounds the (target, shell
-# slot) entries of a chunk (about 25 bytes each) whatever the lattice size
-_ORACLE_PAIR_BUDGET = 2_000_000
+# targets per chunk of the oracle's first pass, and (target, slot) entries
+# per buffer of its pairwise pass (unless a single shell is wider): they bound
+# the per-chunk arrays whatever the lattice size or the number of samples
+_ORACLE_ROWS = 4096
+_ORACLE_ENTRIES = 2**16
 
 
 def _oracle_cells_per_axis(basis):
@@ -428,7 +390,11 @@ def _oracle_cells(basis, frame, T, reach, m, cells):
         inside, line, j = _line_split(a, P, inner2, outer2, R[0, 0])
         sure += np.bincount(cells[owner], inside, size).astype(np.int64)
         owners.append(cells[owner[line]])
-        shells.append(_lattice_vectors(z, line, j, order, basis))
+        # the shell points' coefficients, back in the basis order, @ basis
+        coef = np.empty((len(line), n))
+        coef[:, order] = z[line]
+        coef[:, order[0]] = j
+        shells.append(coef @ basis)
         work += len(owner) + len(line)
     # lines come out in the order of their centres, so the shell vectors are
     # in sub-cell order already
@@ -454,6 +420,17 @@ def _sub_cell(u, m):
     # floor(u_k m_k) <= m_k - 1: for an integer m, the largest double below 1
     # times m still rounds below m
     return np.ravel_multi_index((u * m).astype(np.intp).T, m)
+
+
+def _oracle_points(u, basis):
+    """The targets u @ basis, summed u_0 b_0 + u_1 b_1 + ... in coordinate
+    order: a row's bits then do not depend on the rows mapped with it, as
+    those of a matrix product can.  Built one coordinate at a time, for long
+    inner loops, and returned as the transpose of that (n, targets) array."""
+    y = basis[0][:, None] * u[:, 0]
+    for k in range(1, len(basis)):
+        y += basis[k][:, None] * u[:, k]
+    return y.T
 
 
 def _shell_hits(table, y, rows, T, d2, term):
@@ -491,10 +468,10 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     shortest row) and lists its shell (about the shell's volume over
     |det|).  The pairwise pass makes samples x (largest shell) entries.
     Nothing scales with the lattice vectors within reach, which are only
-    counted, line by line: the targets are drawn and mapped in row chunks
-    of _ORACLE_PAIR_BUDGET // that count, the chunks in which a test of
-    every pair draws them, since the rows of u @ basis can differ in the
-    last bit with the chunk size.
+    counted, line by line.  The first pass draws _ORACLE_ROWS targets at a
+    time, the pairwise pass as many as fill buffers of _ORACLE_ENTRIES
+    entries (one, where the largest shell is wider).  Each target is summed
+    in coordinate order on its own, so no value depends on the chunk sizes.
     """
     if samples < 1:
         raise InputError(
@@ -508,12 +485,10 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
     with np.errstate(over="ignore"):
         diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     reach = T + diam
-    frame = _lattice_frame(basis, reach, "torus_count_integral_oracle")
-    chunk = max(1, _ORACLE_PAIR_BUDGET
-                // _count_ball(basis, frame, np.zeros(n), reach))
+    frame = _lattice_frame(basis, reach)
     m = _oracle_cells_per_axis(basis)
     occupied = np.zeros(math.prod(m), dtype=bool)
-    for u in _oracle_targets(seed, samples, chunk, n):
+    for u in _oracle_targets(seed, samples, _ORACLE_ROWS, n):
         occupied[_sub_cell(u, m)] = True
         if occupied.all():
             break
@@ -524,12 +499,14 @@ def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) ->
 
     # one pair of buffers for all chunks: fresh arrays of this size would
     # each be mapped and faulted in anew
+    chunk = max(1, _ORACLE_ENTRIES // max(1, table.shape[2]))
     d2, term = np.empty((2, min(chunk, samples), table.shape[2]))
     total = 0
     for u in _oracle_targets(seed, samples, chunk, n):
         cells = _sub_cell(u, m)
         total += int(np.sum(sure[cells])) + _shell_hits(
-            table, u @ basis, row[cells], T, d2[:len(u)], term[:len(u)])
+            table, _oracle_points(u, basis), row[cells], T, d2[:len(u)],
+            term[:len(u)])
     vol = abs(float(np.linalg.det(basis)))
     return vol * total / samples
 

@@ -61,16 +61,13 @@ def _grid(T: float, step: float) -> np.ndarray:
 @dataclass(frozen=True)
 class GeodesicTrajectory:
     """Unit-speed geodesic on the arc-length grid ``sigma``, kept as its
-    closed form (``at``), with the parallel orthonormal normal frame
-    scale[j] * frame at sigma[j]: scale is 1 on space forms and tori and
-    w(r0)/w(r) on a warped product's radial ray."""
+    closed form (``at``), with its orthonormal normal frame at x0."""
 
     spec: mf.ManifoldSpec
     x0: np.ndarray
     theta0: np.ndarray
     sigma: np.ndarray      # (m+1,)
     frame: np.ndarray      # (n-1, d)
-    scale: np.ndarray      # (m+1,)
     step: float
 
     def at(self, sigma):
@@ -100,11 +97,11 @@ def _check_trajectory(traj):
     velocity a x0 + b theta0, (a, b) = (xi', eta'), has |gamma'|^2 =
     a^2 <x0, x0> + 2ab <x0, theta0> + b^2 <theta0, theta0>, taken at x0 (on
     a warped product a = 0 and the fiber part of the radial theta0 is at
-    most 1e-10, so the scale drops out); its drift from 1 is relative to the
-    terms' sizes.  The frame is transported exactly, so it is checked once,
-    at x0, under diag(g): its Gram matrix and its products with theta0, and
-    with x0 where a != 0 (curved space forms), each relative to the sizes
-    of the terms it sums."""
+    most 1e-10, so the warp factor drops out); its drift from 1 is relative
+    to the terms' sizes.  The frame is transported exactly, so it is checked
+    once, at x0, under diag(g): its Gram matrix and its products with theta0,
+    and with x0 where a != 0 (curved space forms), each relative to the
+    sizes of the terms it sums."""
     spec, x, theta, frame = traj.spec, traj.x0, traj.theta0, traj.frame
     _, a, _, b = _scalars(spec, traj.sigma)
     terms = (a * a * mf.metric_dot(spec, x, x, x),
@@ -129,20 +126,19 @@ def _check_trajectory(traj):
 def integrate_geodesic(spec, x, theta, T, step):
     """The unit-speed geodesic with gamma(0)=x, gamma'(0)=theta to T, kept
     as its closed form xi(sigma) x + eta(sigma) theta (``GeodesicTrajectory.at``)
-    with a constant frame normal to theta (and to x on curved space forms)
-    and, on a warped product, the radial ray's scale.  Unit speed is checked
-    at every grid point and the frame once, at x.
+    with a constant frame normal to theta (and to x on curved space forms).
+    A warped product refuses a direction that is not radial and a ray that
+    leaves the warp's domain.  Unit speed is checked at every grid point and
+    the frame once, at x.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     mf.require_unit_direction(spec, x, theta)
     sigma = _grid(T, step)
-    scale = np.ones(len(sigma))
     if spec.kind == mf.WARPED_PRODUCT:
-        r = mf.radial_ray(spec, x, theta)(sigma)
-        scale = spec.warp.value(x[0]) / spec.warp.value(r)
+        mf.radial_ray(spec, x, theta)(sigma)
     frame = mf.orthonormal_frame(spec, x, [theta])
-    traj = GeodesicTrajectory(spec, x, theta, sigma, frame, scale, sigma[1] - sigma[0])
+    traj = GeodesicTrajectory(spec, x, theta, sigma, frame, sigma[1] - sigma[0])
     _check_trajectory(traj)
     return traj
 

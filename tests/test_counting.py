@@ -85,7 +85,12 @@ def _pairwise_oracle_reference(basis, T, samples, seed=0):
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
-        y = rng.random((take, n)) @ basis
+        u = rng.random((take, n))
+        # u @ basis summed in coordinate order, as the oracle sums it: a
+        # row's bits do not depend on the rows mapped with it
+        y = u[:, :1] * basis[0]
+        for k in range(1, n):
+            y += u[:, k:k + 1] * basis[k]
         d2 = np.sum((y[:, None, :] + vecs[None, :, :]) ** 2, axis=2)
         total += int(np.count_nonzero(d2 <= T * T))
         done += take
@@ -285,24 +290,28 @@ class TestSphereArcOracle:
 
 
 class TestTorusLatticeOracle:
-    def test_frozen_examples(self):
+    def test_frozen_examples(self, monkeypatch):
+        # one target: the oracle's value is |det| times its arc count
         eye = np.eye(2)
-        zero = np.zeros(2)
-        assert gc.count_torus_lattice(eye, zero, zero, 1.0) == 5
-        assert gc.count_torus_lattice(eye, zero, np.array([0.5, 0.0]), 0.4) == 0
-        assert gc.count_torus_lattice(eye, zero, zero, 2.0) == 13
+        for u, T, count in (([0.0, 0.0], 1.0, 5), ([0.5, 0.0], 0.4, 0),
+                            ([0.0, 0.0], 2.0, 13)):
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, u=u: _FixedStream(np.array([u])))
+            assert gc.torus_count_integral_oracle(eye, T, 1) == count
 
-    def test_skew_basis_vs_brute_force(self):
+    def test_skew_basis_vs_brute_force(self, monkeypatch):
         basis = np.array([[1.0, 0.3], [-0.2, 0.8]])
-        x = np.array([0.1, 0.05])
-        y = np.array([0.4, -0.3])
-        diff = y - x
+        u = np.array([[0.3, 0.6]])
+        y = u[0, 0] * basis[0] + u[0, 1] * basis[1]
         brute = 0
         for i in range(-20, 21):
             for j in range(-20, 21):
-                if np.linalg.norm(diff + i * basis[0] + j * basis[1]) <= 3.0:
+                if np.linalg.norm(y + i * basis[0] + j * basis[1]) <= 3.0:
                     brute += 1
-        assert gc.count_torus_lattice(basis, x, y, 3.0) == brute
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _FixedStream(u))
+        vol = abs(float(np.linalg.det(basis)))
+        assert gc.torus_count_integral_oracle(basis, 3.0, 1) == vol * brute
 
     def test_monte_carlo_matches_disk_area(self):
         # each target contributes the lattice points of a disk: the mean
@@ -317,14 +326,62 @@ class TestTorusLatticeOracle:
         b = gc.torus_count_integral_oracle(np.eye(2), 2.0, 5000, seed=11)
         assert a == b
 
-    def test_chunk_budget_does_not_change_the_count(self, monkeypatch):
-        # chunks draw consecutive rows of one random stream, so any budget
-        # gives the same targets and the same integer count
-        basis = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        full = gc.torus_count_integral_oracle(basis, 2.0, 3000, seed=3)
+    @pytest.mark.parametrize("basis", [
+        np.array([[1.0, 0.3], [-0.2, 0.8]]),
+        _VERIFY_BASIS,
+        np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
+                  [0.1, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 1.2]]),
+        np.eye(5) + 0.1 * np.tri(5, k=-1),
+    ], ids=["n2", "n3", "n4", "n5"])
+    def test_chunk_budget_does_not_change_the_count(self, monkeypatch, basis):
+        # chunks draw consecutive rows of one random stream and map each row
+        # on its own, so any budget gives the same targets, to the bit, and
+        # the same integer count
+        targets = []
+        hits = gc.counting._shell_hits
+
+        def spy(table, y, *args):
+            targets.append(y.copy())
+            return hits(table, y, *args)
+        monkeypatch.setattr(gc.counting, "_shell_hits", spy)
+        full = gc.torus_count_integral_oracle(basis, 1.0, 600, seed=3)
+        full_targets = np.concatenate(targets)
         for budget in (1, 1000):  # one target per chunk; a few per chunk
-            monkeypatch.setattr(gc.counting, "_ORACLE_PAIR_BUDGET", budget)
-            assert gc.torus_count_integral_oracle(basis, 2.0, 3000, seed=3) == full
+            monkeypatch.setattr(gc.counting, "_ORACLE_ROWS", budget)
+            monkeypatch.setattr(gc.counting, "_ORACLE_ENTRIES", budget)
+            targets.clear()
+            assert gc.torus_count_integral_oracle(basis, 1.0, 600, seed=3) == full
+            assert np.array_equal(np.concatenate(targets), full_targets)
+
+    def test_one_enumeration_per_call(self, monkeypatch):
+        calls = []
+        lines = gc.counting._lattice_lines
+
+        def spy(*args):
+            calls.append(args)
+            return lines(*args)
+        monkeypatch.setattr(gc.counting, "_lattice_lines", spy)
+        for basis in (np.eye(2), _VERIFY_BASIS, np.diag([0.01, 0.01, 1.0])):
+            calls.clear()
+            gc.torus_count_integral_oracle(basis, 1.0, 500, seed=0)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("basis,T", [
+        (np.diag([0.01, 0.01, 1.0]), 1.0),
+        (_VERIFY_BASIS, 5.0),
+    ])
+    def test_buffers_hold_at_most_the_entry_budget(self, monkeypatch, basis, T):
+        # every chunk's pairwise buffers, (targets, widest shell) each
+        budget = gc.counting._ORACLE_ENTRIES
+        sizes = []
+        hits = gc.counting._shell_hits
+
+        def spy(table, y, rows, T, d2, term):
+            sizes.extend((d2.size, term.size))
+            return hits(table, y, rows, T, d2, term)
+        monkeypatch.setattr(gc.counting, "_shell_hits", spy)
+        gc.torus_count_integral_oracle(basis, T, 20000, seed=0)
+        assert len(sizes) > 2 and max(sizes) <= budget
 
     def test_zero_cutoff_limit(self):
         assert gc.torus_count_integral_oracle(np.eye(2), 0.0, 100, seed=0) == 0.0
@@ -360,8 +417,9 @@ class TestOraclePruning:
                 == _pairwise_oracle_reference(basis, T, samples, seed))
 
     def test_sample_count_off_the_chunk_size(self, monkeypatch):
-        monkeypatch.setattr(gc.counting, "_ORACLE_PAIR_BUDGET", 1000)
-        # about 50 lattice vectors within T + diam: chunks of about 20 targets
+        monkeypatch.setattr(gc.counting, "_ORACLE_ROWS", 100)
+        monkeypatch.setattr(gc.counting, "_ORACLE_ENTRIES", 1000)
+        # chunks of 100 targets, then of 1000 // (widest shell) targets
         samples = 1013
         val = gc.torus_count_integral_oracle(np.eye(2), 2.0, samples, seed=9)
         assert val == _pairwise_oracle_reference(np.eye(2), 2.0, samples, seed=9)
@@ -370,7 +428,7 @@ class TestOraclePruning:
         # sub-cells of the unit square are 1/22 wide, about 0.064 across:
         # no lattice vector is within T of a whole sub-cell
         basis, T = np.eye(2), 0.03
-        frame = gc.counting._lattice_frame(basis, T + 2.0, "test")
+        frame = gc.counting._lattice_frame(basis, T + 2.0)
         m = gc.counting._oracle_cells_per_axis(basis)
         sure, lens, _, _ = gc.counting._oracle_cells(
             basis, frame, T, T + 2.0, m, np.arange(22 * 22))
@@ -452,7 +510,7 @@ class TestOraclePruning:
         # 1 563 (sub-cell, vector) entries of a dense classification
         basis, T = _VERIFY_BASIS, 5.0
         reach = T + float(np.sum(np.linalg.norm(basis, axis=1)))
-        frame = gc.counting._lattice_frame(basis, reach, "test")
+        frame = gc.counting._lattice_frame(basis, reach)
         _, cube_lens, _, _ = gc.counting._oracle_cells(
             basis, frame, T, reach, (8, 8, 8), np.arange(512))
         m = gc.counting._oracle_cells_per_axis(basis)
@@ -525,15 +583,10 @@ class TestLatticeBallGuard:
         with pytest.raises(InputError, match="214467265 lattice points"):
             gc.torus_count_integral_oracle(_THIN_BASIS, 5.0, 20000, seed=0)
 
-    def test_lattice_count_refuses_before_allocating(self, monkeypatch):
-        self._forbid_enumeration(monkeypatch)
-        with pytest.raises(InputError, match="lattice points, more than the cap"):
-            gc.count_torus_lattice(_THIN_BASIS, np.zeros(3), np.zeros(3), 5.0)
-
     def test_infinite_cutoff_is_an_input_error(self, monkeypatch):
         self._forbid_enumeration(monkeypatch)
         with pytest.raises(InputError, match="not finite"):
-            gc.count_torus_lattice(np.eye(2), np.zeros(2), np.zeros(2), math.inf)
+            gc.torus_count_integral_oracle(np.eye(2), math.inf, 10)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_six_dimensions_and_up_are_refused(self, monkeypatch, n):

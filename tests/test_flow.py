@@ -238,7 +238,6 @@ class TestIntegrateGeodesic:
         for got, want in zip(traj.at(traj.sigma), (pos, vel)):
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
         assert traj.frame.shape == (2, 4)
-        assert np.array_equal(traj.scale, np.ones(len(traj.sigma)))
 
     def test_input_validation(self):
         spec = gc.constant_curvature(1.0, 2)
@@ -304,7 +303,7 @@ class TestClosedFormTrajectory:
 
     def test_trajectory_keeps_no_sample_arrays(self):
         fields = [f.name for f in dataclasses.fields(gc.GeodesicTrajectory)]
-        assert fields == ["spec", "x0", "theta0", "sigma", "frame", "scale", "step"]
+        assert fields == ["spec", "x0", "theta0", "sigma", "frame", "step"]
         fields = [f.name for f in dataclasses.fields(gc.JacobiSystem)]
         assert "kop" not in fields
 
@@ -473,9 +472,6 @@ class TestScalarColumns:
         assert np.all(np.abs(js.kappa - kap) <= 4 * eps * np.abs(kap))
         _, ref = flow._fundamental_solutions(ref_profile, traj.sigma)
         assert np.all(np.abs(js.cols - ref) <= 4e-16 * np.maximum(1.0, np.abs(ref)))
-        w = np.array([_MATH_WARPS[name][0](r) for r in traj.at(traj.sigma)[0][:, 0]])
-        g = np.sum((traj.scale[:, None] * traj.frame[0, 1:]) ** 2, axis=1) * w * w
-        assert np.all(np.abs(g - 1.0) <= 1e-14)
 
 
 def _literal_rk4(inputs, y, dy):
