@@ -85,10 +85,12 @@ class GrowthReport:
 # ---------------------------------------------------------------------------
 
 def _constant_eta(kap, grid):
-    """eta and eta' of y'' = -kap y, data (0, 1), at the grid points: flow's
-    RK4 kernel with the constant -kap at every stage node."""
-    negk = [-kap] * (len(grid) - 1)
-    return flow._rk4((np.diff(grid).tolist(), negk, negk, negk), 0.0, 1.0)
+    """eta and eta' of y'' = -kap y, data (0, 1), at the grid points: the
+    last two columns of flow's RK4 kernel with the constant -kap at every
+    stage node."""
+    negk = np.full(len(grid) - 1, -kap)
+    cols = flow._rk4((np.diff(grid), negk, negk, negk))
+    return cols[:, 2], cols[:, 3]
 
 
 def _counting_cumulative(spec, x, T, quad, step):
@@ -97,10 +99,10 @@ def _counting_cumulative(spec, x, T, quad, step):
     Both kinds with direction quadrature are homogeneous: the curvature
     profile is the constant kappa = spec.c along every geodesic, and
     H = eta * Id gives the integrand |det H| = |eta|^k.  The directions are
-    checked to be unit vectors in one array expression; eta alone (xi is
-    not needed) is propagated once with flow's scalar RK4 kernel, and the
-    composite trapezoid of |eta|^k enters the total with the sum of the
-    quadrature weights.  IntegrationFailureError refuses a step whose
+    checked to be unit vectors in one array expression; eta is propagated
+    once, for every direction, with flow's RK4 kernel (``_constant_eta``),
+    and the composite trapezoid of |eta|^k enters the total with the sum of
+    the quadrature weights.  IntegrationFailureError refuses a step whose
     relative energy drift |eta'^2 + kappa eta^2 - 1| / max(1, eta'^2,
     |kappa| eta^2) exceeds flow.WRONSKIAN_TOL, a Jacobi solution and a total
     past the float range.

@@ -7,11 +7,12 @@ sampled on a uniform arc-length grid.  On every model manifold the
 curvature operator along a geodesic is kappa(sigma) * Id in a parallel
 orthonormal frame, so the matrix Jacobi equation Y'' + kappa Y = 0 reduces
 to one scalar equation.  Its two fundamental solutions, xi with data (1, 0)
-and eta with data (0, 1), are propagated one at a time by one classical RK4
-loop over plain float lists, one step per grid cell (kappa sampled once for
-both, in one profile call; where kappa is 0 the loop is one running sum);
-the counting integral runs the same loop for eta alone.  The matrix
-solutions are Xi = xi * Id and H = eta * Id.  Cubic Hermite dense output
+and eta with data (0, 1), are propagated together by one classical RK4
+kernel, one step per grid cell: every cell's step is a 2x2 transfer matrix,
+and the samples are the prefix products of those matrices (kappa sampled
+once, in one profile call; where kappa is 0 the kernel is one running sum);
+the counting integral keeps the kernel's eta.  The matrix solutions are
+Xi = xi * Id and H = eta * Id.  Cubic Hermite dense output
 (exact to the integrator's order) supports evaluation between samples.
 Since det Xi = xi^k and det H = eta^k, the zeros of both determinants (for
 H, the conjugate points) are the zeros of the scalars xi and eta, found as
@@ -35,7 +36,8 @@ DET_ZERO_REL = 1e-8      # |y| at the last sample, relative to the local max |y|
 # only.  A zero's error follows the grid (see _scalar_zeros).
 SIGMA_REFINE_TOL = 1e-10
 # RK4 steps of one propagation, one per grid cell; the largest default use,
-# gromov's search to T = 500 at step 0.01, takes 5e4
+# gromov's search to T = 500 at step 0.01, takes 5e4.  At the cap the kernel
+# peaks near 0.26 GB (about 130 bytes per cell) on top of its inputs
 MAX_RK4_STEPS = 2_000_000
 
 
@@ -101,13 +103,15 @@ def _check_trajectory(traj):
     to the terms' sizes.  The frame is transported exactly, so it is checked
     once, at x0, under diag(g): its Gram matrix and its products with theta0,
     and with x0 where a != 0 (curved space forms), each relative to the
-    sizes of the terms it sums."""
+    sizes of the terms it sums.  Scalars past the float range give a nan
+    drift, which fails."""
     spec, x, theta, frame = traj.spec, traj.x0, traj.theta0, traj.frame
-    _, a, _, b = _scalars(spec, traj.sigma)
-    terms = (a * a * mf.metric_dot(spec, x, x, x),
-             2.0 * a * b * mf.metric_dot(spec, x, x, theta),
-             b * b * mf.metric_dot(spec, x, theta, theta))
-    drift = np.abs(sum(terms) - 1.0) / np.maximum(1.0, sum(map(np.abs, terms)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, a, _, b = _scalars(spec, traj.sigma)
+        terms = (a * a * mf.metric_dot(spec, x, x, x),
+                 2.0 * a * b * mf.metric_dot(spec, x, x, theta),
+                 b * b * mf.metric_dot(spec, x, theta, theta))
+        drift = np.abs(sum(terms) - 1.0) / np.maximum(1.0, sum(map(np.abs, terms)))
     curved = spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0
     vs = np.vstack([frame, theta, x] if curved else [frame, theta])
     gf = frame * mf.metric_diagonal(spec, x)
@@ -115,7 +119,7 @@ def _check_trajectory(traj):
                     / np.maximum(1.0, np.abs(gf) @ np.abs(vs).T))
     for name, value, tol in (("unit-speed drift", drift, SPEED_DRIFT_TOL),
                              ("frame orthonormality defect", [defect], 1e-8)):
-        bad = np.flatnonzero(np.asarray(value) > tol)
+        bad = np.flatnonzero(~(np.asarray(value) <= tol))
         if len(bad):
             s = float(traj.sigma[bad[0]])
             raise IntegrationFailureError(
@@ -217,40 +221,26 @@ class JacobiSystem:
 
 
 def _rk4_inputs(kprofile, sigma):
-    """kappa at the grid points and the inputs of ``_rk4``: plain float lists
-    of the cell widths and of -kappa at every cell's start, midpoint and end,
-    from one ``kprofile`` call on those points and the last grid point.  The
-    end node is start + width, which may differ from the next grid point in
-    the last bit."""
+    """kappa at the grid points and the inputs of ``_rk4``: arrays of the
+    cell widths and of -kappa at every cell's start, midpoint and end, from
+    one ``kprofile`` call on those points and the last grid point.  The end
+    node is start + width, which may differ from the next grid point in the
+    last bit."""
     h = np.diff(sigma)
     starts = sigma[:-1]
     nodes = np.stack([starts, starts + 0.5 * h, starts + h], axis=-1)
     kap = np.asarray(kprofile(np.append(nodes.ravel(), sigma[-1])), dtype=float)
-    negk = -kap[:-1]
-    return np.append(kap[:-1:3], kap[-1]), (
-        h.tolist(), negk[0::3].tolist(), negk[1::3].tolist(), negk[2::3].tolist())
+    na, nm, nb = -kap[:-1].reshape(-1, 3).T
+    return np.append(kap[:-1:3], kap[-1]), (h, na, nm, nb)
 
 
-def _rk4(inputs, y, dy):
-    """Classical RK4 for one solution of y'' = -kappa y with data (y, dy);
-    returns arrays of y and y' at the grid points, one step per cell.
-    The stages are inlined; hoisting 0.5*h and h/6 and writing 2.0 for 2
-    keep every rounding of the textbook expressions.
-
-    Flat branch: when every -kappa is zero, each slope stage is a signed
-    zero, so y' stays dy and each step adds (h/6) * (dy + 2dy + 2dy + dy);
-    one sequential cumsum then gives the loop's bits.  A dy of -0.0 (the
-    zero stages may flip its sign) and a sum that is not finite take the
-    loop."""
-    if not any(map(any, inputs[1:])) and (dy or math.copysign(1.0, dy) > 0):
-        s = dy + 2.0 * dy + 2.0 * dy + dy
-        with np.errstate(over="ignore", invalid="ignore"):
-            ys = np.cumsum(np.append(y, np.divide(inputs[0], 6.0) * s))
-        if np.isfinite(ys).all():
-            return ys, np.full(len(ys), dy)
-    ys, dys = [y], [dy]
-    for h, na, nm, nb in zip(*inputs):
-        hh = 0.5 * h
+def _rk4_increments(h, na, nm, nb):
+    """E_j = M_j - Id for every cell, as e[k, i, j]: row i (y, y') of one
+    textbook RK4 step's increment from the k-th datum, (1, 0) or (0, 1),
+    with every rounding of the stage expressions."""
+    hh, h6 = 0.5 * h, h / 6.0
+    e = np.empty((2, 2, len(h)))
+    for k, (y, dy) in enumerate(((1.0, 0.0), (0.0, 1.0))):
         k1 = na * y
         y2 = y + hh * dy
         d2 = dy + hh * k1
@@ -260,23 +250,70 @@ def _rk4(inputs, y, dy):
         k3 = nm * y3
         y4 = y + h * d3
         d4 = dy + h * k3
-        h6 = h / 6.0
-        y, dy = (y + h6 * (dy + 2.0 * d2 + 2.0 * d3 + d4),
-                 dy + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + nb * y4))
-        ys.append(y)
-        dys.append(dy)
-    return np.array(ys), np.array(dys)
+        e[k, 0] = h6 * (dy + 2.0 * d2 + 2.0 * d3 + d4)
+        e[k, 1] = h6 * (k1 + 2.0 * k2 + 2.0 * k3 + nb * y4)
+    return e
+
+
+def _rk4(inputs):
+    """Classical RK4 for y'' = -kappa y, one step per cell, from both data
+    (1, 0) and (0, 1): an (m+1, 4) array of rows (xi, xi', eta, eta') at the
+    grid points.
+
+    RK4 on a linear equation is a linear map per cell, its transfer matrix
+    M_j = Id + E_j (``_rk4_increments``).  The rows are the prefix products
+    M_{j-1} ... M_0, in ceil(log2 m) doubling passes (Hillis-Steele) between
+    two buffers.  Each pass carries E = P - Id through (Id + A)(Id + B) =
+    Id + (AB + (A + B)), which keeps the small increments of short products
+    instead of rounding them against 1.  Entries past the float range come
+    out inf or nan, silently.
+
+    Flat branch: when every -kappa is zero, xi = 1, xi' = 0, eta' = 1 and
+    eta is one sequential cumsum of the steps' increments (h/6) * 6, the bits
+    of the step-by-step loop; a sum that is not finite takes the products.
+    """
+    h, na, nm, nb = inputs
+    m = len(h)
+    ident = (1.0, 0.0, 0.0, 1.0)
+    if not (na.any() or nm.any() or nb.any()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = np.cumsum(np.append(0.0, np.divide(h, 6.0) * 6.0))
+        if np.isfinite(eta).all():
+            cols = np.tile(ident, (m + 1, 1))
+            cols[:, 2] = eta
+            return cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _rk4_increments(h, na, nm, nb)
+        spare, tmp = np.empty_like(e), np.empty_like(e)
+        d = 1
+        while d < m:
+            # cells ..j after cells ..j-d: (AB)[k, i] = A[0, i] B[k, 0]
+            # + A[1, i] B[k, 1]
+            a, b, out, t = e[..., d:], e[..., :-d], spare[..., d:], tmp[..., :m - d]
+            np.multiply(a[None, 0], b[:, 0, None], out=out)
+            np.multiply(a[None, 1], b[:, 1, None], out=t)
+            out += t
+            out += np.add(a, b, out=t)
+            spare[..., :d] = e[..., :d]
+            e, spare = spare, e
+            d *= 2
+    del spare, tmp  # freed before the output is allocated: the peak at the cap
+    cols = np.empty((m + 1, 4))
+    cols[0] = ident
+    np.add(e.reshape(4, m).T, ident, out=cols[1:])
+    return cols
 
 
 def _fundamental_solutions(kprofile, sigma):
     """RK4 for the scalar Jacobi equation y'' = -kappa(sigma) y on a grid.
 
     kappa is sampled once for every cell by ``_rk4_inputs``, and ``_rk4``
-    propagates xi (data (1, 0)) and then eta (data (0, 1)).  Returns kappa
-    at the grid points and an (m+1, 4) array of rows (xi, xi', eta, eta').
+    propagates xi (data (1, 0)) and eta (data (0, 1)) together.  Returns
+    kappa at the grid points and an (m+1, 4) array of rows (xi, xi', eta,
+    eta').
     """
     kappa, inputs = _rk4_inputs(kprofile, sigma)
-    return kappa, np.column_stack(_rk4(inputs, 1.0, 0.0) + _rk4(inputs, 0.0, 1.0))
+    return kappa, _rk4(inputs)
 
 
 def _hermite(t, hcell, y0, dy0, y1, dy1):
@@ -326,18 +363,25 @@ def propagate_jacobi(traj: GeodesicTrajectory):
     one RK4 step per grid cell.
 
     Raises IntegrationFailureError when a grid cell may hold two zeros
-    (grid step * sqrt(max kappa over the grid) >= pi) or when the Wronskian
-    or the finite-difference second-order residual exceeds its tolerance
-    (1e-4 times the grid step).
+    (grid step * sqrt(max kappa over the grid) >= pi), when a solution
+    leaves the float range, or when the Wronskian or the finite-difference
+    second-order residual exceeds its tolerance (1e-4 times the grid step).
+    Each gate is written ``not value <= tol``, so a nan fails it.
     """
     kop = mf.curvature_along(traj.spec, (traj.x0, traj.theta0))
     hgrid = traj.step
     kappa, cols = _fundamental_solutions(kop.profile, traj.sigma)
-    reach = hgrid * math.sqrt(max(0.0, float(np.max(kappa))))
-    if reach >= math.pi:
+    reach = hgrid * float(np.sqrt(np.maximum(0.0, np.max(kappa))))
+    if not reach < math.pi:
         raise IntegrationFailureError(
             f"flow.propagate_jacobi: grid step times sqrt(max kappa) is "
             f"{reach:.4g} >= pi, so a cell may hold two zeros (Sturm)")
+    finite = np.isfinite(cols).all(axis=1)
+    if not finite.all():
+        s = float(traj.sigma[np.argmin(finite)])
+        raise IntegrationFailureError(
+            f"flow.propagate_jacobi: the Jacobi solutions leave the float "
+            f"range at sigma={s:.6g}", sigma=s)
     xz = _scalar_zeros(traj.sigma, cols[:, 0], cols[:, 1])
     hz = _scalar_zeros(traj.sigma, cols[:, 2], cols[:, 3])
     js = JacobiSystem(
@@ -347,12 +391,12 @@ def propagate_jacobi(traj: GeodesicTrajectory):
     )
 
     drift = wronskian_drift(js)
-    if drift > WRONSKIAN_TOL:
+    if not drift <= WRONSKIAN_TOL:
         raise IntegrationFailureError(
             f"flow.propagate_jacobi: Wronskian drift {drift:.3e} exceeds "
             f"{WRONSKIAN_TOL}")
     resid = jacobi_residual(js)
-    if resid > 1e-4 * hgrid:
+    if not resid <= 1e-4 * hgrid:
         raise IntegrationFailureError(
             f"flow.propagate_jacobi: Jacobi residual {resid:.3e} exceeds "
             f"{1e-4 * hgrid:.3e}")

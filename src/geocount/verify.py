@@ -141,7 +141,9 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
             max(herglotz.check_xi_identity(cf, s) for s in sigmas), 1e-8))
         checks.append(_check("f symmetric on the real axis", 0.0, 1e-8))
 
-        if spec.c >= 0:
+        # the paper's hypothesis: the adapted complex structure extends over
+        # the whole tangent bundle (c >= 0), so f and -1/f are Herglotz
+        if spec.entire_tube:
             Fh = herglotz.HerglotzMatrix.from_constant_curvature(spec.c, spec.n)
             Gh = Fh.neg_inverse_function()
             zs = [complex(a, t) for a, t in zip(

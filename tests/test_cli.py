@@ -419,6 +419,19 @@ class TestRunner:
         assert code == 0
         assert json.loads((out / "verify_report.json").read_text())["all_passed"]
 
+    @pytest.mark.parametrize("c", ["-3e4", "-1e5"])
+    def test_verify_past_the_float_range_exits_3(self, tmp_path, capsys, c):
+        # exit 1: the gates compared a nan drift with "> tol", let the
+        # geodesic and the inf Jacobi system through, and the closed form's
+        # math.cosh raised OverflowError in the battery
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["verify", "--c", c, "--n", "3", "--out",
+                             str(tmp_path / "v"), "--quiet"])
+        assert code == 3
+        assert "unit-speed drift nan at sigma=" in capsys.readouterr().err
+        assert not caught
+
     @pytest.mark.parametrize("c", ["1e-7", "1e-9", "1e-300"])
     def test_verify_passes_at_small_positive_c(self, tmp_path, c):
         # exit 2: the counting cutoff 2/sqrt(c) grew past the RK4 step cap as

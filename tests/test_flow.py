@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,20 +355,24 @@ class TestPropagateJacobi:
         gc.warped_product("two_plus_cos", 2),
     ], ids=lambda s: s.label)
     @pytest.mark.parametrize("step", [1e-2, 1e-2 / 3], ids=["grid=0.01", "grid=0.01/3"])
-    def test_scalar_kernel_equals_matrix_reference(self, spec, step):
+    def test_scalar_kernel_against_matrix_reference(self, spec, step):
+        # the matrix reference has the bits of the literal scalar loop, and
+        # the kernel's prefix products stay within KERNEL_REL of both
         x = gc.canonical_point(spec)
         theta = gc.orthonormal_frame(spec, x)[0]
         traj = gc.integrate_geodesic(spec, x, theta, 3.0, step)
         js = gc.propagate_jacobi(traj)
-        ref = _matrix_reference(spec, traj)
-        for got, want in zip(jacobi_stacks(js), ref):
-            assert np.array_equal(got, want)
         kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
+        loop = _literal_pair(_inputs(kprofile, traj.sigma))
+        for got, want in zip(jacobi_matrices(loop.T, js.dim), _matrix_reference(spec, traj)):
+            assert np.array_equal(got, want)
+        assert _relative_gap(js.cols, loop) <= KERNEL_REL
         assert np.array_equal(js.kappa, kprofile(js.sigma))
 
     def test_fundamental_solutions_keep_one_row_per_grid_cell(self):
-        # two grid cells on a varying profile: one row per grid point, in the
-        # bits of the matrix reference
+        # two grid cells on a varying profile: one row per grid point; the
+        # matrix reference has the literal loop's bits, and the kernel's
+        # first step is one literal step
         spec = gc.warped_product("two_plus_cos", 3)
         x = gc.canonical_point(spec)
         traj = gc.integrate_geodesic(spec, x, np.array([1.0, 0, 0, 0]), 0.2, 0.1)
@@ -375,8 +380,11 @@ class TestPropagateJacobi:
         kappa, cols = flow._fundamental_solutions(kprofile, traj.sigma)
         assert cols.shape == (3, 4) and cols.flags.c_contiguous
         assert np.array_equal(kappa, kprofile(traj.sigma))
+        loop = _literal_pair(_inputs(kprofile, traj.sigma))
         ref = np.stack([Y[:, 0, 0] for Y in _matrix_reference(spec, traj)], axis=1)
-        assert cols.tobytes() == ref.tobytes()
+        assert ref.tobytes() == loop.tobytes()
+        assert cols[:2].tobytes() == loop[:2].tobytes()
+        assert _relative_gap(cols, loop) <= KERNEL_REL
 
     def test_round_sphere_end_value(self):
         # eta(2) = sin 2 on S^2 (measured: 8.5e-15 off on grid 1e-3)
@@ -475,10 +483,11 @@ class TestScalarColumns:
 
 
 def _literal_rk4(inputs, y, dy):
-    """The per-step RK4 loop of ``flow._rk4``, kept verbatim as the
-    reference of its flat branch."""
+    """Classical RK4 for one solution of y'' = -kappa y, one step per cell,
+    as the per-step loop over floats that ``flow._rk4`` replaced: the bit
+    reference of its flat branch and of one step."""
     ys, dys = [y], [dy]
-    for h, na, nm, nb in zip(*inputs):
+    for h, na, nm, nb in zip(*(np.asarray(v, dtype=float).tolist() for v in inputs)):
         hh = 0.5 * h
         k1 = na * y
         y2 = y + hh * dy
@@ -497,10 +506,99 @@ def _literal_rk4(inputs, y, dy):
     return ys, dys
 
 
+def _literal_pair(inputs):
+    """The literal loop from (1, 0) and from (0, 1), as rows (xi, xi', eta, eta')."""
+    return np.column_stack(_literal_rk4(inputs, 1.0, 0.0) + _literal_rk4(inputs, 0.0, 1.0))
+
+
+# the kernel's distance from the literal loop, relative past 1
+KERNEL_REL = 1e-12
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want, dtype=float)
     return (np.array_equal(got, want, equal_nan=True)
             and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _inputs(profile, grid):
+    return flow._rk4_inputs(profile, grid)[1]
+
+
+_RNG_KAPPA = np.random.default_rng(11).uniform(-3.0, 5.0, 3 * 400)
+
+# name: (kappa profile, grid); the random case draws kappa at every stage node
+_KERNEL_CASES = {
+    "constant c=1": (lambda s: np.full_like(s, 1.0), flow._grid(3.0, 1e-2)),
+    "constant c=-4": (lambda s: np.full_like(s, -4.0), flow._grid(3.0, 1e-2 / 3)),
+    "two_plus_cos": (lambda s: np.cos(1.0 + s) / (2.0 + np.cos(1.0 + s)),
+                     flow._grid(4.0, 1e-2)),
+    "random": (None, np.concatenate(
+        ([0.0], np.cumsum(np.random.default_rng(12).uniform(1e-3, 5e-2, 400))))),
+}
+
+
+def _kernel_inputs(name):
+    profile, grid = _KERNEL_CASES[name]
+    if profile is None:
+        negk = -_RNG_KAPPA.reshape(-1, 3).T
+        return (np.diff(grid), *negk)
+    return _inputs(profile, grid)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", list(_KERNEL_CASES))
+    def test_one_cell_is_one_literal_step(self, name):
+        # Id + E_j from one cell alone is one literal step from (1, 0) and
+        # from (0, 1), bit for bit, signs of zero included
+        inputs = _kernel_inputs(name)
+        for j in range(len(inputs[0])):
+            cell = tuple(v[j:j + 1] for v in inputs)
+            assert _same_bits(flow._rk4(cell), _literal_pair(cell))
+
+    @pytest.mark.parametrize("name", list(_KERNEL_CASES))
+    def test_prefix_products_stay_near_the_loop(self, name):
+        inputs = _kernel_inputs(name)
+        assert _relative_gap(flow._rk4(inputs), _literal_pair(inputs)) <= KERNEL_REL
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 1000, 500_000])
+    def test_every_cell_count_up_to_half_a_million(self, m):
+        # cell counts at and off the powers of two of the doubling passes, on
+        # the slowly varying profile 1 + sin(sigma / 10) / 4 (a profile in
+        # parametric resonance, 1 + sin(sigma) / 2, grows the solutions and
+        # any two roundings apart: 1.5e-10 at 5e5 cells)
+        grid = np.linspace(0.0, 1e-3 * m, m + 1)
+        inputs = _inputs(lambda s: 1.0 + 0.25 * np.sin(0.1 * s), grid)
+        assert _relative_gap(flow._rk4(inputs), _literal_pair(inputs)) <= KERNEL_REL
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("c", [1.0, -1.0, -4.0, 4.0])
+    def test_closed_form_error_is_the_loops(self, c, step):
+        # relative past 1, at most 1.1 times the literal loop's error + 1e-14
+        grid = flow._grid(5.0, step)
+        inputs = _inputs(lambda s: np.full_like(s, c), grid)
+        exact = np.column_stack(gc.closed_form.scalars(c, grid))
+        kernel = _relative_gap(flow._rk4(inputs), exact)
+        loop = _relative_gap(_literal_pair(inputs), exact)
+        assert kernel <= 1.1 * loop + 1e-14
+
+    def test_overflowing_propagation_is_refused_silently(self):
+        # cosh(5 sqrt(1e5)) is past the float range: the products give inf
+        # and nan, which the gate refuses before any zero search or warning
+        spec = gc.constant_curvature(-1e5, 3)
+        x = gc.canonical_point(spec)
+        theta = gc.orthonormal_frame(spec, x)[0]
+        sigma = flow._grid(5.0, 1e-3)
+        traj = flow.GeodesicTrajectory(spec, x, theta, sigma,
+                                       gc.orthonormal_frame(spec, x, [theta]), 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationFailureError, match="float range"):
+                gc.propagate_jacobi(traj)
 
 
 _FLAT_GRIDS = {
@@ -514,38 +612,36 @@ _FLAT_GRIDS = {
 class TestFlatKernel:
     @pytest.mark.parametrize("grid", list(_FLAT_GRIDS.values()), ids=list(_FLAT_GRIDS))
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
-    @pytest.mark.parametrize("data", [(0.0, 1.0), (1.0, 0.0), (0.3, -1.7), (1.0, -0.0)])
-    def test_flat_branch_equals_the_loop(self, grid, zero, data):
-        # kappa = 0 as either signed zero: y' keeps the loop's bits and signs
-        # of zero, y the bits of its running sum; dy = -0.0 takes the loop
-        negk = [zero] * (len(grid) - 1)
-        inputs = (np.diff(grid).tolist(), negk, negk, negk)
-        got = flow._rk4(inputs, *data)
-        want = _literal_rk4(inputs, *data)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    def test_flat_branch_equals_the_loop(self, grid, zero):
+        # kappa = 0 as either signed zero: xi, xi' and eta' keep the loop's
+        # bits and signs of zero, eta the bits of its running sum
+        negk = np.full(len(grid) - 1, zero)
+        inputs = (np.diff(grid), negk, negk, negk)
+        assert _same_bits(flow._rk4(inputs), _literal_pair(inputs))
 
     @pytest.mark.parametrize("at", [0, 17, -1], ids=["first", "inner", "last"])
     @pytest.mark.parametrize("stage", [1, 2, 3], ids=["start", "mid", "end"])
-    def test_one_nonzero_node_takes_the_loop(self, at, stage):
+    def test_one_nonzero_node_takes_the_products(self, at, stage):
         grid = _FLAT_GRIDS["T=2.345,step=1e-2"]
         m = len(grid) - 1
-        inputs = [np.diff(grid).tolist(), [0.0] * m, [0.0] * m, [0.0] * m]
-        flat = flow._rk4(tuple(inputs), 1.0, 0.0)
+        inputs = [np.diff(grid), np.zeros(m), np.zeros(m), np.zeros(m)]
+        flat = flow._rk4(tuple(inputs))
         inputs[stage][at] = -0.5
-        got = flow._rk4(tuple(inputs), 1.0, 0.0)
-        assert all(_same_bits(g, w) for g, w in zip(got, _literal_rk4(inputs, 1.0, 0.0)))
-        assert not np.array_equal(got[1], flat[1])
+        got = flow._rk4(tuple(inputs))
+        assert _relative_gap(got, _literal_pair(inputs)) <= KERNEL_REL
+        assert not np.array_equal(got[:, 1], flat[:, 1])
 
-    @pytest.mark.parametrize("h,data", [
-        (1.0, (1e308, 1e308)), (1e308, (1e308, 1.0)), (1e308, (-1e308, -1.0)),
-        (1.0, (math.nan, 1.0)), (1.0, (0.0, math.inf)), (math.inf, (0.0, 1.0))])
-    def test_non_finite_flat_solutions_take_the_loop(self, h, data):
-        # silently, as the loop over floats does (a RuntimeWarning fails)
-        negk = [0.0] * 3
-        inputs = ([h] * 3, negk, negk, negk)
-        got = flow._rk4(inputs, *data)
-        want = _literal_rk4(inputs, *data)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    @pytest.mark.parametrize("h", [1e308, math.inf])
+    def test_non_finite_flat_solutions_take_the_products(self, h):
+        # silently (a RuntimeWarning fails): rows the loop keeps finite have
+        # its bits, and every row where it leaves the float range is not
+        # finite either
+        negk = np.zeros(3)
+        inputs = (np.full(3, h), negk, negk, negk)
+        got, want = flow._rk4(inputs), _literal_pair(inputs)
+        finite = np.isfinite(want).all(axis=1)
+        assert _same_bits(got[finite], want[finite])
+        assert not np.isfinite(got[~finite]).all(axis=1).any()
 
     @pytest.mark.parametrize("spec", [gc.flat_torus(np.eye(3)), gc.constant_curvature(0.0, 3)],
                              ids=lambda s: s.label)
@@ -554,12 +650,10 @@ class TestFlatKernel:
         # through the counting integral's eta
         traj, js = _traj_and_system(spec, T=2.345)
         kprofile = gc.curvature_along(spec, (traj.x0, traj.theta0)).profile
-        _, inputs = flow._rk4_inputs(kprofile, js.sigma)
-        want = _literal_rk4(inputs, 1.0, 0.0) + _literal_rk4(inputs, 0.0, 1.0)
-        assert _same_bits(js.cols, np.column_stack(want))
+        assert _same_bits(js.cols, _literal_pair(_inputs(kprofile, js.sigma)))
         grid = flow._grid(2.345, 1e-3)
-        negk = [-0.0] * (len(grid) - 1)
-        want = _literal_rk4((np.diff(grid).tolist(), negk, negk, negk), 0.0, 1.0)
+        negk = np.full(len(grid) - 1, -0.0)
+        want = _literal_rk4((np.diff(grid), negk, negk, negk), 0.0, 1.0)
         got = gc.counting._constant_eta(0.0, grid)
         assert all(_same_bits(g, w) for g, w in zip(got, want))
 
