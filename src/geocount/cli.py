@@ -39,6 +39,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,44 +49,6 @@ from . import __version__, counting, verify
 from . import manifolds as mf
 from .errors import (CatalogError, ConfigurationError, GeocountError,
                      InputError)
-
-# flag -> (manifest key, argparse keywords), in help order; --manifest and
-# --quiet steer the run and have no key
-FLAGS = {
-    "manifest": (None, {"help": "INI manifest path"}),
-    "out": ("parameters.out", {"help": "output directory"}),
-    "seed": ("parameters.seed", {"type": int, "help": "RNG seed (default 0)"}),
-    "quiet": (None, {"action": "store_true", "help": "suppress report lines"}),
-    "kind": ("manifold.kind", {"choices": ("constant_curvature", "flat_torus",
-                                           "warped_product")}),
-    "c": ("manifold.c", {"type": float, "help": "constant curvature value"}),
-    "n": ("manifold.n", {"type": int, "help": "manifold dimension"}),
-    "basis": ("manifold.basis", {"help": "torus lattice basis, rows ';'-separated"}),
-    "warp": ("manifold.warp", {"help": "warp catalog name"}),
-    "T": ("parameters.t", {"help": "cutoff list '1,2,5' or range 'start:stop:count'"}),
-    "quad_scheme": ("parameters.quad_scheme", {"choices": ("product_gauss", "monte_carlo")}),
-    "quad_order": ("parameters.quad_order", {"type": int}),
-    "step": ("parameters.step", {"type": float}),
-    "tau_schedule": ("parameters.tau_schedule", {"help": "comma list, strictly decreasing"}),
-    "K": ("parameters.k", {"type": int, "help": "growth-inequality depth"}),
-    "c_grid": ("parameters.c_grid", {"help": "comma list of constants for gromov"}),
-}
-
-# subcommand -> (task, help line, flags): the flags of the keys its task reads
-_SHARED = ("manifest", "out", "seed", "quiet", "kind", "c", "n")
-_COUNTING = _SHARED + ("basis", "warp", "T", "quad_scheme", "quad_order", "step")
-SUBCOMMANDS = {
-    "count": ("count", "counting curve over a list of cutoffs", _COUNTING),
-    "growth": ("growth", "counting curve plus growth classification", _COUNTING),
-    "herglotz": ("herglotz_verify", "closed-form function checks and measure recovery",
-                 _SHARED + ("tau_schedule",)),
-    "verify": ("lemma_suite", "identity and inequality suite for one manifold",
-               _SHARED + ("basis", "warp")),
-    "gromov": ("gromov", "Betti partial sums vs the counting integral",
-               _SHARED + ("quad_order", "step", "K", "c_grid")),
-}
-TASKS = tuple(task for task, _, _ in SUBCOMMANDS.values())
-
 
 # ---------------------------------------------------------------------------
 # manifest parsing
@@ -121,24 +84,75 @@ def _parse_basis(text: str) -> np.ndarray:
     return np.array([[float(v) for v in r.split()] for r in rows])
 
 
-# manifest key -> (ExperimentManifest field, parser of its text), in parse
-# order: of several malformed keys, the first one here is reported
-MANIFEST_KEYS = {
-    "manifold.n": ("n", int),
-    "manifold.kind": ("kind", str),
-    "manifold.c": ("c", float),
-    "manifold.basis": ("basis", _parse_basis),
-    "manifold.warp": ("warp", str),
-    "parameters.seed": ("seed", int),
-    "parameters.k": ("K", int),
-    "parameters.out": ("out_dir", str),
-    "parameters.t": ("T_values", _parse_values),
-    "parameters.quad_scheme": ("quad_scheme", str),
-    "parameters.quad_order": ("quad_order", int),
-    "parameters.step": ("step", float),
-    "parameters.tau_schedule": ("tau_schedule", _parse_floats),
-    "parameters.c_grid": ("c_grid", _parse_floats),
+_format_float = "{:.17g}".format
+
+
+def _format_floats(values) -> str:
+    return ",".join(map(_format_float, values))
+
+
+def _format_basis(basis) -> str:
+    return "None" if basis is None else ";".join(
+        " ".join(map(_format_float, row)) for row in basis)
+
+
+# subcommand -> (task, help line)
+_TASKS = {
+    "count": ("count", "counting curve over a list of cutoffs"),
+    "growth": ("growth", "counting curve plus growth classification"),
+    "herglotz": ("herglotz_verify", "closed-form function checks and measure recovery"),
+    "verify": ("lemma_suite", "identity and inequality suite for one manifold"),
+    "gromov": ("gromov", "Betti partial sums vs the counting integral"),
 }
+_ALL, _CURVES = tuple(_TASKS), ("count", "growth")
+
+# flag -> its row, in help order: the manifest key as hashed (the INI key is
+# that lower-cased, as configparser folds case), the ExperimentManifest field,
+# the parser of the key's text, the formatter for the canonical text (None:
+# not hashed), the subcommands that take the flag and read the key, argparse
+# keywords; --manifest and --quiet steer the run and have no key
+_Flag = namedtuple("_Flag", "key field parse format commands kwargs")
+FLAGS = {
+    "manifest": _Flag(None, None, None, None, _ALL, {"help": "INI manifest path"}),
+    "out": _Flag("parameters.out", "out_dir", str, None, _ALL,
+                 {"help": "output directory"}),
+    "seed": _Flag("parameters.seed", "seed", int, str, _ALL,
+                  {"type": int, "help": "RNG seed (default 0)"}),
+    "quiet": _Flag(None, None, None, None, _ALL,
+                   {"action": "store_true", "help": "suppress report lines"}),
+    "kind": _Flag("manifold.kind", "kind", str, str, _ALL,
+                  {"choices": ("constant_curvature", "flat_torus", "warped_product")}),
+    "c": _Flag("manifold.c", "c", float, str, _ALL,
+               {"type": float, "help": "constant curvature value"}),
+    "n": _Flag("manifold.n", "n", int, str, _ALL,
+               {"type": int, "help": "manifold dimension"}),
+    "basis": _Flag("manifold.basis", "basis", _parse_basis, _format_basis,
+                   _CURVES + ("verify",),
+                   {"help": "torus lattice basis, rows ';'-separated"}),
+    "warp": _Flag("manifold.warp", "warp", str, str, _CURVES + ("verify",),
+                  {"help": "warp catalog name"}),
+    "T": _Flag("parameters.T", "T_values", _parse_values, _format_floats, _CURVES,
+               {"help": "cutoff list '1,2,5' or range 'start:stop:count'"}),
+    "quad_scheme": _Flag("parameters.quad_scheme", "quad_scheme", str, str, _CURVES,
+                         {"choices": ("product_gauss", "monte_carlo")}),
+    "quad_order": _Flag("parameters.quad_order", "quad_order", int, str,
+                        _CURVES + ("gromov",), {"type": int}),
+    "step": _Flag("parameters.step", "step", float, _format_float,
+                  _CURVES + ("gromov",), {"type": float}),
+    "tau_schedule": _Flag("parameters.tau_schedule", "tau_schedule", _parse_floats,
+                          _format_floats, ("herglotz",),
+                          {"help": "comma list, strictly decreasing"}),
+    "K": _Flag("parameters.K", "K", int, str, ("gromov",),
+               {"type": int, "help": "growth-inequality depth"}),
+    "c_grid": _Flag("parameters.c_grid", "c_grid", _parse_floats, _format_floats,
+                    ("gromov",), {"help": "comma list of constants for gromov"}),
+}
+
+# subcommand -> (task, help line, flags): the flags of the keys its task reads
+SUBCOMMANDS = {name: (task, help_text,
+                      tuple(flag for flag, row in FLAGS.items() if name in row.commands))
+               for name, (task, help_text) in _TASKS.items()}
+TASKS = tuple(task for task, _ in _TASKS.values())
 
 
 @dataclass
@@ -172,26 +186,10 @@ class ExperimentManifest:
             self.step = 0.001 if self.task == "count" else 0.01
 
     def canonical_text(self) -> str:
-        items = {
-            "task.name": self.task,
-            "manifold.kind": self.kind,
-            "manifold.n": self.n,
-            "manifold.c": self.c,
-            "manifold.basis": (None if self.basis is None
-                               else ";".join(" ".join(format(v, ".17g") for v in row)
-                                             for row in self.basis)),
-            "manifold.warp": self.warp,
-            "parameters.T": ",".join(format(v, ".17g") for v in self.T_values),
-            "parameters.quad_scheme": self.quad_scheme,
-            "parameters.quad_order": self.quad_order,
-            "parameters.step": format(self.step, ".17g"),
-            "parameters.seed": self.seed,
-            "parameters.tau_schedule": ",".join(format(v, ".17g")
-                                                for v in self.tau_schedule),
-            "parameters.K": self.K,
-            "parameters.c_grid": ",".join(format(v, ".17g") for v in self.c_grid),
-        }
-        return "\n".join(f"{k}={v}" for k, v in sorted(items.items()))
+        items = [("task.name", self.task)] + [
+            (row.key, row.format(getattr(self, row.field)))
+            for row in FLAGS.values() if row.format is not None]
+        return "\n".join(f"{k}={v}" for k, v in sorted(items))
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
@@ -244,16 +242,17 @@ def parse_manifest(path) -> dict:
 
 
 def build_manifest(raw: dict, task: str) -> ExperimentManifest:
-    """Manifest of ``task`` from raw strings: the keys of MANIFEST_KEYS present
-    in ``raw`` are parsed, the other fields keep their defaults, and other
-    keys are ignored.  Text that does not parse raises InputError naming its
-    key; values are checked by ``ExperimentManifest.validate``.
+    """Manifest of ``task`` from raw strings: the INI keys of FLAGS present in
+    ``raw`` are parsed, the other fields keep their defaults, and other keys
+    are ignored.  Text that does not parse raises InputError naming its key
+    (the first in FLAGS); values are checked by ``ExperimentManifest.validate``.
     """
     fields = {}
-    for key, (name, parse) in MANIFEST_KEYS.items():
+    for row in FLAGS.values():
+        key = row.key and row.key.lower()  # None for --manifest and --quiet
         if key in raw:
             try:
-                fields[name] = parse(raw[key])
+                fields[row.field] = row.parse(raw[key])
             except InputError:
                 raise
             except ValueError as exc:
@@ -421,9 +420,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, (_, kwargs) in FLAGS.items():
-            if flag in flags:
-                p.add_argument("--" + flag.replace("_", "-"), **kwargs)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag].kwargs)
     return parser
 
 
@@ -435,9 +433,9 @@ def main(argv=None) -> int:
     try:
         raw = parse_manifest(args.manifest) if args.manifest else {}
         for flag in flags:
-            key, value = FLAGS[flag][0], getattr(args, flag)
+            key, value = FLAGS[flag].key, getattr(args, flag)
             if key is not None and value is not None:
-                raw[key] = str(value)
+                raw[key.lower()] = str(value)
         return run_manifest(build_manifest(raw, task), quiet=args.quiet)
     except (InputError, ConfigurationError, CatalogError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -207,6 +207,10 @@ def count_sphere_arcs(d: float, T: float) -> int:
 # bound is checked before any array is built
 _LATTICE_BALL_CAP = 2_000_000
 
+# cutoffs C k (k <= K, C in c_grid) that one Gromov search may check: each
+# takes a Betti partial sum and a row of its arrays, checked before any is built
+_GROMOV_CUTOFF_CAP = 100_000
+
 # nodes per expansion of the enumeration: they bound its arrays (about
 # 8 (n + 3) bytes a node) whatever the lattice size
 _LINE_BUDGET = 8192
@@ -616,7 +620,8 @@ def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,
                            seed: int = 0) -> dict:
     """Smallest constant C on a grid for which the Betti partial sums stay
     below the normalized counting integral at cutoff T = C*k for every
-    k <= K.  ``spec`` must be the unit round sphere (InputError otherwise).
+    k <= K.  ``spec`` must be the unit round sphere, and K * len(c_grid) at
+    most _GROMOV_CUTOFF_CAP (InputError otherwise).
 
     A single propagation to the largest cutoff serves every grid value.
     """
@@ -627,6 +632,11 @@ def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid or c_grid[0] <= 0:
         raise InputError("counting.search_gromov_constant: c_grid must be positive")
+    if K * len(c_grid) > _GROMOV_CUTOFF_CAP:
+        raise InputError(
+            f"counting.search_gromov_constant: K={K} for each of {len(c_grid)} "
+            f"c_grid values asks for {K * len(c_grid)} cutoffs, more than the cap of "
+            f"{_GROMOV_CUTOFF_CAP}; lower K or shorten c_grid")
     n = spec.n
     x = mf.canonical_point(spec)
     scheme = "product_gauss" if n <= 4 else "monte_carlo"

@@ -103,28 +103,33 @@ def _check_trajectory(traj):
     to the terms' sizes.  The frame is transported exactly, so it is checked
     once, at x0, under diag(g): its Gram matrix and its products with theta0,
     and with x0 where a != 0 (curved space forms), each relative to the
-    sizes of the terms it sums.  Scalars past the float range give a nan
-    drift, which fails."""
+    sizes of the terms it sums.  A sample whose terms leave the float range
+    is refused as such."""
     spec, x, theta, frame = traj.spec, traj.x0, traj.theta0, traj.frame
     with np.errstate(over="ignore", invalid="ignore"):
         _, a, _, b = _scalars(spec, traj.sigma)
         terms = (a * a * mf.metric_dot(spec, x, x, x),
                  2.0 * a * b * mf.metric_dot(spec, x, x, theta),
                  b * b * mf.metric_dot(spec, x, theta, theta))
-        drift = np.abs(sum(terms) - 1.0) / np.maximum(1.0, sum(map(np.abs, terms)))
+        size = sum(map(np.abs, terms))
+        drift = np.abs(sum(terms) - 1.0) / np.maximum(1.0, size)
     curved = spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0
     vs = np.vstack([frame, theta, x] if curved else [frame, theta])
     gf = frame * mf.metric_diagonal(spec, x)
     defect = np.max(np.abs(gf @ vs.T - np.eye(len(frame), len(vs)))
                     / np.maximum(1.0, np.abs(gf) @ np.abs(vs).T))
-    for name, value, tol in (("unit-speed drift", drift, SPEED_DRIFT_TOL),
-                             ("frame orthonormality defect", [defect], 1e-8)):
-        bad = np.flatnonzero(~(np.asarray(value) <= tol))
-        if len(bad):
-            s = float(traj.sigma[bad[0]])
-            raise IntegrationFailureError(
-                f"flow.integrate_geodesic: {name} {value[bad[0]]:.3e} at "
-                f"sigma={s:.6f}", sigma=s)
+    bad = np.flatnonzero(~(drift <= SPEED_DRIFT_TOL))
+    if len(bad):
+        i = bad[0]
+        what = (f"unit-speed drift {drift[i]:.3e}" if np.isfinite(size[i])
+                else "the closed form leaves the float range")
+    elif not defect <= 1e-8:
+        i, what = 0, f"frame orthonormality defect {defect:.3e}"
+    else:
+        return
+    s = float(traj.sigma[i])
+    raise IntegrationFailureError(f"flow.integrate_geodesic: {what} at sigma={s:.6f}",
+                                  sigma=s)
 
 
 def integrate_geodesic(spec, x, theta, T, step):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -200,6 +201,23 @@ class TestRunner:
             "gromov": shared | {"quad_order", "step", "K", "c_grid"}}
         assert sum(len(flags) for _, _, flags in cli.SUBCOMMANDS.values()) == 54
 
+    def test_docstring_grammar_names_every_key_of_the_table(self):
+        # the module docstring's manifest grammar lists each key of FLAGS,
+        # tagged "# [subcommands]" unless all five subcommands read it
+        block = cli.__doc__.split("::\n", 1)[1]
+        grammar, section = {}, None
+        for line in block.splitlines():
+            if line and not line.startswith(" "):
+                break
+            if header := re.fullmatch(r"\s*\[(\w+)\]\s*", line):
+                section = header[1]
+            elif entry := re.fullmatch(r"\s*(\w+) = .*?(?:#\s*(?:\[([\w ]+)\])?.*)?",
+                                       line):
+                grammar[f"{section}.{entry[1]}"] = (tuple(entry[2].split()) if entry[2]
+                                                    else tuple(cli.SUBCOMMANDS))
+        assert grammar == {row.key: row.commands for row in cli.FLAGS.values()
+                           if row.key is not None}
+
     @pytest.mark.parametrize("argv", [
         ["count", "--c", "1", "--n", "2", "--T", "1,2", "--step", "0.01"],
         ["growth", "--kind", "flat_torus", "--n", "2", "--T", "1:10:10",
@@ -303,6 +321,14 @@ class TestRunner:
         # the scan's size does not depend on n: the remedy is tau
         assert "use a smallest tau above 1e-06" in proc.stderr
         assert "smaller n" not in proc.stderr
+
+    def test_gromov_cutoffs_capped_before_allocating(self, tmp_path):
+        # the search asked np.arange for 10^9 cutoffs, 7.45 GiB (exit 1)
+        proc = _main_under_1gib(["gromov", "--K", "1000000000", "--c-grid", "1e-9",
+                                 "--quiet", "--out", str(tmp_path / "g")])
+        assert proc.returncode == 2, proc.stderr
+        assert ("asks for 1000000000 cutoffs, more than the cap of 100000; "
+                "lower K or shorten c_grid") in proc.stderr
 
     def test_negative_values_in_exponent_notation(self, tmp_path, capsys):
         # a dash-led value in exponent notation used to read as an option
@@ -429,7 +455,8 @@ class TestRunner:
             code = cli.main(["verify", "--c", c, "--n", "3", "--out",
                              str(tmp_path / "v"), "--quiet"])
         assert code == 3
-        assert "unit-speed drift nan at sigma=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the closed form leaves the float range at sigma=" in err
         assert not caught
 
     @pytest.mark.parametrize("c", ["1e-7", "1e-9", "1e-300"])

@@ -25,12 +25,12 @@ from geocount.herglotz import HerglotzMatrix
 from geocount.manifolds import WARP_CATALOG
 from matrix_forms import random_point
 
-LIST_KEYS = ("parameters.t", "parameters.tau_schedule", "parameters.c_grid",
-             "manifold.basis")
+# every manifest key, as the INI spells it
+INI_KEYS = tuple(row.key.lower() for row in cli.FLAGS.values() if row.key is not None)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(key=st.sampled_from(LIST_KEYS),
+@given(key=st.sampled_from(INI_KEYS),
        text=st.text(alphabet="0123456789.:,;- eEinfa", max_size=16))
 def test_malformed_list_text_raises_only_validation_errors(key, text):
     raw = {"manifold.n": "2", key: text}
