@@ -293,45 +293,61 @@ class FatouData:
 GOLDEN_LOOKAHEAD = 4
 
 
-def _golden_min(f, a, b, tol):
-    """Golden-section search for a minimizer of a unimodal f on [a, b].
+def _golden_min(f, brackets, tol) -> list:
+    """Golden-section searches for a minimizer of a unimodal f on each
+    bracket (a, b); the midpoints of the final brackets, in order.
 
     ``f`` maps an array of points to their values.  Each step keeps
     [a, d] or [c, b] and adds one point, so the next GOLDEN_LOOKAHEAD steps
-    can need 2 + 4 + ... + 2^GOLDEN_LOOKAHEAD points (30); one call of f
-    evaluates them all, and the comparisons then walk the path taken.  The
-    iterates and the result are those of the search that evaluates one
-    point per step.  The search also stops once a < c < d < b fails: the
-    bracket then no longer shrinks, as where tol is below the spacing of
-    doubles.
+    can need 2 + 4 + ... + 2^GOLDEN_LOOKAHEAD points (30).  One call of f
+    evaluates them for every bracket still searching, and each bracket's
+    comparisons then walk its own path; the first call evaluates every
+    bracket's c and d.  The iterates and the results are those of one
+    search per bracket that evaluates one point per step.  A search also
+    stops once a < c < d < b fails: its bracket then no longer shrinks, as
+    where tol is below the spacing of doubles.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(np.array([c, d])).tolist()
-    depth = GOLDEN_LOOKAHEAD
-    while b - a > tol and a < c < d < b:
-        if depth == GOLDEN_LOOKAHEAD:
-            # tree[l] holds the 2^l brackets (a, b, c, d) after l steps;
-            # node i has children 2i (f(c) < f(d): keep [a, d], new c) and
-            # 2i + 1 (keep [c, b], new d); its new point is values[2^l - 2 + i]
-            tree, points = [[(a, b, c, d)]], []
+    if not brackets:
+        return []
+    # one state [a, b, c, d, f(c), f(d)] per bracket
+    states = [[a, b, b - invphi * (b - a), a + invphi * (b - a)] for a, b in brackets]
+    values = f(np.array([x for s in states for x in s[2:]])).tolist()
+    for j, s in enumerate(states):
+        s += values[2 * j:2 * j + 2]
+
+    def searching(s):
+        a, b, c, d = s[:4]
+        return b - a > tol and a < c < d < b
+
+    active = [s for s in states if searching(s)]
+    while active:
+        # each bracket's next steps as a heap of brackets (a, b, c, d): node
+        # k has children 2k + 1 (f(c) < f(d): keep [a, d], new c) and
+        # 2k + 2 (keep [c, b], new d), and node k > 0 the new point
+        # points[k - 1] of its tree
+        trees, points = [], []
+        for s in active:
+            tree = [tuple(s[:4])]
+            for k in range(2 ** GOLDEN_LOOKAHEAD - 1):
+                a, b, c, d = tree[k]
+                new_c, new_d = d - invphi * (d - a), c + invphi * (b - c)
+                tree += [(a, d, new_c, c), (c, b, d, new_d)]
+                points += [new_c, new_d]
+            trees.append(tree)
+        values = f(np.array(points)).tolist()
+        for j, (s, tree) in enumerate(zip(active, trees)):
+            k = 0
             for _ in range(GOLDEN_LOOKAHEAD):
-                kids = []
-                for a_, b_, c_, d_ in tree[-1]:
-                    kids.append((a_, d_, d_ - invphi * (d_ - a_), c_))
-                    kids.append((c_, b_, d_, c_ + invphi * (b_ - c_)))
-                points += [kid[2 + i % 2] for i, kid in enumerate(kids)]
-                tree.append(kids)
-            values = f(np.array(points)).tolist()
-            depth = i = 0
-        depth += 1
-        left = fc < fd
-        i = 2 * i + (not left)
-        a, b, c, d = tree[depth][i]
-        new = values[2 ** depth - 2 + i]
-        fc, fd = (new, fc) if left else (fd, new)
-    return 0.5 * (a + b)
+                if not searching(s):
+                    break
+                fc, fd = s[4:]
+                left = fc < fd
+                k = 2 * k + (1 if left else 2)
+                new = values[j * (len(tree) - 1) + k - 1]
+                s[:] = [*tree[k], *((new, fc) if left else (fd, new))]
+        active = [s for s in active if searching(s)]
+    return [0.5 * (s[0] + s[1]) for s in states]
 
 
 def _im_phi(Fh, sigmas, tau) -> np.ndarray:
@@ -366,31 +382,68 @@ SCAN_BLOCK = 48
 ATOM_THRESHOLD = 0.1  # atoms: peaks of Im phi above ATOM_THRESHOLD / tau
 
 
-def _scan_peaks(Fh, grid, tau, threshold) -> np.ndarray:
-    """Interior indices of an equispaced grid where Im phi(sigma + i tau) is
-    >= both neighbours and above threshold / tau.
+def _scan_peaks(Fh, a, b, npts, tau, threshold) -> np.ndarray:
+    """Interior indices of the grid np.linspace(a, b, npts) where
+    Im phi(sigma + i tau) is >= both neighbours and above threshold / tau.
 
     Blocks of SCAN_BLOCK points that the coarse pass certifies to lie below
-    threshold / (2 tau) are not evaluated (see ``stieltjes_invert``); their
-    points stand at -inf, below every point above the threshold, as their
-    values are, so the local-maximum test is that of the full grid.  Below
-    POLE_MARGIN no block is skipped, so every grid point meets the pole
-    guard, even beside an atom too light to keep its block.
+    threshold / (2 tau) are not evaluated (see ``stieltjes_invert``), and
+    only the points of the kept blocks are formed (``_linspace_at``).  A
+    neighbour in a skipped block stands at -inf, below every
+    point above the threshold, as its value is, so the local-maximum test is
+    that of the full grid.  Below POLE_MARGIN no block is skipped, so every
+    grid point meets the pole guard, even beside an atom too light to keep
+    its block.
     """
-    npts = len(grid)
-    h = (grid[-1] - grid[0]) / (npts - 1)
+    h = (b - a) / (npts - 1)
     w = 0.5 * SCAN_BLOCK * h
     tau_c = max(w, tau)
     nblocks = -(-npts // SCAN_BLOCK)
-    centres = grid[0] + (SCAN_BLOCK * np.arange(nblocks) + 0.5 * (SCAN_BLOCK - 1)) * h
+    centres = a + (SCAN_BLOCK * np.arange(nblocks) + 0.5 * (SCAN_BLOCK - 1)) * h
     skip = ((6.0 * tau_c * _im_phi(Fh, centres, tau_c) < threshold)
             & (tau >= POLE_MARGIN))
-    kept = ~np.repeat(skip, SCAN_BLOCK)[:npts]
-    im = np.full(npts, -np.inf)
-    im[kept] = _im_phi(Fh, grid[kept], tau)
-    mid = im[1:-1]
-    return np.flatnonzero((mid > threshold / tau)
-                          & (mid >= im[:-2]) & (mid >= im[2:])) + 1
+    idx = (SCAN_BLOCK * np.flatnonzero(~skip)[:, None] + np.arange(SCAN_BLOCK)).ravel()
+    idx = idx[idx < npts]
+    im = _im_phi(Fh, _linspace_at(a, b, npts, idx), tau)
+    # neighbours within the kept points, -inf across a skipped block
+    next_kept = idx[1:] == idx[:-1] + 1
+    left = np.full_like(im, -np.inf)
+    right = np.full_like(im, -np.inf)
+    left[1:][next_kept] = im[:-1][next_kept]
+    right[:-1][next_kept] = im[1:][next_kept]
+    return idx[(im > threshold / tau) & (im >= left) & (im >= right)
+               & (idx > 0) & (idx < npts - 1)]
+
+
+def _linspace_at(a, b, npts, idx) -> np.ndarray:
+    """np.linspace(a, b, npts)[idx] bit for bit, without the grid: point i
+    is i * h + a with h = (b - a) / (npts - 1), and the last is b."""
+    points = idx * ((b - a) / (npts - 1)) + a
+    points[idx == npts - 1] = b
+    return points
+
+
+def _scan_grid(a, b, tau) -> tuple:
+    """(spacing, points) of the atom scan's grid on (a, b) at smallest tau."""
+    h = min(tau / 2.0, (b - a) / 2000.0)
+    return h, int(math.ceil((b - a) / h)) + 1
+
+
+def _scan_remedy(a, b) -> str:
+    """The end of the refusal of a scan grid past MAX_STACK_ENTRIES: the
+    smallest double tau <= 1e-3 whose grid on (a, b) fits, or that none does."""
+    def fits(tau):
+        return _scan_grid(a, b, tau)[1] <= mf.MAX_STACK_ENTRIES
+
+    tau = 2.0 * (b - a) / (mf.MAX_STACK_ENTRIES - 1)  # the bound in exact arithmetic
+    while fits(math.nextafter(tau, 0.0)):
+        tau = math.nextafter(tau, 0.0)
+    while not fits(tau):
+        tau = math.nextafter(tau, math.inf)
+    if tau > 1e-3:
+        return (f"no tau_schedule fits: every smallest tau in (0, 1e-3] needs "
+                f"more grid points on an interval of length {b - a:.6g}")
+    return f"use a smallest tau of at least {tau!r}"
 
 
 def stieltjes_invert(Fh: HerglotzMatrix, interval,
@@ -403,7 +456,8 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
     The constant part A comes from the large-argument limit of
     Im phi(i tau)/tau, extrapolated quadratically in 1/tau.  Atoms are the
     local maxima of Im phi(sigma + i tau) above ATOM_THRESHOLD/tau at the
-    smallest tau, refined by golden-section search.  Each mass is the
+    smallest tau, refined by golden-section searches that share each
+    evaluator call (``_golden_min``).  Each mass is the
     window integral of Im phi at every usable tau, extrapolated linearly in
     tau: the window holds the Poisson-smoothed measure, whose deficit at an
     isolated atom (the mass smoothed past the window's edges) is O(tau), and
@@ -425,8 +479,10 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
     coarse evaluations against the fine ones in the kept blocks, which grow
     with it, and the scans of the CLI's ``herglotz`` task cost the same from
     24 to 64 points, so it is a constant, not an option.  The scan reads
-    phi alone and holds one value per grid point; a grid of more than
-    MAX_STACK_ENTRIES points is refused before it is built.
+    phi alone, never builds its grid, and holds one value per point of a
+    kept block; below POLE_MARGIN every block is kept, so a grid of more
+    than MAX_STACK_ENTRIES points is refused, with the smallest tau whose
+    grid fits, or the word that none does.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -457,15 +513,12 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
 
     # atom scan at the smallest tau
     tau_min = taus[-1]
-    h_scan = min(tau_min / 2.0, (b - a) / 2000.0)
-    npts = int(math.ceil((b - a) / h_scan)) + 1
-    mf.require_stack_size((npts,), "herglotz.stieltjes_invert",
-                          f"use a smallest tau above {tau_min:g}")
-    grid = np.linspace(a, b, npts)
+    h_scan, npts = _scan_grid(a, b, tau_min)
+    mf.require_stack_size((npts,), "herglotz.stieltjes_invert", _scan_remedy(a, b))
+    peaks = _scan_peaks(Fh, a, b, npts, tau_min, ATOM_THRESHOLD)
+    brackets = _linspace_at(a, b, npts, peaks[:, None] + [-1, 1]).tolist()
     locations = []
-    for j in _scan_peaks(Fh, grid, tau_min, ATOM_THRESHOLD):
-        t = _golden_min(lambda s: -_im_phi(Fh, s, tau_min),
-                        grid[j - 1], grid[j + 1], tol=1e-8)
+    for t in _golden_min(lambda s: -_im_phi(Fh, s, tau_min), brackets, tol=1e-8):
         if not locations or t - locations[-1] > 50 * h_scan:
             locations.append(t)
 
@@ -501,9 +554,9 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
     if locations:
         near = np.abs(sweep[:, None] - np.array(locations)[None, :])
         sweep = sweep[~(np.min(near, axis=1) < 0.4)]
-    cont = 0.0
-    for v in (step * _im_phi(Fh, sweep, tau_min)).tolist():
-        cont += v  # sequential: the sum does not depend on numpy's pairwise order
+    # each partial sum of an accumulate is an output, so the terms are added
+    # in order from 0.0, not in numpy's pairwise order
+    cont = float(np.add.accumulate(np.append(0.0, step * _im_phi(Fh, sweep, tau_min)))[-1])
     flagged = cont > 0.05 * (b - a)
 
     return FatouData(A=A_quad, atoms=tuple(atoms), tau_schedule=taus,

@@ -42,12 +42,14 @@ def closed_form_matrices(c, sigma, n):
 
 def golden_min_one_point(f, a, b, tol):
     """Golden-section search for a minimizer of a unimodal scalar f on
-    [a, b], one evaluation per step."""
+    [a, b], one evaluation per step; it stops once b - a <= tol or the
+    bracket stops shrinking (a < c < d < b fails, as where tol is below the
+    spacing of doubles)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

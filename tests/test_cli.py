@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geocount import cli
+from geocount import cli, herglotz
 from geocount import manifolds as mf
 
 SPHERE_MANIFEST = """
@@ -319,8 +319,38 @@ class TestRunner:
         assert ("herglotz.stieltjes_invert: a stack of shape (16566372,)"
                 in proc.stderr)
         # the scan's size does not depend on n: the remedy is tau
-        assert "use a smallest tau above 1e-06" in proc.stderr
+        assert "use a smallest tau of at least 1.6566372270996399e-06" in proc.stderr
         assert "smaller n" not in proc.stderr
+
+    def test_stieltjes_scan_cap_names_the_smallest_tau_that_fits(self, tmp_path):
+        # the refusal named the refused tau ("use a smallest tau above
+        # 0.0005"); it now names the smallest double tau whose grid fits,
+        # and a schedule ending there runs
+        argv = ["herglotz", "--c", "2e-6", "--n", "3", "--quiet"]
+        proc = _main_under_1gib([*argv, "--tau-schedule", "0.1,0.01,0.0005",
+                                 "--out", str(tmp_path / "refused")])
+        assert proc.returncode == 2, proc.stderr
+        tau = float(re.search(r"use a smallest tau of at least (\S+)\n",
+                              proc.stderr).group(1))
+        period = math.pi / math.sqrt(2e-6)
+        interval = (-1.0, 2 * period + 1.0)  # the battery's, margin 1
+        assert (herglotz._scan_grid(*interval, math.nextafter(tau, 0.0))[1]
+                > mf.MAX_STACK_ENTRIES >= herglotz._scan_grid(*interval, tau)[1])
+        proc = _main_under_1gib([*argv, "--tau-schedule", f"0.1,0.01,{tau!r}",
+                                 "--out", str(tmp_path / "fits")])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_stieltjes_scan_cap_says_when_no_schedule_fits(self, tmp_path):
+        # at c = 1e-6 the battery's interval needs more than the cap at
+        # every tau <= 1e-3; the refusal advised "a smallest tau above
+        # 0.001", which tau_schedule refuses
+        proc = _main_under_1gib(["herglotz", "--c", "1e-6", "--n", "3", "--quiet",
+                                 "--out", str(tmp_path / "h")])
+        assert proc.returncode == 2, proc.stderr
+        assert ("more than the cap of 10000000; no tau_schedule fits: every "
+                "smallest tau in (0, 1e-3] needs more grid points on an "
+                "interval of length 6285.19") in proc.stderr
+        assert "use a smallest tau" not in proc.stderr
 
     def test_gromov_cutoffs_capped_before_allocating(self, tmp_path):
         # the search asked np.arange for 10^9 cutoffs, 7.45 GiB (exit 1)

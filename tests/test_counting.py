@@ -7,7 +7,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import geocount as gc
-from geocount import cli
+from geocount import cli, verify
 from geocount.errors import CatalogError, InputError
 
 
@@ -728,3 +728,50 @@ class TestGromov:
                                         (0.5, 5.0), quad_order=32, step=2e-2)
         assert res["minimal_passing_C"] == 5.0
         assert [chk.holds for chk in res["checks"]] == [False, True]
+
+
+# (c, n, T, value): the counting total area(S^(n-1)) * integral_0^T |eta|^(n-1)
+# at 40 digits (mpmath quadrature between the zeros of eta, offline),
+# rounded to 17.  T is verify's cutoff 2 / sqrt(max(1, c)), and three longer
+# cutoffs cross zeros of eta
+_COUNTING_TOTALS = [
+    (-4.0, 3, 2.0, 5.8216807352535922e+2),
+    (-4.0, 41, 2.0, 1.7996954789465421e+36),
+    (-4.0, 200, 2.0, 2.0198003153735449e+117),
+    (-1.9863799781293743, 3, 2.0, 1.5121050911752633e+2),
+    (-1.9863799781293743, 41, 2.0, 8.093846013903322e+21),
+    (-1.9863799781293743, 200, 2.0, 2.1697331978047615e+45),
+    (0.0, 3, 2.0, 3.3510321638291128e+1),
+    (0.0, 41, 2.0, 3.0842728458760764e+3),
+    (0.0, 200, 2.0, 8.9326999755308404e-49),
+    (0.5, 3, 2.0, 2.239528785297136e+1),
+    (0.5, 41, 2.0, 5.3402209994617074e-3),
+    (0.5, 200, 2.0, 3.3362097466407452e-79),
+    (1.0, 3, 2.0, 1.4943935773836984e+1),
+    (1.0, 41, 2.0, 2.258678837266778e-8),
+    (1.0, 200, 2.0, 1.9730196582898793e-107),
+    (4.0, 3, 1.0, 1.867991971729623),
+    (4.0, 41, 1.0, 1.0271282177503863e-20),
+    (4.0, 200, 1.0, 1.2278131477058737e-167),
+    (1.0, 3, 10.0, 5.9963750978980258e+1),
+    (4.0, 200, 7.0, 4.943374178975985e-167),
+    (0.5, 28, 20.0, 1.0348325812825661e+2),
+]
+
+
+class TestClosedFormIntegrandOracle:
+    @pytest.mark.parametrize("c, n, T, value", _COUNTING_TOTALS)
+    def test_oracle_equals_the_reference(self, c, n, T, value):
+        # relative 1e-13: the quadrature itself is exact to ~1e-15 (halving
+        # its panels below moves it less than 1e-14); |eta|^k and the area's
+        # pi^(n/2) carry the float rounding of eta and pi about k-fold
+        got = verify._oracle_counting_total(gc.constant_curvature(c, n), T)
+        assert abs(got - value) <= 1e-13 * value
+
+    @pytest.mark.parametrize("c, n, T, value", _COUNTING_TOTALS)
+    def test_halving_the_panels_moves_less_than_1e_14(self, c, n, T, value):
+        spec = gc.constant_curvature(c, n)
+        k = n - 1
+        width = 4.0 / max(4.0, k * math.sqrt(abs(c)), k / T)
+        got = verify._oracle_counting_total(spec, T)
+        assert abs(verify._oracle_counting_total(spec, T, 0.5 * width) - got) <= 1e-14 * got

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import geocount as gc
@@ -160,18 +160,19 @@ def test_herglotz_passes_every_check(c, n):
     assert code == 0
 
 
-def _full_grid_peaks(Fh, grid, tau, threshold):
-    """The atom scan before the coarse pass: every grid point evaluated."""
-    im = herglotz._im_phi(Fh, grid, tau)
+def _full_grid_peaks(Fh, a, b, npts, tau, threshold):
+    """The atom scan before the coarse pass: every point of the grid
+    np.linspace(a, b, npts) built and evaluated."""
+    im = herglotz._im_phi(Fh, np.linspace(a, b, npts), tau)
     mid = im[1:-1]
     return np.flatnonzero((mid > threshold / tau)
                           & (mid >= im[:-2]) & (mid >= im[2:])) + 1
 
 
 def _scan_grid(a, length, tau):
-    """The grid stieltjes_invert scans at its smallest tau."""
+    """(a, b, npts) of the grid stieltjes_invert scans at its smallest tau."""
     h = min(tau / 2.0, length / 2000.0)
-    return np.linspace(a, a + length, int(math.ceil(length / h)) + 1)
+    return a, a + length, int(math.ceil(length / h)) + 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -185,8 +186,8 @@ def test_certified_scan_finds_the_full_grid_peaks(c, n, lead, length, tau, thres
     # the interval starts lead before the atom at 0 and may reach the next ones
     Gh = HerglotzMatrix.from_constant_curvature(c, n).neg_inverse_function()
     grid = _scan_grid(-lead, length, tau)
-    want = _full_grid_peaks(Gh, grid, tau, threshold)
-    assert np.array_equal(herglotz._scan_peaks(Gh, grid, tau, threshold), want)
+    want = _full_grid_peaks(Gh, *grid, tau, threshold)
+    assert np.array_equal(herglotz._scan_peaks(Gh, *grid, tau, threshold), want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
@@ -199,8 +200,63 @@ def test_certified_scan_on_a_constant_function(scale, a, tau):
     Fh = HerglotzMatrix(profile=lambda z: np.full(z.shape, 1j * scale), dim=2,
                         pole_distance=lambda z: np.full(z.shape, np.inf))
     grid = _scan_grid(a, 0.05, tau)
-    want = _full_grid_peaks(Fh, grid, tau, 0.1)
-    assert np.array_equal(herglotz._scan_peaks(Fh, grid, tau, 0.1), want)
+    want = _full_grid_peaks(Fh, *grid, tau, 0.1)
+    assert np.array_equal(herglotz._scan_peaks(Fh, *grid, tau, 0.1), want)
+
+
+def _masked_grid_peaks(Fh, a, b, npts, tau, threshold):
+    """The scan with the whole grid built: the coarse pass's skipped blocks
+    stand at -inf, every other point is evaluated.  Returns the peaks and
+    the mask of kept points."""
+    grid = np.linspace(a, b, npts)
+    h = (b - a) / (npts - 1)
+    tau_c = max(0.5 * herglotz.SCAN_BLOCK * h, tau)
+    centres = a + (herglotz.SCAN_BLOCK * np.arange(-(-npts // herglotz.SCAN_BLOCK))
+                   + 0.5 * (herglotz.SCAN_BLOCK - 1)) * h
+    skip = 6.0 * tau_c * herglotz._im_phi(Fh, centres, tau_c) < threshold
+    kept = ~np.repeat(skip, herglotz.SCAN_BLOCK)[:npts]
+    im = np.full(npts, -np.inf)
+    im[kept] = herglotz._im_phi(Fh, grid[kept], tau)
+    mid = im[1:-1]
+    peaks = np.flatnonzero((mid > threshold / tau)
+                           & (mid >= im[:-2]) & (mid >= im[2:])) + 1
+    return peaks, kept
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e4), npts=st.integers(2, 5000))
+def test_grid_points_are_those_of_linspace(a, length, npts):
+    # the scan forms its points without the grid, with np.linspace's bits
+    b = a + length
+    assume(a < b)
+    got = herglotz._linspace_at(a, b, npts, np.arange(npts))
+    assert got.tobytes() == np.linspace(a, b, npts).tobytes()
+
+
+def test_scan_of_the_kept_blocks_equals_the_masked_grid_scan():
+    # Im phi = 1 + cos(freq sigma + phase) ignores tau: not Herglotz, and
+    # from freq = 1e3 on it turns within a block (spacing 1e-5), so the
+    # coarse pass keeps blocks next to skipped ones that hold peaks; a kept
+    # block's end point there must be a peak exactly when it is with -inf
+    # beyond it
+    rng = np.random.default_rng(5)
+    beside_skipped = 0
+    for _ in range(60):
+        freq = float(10.0 ** rng.uniform(3.0, 6.0))
+        phase = float(rng.uniform(0.0, 2 * math.pi))
+        def profile(z, freq=freq, phase=phase):
+            return 1j * (1.0 + np.cos(freq * z.real + phase))
+
+        Fh = HerglotzMatrix(profile=profile, dim=1,
+                            pole_distance=lambda z: np.full(z.shape, np.inf))
+        a = float(rng.uniform(-2.0, 2.0))
+        npts = int(rng.integers(3, 3000))
+        tau = float(rng.uniform(1e-4, 1e-3))
+        b = a + 1e-5 * (npts - 1)
+        want, kept = _masked_grid_peaks(Fh, a, b, npts, tau, 1.5 * tau)
+        assert np.array_equal(herglotz._scan_peaks(Fh, a, b, npts, tau, 1.5 * tau), want)
+        beside_skipped += int(np.sum(~kept[want - 1] | ~kept[want + 1]))
+    assert beside_skipped > 0
 
 
 _KINDS = ["sphere", "hyperboloid", "flat", "torus", *sorted(WARP_CATALOG)]

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,10 +143,10 @@ class TestScalarPathAndCoarsePass:
                 scan["evals"] += len(zetas)
             return inner(zetas)
 
-        def counted_scan(Fh, grid, tau, threshold, inner=herglotz._scan_peaks):
-            scan.update(on=True, grid=len(grid))
+        def counted_scan(Fh, a, b, npts, tau, threshold, inner=herglotz._scan_peaks):
+            scan.update(on=True, grid=npts)
             try:
-                return inner(Fh, grid, tau, threshold)
+                return inner(Fh, a, b, npts, tau, threshold)
             finally:
                 scan["on"] = False
 
@@ -160,6 +161,22 @@ class TestScalarPathAndCoarsePass:
         assert fd.to_dict() == ref.to_dict()
         assert [round(t, 4) for t in fd.locations] == [0.0, 3.1416, 6.2832]
 
+    def test_scan_holds_only_the_kept_blocks(self):
+        # tau down to 1e-5 on the sphere scans 1 656 639 grid points, 13.3 MB
+        # as one float array; forming only the kept blocks' points, the whole
+        # recovery peaks below 8 MB
+        Gh = HerglotzMatrix.from_constant_curvature(1.0, 3).neg_inverse_function()
+        interval = (-1.0, 2 * math.pi + 1.0)
+        assert herglotz._scan_grid(*interval, 1e-5)[1] == 1_656_639
+        tracemalloc.start()
+        try:
+            fd = gc.stieltjes_invert(Gh, interval, (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert [round(t, 4) for t in fd.locations] == [0.0, 3.1416, 6.2832]
+
     def test_scan_below_pole_margin_meets_every_pole_guard(self):
         # -eps/z is Herglotz with an atom of mass pi*eps at 0, too light for
         # its block to be kept; below POLE_MARGIN the scan still evaluates
@@ -167,10 +184,10 @@ class TestScalarPathAndCoarsePass:
         eps = 1e-3
         Fh = HerglotzMatrix(profile=lambda z: -eps / z, dim=1,
                             pole_distance=np.abs)
-        grid = np.linspace(-1e-6, 1e-6, 801)
+        grid = (-1e-6, 1e-6, 801)
         with pytest.raises(PoleError):
-            herglotz._scan_peaks(Fh, grid, 5e-9, 0.1)
-        assert len(herglotz._scan_peaks(Fh, grid, 1e-7, 0.1)) == 0
+            herglotz._scan_peaks(Fh, *grid, 5e-9, 0.1)
+        assert len(herglotz._scan_peaks(Fh, *grid, 1e-7, 0.1)) == 0
 
 
 class TestBatchedGoldenSearch:
@@ -186,11 +203,12 @@ class TestBatchedGoldenSearch:
         searches = []
         batched = herglotz._golden_min
 
-        def spy(f, a, b, tol):
-            t = batched(f, a, b, tol)
-            searches.append((t, golden_min_one_point(
-                lambda s: float(f(np.array([s]))[0]), a, b, tol)))
-            return t
+        def spy(f, brackets, tol):
+            ts = batched(f, brackets, tol)
+            for t, (a, b) in zip(ts, brackets, strict=True):
+                searches.append((t, golden_min_one_point(
+                    lambda s: float(f(np.array([s]))[0]), a, b, tol)))
+            return ts
 
         monkeypatch.setattr(herglotz, "_golden_min", spy)
         verify.herglotz_battery(c, n, 0, taus)
@@ -206,8 +224,9 @@ class TestBatchedGoldenSearch:
         fd = gc.stieltjes_invert(Gh, (t - 1.0, t + 1.0))
         assert len(fd.atoms) == 1
         assert abs(fd.locations[0] - t) <= 2 * math.ulp(t)
-        assert herglotz._golden_min(lambda s: np.abs(s - t), t - 1e-6, t + 1e-6,
-                                    1e-12) == pytest.approx(t, abs=2 * math.ulp(t))
+        [got] = herglotz._golden_min(lambda s: np.abs(s - t), [(t - 1e-6, t + 1e-6)],
+                                     1e-12)
+        assert got == pytest.approx(t, abs=2 * math.ulp(t))
 
     def test_random_unimodal_cells_equal_the_one_point_search(self):
         rng = np.random.default_rng(7)
@@ -231,10 +250,50 @@ class TestBatchedGoldenSearch:
                     path.append(s)
                     return float(f(np.array([s]))[0])
 
-                assert herglotz._golden_min(many, a, b, tol) == \
-                    golden_min_one_point(one, a, b, tol)
+                assert herglotz._golden_min(many, [(a, b)], tol) == \
+                    [golden_min_one_point(one, a, b, tol)]
                 # every iterate of the one-point search, bit for bit
                 assert set(path) <= batched
+
+    def test_one_call_over_many_brackets_equals_the_one_point_searches(self):
+        # one f with a minimum at every integer and one bracket about each
+        # of 60, of widths from below tol (no step at all) to 0.8, so the
+        # searches stop at different steps, most of them inside a batch;
+        # near 1e8 doubles are 1.5e-8 apart, coarser than tol, and that
+        # search stops when its bracket stops shrinking
+        rng = np.random.default_rng(11)
+        tol = 1e-9
+        brackets = [(0.5e-9, 0.5e-9 + 0.8 * tol), (1e8 - 3e-7, 1e8 + 4e-7)]
+        for m in range(1, 59):
+            width = float(10.0 ** rng.uniform(-8.5, math.log10(0.8)))
+            lo = m - float(rng.uniform(0.0, 1.0)) * width
+            brackets.append((lo, lo + width))
+        calls = []
+
+        def f(s):
+            calls.append(len(s))
+            return (s - np.round(s)) ** 2
+
+        got = herglotz._golden_min(f, brackets, tol)
+        batched_calls = calls[:]
+        steps, want = [], []
+        for a, b in brackets:
+            path = []
+
+            def one(s, path=path):
+                path.append(s)
+                return float(f(np.array([s]))[0])
+
+            want.append(golden_min_one_point(one, a, b, tol))
+            steps.append(len(path) - 2)
+        assert got == want
+        assert steps[0] == 0 and len(set(steps)) >= 20
+        assert got[1] == pytest.approx(1e8, abs=2 * math.ulp(1e8))
+        # one call for every bracket's first pair, then one per
+        # GOLDEN_LOOKAHEAD steps of the longest search
+        rounds = -(-max(steps) // herglotz.GOLDEN_LOOKAHEAD)
+        assert len(batched_calls) == 1 + rounds
+        assert batched_calls[0] == 2 * len(brackets)
 
 
 def _window_oracle(c, t, delta, tau):
