@@ -23,8 +23,10 @@ import numpy as np
 def scalars(c: float, sigma, lib=np):
     """(xi, xi', eta, eta') of y'' = -c y, elementwise in real sigma.
 
-    ``lib`` supplies cos/sin/cosh/sinh: numpy for grids, math for scalars
-    (numpy's and math's cosh and sinh differ in the last bit at some points).
+    ``lib`` supplies cos/sin/cosh/sinh: numpy for numbers and arrays alike,
+    math where a float must overflow with OverflowError, as in
+    ``herglotz.det_growth_bound`` (numpy's and math's cosh and sinh differ
+    in the last bit at some points).
     """
     if c > 0:
         s = math.sqrt(c)
@@ -93,14 +95,14 @@ def g_primitive(c: float, zeta: complex) -> complex:
     return 1j * s * zeta - cmath.log(1.0 - cmath.exp(2j * s * zeta))
 
 
-def g_prime(c: float, sigma: float) -> float:
-    """G' at real sigma, 1/eta^2 written out."""
+def g_prime(c: float, sigma):
+    """G' at real sigma (a number or an array), 1/eta^2 written out."""
     if c == 0:
         return 1.0 / (sigma * sigma)
     s = math.sqrt(abs(c))
     if c > 0:
-        return c / math.sin(s * sigma) ** 2
-    return -c / math.sinh(s * sigma) ** 2
+        return c / np.sin(s * sigma) ** 2
+    return -c / np.sinh(s * sigma) ** 2
 
 
 def pole_period(c: float) -> float:
@@ -140,7 +142,8 @@ class ClosedFormJacobi:
     ``eval_at`` gives the scalars (xi, xi', eta, eta') of Xi = xi * Id and
     H = eta * Id, ``f`` gives f = eta / xi at a complex zeta through
     ``f_profile``, and ``distance_to_singular`` the distance to the nearest
-    zero of xi or eta."""
+    zero of xi or eta.  Each takes a number or an array: an array gives
+    arrays of its shape, a number Python numbers."""
 
     c: float
     n: int
@@ -149,12 +152,16 @@ class ClosedFormJacobi:
     def dim(self) -> int:
         return self.n - 1
 
-    def eval_at(self, sigma: float):
-        return scalars(self.c, sigma, math)
+    def eval_at(self, sigma):
+        sigma = np.asarray(sigma, dtype=float)
+        out = scalars(self.c, sigma)
+        return tuple(float(v) for v in out) if sigma.ndim == 0 else out
 
-    def f(self, zeta) -> complex:
-        return complex(f_profile(self.c, np.array([zeta], dtype=complex))[0])
+    def f(self, zeta):
+        zeta = np.asarray(zeta, dtype=complex)
+        out = f_profile(self.c, zeta.reshape(-1))
+        return complex(out[0]) if zeta.ndim == 0 else out.reshape(zeta.shape)
 
-    def distance_to_singular(self, sigma: float) -> float:
-        return float(min(f_pole_distance(self.c, sigma),
-                         g_pole_distance(self.c, sigma)))
+    def distance_to_singular(self, sigma):
+        out = np.minimum(f_pole_distance(self.c, sigma), g_pole_distance(self.c, sigma))
+        return float(out) if np.ndim(sigma) == 0 else out

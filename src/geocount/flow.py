@@ -192,37 +192,53 @@ class JacobiSystem:
     def T(self) -> float:
         return float(self.sigma[-1])
 
-    def _bracket(self, sigma: float) -> int:
-        if sigma < self.sigma[0] - 1e-12 or sigma > self.sigma[-1] + 1e-12:
+    def _bracket(self, sigma: np.ndarray) -> np.ndarray:
+        """The cell index of every real sigma of a 1-d array; the first
+        sigma outside the grid raises InputError."""
+        lo, hi = self.sigma[0], self.sigma[-1]
+        outside = (sigma < lo - 1e-12) | (sigma > hi + 1e-12)
+        if outside.any():
             raise InputError(
-                f"flow.JacobiSystem: sigma={sigma} outside grid "
-                f"[{self.sigma[0]}, {self.sigma[-1]}]")
-        j = int(np.searchsorted(self.sigma, sigma, side="right")) - 1
-        return min(max(j, 0), len(self.sigma) - 2)
+                f"flow.JacobiSystem: sigma={float(sigma[np.argmax(outside)])} "
+                f"outside grid [{lo}, {hi}]")
+        j = np.searchsorted(self.sigma, sigma, side="right") - 1
+        return np.clip(j, 0, len(self.sigma) - 2)
 
     def eval_at(self, sigma):
-        """Dense output (xi, xi', eta, eta') at sigma: cubic Hermite in each
-        cell, O(step^4) accurate, with y'' = -kappa y for the derivatives.
-        Each is a polynomial on the cell, so a complex sigma, bracketed by
-        its real part, gives its continuation."""
-        j = self._bracket(sigma.real)
-        hcell = self.sigma[j + 1] - self.sigma[j]
-        t = (sigma - self.sigma[j]) / hcell
+        """Dense output (xi, xi', eta, eta') at sigma, a number or an array:
+        cubic Hermite in each cell, O(step^4) accurate, with y'' = -kappa y
+        for the derivatives.  Each is a polynomial on the cell, so a complex
+        sigma, bracketed by its real part, gives its continuation.  An array
+        gives four arrays of its shape, from one search of the grid and one
+        Hermite evaluation per column; a number gives four Python numbers,
+        the same bits as the array's entries."""
+        sigma = np.asarray(sigma)
+        flat = sigma.reshape(-1)
+        j = self._bracket(flat.real)
+        hcell = (self.sigma[j + 1] - self.sigma[j])[:, None]
+        t = (flat - self.sigma[j])[:, None] / hcell
         y0, dy0 = self.cols[j, 0::2], self.cols[j, 1::2]  # (xi, eta), (xi', eta')
         y1, dy1 = self.cols[j + 1, 0::2], self.cols[j + 1, 1::2]
         y = _hermite(t, hcell, y0, dy0, y1, dy1)
-        dy = _hermite(t, hcell, dy0, -self.kappa[j] * y0, dy1, -self.kappa[j + 1] * y1)
-        (xi, eta), (dxi, deta) = y.tolist(), dy.tolist()
-        return xi, dxi, eta, deta
+        dy = _hermite(t, hcell, dy0, -self.kappa[j, None] * y0,
+                      dy1, -self.kappa[j + 1, None] * y1)
+        out = (y[:, 0], dy[:, 0], y[:, 1], dy[:, 1])
+        if sigma.ndim == 0:
+            return tuple(v.item() for v in out)
+        return tuple(v.reshape(sigma.shape) for v in out)
 
-    def f(self, zeta) -> complex:
+    def f(self, zeta):
+        """f = eta / xi at zeta, a number or an array (see ``eval_at``)."""
         xi, _, eta, _ = self.eval_at(zeta)
         return eta / xi
 
-    def distance_to_singular(self, sigma: float) -> float:
-        if len(self.singular_set) == 0:
-            return math.inf
-        return float(np.min(np.abs(self.singular_set - sigma)))
+    def distance_to_singular(self, sigma):
+        """Distance from sigma (a number or an array) to the nearest zero
+        of xi or eta; inf without zeros."""
+        sigma = np.asarray(sigma, dtype=float)
+        out = np.min(np.abs(self.singular_set - sigma[..., None]), axis=-1,
+                     initial=math.inf)
+        return float(out) if sigma.ndim == 0 else out
 
 
 def _rk4_inputs(kprofile, sigma):

@@ -120,40 +120,42 @@ def check_theorem_nice(Fh: HerglotzMatrix, sample_zeta) -> dict:
     }
 
 
-def _fprime(f, sigma: float) -> float:
+def _fprime(f, sigma):
     """f'(sigma) = Im f(sigma + ih) / h with h = COMPLEX_STEP, the complex
     step (Squire and Trapp, SIAM Rev. 40, 1998), for an f that is real on
-    the real axis and continues holomorphically off it."""
-    return f(complex(sigma, COMPLEX_STEP)).imag / COMPLEX_STEP
+    the real axis and continues holomorphically off it; sigma is a number
+    or an array, as f takes it."""
+    return f(np.asarray(sigma) + 1j * COMPLEX_STEP).imag / COMPLEX_STEP
 
 
-def check_key1(source, sigma: float) -> float:
+def check_key1(source, sigma):
     """Residual of det(H^T H) * det((-f^{-1})'(sigma)) = 1.
 
     With H = eta * Id and -f^{-1} = g * Id the product is (eta^2 g')^k,
     taken as one power so that it cannot overflow where the identity holds.
     g' = f'/f^2 is the complex step of g = -1/f through ``source.f``;
-    ``source`` is any Jacobi data provider (propagated system or closed form).
+    ``source`` is any Jacobi data provider (propagated system or closed form)
+    whose ``eval_at`` and ``f`` take a number or an array.  sigma is a
+    number (a float residual) or an array (an array of residuals, one
+    evaluation of each term for all of them).
     """
     gprime = _fprime(lambda z: -1.0 / source.f(z), sigma)
     _, _, eta, _ = source.eval_at(sigma)
     return abs((eta * eta * gprime) ** source.dim - 1.0)
 
 
-def check_xi_identity(source, sigma: float) -> float:
+def check_xi_identity(source, sigma):
     """Residual of (Xi^T Xi) f'(sigma) = Id, that is |xi^2 f' - 1|, with f'
-    the complex step through ``source.f``."""
+    the complex step through ``source.f``; sigma a number or an array, as
+    in ``check_key1``."""
     xi, _, _, _ = source.eval_at(sigma)
     return abs(xi * xi * _fprime(source.f, sigma) - 1.0)
 
 
-def minkowski_det_lower_bound(A1, A2):
-    """det(A1+A2) - det A1 - det A2 for positive semidefinite inputs.
-
-    Superadditivity of the determinant on the PSD cone makes the margin
-    nonnegative up to round-off.  A1 and A2 may be (..., k, k) stacks of
-    pairs; a stack gives an array of margins, a single pair a float.
-    """
+def _minkowski_dets(A1, A2):
+    """(det(A1+A2) - det A1 - det A2, det(A1+A2)) of ``minkowski_det_lower_bound``,
+    as arrays of the stack's shape (0-d for one pair), the three
+    determinants from one ``np.linalg.det`` call."""
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
     if A1.shape != A2.shape or A1.ndim < 2 or A1.shape[-1] != A1.shape[-2]:
@@ -166,8 +168,21 @@ def minkowski_det_lower_bound(A1, A2):
         sym = 0.5 * (A + np.swapaxes(A, -1, -2))
         if np.any(np.min(np.linalg.eigvalsh(sym), axis=-1) < -1e-10 * scale):
             raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not PSD")
-    margin = np.linalg.det(A1 + A2) - np.linalg.det(A1) - np.linalg.det(A2)
-    return float(margin) if A1.ndim == 2 else margin
+    total, d1, d2 = np.linalg.det(np.stack((A1 + A2, A1, A2)))
+    return total - d1 - d2, total
+
+
+def minkowski_det_lower_bound(A1, A2):
+    """det(A1+A2) - det A1 - det A2 for positive semidefinite inputs.
+
+    Superadditivity of the determinant on the PSD cone makes the margin
+    nonnegative up to round-off.  A1 and A2 may be (..., k, k) stacks of
+    pairs; a stack gives an array of margins, a single pair a float.  The
+    inputs are checked in the order A1 symmetric, A1 PSD, A2 symmetric, A2
+    PSD, and the first failure raises InputError.
+    """
+    margin, _ = _minkowski_dets(A1, A2)
+    return float(margin) if margin.ndim == 0 else margin
 
 
 class DetBound(NamedTuple):
@@ -204,13 +219,14 @@ def det_growth_bound(c: float, n: int, sigma: float) -> DetBound:
     return DetBound(lhs, rhs, bool(lhs <= rhs + 1e-10))
 
 
-def check_b_decomposition(c: float, n: int, sigma: float) -> float:
-    """Min eigenvalue of (-f^{-1})'(sigma) - Id/sigma^2 (must be >= 0).
+def check_b_decomposition(c: float, n: int, sigma):
+    """Min eigenvalue of (-f^{-1})'(sigma) - Id/sigma^2 (must be >= 0), at
+    sigma a number or an array (a float or an array of values).
 
     Removing the atom at the origin from the derivative representation leaves
     a positive semidefinite remainder.
     """
-    if sigma == 0:
+    if np.any(np.asarray(sigma) == 0):
         raise InputError("herglotz.check_b_decomposition: sigma must be nonzero")
     return closed_form.g_prime(c, sigma) - 1.0 / (sigma * sigma)
 

@@ -453,6 +453,54 @@ class TestScalarColumns:
                                  _matrix_eval_at(js, mats, float(s))):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("spec", _SCALAR_COLUMN_SYSTEMS, ids=lambda s: s.label)
+    def test_dense_output_on_arrays_equals_scalar_calls(self, spec):
+        # one search and one Hermite evaluation per column for the whole
+        # array, the bits of the calls one sigma at a time; real sigma
+        # give floats, complex sigma complex numbers, and the shape is kept.
+        # f = eta / xi too on the real axis; off it, numpy's complex
+        # division may differ from Python's in the last bit
+        _, js = _traj_and_system(spec, T=3.0)
+        rng = np.random.default_rng(9)
+        real = np.concatenate([[0.0, js.T, js.T + 5e-13, -5e-13], js.sigma[::250],
+                               rng.uniform(0.0, js.T, 40)])
+        for sigma in (real, real + 1j * rng.uniform(-1e-3, 1e-3, len(real))):
+            got = js.eval_at(sigma)
+            for i, s in enumerate(sigma.tolist()):
+                assert [v[i] for v in got] == list(js.eval_at(s))
+        assert js.f(real).tolist() == [js.f(s) for s in real.tolist()]
+        grid = real[:42].reshape(6, 7)
+        got = js.eval_at(grid)
+        assert all(v.shape == (6, 7) for v in got)
+        assert np.array_equal(np.stack(got), np.stack(js.eval_at(grid.ravel())).reshape(4, 6, 7))
+        assert all(v.shape == (0,) for v in js.eval_at(np.empty(0)))
+
+    def test_out_of_grid_sigma_anywhere_in_an_array_raises(self):
+        _, js = _traj_and_system(gc.constant_curvature(1.0, 3), T=3.0)
+        inside = np.linspace(0.1, 2.9, 9)
+        for bad in (-1e-9, 3.0 + 1e-9, 7.0):
+            for where in (0, 4, 8):
+                sigma = inside.copy()
+                sigma[where] = bad
+                with pytest.raises(InputError, match=f"sigma={bad!r} outside grid"):
+                    js.eval_at(sigma)
+                with pytest.raises(InputError, match="outside grid"):
+                    js.f(sigma + 1e-20j)
+                with pytest.raises(InputError, match="outside grid"):
+                    gc.check_key1(js, sigma)
+
+    def test_distance_to_singular_on_arrays_equals_scalar_calls(self):
+        for spec, T in ((gc.constant_curvature(1.0, 3), 7.0),
+                        (gc.flat_torus(np.eye(2)), 3.0)):
+            _, js = _traj_and_system(spec, T=T)
+            sigma = np.random.default_rng(4).uniform(-1.0, T + 1.0, 50)
+            got = js.distance_to_singular(sigma)
+            assert got.tolist() == [js.distance_to_singular(s) for s in sigma.tolist()]
+            assert isinstance(js.distance_to_singular(1.0), float)
+        js = dataclasses.replace(js, singular_set=np.empty(0))
+        assert js.distance_to_singular(1.0) == math.inf
+        assert np.all(js.distance_to_singular(sigma) == math.inf)
+
     @pytest.mark.parametrize("n", [2, 3, 6])
     @pytest.mark.parametrize("family", [
         lambda n: gc.constant_curvature(1.0, n),

@@ -19,6 +19,13 @@ def _warped_system(T=4.0):
     return gc.propagate_jacobi(traj)
 
 
+def _system(spec, T=5.0):
+    """The propagated system along the first frame axis at the canonical point."""
+    x = gc.canonical_point(spec)
+    return gc.propagate_jacobi(gc.integrate_geodesic(
+        spec, x, gc.orthonormal_frame(spec, x)[0], T, 1e-3))
+
+
 def _f(c, n, zeta):
     """The closed-form matrix f = phi * Id of curvature c at zeta."""
     return gc.HerglotzMatrix.from_constant_curvature(c, n)(zeta)
@@ -293,6 +300,29 @@ class TestIdentityChain:
             sigmas = np.random.default_rng(seed).uniform(0.2, 4.8, 10)
             assert max(gc.check_key1(js, s) for s in sigmas) <= bound
 
+    # worst |array - scalar| over 4 000 samples per source (seeds 0..19):
+    # 2 k eps on the closed forms and 4 k eps on propagated systems (check_key1;
+    # check_xi_identity at most 2 eps), from numpy's complex division in -1/f
+    @pytest.mark.parametrize("source", [
+        ClosedFormJacobi(1.0, 3), ClosedFormJacobi(-2.0, 3), ClosedFormJacobi(0.0, 44),
+        ClosedFormJacobi(4.0, 44), _warped_system(), _system(gc.constant_curvature(1.0, 3)),
+        _system(gc.flat_torus([[1.0, 0, 0], [0.5, 1.0, 0], [0, 0, 2.0]]))],
+        ids=["cf c=1", "cf c=-2", "cf c=0 k=43", "cf c=4 k=43", "warped", "sphere",
+             "torus"])
+    def test_identities_on_arrays_match_scalar_calls(self, source):
+        bound = 8 * source.dim * np.finfo(float).eps
+        lo, hi = (0.2, min(4.8, 0.95 * source.T)) if hasattr(source, "T") else (0.2, 4.8)
+        for seed in (0, 1, 101):
+            rng = np.random.default_rng(seed)
+            sigmas = verify._sample_sigmas(rng, 50, lo, hi, source.distance_to_singular)
+            for check in (gc.check_key1, gc.check_xi_identity):
+                got = check(source, sigmas)
+                want = [check(source, s) for s in sigmas.tolist()]
+                assert got.shape == (50,)
+                assert all(isinstance(v, float) for v in want)
+                assert np.max(np.abs(got - want)) <= bound, (seed, check.__name__)
+        assert isinstance(gc.check_key1(source, np.float64(1.1)), float)
+
     def test_flat_identity_is_exact(self):
         cf = ClosedFormJacobi(0.0, 4)
         assert gc.check_xi_identity(cf, 1.7) <= 1e-10
@@ -314,6 +344,41 @@ class TestIdentityChain:
             r1 = gc.check_key1(src, 1.1)
             r2 = gc.check_xi_identity(src, 1.1)
             assert (r1 <= 1e-6) == (r2 <= 1e-6)
+
+
+def _battery_pole_distances():
+    """(name, pole_distance, lo, hi, margin) for every pole distance that
+    lemma_battery passes to _sample_sigmas, each with its sigma window."""
+    js = _system(gc.constant_curvature(4.0, 3))
+    return [
+        ("closed form", ClosedFormJacobi(4.0, 3).distance_to_singular, 0.2, 4.8, 0.05),
+        ("propagated system", js.distance_to_singular, 0.25, 4.75, 0.1),
+        ("g_pole_distance", lambda s: g_pole_distance(1.0, s), 0.05, 10.0, 0.05),
+        ("no poles", lambda s: np.full(np.shape(s), math.inf), 0.2, 4.8, 0.05),
+    ]
+
+
+@pytest.mark.parametrize("case", _battery_pole_distances(), ids=lambda c: c[0])
+def test_batched_sigma_samples_equal_the_one_at_a_time_loop(case):
+    # each round draws only the values still needed, so the kept values,
+    # their order and the rng state afterwards are those of the loop
+    _, pole_distance, lo, hi, margin = case
+    drawn = 0
+    for seed in range(20):
+        for count in (1, 12, 50):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = verify._sample_sigmas(rng, count, lo, hi, pole_distance, margin)
+            want = []
+            while len(want) < count:
+                s = float(ref_rng.uniform(lo, hi))
+                drawn += 1
+                if pole_distance(s) >= margin:
+                    want.append(s)
+            assert got.tolist() == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            drawn -= count
+    # every case with poles in its window rejects some draws
+    assert (drawn > 0) == (case[0] != "no poles")
 
 
 class TestMinkowski:
@@ -358,30 +423,32 @@ class TestMinkowski:
             single = [gc.minkowski_det_lower_bound(p, q) for p, q in zip(a1, a2)]
             assert all(isinstance(v, float) for v in single)
             assert np.array_equal(margins, single)
+            # one det call over the stacked (A1 + A2, A1, A2), bit for bit
+            assert np.array_equal(margins, np.linalg.det(a1 + a2) - np.linalg.det(a1)
+                                  - np.linalg.det(a2))
 
     @pytest.mark.parametrize("seed", [0, 1, 101])
-    def test_battery_pairs_equal_the_per_pair_products(self, seed):
-        # the battery's stacks against drawing and multiplying pair by pair,
-        # bit for bit, with the rng left in the same state
+    def test_battery_pairs_are_drawn_by_size(self, seed):
+        # the battery's stream: all sizes in one integers call, then each
+        # size's (m, 2, k, k) factors in one standard_normal call, in
+        # increasing k; the products equal the pair-by-pair M M^T bit for
+        # bit, and the rng is left in the same state
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = verify._psd_pairs(rng, 1000)
-        want = {}
-        for _ in range(1000):
-            k = int(ref_rng.integers(1, 7))
-            m1 = ref_rng.standard_normal((k, k))
-            m2 = ref_rng.standard_normal((k, k))
-            want.setdefault(k, []).append((m1 @ m1.T, m2 @ m2.T))
-        assert list(got) == list(want)
-        for k, group in want.items():
+        sizes = ref_rng.integers(1, 7, size=1000)
+        assert list(got) == sorted(set(sizes.tolist()))
+        for k in sorted(set(sizes.tolist())):
+            factors = ref_rng.standard_normal((int(np.sum(sizes == k)), 2, k, k))
             a1, a2 = got[k]
-            assert a1.tobytes() == np.array([p for p, _ in group]).tobytes()
-            assert a2.tobytes() == np.array([q for _, q in group]).tobytes()
+            assert a1.tobytes() == np.array([m1 @ m1.T for m1, _ in factors]).tobytes()
+            assert a2.tobytes() == np.array([m2 @ m2.T for _, m2 in factors]).tobytes()
+        assert sum(len(a1) for a1, _ in got.values()) == 1000
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_battery_superadditivity_residual_is_pinned(self):
         records = {r["name"]: r for r in verify.lemma_battery(gc.constant_curvature(1.0, 3), 0)}
         record = records["determinant superadditivity on PSD pairs"]
-        assert record["residual"] == 3.1292692132909193e-16
+        assert record["residual"] == 2.4273077677451146e-16
 
     def test_stack_validation_names_the_failing_side(self):
         good = np.stack([np.eye(2), 2.0 * np.eye(2)])
@@ -391,6 +458,14 @@ class TestMinkowski:
             gc.minkowski_det_lower_bound(good, non_psd)
         with pytest.raises(InputError, match="A1 not symmetric"):
             gc.minkowski_det_lower_bound(asym, good)
+        # the sides are checked in the order A1 symmetric, A1 PSD, A2
+        # symmetric, A2 PSD, whatever else fails
+        with pytest.raises(InputError, match="A1 not PSD"):
+            gc.minkowski_det_lower_bound(non_psd, asym)
+        with pytest.raises(InputError, match="A1 not symmetric"):
+            gc.minkowski_det_lower_bound(asym, non_psd)
+        with pytest.raises(InputError, match="A2 not symmetric"):
+            gc.minkowski_det_lower_bound(good, asym)
         with pytest.raises(InputError):
             gc.minkowski_det_lower_bound(good, good[:1])
         with pytest.raises(InputError):
