@@ -152,21 +152,36 @@ def check_xi_identity(source, sigma):
     return abs(xi * xi * _fprime(source.f, sigma) - 1.0)
 
 
+def _is_psd(A, scale):
+    """True when every matrix of the stack A is finite and the symmetric
+    part of each, shifted by 1e-10 * scale * Id, has a Cholesky factor
+    (``np.linalg.cholesky`` lets a NaN through, so finiteness comes first)."""
+    if not np.all(np.isfinite(A)):
+        return False
+    shift = 1e-10 * scale[..., None, None] * np.eye(A.shape[-1])
+    try:
+        np.linalg.cholesky(0.5 * (A + np.swapaxes(A, -1, -2)) + shift)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _minkowski_dets(A1, A2):
     """(det(A1+A2) - det A1 - det A2, det(A1+A2)) of ``minkowski_det_lower_bound``,
     as arrays of the stack's shape (0-d for one pair), the three
-    determinants from one ``np.linalg.det`` call."""
+    determinants from one ``np.linalg.det`` call; the inputs are validated
+    as that function states."""
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
     if A1.shape != A2.shape or A1.ndim < 2 or A1.shape[-1] != A1.shape[-2]:
         raise InputError("herglotz.minkowski_det_lower_bound: need two square "
                          "matrices (or stacks of them) of equal shape")
     for name, A in (("A1", A1), ("A2", A2)):
-        scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
-        if np.any(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1)) > 1e-8 * scale):
-            raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not symmetric")
-        sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-        if np.any(np.min(np.linalg.eigvalsh(sym), axis=-1) < -1e-10 * scale):
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite A
+            scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+            if np.any(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1)) > 1e-8 * scale):
+                raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not symmetric")
+        if not _is_psd(A, scale):
             raise InputError(f"herglotz.minkowski_det_lower_bound: {name} not PSD")
     total, d1, d2 = np.linalg.det(np.stack((A1 + A2, A1, A2)))
     return total - d1 - d2, total
@@ -179,7 +194,16 @@ def minkowski_det_lower_bound(A1, A2):
     nonnegative up to round-off.  A1 and A2 may be (..., k, k) stacks of
     pairs; a stack gives an array of margins, a single pair a float.  The
     inputs are checked in the order A1 symmetric, A1 PSD, A2 symmetric, A2
-    PSD, and the first failure raises InputError.
+    PSD, and the first failure raises InputError.  Each matrix is taken
+    with scale = max(1, max |A|).  Symmetric means max |A - A^T| <= 1e-8 *
+    scale.  PSD means finite, with a Cholesky factor of the symmetric part
+    plus 1e-10 * scale * Id, so no eigensolve runs.  That factor exists
+    exactly when lambda_min > -1e-10 * scale, up to Cholesky's backward
+    error of about k eps_mach |A| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 10), some 1e-5 of the shift for k <= 6;
+    only inside that rounding band can the verdict differ from the
+    eigenvalue rule lambda_min >= -1e-10 * scale.  A NaN or inf entry is
+    not PSD.
     """
     margin, _ = _minkowski_dets(A1, A2)
     return float(margin) if margin.ndim == 0 else margin

@@ -7,6 +7,7 @@ the geodesic that is a scalar profile times the identity on the normal space,
 which is exactly the data the matrix Jacobi equation consumes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +32,21 @@ def sphere_surface_area(m: int) -> float:
         return 2.0 * math.pi**h / math.gamma(h)
     except OverflowError:
         return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))
+
+
+@functools.cache
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1], as
+    read-only arrays bit-equal to ``np.polynomial.legendre.leggauss(m)``.
+
+    Each ``leggauss`` call is an eigensolve, so each order is built once per
+    process.  ``leggauss`` is looked up at call time; the orders are those
+    of the callers (20, 64 and quadrature orders under the node cap).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +212,7 @@ def warped_product(
         )
     lo, hi = warp.domain
     if math.isfinite(lo) and math.isfinite(hi):
-        u, gw = np.polynomial.legendre.leggauss(64)
+        u, gw = gauss_legendre(64)
         r = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
         volume = sphere_surface_area(n - 1) * 0.5 * (hi - lo) * float(
             np.sum(gw * warp.value(r) ** (n - 1))
@@ -487,7 +503,7 @@ def unit_sphere_quadrature(
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         weights = np.full(m, 2.0 * math.pi / m)
     elif n == 3:
-        z, wz = np.polynomial.legendre.leggauss(m)
+        z, wz = gauss_legendre(m)
         nphi = 2 * m
         phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
         rho = np.sqrt(1.0 - z**2)

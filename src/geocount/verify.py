@@ -58,7 +58,7 @@ def _oracle_counting_total(spec, T, width=None):
     edges = np.append(np.concatenate([
         np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)[:-1]
         for lo, hi in zip(cuts, cuts[1:])]), T)
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = mf.gauss_legendre(20)
     half = 0.5 * np.diff(edges)[:, None]
     sig = edges[:-1, None] + half * (nodes + 1.0)
     vals = np.abs(closed_form.scalars(c, sig)[2]) ** k

@@ -445,6 +445,46 @@ class TestMinkowski:
         assert sum(len(a1) for a1, _ in got.values()) == 1000
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_psd_tolerance_is_1e_10_of_the_scale(self, scale):
+        # lambda_min = -0.5e-10 * scale passes, -2e-10 * scale is not PSD;
+        # the rotated rank-2 part keeps max |A| = scale within round-off
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        base = q @ np.diag([scale, 0.5 * scale, 0.0]) @ q.T
+        base *= scale / np.max(np.abs(base))
+        null = np.outer(q[:, 2], q[:, 2])
+        inside, outside = base - 0.5e-10 * scale * null, base - 2e-10 * scale * null
+        for shape in ((), (50,)):  # one pair and a stack
+            good = np.broadcast_to(np.eye(3), shape + (3, 3))
+            ins = np.broadcast_to(inside, shape + (3, 3))
+            out = np.broadcast_to(outside, shape + (3, 3))
+            gc.minkowski_det_lower_bound(ins, good)
+            gc.minkowski_det_lower_bound(good, ins)
+            with pytest.raises(InputError, match="A1 not PSD"):
+                gc.minkowski_det_lower_bound(out, good)
+            with pytest.raises(InputError, match="A2 not PSD"):
+                gc.minkowski_det_lower_bound(good, out)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_not_psd(self, value):
+        # a NaN once passed both tests and gave a nan margin; Cholesky
+        # alone lets a NaN through
+        good = np.eye(2)
+        for where in ((0, 0), (0, 1)):
+            bad = np.eye(2)
+            bad[where] = bad[where[::-1]] = value
+            with pytest.raises(InputError, match="A1 not PSD"):
+                gc.minkowski_det_lower_bound(bad, good)
+            with pytest.raises(InputError, match="A2 not PSD"):
+                gc.minkowski_det_lower_bound(good, bad)
+            with pytest.raises(InputError, match="A1 not PSD"):
+                gc.minkowski_det_lower_bound(bad, bad)
+            stack = np.stack([good] * 20)
+            bad_stack = stack.copy()
+            bad_stack[7] = bad
+            with pytest.raises(InputError, match="A2 not PSD"):
+                gc.minkowski_det_lower_bound(stack, bad_stack)
+
     def test_battery_superadditivity_residual_is_pinned(self):
         records = {r["name"]: r for r in verify.lemma_battery(gc.constant_curvature(1.0, 3), 0)}
         record = records["determinant superadditivity on PSD pairs"]
@@ -466,10 +506,48 @@ class TestMinkowski:
             gc.minkowski_det_lower_bound(asym, non_psd)
         with pytest.raises(InputError, match="A2 not symmetric"):
             gc.minkowski_det_lower_bound(good, asym)
+        # one bad matrix among hundreds of good ones names its side
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((2, 300, 3, 3))
+        a1, a2 = m @ np.swapaxes(m, -1, -2)
+        bad = np.diag([1.0, 1.0, -1.0])
+        for side, name in ((0, "A1"), (1, "A2")):
+            pair = [a1.copy(), a2.copy()]
+            pair[side][173] = bad
+            with pytest.raises(InputError, match=f"{name} not PSD"):
+                gc.minkowski_det_lower_bound(*pair)
+            pair[side][173] = np.triu(np.ones((3, 3)))
+            with pytest.raises(InputError, match=f"{name} not symmetric"):
+                gc.minkowski_det_lower_bound(*pair)
+        both = [a1.copy(), a2.copy()]
+        both[0][299], both[1][0] = bad, np.triu(np.ones((3, 3)))
+        with pytest.raises(InputError, match="A1 not PSD"):
+            gc.minkowski_det_lower_bound(*both)
+        # a side that fails both tests is named not symmetric
+        both[0][299] = np.triu(np.ones((3, 3))) - 2.0 * np.eye(3)
+        with pytest.raises(InputError, match="A1 not symmetric"):
+            gc.minkowski_det_lower_bound(*both)
         with pytest.raises(InputError):
             gc.minkowski_det_lower_bound(good, good[:1])
         with pytest.raises(InputError):
             gc.minkowski_det_lower_bound(np.ones((2, 3)), np.ones((2, 3)))
+
+
+class TestNoEigensolve:
+    def test_warm_batteries_run_no_eigensolve(self, monkeypatch):
+        # PSD validation is a Cholesky factorization and each Gauss-Legendre
+        # rule (an eigensolve in leggauss) is built once per process, so a
+        # second battery of each kind needs no eigensolver at all
+        specs = [gc.constant_curvature(1.0, 3), gc.constant_curvature(-2.0, 3),
+                 gc.flat_torus([[1.0, 0, 0], [0.5, 1.0, 0], [0, 0, 2.0]]),
+                 gc.warped_product("cosh", 3), gc.warped_product("sin", 3)]
+        warm = [verify.lemma_battery(spec, 0) for spec in specs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve in a warm battery")
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert [verify.lemma_battery(spec, 0) for spec in specs] == warm
 
 
 class TestDetGrowthBound:

@@ -157,6 +157,19 @@ def _refuse(*args, **kwargs):
     raise AssertionError("allocated before the node cap was checked")
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("m", [16, 20, 64])
+    def test_equals_leggauss_bit_for_bit_and_is_read_only(self, m):
+        nodes, weights = mf.gauss_legendre(m)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(m)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+        assert mf.gauss_legendre(m) is mf.gauss_legendre(m)  # built once
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 class TestSphereSurfaceArea:
     def test_below_the_gamma_overflow_unchanged(self):
         for m in (1, 2, 3, 10, 100, 342):
