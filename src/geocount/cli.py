@@ -32,7 +32,6 @@ the library version.
 """
 
 import argparse
-import configparser
 import functools
 import hashlib
 import json
@@ -230,6 +229,8 @@ class ExperimentManifest:
 
 def parse_manifest(path) -> dict:
     """Flat section.key -> string dictionary from an INI manifest file."""
+    import configparser  # only --manifest reads INI text
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
@@ -409,24 +410,50 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the flags of subcommand ``name``, in help order."""
+    for flag in SUBCOMMANDS[name][2]:
+        parser.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag].kwargs)
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, kept for the interpreter.  It
+    is the subparser that ``_parser`` builds for ``name``, so its help, usage
+    and error messages are the same bytes."""
+    return _add_flags(argparse.ArgumentParser(prog=f"geocount {name}"), name)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the interpreter:
-    parse_args leaves it unchanged, so repeated ``main`` calls share it."""
+    """The full parser, all five subparsers under ``geocount``, built on first
+    use and kept for the interpreter.  ``main`` needs it only for top-level
+    help and errors: when no subcommand is named, or the named one's parser
+    leaves arguments it does not know."""
     parser = argparse.ArgumentParser(
         prog="geocount",
         description="Geodesic counting, Jacobi propagation and Herglotz "
                     "verification pipelines on model manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag].kwargs)
+    for name, (_, help_text, _) in SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """What ``_parser().parse_args(argv)`` returns, or exits with; the full
+    parser is built only when the named subcommand's parser cannot decide."""
+    if argv and argv[0] in SUBCOMMANDS:
+        args, unknown = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(
+    args = _parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
     task, _, flags = SUBCOMMANDS[args.command]
 

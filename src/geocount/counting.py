@@ -9,7 +9,6 @@ integral over targets of lattice counts, one lattice enumeration per call),
 and classifies the growth of the resulting curves in the length cutoff T.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -51,13 +50,14 @@ class CountingCurve:
         object.__setattr__(self, "values", v)
 
     def to_csv(self, path, metadata: dict | None = None):
+        """``# key=val`` lines, then the header ``T,value`` and a row per
+        cutoff in ``.17g``, rows ended by ``\\r\\n``: the bytes of the csv
+        module's default writer, whose quoting no such field needs."""
+        text = "".join(f"# {key}={val}\n" for key, val in (metadata or {}).items())
+        text += "T,value\r\n" + "".join(
+            f"{t:.17g},{v:.17g}\r\n" for t, v in zip(self.T, self.values))
         with open(path, "w", newline="") as fh:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key}={val}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["T", "value"])
-            for t, v in zip(self.T, self.values):
-                writer.writerow([format(t, ".17g"), format(v, ".17g")])
+            fh.write(text)
 
 
 @dataclass(frozen=True)

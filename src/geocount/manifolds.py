@@ -506,16 +506,13 @@ def unit_sphere_quadrature(
         z, wz = gauss_legendre(m)
         nphi = 2 * m
         phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
-        rho = np.sqrt(1.0 - z**2)
-        nodes = np.empty((m * nphi, 3))
-        weights = np.empty(m * nphi)
-        idx = 0
-        for i in range(m):
-            nodes[idx:idx + nphi, 0] = rho[i] * np.cos(phi)
-            nodes[idx:idx + nphi, 1] = rho[i] * np.sin(phi)
-            nodes[idx:idx + nphi, 2] = z[i]
-            weights[idx:idx + nphi] = wz[i] * (2.0 * math.pi / nphi)
-            idx += nphi
+        rho = np.sqrt(1.0 - z**2)[:, None]
+        nodes = np.empty((m, nphi, 3))  # polar row i, azimuth j
+        nodes[..., 0] = rho * np.cos(phi)
+        nodes[..., 1] = rho * np.sin(phi)
+        nodes[..., 2] = z[:, None]
+        nodes = nodes.reshape(m * nphi, 3)
+        weights = np.repeat(wz * (2.0 * math.pi / nphi), nphi)
     elif n == 4:
         # polar angle psi with weight sin^2: Gauss-Chebyshev (2nd kind) nodes
         # make the weight sum exact for any order
@@ -523,14 +520,13 @@ def unit_sphere_quadrature(
         psi = i * math.pi / (m + 1)
         wpsi = (math.pi / (m + 1)) * np.sin(psi) ** 2
         sub = unit_sphere_quadrature(3, "product_gauss", m)
-        nodes = np.empty((m * sub.size, 4))
-        weights = np.empty(m * sub.size)
-        idx = 0
-        for j in range(m):
-            nodes[idx:idx + sub.size, 0] = math.cos(psi[j])
-            nodes[idx:idx + sub.size, 1:] = math.sin(psi[j]) * sub.nodes
-            weights[idx:idx + sub.size] = wpsi[j] * sub.weights
-            idx += sub.size
+        # polar row j, S^2 node; math's cos and sin as the rule always took,
+        # as numpy's vectorised ones need not round the same on every CPU
+        nodes = np.empty((m, sub.size, 4))
+        nodes[..., 0] = np.array([math.cos(p) for p in psi])[:, None]
+        nodes[..., 1:] = np.array([math.sin(p) for p in psi])[:, None, None] * sub.nodes
+        nodes = nodes.reshape(m * sub.size, 4)
+        weights = (wpsi[:, None] * sub.weights).ravel()
     else:
         raise ConfigurationError(
             f"manifolds.unit_sphere_quadrature: product_gauss supports n <= 4, "

@@ -5,8 +5,10 @@ phi (F = phi * Id) and the Jacobi scalars (xi, xi', eta, eta') and builds a
 matrix only where a result is one.  These helpers expand the scalars back to
 the k x k forms, so tests can compare against the matrix formulas.  The
 one-point golden-section search is the reference for herglotz's batched one;
-the Gram-Schmidt frame and the sampled geodesic arrays are the bit references
-for the reflection frame and ``GeodesicTrajectory.at``.
+the Gram-Schmidt frame, the sampled geodesic arrays and the row-by-row
+sphere product rules are the bit references for the reflection frame,
+``GeodesicTrajectory.at`` and the broadcast rules of
+``unit_sphere_quadrature``.
 """
 
 import math
@@ -122,6 +124,42 @@ def sampled_geodesic(spec, x, theta, sigma):
         positions = xi[:, None] * x + eta[:, None] * theta
         velocities = dxi[:, None] * x + deta[:, None] * theta
     return positions, velocities
+
+
+def sphere_rule_by_rows(n, m):
+    """(nodes, weights) of the product rule of order m on S^(n-1), n = 3 or
+    4, filled one polar row at a time and the nodes then scaled to unit norm.
+    S^2: m Gauss-Legendre cosines times 2m uniform azimuths; S^3: m
+    Gauss-Chebyshev polar angles times the S^2 rule."""
+    if n == 3:
+        z, wz = mf.gauss_legendre(m)
+        nphi = 2 * m
+        phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
+        rho = np.sqrt(1.0 - z**2)
+        nodes = np.empty((m * nphi, 3))
+        weights = np.empty(m * nphi)
+        idx = 0
+        for i in range(m):
+            nodes[idx:idx + nphi, 0] = rho[i] * np.cos(phi)
+            nodes[idx:idx + nphi, 1] = rho[i] * np.sin(phi)
+            nodes[idx:idx + nphi, 2] = z[i]
+            weights[idx:idx + nphi] = wz[i] * (2.0 * math.pi / nphi)
+            idx += nphi
+    else:
+        psi = np.arange(1, m + 1) * math.pi / (m + 1)
+        wpsi = (math.pi / (m + 1)) * np.sin(psi) ** 2
+        sub_nodes, sub_weights = sphere_rule_by_rows(3, m)
+        size = len(sub_weights)
+        nodes = np.empty((m * size, 4))
+        weights = np.empty(m * size)
+        idx = 0
+        for j in range(m):
+            nodes[idx:idx + size, 0] = math.cos(psi[j])
+            nodes[idx:idx + size, 1:] = math.sin(psi[j]) * sub_nodes
+            weights[idx:idx + size] = wpsi[j] * sub_weights
+            idx += size
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    return nodes, weights
 
 
 def random_point(spec, rng, radial=False):

@@ -3,8 +3,8 @@
 A traced sample installs the tracer over geocount's modules by name, so a
 renamed or retyped function the tracer wraps, a work counter that is not a
 plain int (the record is JSON) or a missing import makes the child die, and
-the benchmark run fail.  Here the child runs four tiny traced invocations in
-a subprocess, as the benchmark runs it.
+the benchmark run fail.  Here the child runs one tiny traced invocation of each
+subcommand in a subprocess, as the benchmark runs it.
 """
 
 import json
@@ -21,6 +21,8 @@ INVOCATIONS = [
     ["herglotz", "--c", "0", "--n", "3"],
     ["verify", "--c", "1", "--n", "3"],
     ["gromov", "--c", "1", "--n", "3", "--K", "2", "--quad-order", "4"],
+    ["growth", "--kind", "flat_torus", "--n", "2", "--basis", "1 0; 0 1",
+     "--T", "1:10:10", "--quad-order", "8"],
 ]
 
 
@@ -47,3 +49,4 @@ def test_traced_child_runs_every_layer(tmp_path):
     assert counts[1]["herglotz.eval_calls"] > 0
     assert counts[2]["verify.checks"] > 0
     assert counts[2]["manifolds.quad_nodes"] > 0
+    assert record["runs"][4]["trace"]["self_s"]["counting.growth_s"] > 0.0

@@ -558,8 +558,9 @@ def _outputs(out):
 
 
 class TestRepeatedMain:
-    """The parser is built once per interpreter; runs in one interpreter
-    must write what a fresh interpreter writes."""
+    """Each subcommand's parser is built once per interpreter, and the full
+    parser only for top-level help and errors; runs in one interpreter must
+    write what a fresh interpreter writes."""
 
     def test_runs_repeat_in_one_interpreter_and_match_a_fresh_one(
             self, tmp_path, capsys, monkeypatch):
@@ -604,6 +605,39 @@ class TestRepeatedMain:
         expected = Path(__file__).with_name("cli_help_80") / f"{command or 'geocount'}.txt"
         assert code == 0
         assert out.encode() == expected.read_bytes()
+
+
+class TestSubcommandParser:
+    """main parses with the named subcommand's own parser; the full parser,
+    built only for top-level help and errors, answers every argv the same."""
+
+    def test_valid_runs_never_build_the_full_parser(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "_parser", refuse)
+        runs = REPEATED_RUNS[:5]
+        assert sorted(argv[0] for argv in runs) == sorted(cli.SUBCOMMANDS)
+        for i, argv in enumerate(runs):
+            code, _, err = _in_process(argv + ["--out", str(tmp_path / f"o{i}")],
+                                       capsys)
+            assert code == 0, (argv, err)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["count", "--bogus", "1"],
+        ["herglotz", "--c", "x"], ["gromov", "--K"], ["verify", "-h"]])
+    def test_help_and_errors_equal_the_full_parsers(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = _in_process(argv, capsys)
+        try:
+            cli._parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert got == (code, captured.out, captured.err)
+        assert code is not None and (captured.out or captured.err)
 
 
 class TestCountingGate:
@@ -677,6 +711,33 @@ def test_cli_import_leaves_scipy_ndimage_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_configparser_and_csv_out():
+    # only --manifest reads INI text, and curve.csv is written without the
+    # csv module; scipy stays loaded, as the benchmark child reads its
+    # version.  scipy's own import chain loads csv (importlib.metadata), so
+    # the hook records which geocount module asks for either name
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = """if True:
+        import builtins, sys
+        asked, real = [], builtins.__import__
+        def hook(name, globals=None, *args):
+            importer = (globals or {}).get("__name__", "")
+            if importer.startswith("geocount") and name in ("configparser", "csv"):
+                asked.append((importer, name))
+            return real(name, globals, *args)
+        builtins.__import__ = hook
+        import geocount.cli
+        print(asked, "configparser" in sys.modules, "scipy" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] False True"
 
 
 def test_subnormal_curvature_exits_2_without_runtime_warnings(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -264,6 +265,28 @@ class TestCountingCurveInvariants:
     def test_rejects_unsorted_T(self):
         with pytest.raises(InputError):
             gc.CountingCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), "m", "oracle")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_csv_bytes_equal_the_csv_module_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-300, 300, size=2)
+        T = np.cumsum(rng.exponential(size=size)) * scale[0]
+        values = np.cumsum(rng.exponential(size=size) * (rng.random(size) < 0.8)) * scale[1]
+        if seed % 2:
+            T, values = np.concatenate(([0.0], T)), np.concatenate(([0.0], values))
+        metadata = {f"key{i}": rng.choice(["a b", "1,2", "x=y", "", "é", str(rng.random())])
+                    for i in range(int(rng.integers(0, 4)))}
+        curve = gc.CountingCurve(T, values, "m", "oracle")
+        curve.to_csv(tmp_path / "curve.csv", metadata if metadata else None)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            for key, val in metadata.items():
+                fh.write(f"# {key}={val}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["T", "value"])
+            for t, v in zip(curve.T, curve.values):
+                writer.writerow([format(t, ".17g"), format(v, ".17g")])
+        assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSphereArcOracle:

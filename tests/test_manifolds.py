@@ -9,7 +9,7 @@ import geocount as gc
 from geocount import manifolds as mf
 from geocount.errors import (CatalogError, ConfigurationError, DomainError,
                              InputError)
-from matrix_forms import gram_schmidt_frame
+from matrix_forms import gram_schmidt_frame, sphere_rule_by_rows
 
 
 class TestSphereQuadrature:
@@ -51,6 +51,15 @@ class TestSphereQuadrature:
         for axis in range(n):
             val = float(np.sum(q.weights * q.nodes[:, axis]))
             assert abs(val) <= 1e-10
+
+    @pytest.mark.parametrize("n,order", [(3, 1), (3, 2), (3, 16), (3, 64),
+                                         (4, 1), (4, 2), (4, 8), (4, 16)])
+    def test_product_rule_equals_row_by_row_reference_bit_for_bit(self, n, order):
+        # tobytes compares every bit, the sign of zero included
+        q = gc.unit_sphere_quadrature(n, "product_gauss", order)
+        nodes, weights = sphere_rule_by_rows(n, order)
+        assert q.nodes.tobytes() == nodes.tobytes()
+        assert q.weights.tobytes() == weights.tobytes()
 
     def test_unsupported_configurations(self):
         with pytest.raises(ConfigurationError):
