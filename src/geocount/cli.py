@@ -221,7 +221,12 @@ class ExperimentManifest:
         if self.kind == "constant_curvature":
             return mf.constant_curvature(self.c, self.n)
         if self.kind == "flat_torus":
-            return mf.flat_torus(self.basis if self.basis is not None else np.eye(self.n))
+            basis = np.eye(self.n) if self.basis is None else self.basis
+            if basis.shape != (self.n, self.n):
+                raise InputError(
+                    f"cli.run_manifest: parameter basis has shape {basis.shape}, "
+                    f"but n={self.n} asks for a {self.n} x {self.n} basis")
+            return mf.flat_torus(basis)
         if self.kind == "warped_product":
             return mf.warped_product(self.warp, self.n)
         raise InputError(f"cli: parameter kind='{self.kind}' unknown")

@@ -98,14 +98,14 @@ def _counting_cumulative(spec, x, T, quad, step):
 
     Both kinds with direction quadrature are homogeneous: the curvature
     profile is the constant kappa = spec.c along every geodesic, and
-    H = eta * Id gives the integrand |det H| = |eta|^k.  The directions are
-    checked to be unit vectors in one array expression; eta is propagated
-    once, for every direction, with flow's RK4 kernel (``_constant_eta``),
-    and the composite trapezoid of |eta|^k enters the total with the sum of
-    the quadrature weights.  IntegrationFailureError refuses a step whose
-    relative energy drift |eta'^2 + kappa eta^2 - 1| / max(1, eta'^2,
-    |kappa| eta^2) exceeds flow.WRONSKIAN_TOL, a Jacobi solution and a total
-    past the float range.
+    H = eta * Id gives the integrand |det H| = |eta|^k in every direction.
+    So the total reads only the quadrature's dimension and weights, never
+    its nodes nor the base point x: eta is propagated once with flow's RK4
+    kernel (``_constant_eta``), and the composite trapezoid of |eta|^k
+    enters the total with the sum of the weights.  IntegrationFailureError
+    refuses a step whose relative energy drift |eta'^2 + kappa eta^2 - 1|
+    / max(1, eta'^2, |kappa| eta^2) exceeds flow.WRONSKIAN_TOL, a Jacobi
+    solution and a total past the float range.
     """
     if quad.n != spec.n:
         raise ConfigurationError(
@@ -115,18 +115,6 @@ def _counting_cumulative(spec, x, T, quad, step):
         raise ConfigurationError(
             "counting.berger_bott_total: warped products expose radial "
             "geodesics only; direction quadrature is not available")
-    x = np.asarray(x, dtype=float)
-    frame = mf.orthonormal_frame(spec, x)
-    dirs = quad.nodes @ frame
-    # the metric norm of manifolds.require_unit_direction, for all rows at once
-    norm2 = np.sum(mf.metric_diagonal(spec, x) * dirs * dirs, axis=1)
-    bad = np.flatnonzero(np.abs(norm2 - 1.0) > 1e-8)
-    if bad.size:
-        i = int(bad[0])
-        raise IntegrationFailureError(
-            f"counting.berger_bott_total: direction {i}: manifolds: direction "
-            f"has metric norm^2 = {float(norm2[i])!r}, expected 1")
-
     grid = flow._grid(T, step)
     kap = float(spec.c)
     eta, deta = _constant_eta(kap, grid)
@@ -606,13 +594,13 @@ class GromovCheck:
         }
 
 
-def _gromov_from_cumulative(grid, totals, volume, n, K, C):
-    ks = np.arange(1, K + 1)
-    lhs = np.array([loop_space_betti_partial_sums("sphere", n, int(k)) for k in ks])
+def _gromov_from_cumulative(grid, totals, volume, n, lhs, C):
+    """The check at constant C of the Betti partial sums ``lhs`` at k = 1 .. K."""
+    ks = np.arange(1, len(lhs) + 1)
     rhs = np.interp(C * ks, grid, totals) / volume
     ok = lhs <= rhs * (1 + 1e-9) + 1e-9
     first = None if bool(np.all(ok)) else int(ks[np.argmin(ok)])
-    return GromovCheck(n, K, float(C), bool(np.all(ok)), first, lhs, rhs)
+    return GromovCheck(n, len(lhs), float(C), bool(np.all(ok)), first, lhs, rhs)
 
 
 def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,
@@ -642,7 +630,9 @@ def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,
     scheme = "product_gauss" if n <= 4 else "monte_carlo"
     quad = mf.unit_sphere_quadrature(n, scheme, quad_order, seed)
     grid, totals = _counting_cumulative(spec, x, c_grid[-1] * K, quad, step)
-    checks = [_gromov_from_cumulative(grid, totals, spec.volume, n, K, C)
+    lhs = np.array([loop_space_betti_partial_sums("sphere", n, k)
+                    for k in range(1, K + 1)])
+    checks = [_gromov_from_cumulative(grid, totals, spec.volume, n, lhs, C)
               for C in c_grid]
     minimal = next((chk.C for chk in checks if chk.holds), None)
     return {"n": n, "K": K, "c_grid": c_grid, "minimal_passing_C": minimal,

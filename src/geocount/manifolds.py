@@ -367,17 +367,12 @@ def radial_ray(spec: ManifoldSpec, x: np.ndarray, theta: np.ndarray):
 class CurvatureFrameOperator:
     """The operator v -> R(v, gamma')gamma' on the normal space along gamma.
 
-    Expressed in a parallel orthonormal frame, so the evaluator returns a
-    symmetric (n-1) x (n-1) matrix as a function of arc length.  For every
-    member of the menu the matrix is scalar_profile(sigma) * Id, and the
-    scalar profile is exposed for vectorized residual checks.
+    In a parallel orthonormal frame, for every member of the menu, it is
+    scalar_profile(sigma) * Id as a function of arc length, so only the
+    scalar profile is kept; ``profile`` evaluates it on arrays of sigma.
     """
 
-    dim: int
     scalar_profile: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, sigma: float) -> np.ndarray:
-        return float(self.scalar_profile(np.asarray(sigma))) * np.eye(self.dim)
 
     def profile(self, sigma) -> np.ndarray:
         return self.scalar_profile(np.asarray(sigma, dtype=float))
@@ -394,13 +389,12 @@ def curvature_along(spec: ManifoldSpec, geodesic_initial) -> CurvatureFrameOpera
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     require_unit_direction(spec, x, theta)
-    k = spec.normal_dim
 
     if spec.kind == CONSTANT_CURVATURE:
         c = spec.c
-        return CurvatureFrameOperator(k, lambda s, c=c: np.full_like(np.asarray(s, float), c))
+        return CurvatureFrameOperator(lambda s, c=c: np.full_like(np.asarray(s, float), c))
     if spec.kind == FLAT_TORUS:
-        return CurvatureFrameOperator(k, lambda s: np.zeros_like(np.asarray(s, float)))
+        return CurvatureFrameOperator(lambda s: np.zeros_like(np.asarray(s, float)))
 
     warp = spec.warp
     radius = radial_ray(spec, x, theta)
@@ -409,7 +403,7 @@ def curvature_along(spec: ManifoldSpec, geodesic_initial) -> CurvatureFrameOpera
         r = radius(s)
         return -warp.d2(r) / warp.value(r)
 
-    return CurvatureFrameOperator(k, profile)
+    return CurvatureFrameOperator(profile)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,6 @@ def herglotz_battery(c: float, n: int, seed: int = 0,
     heads = rng.uniform(-8.0, 8.0, size=100)
     samples = [complex(a, b) for a, b in zip(heads, tails)]
     nice = herglotz.check_theorem_nice(Fh, samples)
-    # F = phi * Id is symmetric by construction, here and in lemma_battery
-    checks.append(_check("f symmetry over upper-half-plane samples", 0.0, 1e-10))
     checks.append(_check("f(0) = 0", nice["f_zero_norm"], 1e-12))
     checks.append(_check("f'(0) = Id", nice["fprime_zero_defect"], 1e-6))
     if c >= 0:
@@ -88,10 +86,6 @@ def herglotz_battery(c: float, n: int, seed: int = 0,
         g_min = float(np.min(Gh.phi(samples).imag))
         checks.append(_check("Im(-1/f) positive definite off the real axis",
                              max(0.0, -g_min), 0.0))
-        J = herglotz.adapted_complex_structure_at(Fh)
-        checks.append(_check("complex structure squares to -Id",
-                             float(np.max(np.abs(J @ J + np.eye(2 * (n - 1))))),
-                             1e-8))
 
     fatou_dict = None
     if c >= 0:
@@ -146,6 +140,12 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
     T = 5.0 if spec.kind != mf.WARPED_PRODUCT else min(
         4.0, 0.75 * (spec.warp.domain[1] - spec.base_radius))
     js = flow.propagate_jacobi(flow.integrate_geodesic(spec, x, theta, T=T, step=1e-3))
+    # the direction rule of the counting checks (warped products count none);
+    # it draws from its own default_rng(seed), so the battery's stream does
+    # not move
+    quad = None if spec.kind == mf.WARPED_PRODUCT else mf.unit_sphere_quadrature(
+        spec.n, "product_gauss" if spec.n <= 4 else "monte_carlo",
+        64 if spec.n == 2 else 16, seed)
 
     if spec.kind == mf.CONSTANT_CURVATURE:
         cf = closed_form.ClosedFormJacobi(spec.c, spec.n)
@@ -153,6 +153,9 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         exact = np.stack(cf.eval_at(js.sigma[::200]), axis=-1)
         err = np.max(np.abs(js.cols[::200] - exact) / np.maximum(1.0, np.abs(exact)))
         checks.append(_check("propagated Jacobi matches closed form", err, 1e-6))
+        # propagate_jacobi has already raised on a drift above the same
+        # WRONSKIAN_TOL = 1e-8, so this record cannot fail: it is the
+        # report's copy of the measured drift
         checks.append(_check("Wronskian conservation",
                              flow.wronskian_drift(js), 1e-8))
 
@@ -163,7 +166,6 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         checks.append(_check(
             "frame identity (Xi^T Xi) f' = Id",
             np.max(herglotz.check_xi_identity(cf, sigmas)), 1e-8))
-        checks.append(_check("f symmetric on the real axis", 0.0, 1e-8))
 
         # the paper's hypothesis: the adapted complex structure extends over
         # the whole tangent bundle (c >= 0), so f and -1/f are Herglotz
@@ -203,9 +205,6 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         checks.append(_check("determinant superadditivity on PSD pairs",
                              max(0.0, worst), 1e-12))
 
-        quad = mf.unit_sphere_quadrature(
-            spec.n, "product_gauss" if spec.n <= 4 else "monte_carlo",
-            64 if spec.n == 2 else 16, seed)
         # short of the first conjugate point pi / sqrt(c), and bounded as c -> 0+
         T = 2.0 / math.sqrt(max(1.0, spec.c))
         total = counting.berger_bott_total(spec, x, T, quad, step=1e-3)
@@ -214,15 +213,13 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
                              abs(total - oracle) / max(1.0, oracle), 1e-4))
 
     elif spec.kind == mf.FLAT_TORUS:
+        # cannot fail: propagate_jacobi's gate is the same 1e-8 (see above)
         checks.append(_check("Wronskian conservation",
                              flow.wronskian_drift(js), 1e-8))
         rng_s = _sample_sigmas(rng, 10, 0.2, 4.8, lambda s: np.full(len(s), math.inf))
         checks.append(_check(
             "gram-det identity det(H^T H) det((-1/f)') = 1",
             np.max(herglotz.check_key1(js, rng_s)), 1e-8))
-        quad = mf.unit_sphere_quadrature(
-            spec.n, "product_gauss" if spec.n <= 4 else "monte_carlo",
-            64 if spec.n == 2 else 16, seed)
         area = mf.sphere_surface_area(spec.n - 1)
         # one propagation to T = 5; the grids to T = 1 and 2 are its prefixes
         totals = counting.berger_bott_curve(
@@ -243,6 +240,7 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         checks.append(_check(f"growth classified polynomial({spec.n})", deg_err, 0.0))
 
     elif spec.kind == mf.WARPED_PRODUCT:
+        # cannot fail: propagate_jacobi's gate is the same 1e-8 (see above)
         checks.append(_check("Wronskian conservation",
                              flow.wronskian_drift(js), 1e-8))
         sigmas = _sample_sigmas(rng, 12, 0.05 * T, 0.95 * T,
@@ -253,5 +251,4 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         checks.append(_check(
             "frame identity (Xi^T Xi) f' = Id",
             np.max(herglotz.check_xi_identity(js, sigmas)), 1e-5))
-        checks.append(_check("f symmetric on the real axis", 0.0, 1e-8))
     return checks

@@ -4,7 +4,8 @@ A traced sample installs the tracer over geocount's modules by name, so a
 renamed or retyped function the tracer wraps, a work counter that is not a
 plain int (the record is JSON) or a missing import makes the child die, and
 the benchmark run fail.  Here the child runs one tiny traced invocation of each
-subcommand in a subprocess, as the benchmark runs it.
+subcommand in a subprocess, as the benchmark runs it, and verify on a flat
+torus and a warped product, so that every hook of the tracer is reached.
 """
 
 import json
@@ -23,6 +24,8 @@ INVOCATIONS = [
     ["gromov", "--c", "1", "--n", "3", "--K", "2", "--quad-order", "4"],
     ["growth", "--kind", "flat_torus", "--n", "2", "--basis", "1 0; 0 1",
      "--T", "1:10:10", "--quad-order", "8"],
+    ["verify", "--kind", "flat_torus", "--n", "2", "--basis", "1 0; 0 1"],
+    ["verify", "--kind", "warped_product", "--warp", "cosh", "--n", "3"],
 ]
 
 
@@ -50,3 +53,9 @@ def test_traced_child_runs_every_layer(tmp_path):
     assert counts[2]["verify.checks"] > 0
     assert counts[2]["manifolds.quad_nodes"] > 0
     assert record["runs"][4]["trace"]["self_s"]["counting.growth_s"] > 0.0
+    # the lattice oracle's hook, and propagate_jacobi's and the curvature
+    # profile's off constant curvature
+    assert counts[5]["counting.oracle_samples"] > 0
+    for run_counts in counts[5:]:
+        assert run_counts["flow.jacobi_steps"] > 0
+        assert run_counts["manifolds.profile_calls"] > 0

@@ -179,6 +179,19 @@ class TestRunner:
             assert code == 2
             assert "needs a finite start and stop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count", "growth", "verify"])
+    def test_torus_basis_of_another_dimension_is_refused(self, tmp_path, capsys,
+                                                         command):
+        # refused before anything is built or written, so no run can use a
+        # torus of another dimension than the n its manifest hash records
+        code = cli.main([command, "--kind", "flat_torus", "--n", "3",
+                         "--basis", "1 0; 0 1", "--out", str(tmp_path / "o"),
+                         "--quiet"])
+        assert code == 2
+        assert ("parameter basis has shape (2, 2), but n=3 asks for a 3 x 3 "
+                "basis") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", sorted(cli.SUBCOMMANDS))
     def test_subcommands_refuse_flags_they_do_not_take(self, capsys, command):
         taken = cli.SUBCOMMANDS[command][2]
