@@ -43,6 +43,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+# Nothing here uses scipy.  geobench/child.py reads sys.modules["scipy"].__version__,
+# so the bare package (about 6 ms, no submodules) stays imported until the child
+# reads importlib.metadata instead (ROADMAP item 8); then this line goes.
+import scipy  # noqa: F401
 
 from . import __version__, counting, verify
 from . import manifolds as mf

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  load now: numpy would load it on first use
 
 from . import flow
 from . import manifolds as mf

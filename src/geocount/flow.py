@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import closed_form
 from . import manifolds as mf
@@ -32,7 +31,7 @@ from .errors import InputError, IntegrationFailureError
 WRONSKIAN_TOL = 1e-8
 SPEED_DRIFT_TOL = 1e-6
 DET_ZERO_REL = 1e-8      # |y| at the last sample, relative to the local max |y|
-# Brent's xtol on a cell's Hermite interpolant: it bounds the root finding
+# _brent's xtol on a cell's Hermite interpolant: it bounds the root finding
 # only.  A zero's error follows the grid (see _scalar_zeros).
 SIGMA_REFINE_TOL = 1e-10
 # RK4 steps of one propagation, one per grid cell; the largest default use,
@@ -346,6 +345,59 @@ def _hermite(t, hcell, y0, dy0, y1, dy1):
     return h00 * y0 + h10 * hcell * dy0 + h01 * y1 + h11 * hcell * dy1
 
 
+def _brent(f, a, b, xtol):
+    """A zero of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), in the operation order
+    of scipy's ``brentq`` with rtol = 4 eps and at most 100 iterations, so
+    both return the same float.  Signs are compared by sign bit; f(a) == 0 or
+    f(b) == 0 returns that end.  A nan value or ends of one sign raise
+    ValueError, and no convergence RuntimeError."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"flow._brent: f is nan at {x}")
+        return fx
+
+    def signbit(v):
+        return math.copysign(1.0, v) < 0
+
+    rtol = 4 * math.ulp(1.0)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError(f"flow._brent: f({a}) and f({b}) have one sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate (secant)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"flow._brent: no convergence in 100 iterations, at {xcur}")
+
+
 def _scalar_zeros(sigma, y, dy):
     """Zeros of a sampled nontrivial solution of y'' = -kappa y.
 
@@ -370,8 +422,8 @@ def _scalar_zeros(sigma, y, dy):
     for j in np.flatnonzero(y[:-1] * y[1:] < 0.0).tolist():
         s0, hcell = sigma[j], sigma[j + 1] - sigma[j]
         cell = (y[j], dy[j], y[j + 1], dy[j + 1])
-        zeros.append(brentq(lambda s: _hermite((s - s0) / hcell, hcell, *cell),
-                            s0, sigma[j + 1], xtol=SIGMA_REFINE_TOL))
+        zeros.append(_brent(lambda s: _hermite((s - s0) / hcell, hcell, *cell),
+                            s0, sigma[j + 1], SIGMA_REFINE_TOL))
     tail = np.abs(y[-1 - max(1, round(0.5 / (sigma[1] - sigma[0]))):])
     if tail[-1] <= DET_ZERO_REL * max(1e-3, float(np.max(tail))) \
             and y[-2] * y[-1] >= 0.0:
@@ -408,7 +460,8 @@ def propagate_jacobi(traj: GeodesicTrajectory):
     js = JacobiSystem(
         spec=traj.spec, trajectory=traj, sigma=traj.sigma,
         kappa=kappa, cols=cols, xi_zeros=xz, h_zeros=hz,
-        singular_set=np.unique(np.concatenate([xz, hz])), step=hgrid,
+        singular_set=np.array(sorted({*xz.tolist(), *hz.tolist()}), dtype=float),
+        step=hgrid,
     )
 
     drift = wronskian_drift(js)

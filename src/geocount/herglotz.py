@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.polynomial  # noqa: F401  load now: numpy would load it on first use
 
 from . import closed_form
 from . import manifolds as mf

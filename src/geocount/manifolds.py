@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial  # noqa: F401  load now: numpy would load it on first use
+import numpy.random  # noqa: F401
 
 from .errors import CatalogError, ConfigurationError, DomainError, InputError
 

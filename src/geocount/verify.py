@@ -10,6 +10,7 @@ import functools
 import math
 
 import numpy as np
+import numpy.random  # noqa: F401  load now: numpy would load it on first use
 
 from . import closed_form, counting, flow, herglotz
 from . import manifolds as mf
@@ -121,7 +122,7 @@ def _psd_pairs(rng, count):
     factors M of its m pairs, and one product forms them."""
     sizes = rng.integers(1, 7, size=count)
     pairs = {}
-    for k in np.unique(sizes).tolist():
+    for k in sorted(set(sizes.tolist())):
         m = rng.standard_normal((int(np.count_nonzero(sizes == k)), 2, k, k))
         pairs[k] = (m @ m.swapaxes(-1, -2)).swapaxes(0, 1)
     return pairs

@@ -713,28 +713,64 @@ class TestEmitReport:
         assert summary["failed"] == ["beta"]
 
 
-def test_cli_import_leaves_scipy_ndimage_out():
-    # scipy.ndimage takes about 0.4 s to import and no code path needs it
+def _fresh_python(code, timeout=120):
+    """stdout of ``code`` run in a fresh interpreter that imports geocount
+    from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = "import sys, geocount.cli; print('scipy.ndimage' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_submodules_out():
+    # no code path uses scipy: importing the bare package first, geocount.cli
+    # adds no scipy.* module (scipy.optimize took about 0.4 s to import)
+    code = """if True:
+        import sys
+        import scipy
+        before = set(sys.modules)
+        import geocount.cli
+        print(sorted(m for m in set(sys.modules) - before if m.startswith("scipy")))
+    """
+    assert _fresh_python(code) == "[]"
+
+
+def test_invocations_load_no_module():
+    # everything a run uses is loaded by import geocount.cli: numpy loads
+    # numpy.random, numpy.polynomial and numpy.ma on first use, which would
+    # put their import inside the first timed invocation
+    code = """if True:
+        import contextlib, io, shlex, sys, tempfile
+        from geocount import cli
+        before = set(sys.modules)
+        codes = []
+        for argv in %r:
+            with tempfile.TemporaryDirectory() as out:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(cli.main(shlex.split(argv) + ["--out", out]))
+        print(codes, sorted(set(sys.modules) - before))
+    """ % [
+        "count --c 1 --n 3 --T 1:2:4 --quad-order 4",
+        "growth --c -1 --n 3 --T 0.5:5:10 --quad-order 4",
+        "growth --kind flat_torus --n 2 --basis '1 0; 0 1' --T 1:10:10 --quad-order 8",
+        "herglotz --c 1 --n 3",
+        "gromov --c 1 --n 3 --K 2 --quad-order 4",
+        "verify --c 1 --n 3",
+        "verify --kind warped_product --warp cosh --n 3",
+        "verify --kind flat_torus --n 2 --basis '1 0; 0 1'",
+    ]
+    assert _fresh_python(code, timeout=300) == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_cli_import_leaves_configparser_and_csv_out():
     # only --manifest reads INI text, and curve.csv is written without the
-    # csv module; scipy stays loaded, as the benchmark child reads its
-    # version.  scipy's own import chain loads csv (importlib.metadata), so
-    # the hook records which geocount module asks for either name
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    # csv module; the bare scipy package stays loaded, as the benchmark child
+    # reads its version.  The hook records which geocount module asks for
+    # either name
     code = """if True:
         import builtins, sys
         asked, real = [], builtins.__import__
@@ -747,10 +783,7 @@ def test_cli_import_leaves_configparser_and_csv_out():
         import geocount.cli
         print(asked, "configparser" in sys.modules, "scipy" in sys.modules)
     """
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] False True"
+    assert _fresh_python(code) == "[] False True"
 
 
 def test_subnormal_curvature_exits_2_without_runtime_warnings(tmp_path):

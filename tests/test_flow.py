@@ -751,6 +751,19 @@ class TestSingularSet:
         assert len(js.singular_set) == len(js.h_zeros) + len(js.xi_zeros)
         assert np.all(np.diff(js.singular_set) > 0)
 
+    @pytest.mark.parametrize("spec", [gc.constant_curvature(1.0, 2),
+                                      gc.constant_curvature(-1.0, 3),
+                                      gc.flat_torus(np.eye(2)),
+                                      gc.warped_product("sin", 3)],
+                             ids=lambda s: s.label)
+    def test_singular_set_is_the_bits_of_np_unique(self, spec):
+        # a sorted set of the two lists, not np.unique, whose numpy.ma import
+        # would land inside the first call
+        _, js = _traj_and_system(spec, T=2.0 if spec.kind == mf.WARPED_PRODUCT else 7.0)
+        want = np.unique(np.concatenate([js.xi_zeros, js.h_zeros]))
+        assert js.singular_set.dtype == want.dtype
+        assert js.singular_set.tobytes() == want.tobytes()
+
 
 class TestScalarZeroFinder:
     @pytest.mark.parametrize("step", [1e-3, 1e-2])

@@ -1,8 +1,10 @@
 """flow's scalar zero finder against the general determinant-threshold
-detector, a reference built on scipy (Brent's method and a running maximum);
-the module is skipped where scipy is not installed."""
+detector, a reference built on scipy (Brent's method and a running maximum),
+and flow's port of Brent's method against scipy's ``brentq``; the module is
+skipped where scipy is not installed."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ pytest.importorskip("scipy")
 from scipy.ndimage import maximum_filter1d  # noqa: E402
 from scipy.optimize import brentq  # noqa: E402
 
-from geocount.flow import DET_ZERO_REL, SIGMA_REFINE_TOL  # noqa: E402
+from geocount.flow import (DET_ZERO_REL, SIGMA_REFINE_TOL, _brent,  # noqa: E402
+                           _hermite)
 from matrix_forms import golden_min_one_point, jacobi_stacks, times_id  # noqa: E402
 from test_flow import _ZERO_CATALOG, _traj_and_system  # noqa: E402
 
@@ -81,3 +84,52 @@ class TestReferenceDetector:
         for got, want in zip((js.xi_zeros, js.h_zeros), _reference_zeros(js)):
             assert len(got) == len(want)
             assert np.all(np.abs(got - want) <= 2 * SIGMA_REFINE_TOL)
+
+
+def _outcome(solver, f, a, b, xtol):
+    """The root, or the type of the exception raised."""
+    try:
+        return solver(f, a, b, xtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _brentq(f, a, b, xtol):
+    return brentq(f, a, b, xtol=xtol)
+
+
+class TestBrentPort:
+    def test_equals_brentq_on_random_hermite_cells(self):
+        # the cells of _scalar_zeros: a cubic Hermite interpolant with a sign
+        # change; widths, starts, values and slopes span 1e-8 to 10 in size
+        rng = np.random.default_rng(2024)
+        count = 20_000
+        width, start = 10.0 ** rng.uniform(-8, 1, (2, count))
+        start *= rng.choice([-1.0, 1.0], count)
+        data = 10.0 ** rng.uniform(-8, 1, (count, 4)) * rng.choice([-1.0, 1.0], (count, 4))
+        data[:, 2] = -np.copysign(data[:, 2], data[:, 0])
+        for s0, w, cell in zip(start.tolist(), width.tolist(), data):
+            s1 = s0 + w
+            hcell = s1 - s0
+
+            def f(s):
+                return _hermite((s - s0) / hcell, hcell, *cell)
+
+            got = _brent(f, s0, s1, SIGMA_REFINE_TOL)
+            want = brentq(f, s0, s1, xtol=SIGMA_REFINE_TOL)
+            assert type(got) is float and got == want, (s0, s1, cell)
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda s: s - 1.0, 1.0, 3.0),                 # f(a) == 0: a
+        (lambda s: s - 3.0, 1.0, 3.0),                 # f(b) == 0: b
+        (lambda s: -0.0 if s == 1.0 else 1.0 - s, 1.0, 3.0),  # f(a) == -0.0
+        (lambda s: s * s + 1.0, -1.0, 1.0),            # one sign: ValueError
+        (lambda s: s - 0.5 if s < 1.0 else math.nan, 0.0, 1.0),  # nan: ValueError
+        (lambda s: 1.0 if s > 0 else -1.0, -1.0, 1.0),  # no zero: bisects to 0
+    ], ids=["fa_zero", "fb_zero", "fa_negative_zero", "same_sign", "nan", "jump"])
+    @pytest.mark.parametrize("xtol", [SIGMA_REFINE_TOL, 1e-300])
+    def test_ends_refusals_and_exhaustion_match_brentq(self, f, a, b, xtol):
+        # with xtol = 1e-300 the jump bisects past the 100-iteration cap:
+        # RuntimeError from both
+        got, want = _outcome(_brent, f, a, b, xtol), _outcome(_brentq, f, a, b, xtol)
+        assert got == want and type(got) is type(want)

@@ -436,7 +436,7 @@ class TestMinkowski:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = verify._psd_pairs(rng, 1000)
         sizes = ref_rng.integers(1, 7, size=1000)
-        assert list(got) == sorted(set(sizes.tolist()))
+        assert list(got) == sorted(set(sizes.tolist())) == np.unique(sizes).tolist()
         for k in sorted(set(sizes.tolist())):
             factors = ref_rng.standard_normal((int(np.sum(sizes == k)), 2, k, k))
             a1, a2 = got[k]
