@@ -326,13 +326,8 @@ def run_manifest(manifest: ExperimentManifest, quiet: bool = False) -> int:
             spec, x, manifest.T_values, quad, manifest.step)
         curve.to_csv(out / "curve.csv", meta)
         outputs.append("curve.csv")
-        report = None
-        try:
+        if manifest.task == "growth":
             report = counting.classify_growth(curve)
-        except InputError:
-            if manifest.task == "growth":
-                raise
-        if report is not None:
             _write_json(out / "growth.json",
                         {"manifold": spec.label, "growth": report.to_dict()}, meta)
             outputs.append("growth.json")

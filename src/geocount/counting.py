@@ -633,7 +633,8 @@ def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,
     grid, totals = _counting_cumulative(spec, x, c_grid[-1] * K, quad, step)
     lhs = np.array([loop_space_betti_partial_sums("sphere", n, k)
                     for k in range(1, K + 1)])
-    checks = [_gromov_from_cumulative(grid, totals, spec.volume, n, lhs, C)
+    volume = mf.sphere_surface_area(n)  # of the unit round sphere
+    checks = [_gromov_from_cumulative(grid, totals, volume, n, lhs, C)
               for C in c_grid]
     minimal = next((chk.C for chk in checks if chk.holds), None)
     return {"n": n, "K": K, "c_grid": c_grid, "minimal_passing_C": minimal,

@@ -27,13 +27,16 @@ import numpy as np
 import numpy.polynomial  # noqa: F401  load now: numpy would load it on first use
 
 from . import closed_form
-from . import manifolds as mf
 from .errors import (ConvergenceError, DegeneracyError, InputError,
                      NumericalError, PoleError)
 
 POLE_MARGIN = 1e-8
 SAMPLING_POLE_MARGIN = 0.05
 COMPLEX_STEP = 1e-20
+# points of one Stieltjes scan grid: 80 MB of floats, 160 MB of complex
+# values.  The default tau schedule scans 16 568 points; a smallest tau of
+# 1e-6 would scan 16 566 372
+MAX_STACK_ENTRIES = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +477,9 @@ def _scan_remedy(a, b) -> str:
     """The end of the refusal of a scan grid past MAX_STACK_ENTRIES: the
     smallest double tau <= 1e-3 whose grid on (a, b) fits, or that none does."""
     def fits(tau):
-        return _scan_grid(a, b, tau)[1] <= mf.MAX_STACK_ENTRIES
+        return _scan_grid(a, b, tau)[1] <= MAX_STACK_ENTRIES
 
-    tau = 2.0 * (b - a) / (mf.MAX_STACK_ENTRIES - 1)  # the bound in exact arithmetic
+    tau = 2.0 * (b - a) / (MAX_STACK_ENTRIES - 1)  # the bound in exact arithmetic
     while fits(math.nextafter(tau, 0.0)):
         tau = math.nextafter(tau, 0.0)
     while not fits(tau):
@@ -555,7 +558,10 @@ def stieltjes_invert(Fh: HerglotzMatrix, interval,
     # atom scan at the smallest tau
     tau_min = taus[-1]
     h_scan, npts = _scan_grid(a, b, tau_min)
-    mf.require_stack_size((npts,), "herglotz.stieltjes_invert", _scan_remedy(a, b))
+    if npts > MAX_STACK_ENTRIES:
+        raise InputError(
+            f"herglotz.stieltjes_invert: a stack of shape {(npts,)} has {npts} "
+            f"entries, more than the cap of {MAX_STACK_ENTRIES}; {_scan_remedy(a, b)}")
     peaks = _scan_peaks(Fh, a, b, npts, tau_min, ATOM_THRESHOLD)
     brackets = _linspace_at(a, b, npts, peaks[:, None] + [-1, 1]).tolist()
     locations = []

@@ -43,7 +43,8 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each ``leggauss`` call is an eigensolve, so each order is built once per
     process.  ``leggauss`` is looked up at call time; the orders are those
-    of the callers (20, 64 and quadrature orders under the node cap).
+    of the callers (20 for ``verify``'s counting oracle, and the polar
+    factor of the S^2 rules under the node cap).
     """
     nodes, weights = np.polynomial.legendre.leggauss(m)
     nodes.flags.writeable = False
@@ -118,8 +119,8 @@ class ManifoldSpec:
     """Immutable description of one model manifold.
 
     ``entire_tube`` records whether the adapted complex structure extends over
-    the whole tangent bundle; it is declared, not detected, and may only be
-    true for nonnegatively curved members.
+    the whole tangent bundle; it is declared, not detected: true for space
+    forms with c >= 0 and for tori, false for warped products.
     """
 
     kind: str
@@ -128,8 +129,6 @@ class ManifoldSpec:
     basis: np.ndarray | None = None
     warp: WarpFunction | None = None
     entire_tube: bool = False
-    volume: float = math.inf
-    base_radius: float = 1.0  # warped products: r-coordinate of the base point
 
     @property
     def normal_dim(self) -> int:
@@ -156,18 +155,7 @@ def constant_curvature(c: float, n: int) -> ManifoldSpec:
         raise InputError(
             f"manifolds.constant_curvature: parameter c={c!r}: the squared "
             "radius 1/|c| overflows a float")
-    if c > 0:
-        radius = 1.0 / math.sqrt(c)
-        area = sphere_surface_area(n)
-        try:
-            volume = radius**n * area
-        except OverflowError:  # radius^n beyond the float range, c near 0
-            volume = math.inf
-    else:
-        volume = math.inf
-    return ManifoldSpec(
-        kind=CONSTANT_CURVATURE, n=n, c=c, entire_tube=(c >= 0), volume=volume
-    )
+    return ManifoldSpec(kind=CONSTANT_CURVATURE, n=n, c=c, entire_tube=(c >= 0))
 
 
 def flat_torus(basis) -> ManifoldSpec:
@@ -183,52 +171,36 @@ def flat_torus(basis) -> ManifoldSpec:
         raise InputError(f"manifolds.flat_torus: parameter n={n} must be >= 2")
     if not np.all(np.isfinite(basis)):
         raise InputError("manifolds.flat_torus: parameter basis has non-finite entries")
-    det = np.linalg.det(basis)
-    if abs(det) < 1e-12:
+    if abs(np.linalg.det(basis)) < 1e-12:
         raise InputError("manifolds.flat_torus: parameter basis is singular")
     basis = basis.copy()
     basis.setflags(write=False)
-    return ManifoldSpec(
-        kind=FLAT_TORUS, n=n, c=0.0, basis=basis, entire_tube=True, volume=abs(det)
-    )
+    return ManifoldSpec(kind=FLAT_TORUS, n=n, c=0.0, basis=basis, entire_tube=True)
 
 
-def warped_product(
-    warp, n: int, entire_tube: bool = False, base_radius: float = 1.0
-) -> ManifoldSpec:
+# r-coordinate of a warped product's canonical point
+WARP_BASE_RADIUS = 1.0
+
+
+def warped_product(warp, n: int) -> ManifoldSpec:
     """Rotationally symmetric metric dr^2 + w(r)^2 g on an interval times a sphere.
 
     Geodesics are supported along the radial direction only; that is enough to
     exercise every Jacobi-field identity with a genuinely nonconstant
-    curvature profile.
+    curvature profile.  The warp must be defined and positive at the
+    canonical point's radius WARP_BASE_RADIUS.
     """
     if isinstance(warp, str):
         warp = warp_by_name(warp)
     if n < 2:
         raise InputError(f"manifolds.warped_product: parameter n={n} must be >= 2")
-    warp.check_domain(base_radius)
-    if warp.value(base_radius) <= 0:
+    warp.check_domain(WARP_BASE_RADIUS)
+    if warp.value(WARP_BASE_RADIUS) <= 0:
         raise InputError(
             f"manifolds.warped_product: warp '{warp.name}' not positive at "
-            f"base_radius={base_radius}"
+            f"r={WARP_BASE_RADIUS}"
         )
-    lo, hi = warp.domain
-    if math.isfinite(lo) and math.isfinite(hi):
-        u, gw = gauss_legendre(64)
-        r = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-        volume = sphere_surface_area(n - 1) * 0.5 * (hi - lo) * float(
-            np.sum(gw * warp.value(r) ** (n - 1))
-        )
-    else:
-        volume = math.inf
-    return ManifoldSpec(
-        kind=WARPED_PRODUCT,
-        n=n,
-        warp=warp,
-        entire_tube=entire_tube,
-        volume=volume,
-        base_radius=float(base_radius),
-    )
+    return ManifoldSpec(kind=WARPED_PRODUCT, n=n, warp=warp)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +219,7 @@ def canonical_point(spec: ManifoldSpec) -> np.ndarray:
         return np.zeros(spec.n)
     # warped product: (r, point on the unit fiber sphere in R^n)
     x = np.zeros(1 + spec.n)
-    x[0] = spec.base_radius
+    x[0] = WARP_BASE_RADIUS
     x[1] = 1.0
     return x
 
@@ -333,7 +305,7 @@ def torus_wrap(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def require_unit_direction(spec: ManifoldSpec, x: np.ndarray, theta: np.ndarray) -> None:
     norm2 = metric_dot(spec, x, theta, theta)
-    if abs(norm2 - 1.0) > 1e-8:
+    if not abs(norm2 - 1.0) <= 1e-8:  # nan included
         raise InputError(
             f"manifolds: direction has metric norm^2 = {norm2!r}, expected 1"
         )
@@ -417,20 +389,6 @@ MAX_QUAD_NODES = 1_000_000
 # coordinates of one rule's nodes (80 MB); binds only for monte_carlo above
 # n = 10, where the node cap alone allows more
 MAX_QUAD_ENTRIES = 10_000_000
-# points of one Stieltjes scan grid, (npts,): 80 MB of floats, 160 MB of
-# complex values.  The default tau schedule scans 16 568 points; a smallest
-# tau of 1e-6 would scan 16 566 372
-MAX_STACK_ENTRIES = 10_000_000
-
-
-def require_stack_size(shape: tuple, caller: str, remedy: str) -> None:
-    """Refuse a stack of more than MAX_STACK_ENTRIES entries before it is
-    built; ``remedy`` ends the message."""
-    entries = math.prod(shape)
-    if entries > MAX_STACK_ENTRIES:
-        raise InputError(
-            f"{caller}: a stack of shape {shape} has {entries} entries, "
-            f"more than the cap of {MAX_STACK_ENTRIES}; {remedy}")
 
 
 @dataclass(frozen=True)

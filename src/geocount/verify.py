@@ -139,7 +139,7 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
     # a finite domain end, where w vanishes (sin: the antipodal pole)
     theta = mf.orthonormal_frame(spec, x)[0]
     T = 5.0 if spec.kind != mf.WARPED_PRODUCT else min(
-        4.0, 0.75 * (spec.warp.domain[1] - spec.base_radius))
+        4.0, 0.75 * (spec.warp.domain[1] - x[0]))
     js = flow.propagate_jacobi(flow.integrate_geodesic(spec, x, theta, T=T, step=1e-3))
     # the direction rule of the counting checks (warped products count none);
     # it draws from its own default_rng(seed), so the battery's stream does

@@ -95,7 +95,9 @@ class TestManifestParsing:
 
 
 class TestRunner:
-    def test_count_task_writes_curve_and_growth(self, tmp_path):
+    def test_count_writes_the_curve_and_growth_classifies_it(self, tmp_path):
+        # only growth classifies: count writes no growth.json, even for a
+        # curve that growth classifies
         out = tmp_path / "out"
         path = _write(tmp_path, SPHERE_MANIFEST.format(out=out))
         code = cli.main(["count", "--manifest", str(path), "--quiet"])
@@ -105,12 +107,18 @@ class TestRunner:
         assert lines[1].startswith("# version=")
         assert lines[2] == "T,value"
         assert len(lines) == 3 + 30
+        assert not (out / "growth.json").exists()
+        run = json.loads((out / "run.json").read_text())
+        assert run["task"] == "count"
+        assert run["exit_code"] == 0
+        assert run["outputs"] == ["curve.csv"]
+        code = cli.main(["growth", "--manifest", str(path), "--quiet"])
+        assert code == 0
         growth = json.loads((out / "growth.json").read_text())
         assert growth["growth"]["class"] == "polynomial"
         assert growth["growth"]["degree"] == 1
         run = json.loads((out / "run.json").read_text())
-        assert run["task"] == "count"
-        assert run["exit_code"] == 0
+        assert run["outputs"] == ["curve.csv", "growth.json"]
 
     def test_torus_flags_only_no_manifest(self, tmp_path):
         out = tmp_path / "o2"
@@ -348,7 +356,7 @@ class TestRunner:
         period = math.pi / math.sqrt(2e-6)
         interval = (-1.0, 2 * period + 1.0)  # the battery's, margin 1
         assert (herglotz._scan_grid(*interval, math.nextafter(tau, 0.0))[1]
-                > mf.MAX_STACK_ENTRIES >= herglotz._scan_grid(*interval, tau)[1])
+                > herglotz.MAX_STACK_ENTRIES >= herglotz._scan_grid(*interval, tau)[1])
         proc = _main_under_1gib([*argv, "--tau-schedule", f"0.1,0.01,{tau!r}",
                                  "--out", str(tmp_path / "fits")])
         assert proc.returncode == 0, proc.stderr
@@ -523,7 +531,7 @@ class TestRunner:
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        args = ["count", "--kind", "constant_curvature", "--c", "1", "--n", "2",
+        args = ["growth", "--kind", "constant_curvature", "--c", "1", "--n", "2",
                 "--T", "1:12:12", "--step", "0.01", "--seed", "3", "--quiet"]
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0

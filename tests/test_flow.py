@@ -238,7 +238,6 @@ class TestIntegrateGeodesic:
         vel = s * np.sinh(u) * x + np.cosh(u) * theta
         for got, want in zip(traj.at(traj.sigma), (pos, vel)):
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
-        assert traj.frame.shape == (2, 4)
 
     def test_input_validation(self):
         spec = gc.constant_curvature(1.0, 2)
@@ -252,6 +251,21 @@ class TestIntegrateGeodesic:
             gc.integrate_geodesic(spec, x, theta, 1.0, 2.0)
         with pytest.raises(InputError):
             gc.integrate_geodesic(spec, x, 0.5 * theta, 1.0, 1e-2)
+        # a nan direction is refused as input on every kind, flat ones too
+        for spec in (spec, gc.flat_torus(np.eye(2)), gc.constant_curvature(0.0, 2)):
+            x = gc.canonical_point(spec)
+            with pytest.raises(InputError, match="norm"):
+                gc.integrate_geodesic(spec, x, np.full(len(x), math.nan), 1.0, 1e-2)
+
+    @pytest.mark.parametrize("T", [5.0, 1e-7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_direction_along_the_model_normal_is_refused(self, T, sign):
+        # theta = +-sqrt(c) x on S^3 has unit norm; the speed check alone
+        # lets it through for T <= 5e-7
+        spec = gc.constant_curvature(4.0, 3)
+        x = gc.canonical_point(spec)
+        with pytest.raises(InputError, match="span of the model normal"):
+            gc.integrate_geodesic(spec, x, sign * 2.0 * x, T, T / 2)
 
     def test_warped_rejects_fiber_directions(self):
         spec = gc.warped_product("one_plus_r2", 2)
@@ -275,10 +289,12 @@ class TestIntegrateGeodesic:
 
     def test_warped_small_warp(self):
         # w(r) ~ 1e-7 near the end of the sin warp's domain
-        spec = gc.warped_product("sin", 3, base_radius=1e-7)
-        x = gc.canonical_point(spec)
-        traj = gc.integrate_geodesic(spec, x, gc.orthonormal_frame(spec, x)[0], 1.0, 1e-2)
-        assert traj.frame.shape == (2, 4)
+        spec = gc.warped_product("sin", 3)
+        x = np.array([1e-7, 1.0, 0.0, 0.0])
+        theta = gc.orthonormal_frame(spec, x)[0]
+        assert np.array_equal(theta, [1.0, 0.0, 0.0, 0.0])
+        traj = gc.integrate_geodesic(spec, x, theta, 1.0, 1e-2)
+        assert traj.sigma[-1] == 1.0
 
 
 _EVERY_KIND = [
@@ -304,7 +320,7 @@ class TestClosedFormTrajectory:
 
     def test_trajectory_keeps_no_sample_arrays(self):
         fields = [f.name for f in dataclasses.fields(gc.GeodesicTrajectory)]
-        assert fields == ["spec", "x0", "theta0", "sigma", "frame", "step"]
+        assert fields == ["spec", "x0", "theta0", "sigma", "step"]
         fields = [f.name for f in dataclasses.fields(gc.JacobiSystem)]
         assert "kop" not in fields
 
@@ -641,8 +657,7 @@ class TestKernel:
         x = gc.canonical_point(spec)
         theta = gc.orthonormal_frame(spec, x)[0]
         sigma = flow._grid(5.0, 1e-3)
-        traj = flow.GeodesicTrajectory(spec, x, theta, sigma,
-                                       gc.orthonormal_frame(spec, x, [theta]), 1e-3)
+        traj = flow.GeodesicTrajectory(spec, x, theta, sigma, 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationFailureError, match="float range"):
