@@ -2,8 +2,9 @@
 measures on model Riemannian manifolds.
 
 The package propagates the Jacobi equation along unit-speed geodesics,
-evaluates the resulting counting integrals against independent combinatorial
-oracles, analyzes the associated Herglotz functions F = phi * Id (boundary
+evaluates the resulting counting integrals against independent oracles (a
+closed-form integrand on space forms, the volume of the ball on flat tori),
+analyzes the associated Herglotz functions F = phi * Id (boundary
 measure recovery, positivity, determinant inequalities), and classifies the
 growth of counting curves as polynomial or exponential.
 """
@@ -13,8 +14,7 @@ __version__ = "0.1.0"
 from .closed_form import ClosedFormJacobi
 from .counting import (CountingCurve, GrowthReport, berger_bott_curve,
                        berger_bott_total, classify_growth, count_sphere_arcs,
-                       loop_space_betti_partial_sums, search_gromov_constant,
-                       torus_count_integral_oracle)
+                       loop_space_betti_partial_sums, search_gromov_constant)
 from .errors import (CatalogError, ConfigurationError, ConvergenceError,
                      DegeneracyError, DomainError, GeocountError, InputError,
                      IntegrationFailureError, NumericalError, PoleError)

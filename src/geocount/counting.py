@@ -3,17 +3,18 @@
 The total count of geodesic arcs out of a point, integrated over targets,
 equals a double integral of the Jacobi-field Gram determinant: arc length
 along each geodesic, directions over the unit tangent sphere.  This module
-evaluates that double integral on the model manifolds, provides independent
-counting oracles (arc counts on the round sphere; on flat tori, a Monte Carlo
-integral over targets of lattice counts, one lattice enumeration per call),
-and classifies the growth of the resulting curves in the length cutoff T.
+evaluates that double integral on the model manifolds, counts arcs on the
+round sphere as an independent oracle, and classifies the growth of the
+resulting curves in the length cutoff T.  On a flat torus the integral over
+targets of the lattice arc counts unfolds to the volume of the ball of radius
+T, for every lattice, so the torus needs no oracle of its own: ``verify``
+compares its totals with that volume.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  load now: numpy would load it on first use
 
 from . import flow
 from . import manifolds as mf
@@ -171,7 +172,7 @@ def berger_bott_curve(spec, x, T_values, quad, step) -> CountingCurve:
 
 
 # ---------------------------------------------------------------------------
-# independent counting oracles
+# the arc-count oracle
 # ---------------------------------------------------------------------------
 
 def count_sphere_arcs(d: float, T: float) -> int:
@@ -188,322 +189,6 @@ def count_sphere_arcs(d: float, T: float) -> int:
     forward = int(math.floor((T - d) / two_pi)) + 1 if T >= d else 0
     backward = max(0, int(math.floor((T + d) / two_pi)))
     return forward + backward
-
-
-# lattice points that one enumeration may list or count: a ball of radius rho
-# holds at most V_n (rho + diam/2)^n / |det| of them (the unit cells centred
-# on them are disjoint and lie in the ball of radius rho + diam/2), and that
-# bound is checked before any array is built
-_LATTICE_BALL_CAP = 2_000_000
-
-# cutoffs C k (k <= K, C in c_grid) that one Gromov search may check: each
-# takes a Betti partial sum and a row of its arrays, checked before any is built
-_GROMOV_CUTOFF_CAP = 100_000
-
-# nodes per expansion of the enumeration: they bound its arrays (about
-# 8 (n + 3) bytes a node) whatever the lattice size
-_LINE_BUDGET = 8192
-
-
-def _lattice_frame(basis, reach):
-    """Fincke-Pohst frame of the lattice for the ball of radius reach.
-
-    Refuses, before any array is built, a reach whose coefficient box is not
-    finite and a ball that may hold more than _LATTICE_BALL_CAP lattice
-    points.  Returns (order, R, tol): the basis rows sorted shortest first,
-    the upper triangular R with positive diagonal of the QR factorisation of
-    basis[order].T, so that |z @ basis| = |R z[order]|, and tol, a bound on
-    the rounding of a squared distance below reach^2 computed through R.
-
-    A point z within reach has |z_i| <= reach |binv[:, i]|, so
-    sum_i |z_i| |b_i| <= kappa reach with kappa = sum_i |b_i| |binv[:, i]|.
-    The QR factor's backward error (a few n eps |b_i| per column), the
-    rounding of the nested sums and of the interval ends, and the float
-    lattice vectors z @ basis each move a squared distance by a small
-    multiple of n^2 eps kappa reach^2; tol = 4 (n + 3)^3 eps (kappa + 1)
-    reach^2 bounds their sum with room to spare.  A larger tol would only
-    move vectors into the listed rings, where they are tested directly.
-    """
-    n = basis.shape[0]
-    binv = np.linalg.inv(basis)
-    # inf times a column norm that underflowed to 0 would be nan, and warn
-    extents = ([reach * np.linalg.norm(binv[:, i]) for i in range(n)]
-               if math.isfinite(reach) else [reach])
-    if not all(math.isfinite(e) for e in extents):
-        raise InputError(
-            "counting.torus_count_integral_oracle: the coefficient box for "
-            f"reach {reach} is not finite")
-    norms = np.linalg.norm(basis, axis=1)
-    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        bound = float(ball * np.float64(reach + np.sum(norms) / 2) ** n
-                      / abs(np.linalg.det(basis)))
-    if not bound <= _LATTICE_BALL_CAP:
-        raise InputError(
-            "counting.torus_count_integral_oracle: the ball of radius "
-            f"{reach:g} may hold {bound:.0f} lattice points, more than the cap of "
-            f"{_LATTICE_BALL_CAP}; lower T or use a less elongated basis")
-    order = np.argsort(norms, kind="stable")
-    R = np.linalg.qr(basis[order].T, mode="r")
-    R *= np.sign(np.diag(R))[:, None]
-    kappa = float(np.sum(norms * np.linalg.norm(binv, axis=0)))
-    tol = 4.0 * (n + 3) ** 3 * np.finfo(float).eps * (kappa + 1.0) * reach * reach
-    return order, R, tol
-
-
-def _runs(starts, lengths):
-    """Entries of the integer runs starts[k], ..., starts[k] + lengths[k] - 1,
-    run after run: the run of every entry and its value."""
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    first = np.cumsum(lengths) - lengths
-    return run, np.arange(len(run)) + np.repeat(starts - first, lengths)
-
-
-def _interval(a, P, rad2, rii):
-    """First integer and count of the integers j with rii^2 (j - a)^2 + P <=
-    rad2, for each line."""
-    room = rad2 - P
-    h = np.sqrt(np.maximum(room, 0.0)) / rii
-    lo = np.ceil(a - h)
-    cnt = np.where(room >= 0.0, np.floor(a + h) - lo + 1.0, 0.0)
-    return lo, np.maximum(cnt, 0.0).astype(np.intp)
-
-
-def _line_split(a, P, inner2, outer2, rii):
-    """Split the points j of each line within outer2 (the integers j with
-    rii^2 (j - a)^2 + P <= outer2) into the run within inner2, counted, and
-    the ring around it, listed.  Returns the run's count on every line and,
-    for every ring point, its line and j, line after line."""
-    lo, cnt = _interval(a, P, outer2, rii)
-    ilo, icnt = _interval(a, P, inner2, rii)
-    # an empty run sits at the line's end; a nonempty one lies inside the
-    # line's interval, since a smaller radius gives a narrower interval
-    ilo = np.where(icnt > 0, ilo, lo + cnt)
-    lengths = np.stack((ilo - lo, lo + cnt - ilo - icnt), axis=1).ravel()
-    line, j = _runs(np.stack((lo, ilo + icnt), axis=1).ravel(),
-                    lengths.astype(np.intp))
-    return icnt, line // 2, j
-
-
-def _lattice_lines(R, w, rad2):
-    """Innermost lines of the Fincke-Pohst enumeration of the integer vectors
-    z with |R (w_k + z)|^2 <= rad2, for each centre w_k (a row of w, in R's
-    coordinate order).
-
-    Coordinates n - 1 down to 1 are fixed one at a time, each over the
-    integer interval that the ones before leave; a batch is halved before an
-    expansion past _LINE_BUDGET nodes.  Yields batches (owner, z, a, P), in
-    the order of the centres: line k belongs to centre owner[k] and holds
-    the points z[k] + j e_0 (z[k, 0] = 0), at squared distance
-    R_00^2 (j - a[k])^2 + P[k].
-    """
-    n = len(R)
-    stack = [(n - 1, np.arange(len(w)), np.zeros(w.shape), np.zeros(len(w)))]
-    while stack:
-        i, owner, z, P = stack.pop()
-        # component i of R (w + z) is R_ii (z_i - a)
-        a = -(w[owner, i]
-              + (w[owner, i + 1:] + z[:, i + 1:]) @ R[i, i + 1:] / R[i, i])
-        if i == 0:
-            yield owner, z, a, P
-            continue
-        lo, cnt = _interval(a, P, rad2, R[i, i])
-        if np.sum(cnt) > _LINE_BUDGET and len(owner) > 1:
-            half = len(owner) // 2
-            stack += [(i, owner[half:], z[half:], P[half:]),
-                      (i, owner[:half], z[:half], P[:half])]
-            continue
-        rep, j = _runs(lo, cnt)
-        z = z[rep]
-        z[:, i] = j
-        stack.append((i - 1, owner[rep], z,
-                      P[rep] + (R[i, i] * (j - a[rep])) ** 2))
-
-
-# targets per chunk of the oracle's first pass, and (target, slot) entries
-# per buffer of its pairwise pass (unless a single shell is wider): they bound
-# the per-chunk arrays whatever the lattice size or the number of samples
-_ORACLE_ROWS = 4096
-_ORACLE_ENTRIES = 2**16
-
-
-def _oracle_cells_per_axis(basis):
-    """Sub-cells along each axis of the unit coefficient cube, about 2^9 in all.
-
-    Axis i gets m_i proportional to the row norm |b_i|, so that a sub-cell is
-    about as long along every edge: m_i = 2^((9 + sum_j log2(|b_i| / |b_j|)) / k)
-    over the k axes still free, rounded down.  An axis whose share falls
-    below one sub-cell gets one, and the other axes share 2^9 again.  Equal
-    row norms give the differences exactly 0, hence int(2^(9/n)) on every
-    axis: 22, 8 and 4 in 2, 3 and 4 dimensions.
-    """
-    logs = np.log2(np.linalg.norm(basis, axis=1))
-    free = np.ones(len(logs), dtype=bool)
-    while True:
-        spread = np.sum(logs[:, None] - logs[None, free], axis=1)
-        expo = (9.0 + spread) / np.count_nonzero(free)
-        low = free & (expo < 0.0)
-        if not low.any():
-            break
-        free &= ~low
-    return tuple(int(2.0 ** e) if f else 1 for e, f in zip(expo, free))
-
-
-def _oracle_cells(basis, frame, T, reach, m, cells):
-    """Classify the lattice vectors near each of the given sub-cells.
-
-    Sub-cell (i_1, ..., i_n), flat index in C order, holds the targets with
-    floor(u_k m_k) = i_k.  It is a parallelepiped whose points lie within r
-    (its largest centre-to-corner distance) of its centre c.  A vector v
-    with |c + v| <= T - r is within T of every target in the sub-cell
-    ("sure"), one with |c + v| > T + r of none; the rest form the sub-cell's
-    shell.  A slack of 1e-9 reach on both radii covers the rounding of the
-    targets and of the pairwise test, and the frame's tol on both squared
-    radii the rounding of the enumeration.
-
-    The enumeration visits only the lines of the ball of radius T + r about
-    each centre: a line counts its sure vectors at once and lists its shell
-    vectors, at most two runs at its ends.  Returns the sure count and the
-    shell size of every sub-cell, the shells of the given sub-cells (in
-    increasing order) as a table of coordinates (table[k, i, :lens[cells[i]]]
-    holds coordinate k of the shell vectors of sub-cell cells[i], the other
-    slots inf), and the work: lines visited plus shell vectors listed.
-    """
-    order, R, tol = frame
-    n = basis.shape[0]
-    m = np.asarray(m)
-    corners = (np.indices((2,) * n).reshape(n, -1).T - 0.5) / m
-    r = float(np.max(np.linalg.norm(corners @ basis, axis=1)))
-    inner = T - r - 1e-9 * reach
-    inner2 = inner * inner - tol if inner > 0.0 else -math.inf
-    outer2 = (T + r + 1e-9 * reach) ** 2 + tol
-    w = ((np.stack(np.unravel_index(cells, m), axis=1) + 0.5) / m)[:, order]
-    size = math.prod(m)
-    sure = np.zeros(size, np.int64)
-    owners, shells, work = [np.zeros(0, np.intp)], [np.zeros((0, n))], 0
-    for owner, z, a, P in _lattice_lines(R, w, outer2):
-        inside, line, j = _line_split(a, P, inner2, outer2, R[0, 0])
-        sure += np.bincount(cells[owner], inside, size).astype(np.int64)
-        owners.append(cells[owner[line]])
-        # the shell points' coefficients, back in the basis order, @ basis
-        coef = np.empty((len(line), n))
-        coef[:, order] = z[line]
-        coef[:, order[0]] = j
-        shells.append(coef @ basis)
-        work += len(owner) + len(line)
-    # lines come out in the order of their centres, so the shell vectors are
-    # in sub-cell order already
-    owners = np.concatenate(owners)
-    lens = np.bincount(owners, minlength=size)
-    width = int(np.max(lens))
-    first = np.cumsum(lens) - lens
-    slot = (np.searchsorted(cells, owners) * width
-            + np.arange(len(owners)) - first[owners])
-    table = np.full((n, len(cells) * width), np.inf)
-    table[:, slot] = np.concatenate(shells).T
-    return sure, lens, table.reshape(n, len(cells), width), work
-
-
-def _oracle_targets(seed, samples, chunk, n):
-    """The oracle's uniform coefficient rows, chunk rows at a time."""
-    rng = np.random.default_rng(seed)
-    for done in range(0, samples, chunk):
-        yield rng.random((min(chunk, samples - done), n))
-
-
-def _sub_cell(u, m):
-    # floor(u_k m_k) <= m_k - 1: for an integer m, the largest double below 1
-    # times m still rounds below m
-    return np.ravel_multi_index((u * m).astype(np.intp).T, m)
-
-
-def _oracle_points(u, basis):
-    """The targets u @ basis, summed u_0 b_0 + u_1 b_1 + ... in coordinate
-    order: a row's bits then do not depend on the rows mapped with it, as
-    those of a matrix product can.  Built one coordinate at a time, for long
-    inner loops, and returned as the transpose of that (n, targets) array."""
-    y = basis[0][:, None] * u[:, 0]
-    for k in range(1, len(basis)):
-        y += basis[k][:, None] * u[:, k]
-    return y.T
-
-
-def _shell_hits(table, y, rows, T, d2, term):
-    """Number of (target, shell vector) pairs with |y + v|^2 <= T^2, one
-    entry per target and slot of its sub-cell's row of the table (an empty
-    slot holds inf, which never passes), computed in the buffers d2 and
-    term, (targets, slots) each.  The sum_k (y_k + v_k)^2 runs in coordinate
-    order, the order np.sum(..., axis=1) adds a row of fewer than 8 entries;
-    the ball cap refuses n >= 6.  The row indices are in range, so np.take's
-    bounds check ("clip" never clips) is skipped."""
-    np.take(table[0], rows, axis=0, out=d2, mode="clip")
-    d2 += y[:, :1]
-    d2 *= d2
-    for k in range(1, len(table)):
-        np.take(table[k], rows, axis=0, out=term, mode="clip")
-        term += y[:, k:k + 1]
-        term *= term
-        d2 += term
-    return int(np.count_nonzero(d2 <= T * T))
-
-
-def torus_count_integral_oracle(basis, T: float, samples: int, seed: int = 0) -> float:
-    """Monte Carlo estimate of the torus counting integral over targets.
-
-    |det basis| times the mean arc count over uniform targets; deterministic
-    for a fixed seed.  A target y = u @ basis falls in the sub-cell
-    floor(u m) of the coefficient cube; it counts the sub-cell's sure
-    vectors at once, and only its shell vectors pass the pairwise test
-    |y + v|^2 <= T^2, so the count is the one that testing every pair gives.
-
-    Cost: a first pass over the random stream marks the occupied sub-cells
-    (at most samples of them).  The enumeration visits, for each, the lines
-    of the ball of radius T + r about its centre (about that ball's
-    (n-1)-volume over the covolume of the lattice projected along the
-    shortest row) and lists its shell (about the shell's volume over
-    |det|).  The pairwise pass makes samples x (largest shell) entries.
-    Nothing scales with the lattice vectors within reach, which are only
-    counted, line by line.  The first pass draws _ORACLE_ROWS targets at a
-    time, the pairwise pass as many as fill buffers of _ORACLE_ENTRIES
-    entries (one, where the largest shell is wider).  Each target is summed
-    in coordinate order on its own, so no value depends on the chunk sizes.
-    """
-    if samples < 1:
-        raise InputError(
-            f"counting.torus_count_integral_oracle: parameter samples={samples} "
-            "must be >= 1")
-    basis = np.asarray(basis, dtype=float)
-    n = basis.shape[0]
-    if T <= 0:
-        return 0.0
-    # a row too long to square has length inf here, which the frame refuses
-    with np.errstate(over="ignore"):
-        diam = float(np.sum(np.linalg.norm(basis, axis=1)))
-    reach = T + diam
-    frame = _lattice_frame(basis, reach)
-    m = _oracle_cells_per_axis(basis)
-    occupied = np.zeros(math.prod(m), dtype=bool)
-    for u in _oracle_targets(seed, samples, _ORACLE_ROWS, n):
-        occupied[_sub_cell(u, m)] = True
-        if occupied.all():
-            break
-    cells = np.flatnonzero(occupied)
-    sure, _, table, _ = _oracle_cells(basis, frame, T, reach, m, cells)
-    row = np.zeros(len(occupied), np.intp)
-    row[cells] = np.arange(len(cells))
-
-    # one pair of buffers for all chunks: fresh arrays of this size would
-    # each be mapped and faulted in anew
-    chunk = max(1, _ORACLE_ENTRIES // max(1, table.shape[2]))
-    d2, term = np.empty((2, min(chunk, samples), table.shape[2]))
-    total = 0
-    for u in _oracle_targets(seed, samples, chunk, n):
-        cells = _sub_cell(u, m)
-        total += int(np.sum(sure[cells])) + _shell_hits(
-            table, _oracle_points(u, basis), row[cells], T, d2[:len(u)],
-            term[:len(u)])
-    vol = abs(float(np.linalg.det(basis)))
-    return vol * total / samples
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +287,11 @@ def _gromov_from_cumulative(grid, totals, volume, n, lhs, C):
     ok = lhs <= rhs * (1 + 1e-9) + 1e-9
     first = None if bool(np.all(ok)) else int(ks[np.argmin(ok)])
     return GromovCheck(n, len(lhs), float(C), bool(np.all(ok)), first, lhs, rhs)
+
+
+# cutoffs C k (k <= K, C in c_grid) that one Gromov search may check: each
+# takes a Betti partial sum and a row of its arrays, checked before any is built
+_GROMOV_CUTOFF_CAP = 100_000
 
 
 def search_gromov_constant(spec: mf.ManifoldSpec, K: int, c_grid,

@@ -121,12 +121,14 @@ def _check_trajectory(traj):
 def integrate_geodesic(spec, x, theta, T, step):
     """The unit-speed geodesic with gamma(0)=x, gamma'(0)=theta to T, kept
     as its closed form xi(sigma) x + eta(sigma) theta (``GeodesicTrajectory.at``).
-    A warped product refuses a direction that is not radial and a ray that
-    leaves the warp's domain, and a curved space form a theta along x.
+    An x off the model is refused; a warped product refuses a direction
+    that is not radial and a ray that leaves the warp's domain, and a
+    curved space form a theta along x.
     Unit speed is checked at every grid point.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    mf.require_point_on_model(spec, x)
     mf.require_unit_direction(spec, x, theta)
     sigma = _grid(T, step)
     if spec.kind == mf.WARPED_PRODUCT:

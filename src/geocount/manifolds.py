@@ -303,6 +303,36 @@ def torus_wrap(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.reshape((coeff - np.floor(coeff)) @ basis, np.shape(x))
 
 
+def require_point_on_model(spec: ManifoldSpec, x: np.ndarray) -> None:
+    """Refuses, with InputError, a base point off the model: the wrong
+    length or a non-finite entry; on a curved space form <x, x>_g off 1/c
+    by more than 1e-8 of sum |g| x^2 (1/c itself on the sphere), or x_0 <= 0
+    on the hyperboloid; on a warped product a fiber part x[1:] whose squared
+    norm is off 1 by more than 1e-8.  No check warns: a square past the
+    float range gives a sum that is not finite, which is refused."""
+    curved = spec.kind == CONSTANT_CURVATURE and spec.c != 0
+    size = spec.n + (curved or spec.kind == WARPED_PRODUCT)
+    if np.shape(x) != (size,):
+        raise InputError(
+            f"manifolds: point has shape {np.shape(x)}, expected ({size},)")
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"manifolds: point x={x} has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if curved:
+            g = metric_diagonal(spec, x)
+            scale = float(np.sum(np.abs(g) * x * x))
+            gap = abs(float(np.sum(g * x * x)) - 1.0 / spec.c)
+            if not (gap <= 1e-8 * scale < math.inf and (spec.c > 0 or x[0] > 0)):
+                raise InputError(
+                    f"manifolds: point x={x} is off the model: <x, x>_g must "
+                    "be 1/c" + (" with x_0 > 0" if spec.c < 0 else ""))
+        elif spec.kind == WARPED_PRODUCT:
+            if not abs(float(np.sum(x[1:] * x[1:])) - 1.0) <= 1e-8:
+                raise InputError(
+                    f"manifolds: point x={x} is off the model: its fiber "
+                    "part x[1:] must be a unit vector")
+
+
 def require_unit_direction(spec: ManifoldSpec, x: np.ndarray, theta: np.ndarray) -> None:
     norm2 = metric_dot(spec, x, theta, theta)
     if not abs(norm2 - 1.0) <= 1e-8:  # nan included
@@ -362,6 +392,7 @@ def curvature_along(spec: ManifoldSpec, geodesic_initial) -> CurvatureFrameOpera
     x, theta = geodesic_initial
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    require_point_on_model(spec, x)
     require_unit_direction(spec, x, theta)
 
     if spec.kind == CONSTANT_CURVATURE:

@@ -221,6 +221,9 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
         checks.append(_check(
             "gram-det identity det(H^T H) det((-1/f)') = 1",
             np.max(herglotz.check_key1(js, rng_s)), 1e-8))
+        # the arcs to every target, integrated over a fundamental domain,
+        # unfold to the ball of radius T whatever the lattice: this exact
+        # volume is the torus's counting oracle
         area = mf.sphere_surface_area(spec.n - 1)
         # one propagation to T = 5; the grids to T = 1 and 2 are its prefixes
         totals = counting.berger_bott_curve(
@@ -230,9 +233,6 @@ def lemma_battery(spec: mf.ManifoldSpec, seed: int = 0) -> list:
             exact = area * T**spec.n / spec.n
             worst = max(worst, abs(total - exact) / exact)
         checks.append(_check("counting total vs volume formula", worst, 1e-3))
-        oracle = counting.torus_count_integral_oracle(spec.basis, 5.0, 20000, seed)
-        checks.append(_check("counting total vs lattice Monte Carlo oracle",
-                             abs(totals[-1] - oracle) / max(1.0, oracle), 2e-2))
         curve = counting.berger_bott_curve(
             spec, x, np.arange(1.0, 31.0), quad, step=1e-2)
         report = counting.classify_growth(curve)

@@ -8,7 +8,8 @@ one-point golden-section search is the reference for herglotz's batched one;
 the Gram-Schmidt frame, the sampled geodesic arrays and the row-by-row
 sphere product rules are the bit references for the reflection frame,
 ``GeodesicTrajectory.at`` and the broadcast rules of
-``unit_sphere_quadrature``.
+``unit_sphere_quadrature``; the pairwise lattice count is the torus's Monte
+Carlo counting oracle.
 """
 
 import math
@@ -191,3 +192,44 @@ def random_point(spec, rng, radial=False):
     elif spec.kind == mf.CONSTANT_CURVATURE and spec.c != 0:
         v -= np.sum(g * v * x) / np.sum(g * x * x) * x
     return x, v / math.sqrt(np.sum(g * v * v))
+
+
+def torus_count_monte_carlo(basis, T, samples, seed=0):
+    """Monte Carlo estimate of the torus counting integral over targets.
+
+    |det basis| times the mean arc count over ``samples`` uniform targets y
+    = u @ basis, u drawn from default_rng(seed): every lattice vector v
+    within T + diam of the origin is tested against |y + v| <= T.  By
+    unfolding the integral is |B_T| for every lattice.
+    """
+    budget = 2_000_000
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    if T <= 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    binv = np.linalg.inv(basis)
+    diam = float(np.sum(np.linalg.norm(basis, axis=1)))
+    reach = T + diam
+    bounds = [int(math.ceil(reach * np.linalg.norm(binv[:, i]))) + 1 for i in range(n)]
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    vecs = mesh @ basis
+    vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
+
+    total = 0
+    chunk = max(1, budget // max(1, len(vecs)))
+    done = 0
+    while done < samples:
+        take = min(chunk, samples - done)
+        u = rng.random((take, n))
+        # u @ basis summed in coordinate order: a row's bits do not depend
+        # on the rows mapped with it
+        y = u[:, :1] * basis[0]
+        for k in range(1, n):
+            y += u[:, k:k + 1] * basis[k]
+        d2 = np.sum((y[:, None, :] + vecs[None, :, :]) ** 2, axis=2)
+        total += int(np.count_nonzero(d2 <= T * T))
+        done += take
+    vol = abs(float(np.linalg.det(basis)))
+    return vol * total / samples

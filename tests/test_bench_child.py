@@ -5,7 +5,8 @@ renamed or retyped function the tracer wraps, a work counter that is not a
 plain int (the record is JSON) or a missing import makes the child die, and
 the benchmark run fail.  Here the child runs one tiny traced invocation of each
 subcommand in a subprocess, as the benchmark runs it, and verify on a flat
-torus and a warped product, so that every hook of the tracer is reached.
+torus and a warped product, so that every hook of the tracer whose function
+still exists is reached.
 """
 
 import json
@@ -53,9 +54,8 @@ def test_traced_child_runs_every_layer(tmp_path):
     assert counts[2]["verify.checks"] > 0
     assert counts[2]["manifolds.quad_nodes"] > 0
     assert record["runs"][4]["trace"]["self_s"]["counting.growth_s"] > 0.0
-    # the lattice oracle's hook, and propagate_jacobi's and the curvature
-    # profile's off constant curvature
-    assert counts[5]["counting.oracle_samples"] > 0
+    # propagate_jacobi's and the curvature profile's hooks off constant
+    # curvature
     for run_counts in counts[5:]:
         assert run_counts["flow.jacobi_steps"] > 0
         assert run_counts["manifolds.profile_calls"] > 0

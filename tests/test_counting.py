@@ -1,11 +1,10 @@
 import csv
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
-from hypothesis import strategies as st
 
 import geocount as gc
 from geocount import cli, verify
@@ -63,60 +62,7 @@ def _batched_reference(spec, x, T, quad, step):
     return grid, totals
 
 
-def _pairwise_oracle_reference(basis, T, samples, seed=0):
-    """The torus Monte Carlo oracle that tests every target x lattice pair,
-    as a reference for the sub-cell pruned oracle."""
-    budget = 2_000_000
-    basis = np.asarray(basis, dtype=float)
-    n = basis.shape[0]
-    if T <= 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    binv = np.linalg.inv(basis)
-    diam = float(np.sum(np.linalg.norm(basis, axis=1)))
-    reach = T + diam
-    bounds = [int(math.ceil(reach * np.linalg.norm(binv[:, i]))) + 1 for i in range(n)]
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    vecs = mesh @ basis
-    vecs = vecs[np.linalg.norm(vecs, axis=1) <= reach]
-
-    total = 0
-    chunk = max(1, budget // max(1, len(vecs)))
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        u = rng.random((take, n))
-        # u @ basis summed in coordinate order, as the oracle sums it: a
-        # row's bits do not depend on the rows mapped with it
-        y = u[:, :1] * basis[0]
-        for k in range(1, n):
-            y += u[:, k:k + 1] * basis[k]
-        d2 = np.sum((y[:, None, :] + vecs[None, :, :]) ** 2, axis=2)
-        total += int(np.count_nonzero(d2 <= T * T))
-        done += take
-    vol = abs(float(np.linalg.det(basis)))
-    return vol * total / samples
-
-
-class _FixedStream:
-    """Stands in for a numpy Generator: random() hands out the given rows in
-    order."""
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.pos = 0
-
-    def random(self, shape):
-        out = self.rows[self.pos:self.pos + shape[0]]
-        self.pos += shape[0]
-        return out
-
-
 _VERIFY_BASIS = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
-# passes flat_torus (det 1e-5), but the ball of its oracle at T = 5 may hold
-# about 2e8 lattice points
-_THIN_BASIS = np.diag([1e-5, 1.0, 1.0])
 
 
 class TestTotals:
@@ -313,333 +259,49 @@ class TestSphereArcOracle:
             gc.count_sphere_arcs(math.pi, 1.0)
 
 
-class TestTorusLatticeOracle:
-    def test_frozen_examples(self, monkeypatch):
-        # one target: the oracle's value is |det| times its arc count
-        eye = np.eye(2)
-        for u, T, count in (([0.0, 0.0], 1.0, 5), ([0.5, 0.0], 0.4, 0),
-                            ([0.0, 0.0], 2.0, 13)):
-            monkeypatch.setattr(np.random, "default_rng",
-                                lambda seed, u=u: _FixedStream(np.array([u])))
-            assert gc.torus_count_integral_oracle(eye, T, 1) == count
+class TestTorusVerify:
+    """On a flat torus the counting total is checked against |B_T| alone: the
+    lattice arc counts, integrated over targets, unfold to that volume."""
 
-    def test_skew_basis_vs_brute_force(self, monkeypatch):
-        basis = np.array([[1.0, 0.3], [-0.2, 0.8]])
-        u = np.array([[0.3, 0.6]])
-        y = u[0, 0] * basis[0] + u[0, 1] * basis[1]
-        brute = 0
-        for i in range(-20, 21):
-            for j in range(-20, 21):
-                if np.linalg.norm(y + i * basis[0] + j * basis[1]) <= 3.0:
-                    brute += 1
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _FixedStream(u))
-        vol = abs(float(np.linalg.det(basis)))
-        assert gc.torus_count_integral_oracle(basis, 3.0, 1) == vol * brute
-
-    def test_monte_carlo_matches_disk_area(self):
-        # each target contributes the lattice points of a disk: the mean
-        # count times the cell volume is Vol(B_T)
-        val = gc.torus_count_integral_oracle(np.eye(2), 5.0, 100000, seed=0)
-        assert abs(val - math.pi * 25.0) <= 0.01 * math.pi * 25.0
-        val1 = gc.torus_count_integral_oracle(np.eye(2), 1.0, 100000, seed=0)
-        assert abs(val1 - math.pi) <= 0.02 * math.pi
-
-    def test_monte_carlo_deterministic(self):
-        a = gc.torus_count_integral_oracle(np.eye(2), 2.0, 5000, seed=11)
-        b = gc.torus_count_integral_oracle(np.eye(2), 2.0, 5000, seed=11)
-        assert a == b
-
-    @pytest.mark.parametrize("basis", [
-        np.array([[1.0, 0.3], [-0.2, 0.8]]),
-        _VERIFY_BASIS,
-        np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
-                  [0.1, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 1.2]]),
-        np.eye(5) + 0.1 * np.tri(5, k=-1),
-    ], ids=["n2", "n3", "n4", "n5"])
-    def test_chunk_budget_does_not_change_the_count(self, monkeypatch, basis):
-        # chunks draw consecutive rows of one random stream and map each row
-        # on its own, so any budget gives the same targets, to the bit, and
-        # the same integer count
-        targets = []
-        hits = gc.counting._shell_hits
-
-        def spy(table, y, *args):
-            targets.append(y.copy())
-            return hits(table, y, *args)
-        monkeypatch.setattr(gc.counting, "_shell_hits", spy)
-        full = gc.torus_count_integral_oracle(basis, 1.0, 600, seed=3)
-        full_targets = np.concatenate(targets)
-        for budget in (1, 1000):  # one target per chunk; a few per chunk
-            monkeypatch.setattr(gc.counting, "_ORACLE_ROWS", budget)
-            monkeypatch.setattr(gc.counting, "_ORACLE_ENTRIES", budget)
-            targets.clear()
-            assert gc.torus_count_integral_oracle(basis, 1.0, 600, seed=3) == full
-            assert np.array_equal(np.concatenate(targets), full_targets)
-
-    def test_one_enumeration_per_call(self, monkeypatch):
-        calls = []
-        lines = gc.counting._lattice_lines
-
-        def spy(*args):
-            calls.append(args)
-            return lines(*args)
-        monkeypatch.setattr(gc.counting, "_lattice_lines", spy)
-        for basis in (np.eye(2), _VERIFY_BASIS, np.diag([0.01, 0.01, 1.0])):
-            calls.clear()
-            gc.torus_count_integral_oracle(basis, 1.0, 500, seed=0)
-            assert len(calls) == 1
-
-    @pytest.mark.parametrize("basis,T", [
-        (np.diag([0.01, 0.01, 1.0]), 1.0),
-        (_VERIFY_BASIS, 5.0),
-    ])
-    def test_buffers_hold_at_most_the_entry_budget(self, monkeypatch, basis, T):
-        # every chunk's pairwise buffers, (targets, widest shell) each
-        budget = gc.counting._ORACLE_ENTRIES
-        sizes = []
-        hits = gc.counting._shell_hits
-
-        def spy(table, y, rows, T, d2, term):
-            sizes.extend((d2.size, term.size))
-            return hits(table, y, rows, T, d2, term)
-        monkeypatch.setattr(gc.counting, "_shell_hits", spy)
-        gc.torus_count_integral_oracle(basis, T, 20000, seed=0)
-        assert len(sizes) > 2 and max(sizes) <= budget
-
-    def test_zero_cutoff_limit(self):
-        assert gc.torus_count_integral_oracle(np.eye(2), 0.0, 100, seed=0) == 0.0
-
-    def test_oracle_equivalence_with_integral(self):
-        spec, x, quad = _torus_setup()
-        for T in (1.0, 2.0, 5.0, 10.0):
-            bb = gc.berger_bott_total(spec, x, T, quad, 1e-3)
-            orc = gc.torus_count_integral_oracle(np.eye(2), T, 100000, seed=0)
-            assert abs(bb - orc) / max(1.0, orc) <= 0.02
-
-
-class TestOraclePruning:
-    """The sub-cell pruned oracle counts exactly what the pairwise test
-    counts: == on the returned float."""
-
-    @pytest.mark.parametrize("basis,T,samples,seed", [
-        (_VERIFY_BASIS, 5.0, 4000, 0),
-        (_VERIFY_BASIS, 5.0, 4000, 1),
-        (_VERIFY_BASIS, 5.0, 4000, 7),
-        (_VERIFY_BASIS, 5.0, 4000, 42),
-        (np.eye(2), 0.3, 20000, 0),
-        (np.eye(2), 1.0, 20000, 0),
-        (np.eye(2), 2.0, 20000, 0),
-        (np.eye(2), 5.0, 20000, 0),
-        (np.eye(2), 10.0, 20000, 0),
-        (np.array([[1.0, 0.3], [-0.2, 0.8]]), 3.0, 20000, 5),
-        (np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
-                   [0.1, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 1.2]]), 1.5, 2000, 4),
-    ])
-    def test_equals_pairwise_reference(self, basis, T, samples, seed):
-        assert (gc.torus_count_integral_oracle(basis, T, samples, seed)
-                == _pairwise_oracle_reference(basis, T, samples, seed))
-
-    def test_sample_count_off_the_chunk_size(self, monkeypatch):
-        monkeypatch.setattr(gc.counting, "_ORACLE_ROWS", 100)
-        monkeypatch.setattr(gc.counting, "_ORACLE_ENTRIES", 1000)
-        # chunks of 100 targets, then of 1000 // (widest shell) targets
-        samples = 1013
-        val = gc.torus_count_integral_oracle(np.eye(2), 2.0, samples, seed=9)
-        assert val == _pairwise_oracle_reference(np.eye(2), 2.0, samples, seed=9)
-
-    def test_cutoff_below_the_sub_cell_size(self):
-        # sub-cells of the unit square are 1/22 wide, about 0.064 across:
-        # no lattice vector is within T of a whole sub-cell
-        basis, T = np.eye(2), 0.03
-        frame = gc.counting._lattice_frame(basis, T + 2.0)
-        m = gc.counting._oracle_cells_per_axis(basis)
-        sure, lens, _, _ = gc.counting._oracle_cells(
-            basis, frame, T, T + 2.0, m, np.arange(22 * 22))
-        assert m == (22, 22) and not np.any(sure) and np.sum(lens) > 0
-        assert (gc.torus_count_integral_oracle(basis, T, 5000, seed=2)
-                == _pairwise_oracle_reference(basis, T, 5000, seed=2))
-
-    def test_largest_coefficients_fall_in_the_last_sub_cell(self, monkeypatch):
-        # the largest double below 1 times m rounds below m, for every m the
-        # oracle can use (at most 2^9 sub-cells along one axis), so
-        # floor(u*m) never leaves the grid
-        top = np.nextafter(1.0, 0.0)
-        for m in range(1, 2**9 + 1):
-            assert int(top * m) == m - 1
-        for basis in (np.eye(3), _VERIFY_BASIS, np.diag([0.01, 0.01, 1.0])):
-            assert max(gc.counting._oracle_cells_per_axis(basis)) <= 2**9
-        rows = np.array([[top, top], [top, 0.5], [0.0, top], [0.3, 0.7]])
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _FixedStream(rows))
-        basis = np.array([[1.0, 0.3], [-0.2, 0.8]])
-        for T in (0.5, 2.0):
-            assert (gc.torus_count_integral_oracle(basis, T, len(rows))
-                    == _pairwise_oracle_reference(basis, T, len(rows)))
-
-
-    def test_thin_basis_classifies_by_the_samples(self, monkeypatch):
-        # work counter in place of a time bound: 50 targets occupy at most 50
-        # of the 172 sub-cells, and the oracle visits at least 10x fewer lines
-        # and shell vectors than the 172 x 326 773 (sub-cell, vector) entries
-        # of a dense classification of the ball
-        seen = []
-        classify = gc.counting._oracle_cells
-
-        def spy(*args):
-            out = classify(*args)
-            seen.append((len(args[5]), out[3]))
-            return out
-        monkeypatch.setattr(gc.counting, "_oracle_cells", spy)
-        gc.torus_count_integral_oracle(np.diag([0.01, 0.01, 1.0]), 1.0, 50, seed=0)
-        [(occupied, work)] = seen
-        assert occupied <= 50 and 10 * work <= 172 * 326_773
-
-    def test_thin_basis_equals_pairwise_reference(self):
-        # 326 773 lattice vectors within reach, 172 sub-cells of 0.01 x 0.01
-        # x 1/172: the shell is thin although the ball is large
-        basis = np.diag([0.01, 0.01, 1.0])
-        assert (gc.torus_count_integral_oracle(basis, 1.0, 50, seed=0)
-                == _pairwise_oracle_reference(basis, 1.0, 50, seed=0))
-
-    @pytest.mark.parametrize("basis,expected", [
-        (np.eye(2), (22, 22)),
-        (np.eye(3), (8, 8, 8)),
-        (np.eye(4), (4, 4, 4, 4)),
-        (1.1 * np.eye(3), (8, 8, 8)),
-        (_VERIFY_BASIS, (6, 6, 12)),
-        (np.diag([0.01, 0.01, 1.0]), (1, 1, 172)),
-        (np.diag([1e-3, 1.0, 1.0]), (1, 22, 22)),
-    ])
-    def test_sub_cells_per_axis(self, basis, expected):
-        assert gc.counting._oracle_cells_per_axis(basis) == expected
-
-    def test_sub_cells_per_axis_follow_the_row_norms(self):
-        # sub-cells are about round: every edge |b_i| / m_i is shorter than
-        # twice the shortest edge of an axis split more than once
-        rng = np.random.default_rng(3)
-        for n in (2, 3, 4):
-            for _ in range(50):
-                basis = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 1, (n, 1))
-                m = np.array(gc.counting._oracle_cells_per_axis(basis))
-                edges = np.linalg.norm(basis, axis=1) / m
-                split = m > 1
-                assert np.prod(m) <= 2**9 and np.any(split)
-                assert np.max(edges) < 2.0 * np.min(edges[split])
-
-    def test_round_sub_cells_shrink_the_shell(self):
-        # work counter in place of a time bound: the verify basis at T = 5
-        # lists fewer shell vectors than the cubic 8 x 8 x 8 split did, and
-        # visits at least 10x fewer lines and shell vectors than the 432 x
-        # 1 563 (sub-cell, vector) entries of a dense classification
-        basis, T = _VERIFY_BASIS, 5.0
-        reach = T + float(np.sum(np.linalg.norm(basis, axis=1)))
-        frame = gc.counting._lattice_frame(basis, reach)
-        _, cube_lens, _, _ = gc.counting._oracle_cells(
-            basis, frame, T, reach, (8, 8, 8), np.arange(512))
-        m = gc.counting._oracle_cells_per_axis(basis)
-        _, lens, table, work = gc.counting._oracle_cells(
-            basis, frame, T, reach, m, np.arange(math.prod(m)))
-        assert np.sum(cube_lens) == 27_112
-        assert np.count_nonzero(np.isfinite(table[0])) == np.sum(lens) <= 27_112
-        assert 10 * work <= 432 * 1_563
-
-    def test_targets_on_the_sure_and_impossible_radii(self, monkeypatch):
-        # Sub-cell (0, 0) of the unit square has centre c = (1, 1)/44 and
-        # radius r = sqrt(2)/44, and its far corner lies on the ray through
-        # c.  For v = (1, 1) the corner target is at |c + v| + r, for
-        # v = (-1, -1) at |c + v| - r; cutoffs 1e-12 relative inside and
-        # outside of these put the sub-cell 1e-12 T from the sure and the
-        # impossible radius, where only the slack sends v to the pairwise test.
-        u = np.nextafter(1.0 / 22.0, 0.0)
-        rows = np.array([[u, u], [0.5, 0.5]])
-        assert np.all((rows[0] * 22).astype(int) == 0)
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _FixedStream(rows))
-        for T in (math.sqrt(2.0) * (23.0 / 22.0) * (1.0 - 1e-12),
-                  math.sqrt(2.0) * (21.0 / 22.0) * (1.0 + 1e-12)):
-            assert (gc.torus_count_integral_oracle(np.eye(2), T, len(rows))
-                    == _pairwise_oracle_reference(np.eye(2), T, len(rows)))
-
-
-def _reference_box_points(basis, T):
-    """Points in the coefficient box of the pairwise reference at cutoff T."""
-    reach = T + float(np.sum(np.linalg.norm(basis, axis=1)))
-    binv = np.linalg.inv(basis)
-    return math.prod(2 * (math.ceil(reach * np.linalg.norm(binv[:, i])) + 1) + 1
-                     for i in range(len(basis)))
-
-
-@settings(derandomize=True, deadline=None, max_examples=25)
-@given(n=st.integers(2, 4), draw=st.integers(0, 2**32 - 1),
-       scale=st.floats(0.05, 3.0), samples=st.integers(1, 40),
-       seed=st.integers(0, 2**16))
-def test_oracle_equals_pairwise_reference_on_random_bases(n, draw, scale,
-                                                          samples, seed):
-    # rows scaled by 10^[-2, 1]; T a multiple of the mean row length.  The
-    # reference builds its whole coefficient box and a (targets, box) array,
-    # so only cases it can hold in a few MB are compared
-    rng = np.random.default_rng(draw)
-    basis = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 1, (n, 1))
-    assume(abs(np.linalg.det(basis)) > 1e-12)
-    T = scale * float(np.mean(np.linalg.norm(basis, axis=1)))
-    assume(_reference_box_points(basis, T) * samples <= 200_000)
-    try:
-        value = gc.torus_count_integral_oracle(basis, T, samples, seed)
-    except InputError:
-        # the ball cap; the reference would build the whole box
-        event("refused by the ball cap")
-        return
-    assert value == _pairwise_oracle_reference(basis, T, samples, seed)
-
-
-class TestLatticeBallGuard:
-    """The lattice ball is sized before it is enumerated; these tests never
-    enumerate a large one."""
-
-    def _forbid_enumeration(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumeration started on an oversized ball")
-        monkeypatch.setattr(gc.counting, "_lattice_lines", refuse)
-
-    def test_oracle_refuses_before_allocating(self, monkeypatch):
-        self._forbid_enumeration(monkeypatch)
-        with pytest.raises(InputError, match="214467265 lattice points"):
-            gc.torus_count_integral_oracle(_THIN_BASIS, 5.0, 20000, seed=0)
-
-    def test_infinite_cutoff_is_an_input_error(self, monkeypatch):
-        self._forbid_enumeration(monkeypatch)
-        with pytest.raises(InputError, match="not finite"):
-            gc.torus_count_integral_oracle(np.eye(2), math.inf, 10)
-
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_six_dimensions_and_up_are_refused(self, monkeypatch, n):
-        # the oracle's reach is T + diam, and diam >= n |det|^(1/n), so its
-        # ball bound is at least V_n (1.5 n)^n: 2.7e6 at n = 6, above the
-        # cap, and more from there on.  The oracle's shell sum runs for
-        # n <= 5 only
-        self._forbid_enumeration(monkeypatch)
-        with pytest.raises(InputError, match="more than the cap"):
-            gc.torus_count_integral_oracle(np.eye(n), 1e-3, 10)
-
-    def test_basis_too_long_to_square_exits_2_without_warnings(self, tmp_path, capsys):
-        # the row length 1e200 squares past the float range: the oracle's
-        # reach is inf, which the frame refuses, with no overflow warning
+    @pytest.mark.parametrize("argv", [
+        # about 2e8 lattice points within reach of T = 5
+        ["--n", "3", "--basis", "1e-5 0 0; 0 1 0; 0 0 1"],
+        # a row length that squares past the float range
+        ["--n", "2", "--basis", "1e200 0; 0 1"],
+        # the unit lattice in six dimensions: 3.9e7 points within reach
+        ["--n", "6"],
+    ], ids=["thin", "long-row", "n6"])
+    def test_verify_enumerates_no_lattice(self, tmp_path, argv):
+        out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = cli.main(["verify", "--kind", "flat_torus", "--n", "2",
-                             "--basis", "1e200 0; 0 1",
-                             "--out", str(tmp_path / "o"), "--quiet"])
-        assert code == 2
-        assert "the coefficient box for reach inf is not finite" in capsys.readouterr().err
-        assert not caught
+            code = cli.main(["verify", "--kind", "flat_torus", *argv,
+                             "--out", str(out), "--quiet"])
+        assert code == 0 and not caught
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["all_passed"]
+        assert "counting total vs volume formula" in [
+            chk["name"] for chk in report["checks"]]
 
-    def test_verify_exits_2(self, tmp_path, capsys):
+    def test_volume_record_fails_on_scaled_totals(self, monkeypatch, tmp_path):
+        # totals 2e-3 too large, at every cutoff: the volume record (1e-3)
+        # fails, the growth class does not move, and verify exits 4
+        curve = gc.counting.berger_bott_curve
+
+        def scaled(*args, **kwargs):
+            got = curve(*args, **kwargs)
+            return gc.CountingCurve(got.T, got.values * (1.0 + 2e-3),
+                                    got.manifold, got.method)
+        monkeypatch.setattr(gc.counting, "berger_bott_curve", scaled)
+        checks = {chk["name"]: chk for chk in verify.lemma_battery(
+            gc.flat_torus(_VERIFY_BASIS))}
+        assert not checks["counting total vs volume formula"]["passed"]
+        assert [name for name, chk in checks.items() if not chk["passed"]] == [
+            "counting total vs volume formula"]
         code = cli.main(["verify", "--kind", "flat_torus", "--n", "3",
-                         "--basis", "1e-5 0 0; 0 1 0; 0 0 1",
+                         "--basis", "1 0 0; 0.5 1 0; 0 0 2",
                          "--out", str(tmp_path / "o"), "--quiet"])
-        assert code == 2
-        assert "214467265 lattice points" in capsys.readouterr().err
+        assert code == 4
 
 
 class TestClassifyGrowth:

@@ -267,6 +267,35 @@ class TestIntegrateGeodesic:
         with pytest.raises(InputError, match="span of the model normal"):
             gc.integrate_geodesic(spec, x, sign * 2.0 * x, T, T / 2)
 
+    @pytest.mark.parametrize("spec,x,theta,match", [
+        # a zero fiber part: integrated without complaint before the check
+        (gc.warped_product("cosh", 3), [1.0, 0.0, 0.0, 0.0],
+         [1.0, 0.0, 0.0, 0.0], r"fiber part x\[1:\] must be a unit vector"),
+        # the origin of R^4: refused before only after a 0/0 RuntimeWarning
+        (gc.constant_curvature(1.0, 3), [0.0, 0.0, 0.0, 0.0],
+         [0.0, 1.0, 0.0, 0.0], "<x, x>_g must be 1/c$"),
+        (gc.constant_curvature(-1.0, 3), [-1.0, 0.0, 0.0, 0.0],
+         [0.0, 1.0, 0.0, 0.0], "with x_0 > 0"),
+        # squares past the float range, on both sheets' terms
+        (gc.constant_curvature(-1.0, 3), [1e200, 1.0, 0.0, 0.0],
+         [0.0, 1.0, 0.0, 0.0], "with x_0 > 0"),
+        (gc.constant_curvature(4.0, 2), [1e200, 0.0, 0.0],
+         [0.0, 1.0, 0.0], "1/c$"),
+        (gc.constant_curvature(1.0, 3), [1.0, 0.0, 0.0],
+         [0.0, 1.0, 0.0], r"shape \(3,\), expected \(4,\)"),
+        (gc.flat_torus(np.eye(2)), [math.nan, 0.0], [0.0, 1.0], "non-finite"),
+    ], ids=["warped-zero-fiber", "sphere-origin", "lower-sheet",
+            "hyperboloid-overflow", "sphere-overflow", "short", "nan"])
+    def test_point_off_the_model_is_refused_without_warnings(self, spec, x,
+                                                              theta, match):
+        x, theta = np.array(x), np.array(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=match):
+                gc.integrate_geodesic(spec, x, theta, 1.0, 1e-2)
+            with pytest.raises(InputError, match=match):
+                gc.curvature_along(spec, (x, theta))
+
     def test_warped_rejects_fiber_directions(self):
         spec = gc.warped_product("one_plus_r2", 2)
         x = gc.canonical_point(spec)
