@@ -9,6 +9,7 @@ import pytest
 import geocount as gc
 from geocount import cli, verify
 from geocount.errors import CatalogError, InputError
+from matrix_forms import torus_count_monte_carlo
 
 
 def _sphere_setup(n=2, order=64):
@@ -259,9 +260,52 @@ class TestSphereArcOracle:
             gc.count_sphere_arcs(math.pi, 1.0)
 
 
+_SKEW_2 = np.array([[1.0, 0.3], [-0.2, 0.8]])
+_SKEW_4 = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
+                    [0.1, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 1.2]])
+_TORUS_RECORDS = ["Wronskian conservation",
+                  "gram-det identity det(H^T H) det((-1/f)') = 1",
+                  "counting total vs volume formula"]
+
+
 class TestTorusVerify:
     """On a flat torus the counting total is checked against |B_T| alone: the
     lattice arc counts, integrated over targets, unfold to that volume."""
+
+    @pytest.mark.parametrize("basis,T,samples,seed", [
+        (_VERIFY_BASIS, 5.0, 4000, 0),
+        (_VERIFY_BASIS, 5.0, 4000, 1),
+        (_VERIFY_BASIS, 5.0, 4000, 7),
+        (_VERIFY_BASIS, 5.0, 4000, 42),
+        (np.eye(2), 1.0, 20000, 0),
+        (np.eye(2), 2.0, 20000, 0),
+        (np.eye(2), 5.0, 20000, 0),
+        (np.eye(2), 10.0, 20000, 0),
+        (_SKEW_2, 3.0, 20000, 5),
+        (_SKEW_4, 1.5, 2000, 4),
+    ])
+    def test_lattice_count_unfolds_to_the_ball(self, basis, T, samples, seed):
+        # the pairwise lattice count, integrated over targets, against the
+        # exact |B_T| and the counting total, at criterion 2's 0.02.  T is at
+        # least a cell across, so the Monte Carlo noise is about 1e-4 here
+        n = len(basis)
+        spec = gc.flat_torus(basis)
+        quad = gc.unit_sphere_quadrature(n, "product_gauss", 64 if n == 2 else 16)
+        total = gc.berger_bott_total(spec, gc.canonical_point(spec), T, quad, 1e-3)
+        exact = gc.manifolds.sphere_surface_area(n - 1) * T**n / n
+        lattice = torus_count_monte_carlo(basis, T, samples, seed)
+        assert abs(lattice - exact) <= 0.02 * exact
+        assert abs(total - lattice) <= 0.02 * lattice
+
+    @pytest.mark.parametrize("basis", [
+        np.eye(2), _SKEW_2, _VERIFY_BASIS, _SKEW_4, np.eye(5) + 0.1 * np.tri(5, k=-1),
+    ], ids=["n2", "n2-skew", "n3", "n4", "n5"])
+    def test_battery_passes_on_lattices(self, basis):
+        checks = verify.lemma_battery(gc.flat_torus(basis))
+        n = len(basis)
+        assert [chk["name"] for chk in checks] == [
+            *_TORUS_RECORDS, f"growth classified polynomial({n})"]
+        assert all(chk["passed"] for chk in checks)
 
     @pytest.mark.parametrize("argv", [
         # about 2e8 lattice points within reach of T = 5

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import geocount as gc
 from geocount import manifolds as mf
 from geocount.errors import (CatalogError, ConfigurationError, DomainError,
                              InputError)
-from matrix_forms import gram_schmidt_frame, sphere_rule_by_rows
+from matrix_forms import gram_schmidt_frame, random_point, sphere_rule_by_rows
 
 
 class TestSphereQuadrature:
@@ -330,6 +331,55 @@ class TestReflectionFrame:
         spec = gc.constant_curvature(c, 3)
         with pytest.raises(InputError, match="null or in the span"):
             gc.orthonormal_frame(spec, gc.canonical_point(spec), normals)
+
+
+class TestPointOnModel:
+    @pytest.mark.parametrize("spec", [
+        *_canonical_frame_specs(),
+        *(gc.constant_curvature(c, 3) for c in (5.6e-309, -5.6e-309, 1e6, -1e6)),
+    ], ids=lambda s: s.label)
+    def test_points_of_the_model_are_accepted(self, spec):
+        # the canonical point, and random points out to hyperboloid radius 3
+        # sqrt(n), pass with no warning (a RuntimeWarning fails the test)
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mf.require_point_on_model(spec, gc.canonical_point(spec))
+            for _ in range(20):
+                mf.require_point_on_model(spec, random_point(spec, rng)[0])
+
+    @pytest.mark.parametrize("spec,x", [
+        (gc.constant_curvature(1.0, 3), [1.0, 0.0, 0.0, 0.0]),
+        (gc.constant_curvature(4.0, 2), [0.3, 0.4, 0.0]),
+        (gc.constant_curvature(-1.0, 3), [math.sqrt(10.0), 3.0, 0.0, 0.0]),
+        (gc.warped_product("cosh", 3), [0.5, 0.6, 0.8, 0.0]),
+    ], ids=["sphere", "sphere-c4", "hyperboloid", "warped"])
+    def test_tolerance_is_relative_1e_8(self, spec, x):
+        # the quadric (or the fiber sphere) scaled by 1 + 1e-10 passes; by
+        # 1 + 1e-6 it is refused
+        x = np.array(x)
+        curved = spec.kind == mf.CONSTANT_CURVATURE
+        for s, ok in ((1.0 + 1e-10, True), (1.0 + 1e-6, False)):
+            y = s * x if curved else np.concatenate(([x[0]], s * x[1:]))
+            if ok:
+                mf.require_point_on_model(spec, y)
+            else:
+                with pytest.raises(InputError, match="off the model"):
+                    mf.require_point_on_model(spec, y)
+
+    @pytest.mark.parametrize("spec,x,match", [
+        (gc.flat_torus(np.eye(2)), [0.0, 0.0, 0.0], r"shape \(3,\), expected \(2,\)"),
+        (gc.constant_curvature(0.0, 2), [0.0, math.inf], "non-finite"),
+        (gc.warped_product("sin", 2), [1.0, 0.0], r"shape \(2,\), expected \(3,\)"),
+        (gc.warped_product("identity", 2), [1.0, 2.0, 0.0], "unit vector"),
+        (gc.constant_curvature(-4.0, 2), [-0.5, 0.0, 0.0], "with x_0 > 0"),
+    ], ids=["torus-long", "flat-inf", "warped-short", "warped-long-fiber",
+            "hyperboloid-lower-vertex"])
+    def test_points_off_the_model_are_refused(self, spec, x, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=match):
+                mf.require_point_on_model(spec, np.array(x))
 
 
 class TestCurvatureAlong:
